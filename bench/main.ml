@@ -1223,16 +1223,16 @@ let tflow ~json ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* TPAR: multicore scale-out — the same three workloads at 1/2/4/8
+(* TPAR: multicore scale-out — the same two workloads at 1/2/4/8
    domains, with the sequential run as the equivalence oracle. Speedups
    are whatever the machine gives (the JSON records its core count); the
    determinism check is unconditional and fails the bench — parallel
-   runs must produce byte-identical FIBs, water-fill rates, chaos
-   verdicts and per-run timelines. *)
+   runs must produce byte-identical FIBs, chaos verdicts and per-run
+   timelines. *)
 
 let tpar ~json ~quick () =
   section "TPAR"
-    "Multicore scale-out: SPF churn, water-fill setup, chaos sweeps vs domains";
+    "Multicore scale-out: SPF churn, chaos sweeps vs domains";
   let cores = Domain.recommended_domain_count () in
   let widths = [ 1; 2; 4; 8 ] in
   Format.printf "machine cores (recommended domains): %d@." cores;
@@ -1297,35 +1297,7 @@ let tpar ~json ~quick () =
       prefixes;
     (best samples, Buffer.contents buf)
   in
-  (* -- Track B: flash-crowd water-fill, setup phases sharded. -- *)
-  let wf_flows = if quick then 20_000 else 100_000 in
-  let nlinks = 400 in
-  let wf_caps = Netsim.Link.capacities ~default:(24. *. 1024. *. 1024.) in
-  let wf_demands, wf_links, wf_weights =
-    let prng = Kit.Prng.create ~seed:42 in
-    let demands =
-      Array.init wf_flows (fun _ ->
-          64. *. 1024. *. float_of_int (1 + Kit.Prng.int prng 8))
-    in
-    let links =
-      Array.init wf_flows (fun _ ->
-          let s = Kit.Prng.int prng (nlinks - 3) in
-          [ (s, s + 1); (s + 1, s + 2); (s + 2, s + 3) ])
-    in
-    (demands, links, Array.make wf_flows 1)
-  in
-  let wf_track d =
-    let pool = Kit.Pool.create ~domains:d () in
-    let out = ref [||] in
-    let samples =
-      wall_samples ~repeat:(if quick then 3 else 5) (fun () ->
-          out :=
-            Netsim.Fairshare.water_fill ~pool wf_caps ~demands:wf_demands
-              ~links:wf_links ~weights:wf_weights)
-    in
-    (best samples, !out)
-  in
-  (* -- Track C: chaos seed sweep, one scenario per domain. -- *)
+  (* -- Track B: chaos seed sweep, one scenario per domain. -- *)
   let chaos_seeds = List.init (if quick then 8 else 64) (fun i -> i + 1) in
   let chaos_track d =
     let pool = Kit.Pool.create ~domains:d () in
@@ -1334,12 +1306,10 @@ let tpar ~json ~quick () =
     ((Unix.gettimeofday () -. t0) *. 1000., List.map fst results)
   in
   let spf = List.map spf_track widths in
-  let wf = List.map wf_track widths in
   let chaos = List.map chaos_track widths in
   let base f l = f (List.hd l) in
-  let spf_ref = base snd spf and wf_ref = base snd wf and chaos_ref = base snd chaos in
+  let spf_ref = base snd spf and chaos_ref = base snd chaos in
   let spf_ok = List.for_all (fun (_, dump) -> dump = spf_ref) spf in
-  let wf_ok = List.for_all (fun (_, rates) -> rates = wf_ref) wf in
   let chaos_ok = List.for_all (fun (_, vs) -> vs = chaos_ref) chaos in
   (* Determinism of captured timelines: a telemetry-on sweep must emit
      byte-identical per-run timelines at widths 1, 2 and 4. *)
@@ -1357,18 +1327,15 @@ let tpar ~json ~quick () =
   in
   let tl1 = timeline_sweep 1 in
   let tl_ok = List.for_all (fun d -> timeline_sweep d = tl1) [ 2; 4 ] in
-  Format.printf "@.%-8s %14s %14s %14s@." "domains" "spf churn" "water-fill"
-    "chaos sweep";
+  Format.printf "@.%-8s %14s %14s@." "domains" "spf churn" "chaos sweep";
   List.iteri
     (fun i d ->
-      Format.printf "%-8d %11.3f ms %11.3f ms %11.3f ms@." d
+      Format.printf "%-8d %11.3f ms %11.3f ms@." d
         (fst (List.nth spf i))
-        (fst (List.nth wf i))
         (fst (List.nth chaos i)))
     widths;
   let speedups track = List.map (fun (ms, _) -> base fst track /. ms) track in
   let spf_speedups = speedups spf in
-  let wf_speedups = speedups wf in
   let chaos_speedups = speedups chaos in
   let pp_speedups label l =
     Format.printf "%-20s" label;
@@ -1376,12 +1343,10 @@ let tpar ~json ~quick () =
     Format.printf "@."
   in
   pp_speedups "spf speedup" spf_speedups;
-  pp_speedups "water-fill speedup" wf_speedups;
   pp_speedups "chaos speedup" chaos_speedups;
   Format.printf
-    "determinism: fibs %s, water-fill rates %s, chaos verdicts %s, timelines %s@."
+    "determinism: fibs %s, chaos verdicts %s, timelines %s@."
     (if spf_ok then "identical" else "DIVERGED")
-    (if wf_ok then "identical" else "DIVERGED")
     (if chaos_ok then "identical" else "DIVERGED")
     (if tl_ok then "identical" else "DIVERGED");
   if json then begin
@@ -1394,28 +1359,23 @@ let tpar ~json ~quick () =
       \  \"domains\": [%s],\n\
       \  \"spf_churn_ms\": [%s],\n\
       \  \"spf_speedup\": [%s],\n\
-      \  \"waterfill_flows\": %d,\n\
-      \  \"waterfill_ms\": [%s],\n\
-      \  \"waterfill_speedup\": [%s],\n\
       \  \"chaos_seeds\": %d,\n\
       \  \"chaos_sweep_ms\": [%s],\n\
       \  \"chaos_speedup\": [%s],\n\
-      \  \"determinism\": {\"spf_fibs\": %b, \"waterfill_rates\": %b,\n\
-      \                  \"chaos_verdicts\": %b, \"chaos_timelines\": %b}\n\
+      \  \"determinism\": {\"spf_fibs\": %b, \"chaos_verdicts\": %b,\n\
+      \                  \"chaos_timelines\": %b}\n\
        }\n"
       cores
       (String.concat ", " (List.map string_of_int widths))
       (floats (List.map fst spf))
-      (floats spf_speedups) wf_flows
-      (floats (List.map fst wf))
-      (floats wf_speedups)
+      (floats spf_speedups)
       (List.length chaos_seeds)
       (floats (List.map fst chaos))
-      (floats chaos_speedups) spf_ok wf_ok chaos_ok tl_ok;
+      (floats chaos_speedups) spf_ok chaos_ok tl_ok;
     close_out oc;
     Format.printf "wrote BENCH_parallel.json@."
   end;
-  if not (spf_ok && wf_ok && chaos_ok && tl_ok) then begin
+  if not (spf_ok && chaos_ok && tl_ok) then begin
     Format.printf "TPAR FAILED: parallel execution diverged from sequential@.";
     exit 1
   end

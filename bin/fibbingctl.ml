@@ -62,9 +62,9 @@ let topology_arg =
    this point (SPF engines, sweep pools) defaults to N. *)
 let domains_arg =
   let doc =
-    "Worker domains for parallel sections (SPF sharding, water-fill setup, \
-     scenario sweeps). Defaults to the FIBBING_DOMAINS environment variable, \
-     else the machine's recommended domain count."
+    "Worker domains for parallel sections (SPF sharding, scenario sweeps). \
+     Defaults to the FIBBING_DOMAINS environment variable, else the \
+     machine's recommended domain count."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 

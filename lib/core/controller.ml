@@ -527,24 +527,50 @@ let install_requirements t ~time ~prefix ~description routers =
       (* The previous steering may no longer be installable — a link it
          forwards over can have failed since. Reinstall what still fits
          the topology and drop the rest; never die mid-reaction. *)
-      Option.iter
-        (fun s ->
-          (match Augmentation.apply t.net s.plan with
-          | () -> List.iter (stamp t ~time) s.plan.Augmentation.fakes
-          | exception Invalid_argument _ ->
-            Augmentation.revert t.net s.plan;
-            Hashtbl.remove t.states prefix);
-          s.last_action <- time)
-        previous;
+      let reinstalled =
+        Option.bind previous (fun s ->
+            s.last_action <- time;
+            match Augmentation.apply t.net s.plan with
+            | () -> Some s
+            | exception Invalid_argument _ ->
+              Augmentation.revert t.net s.plan;
+              Hashtbl.remove t.states prefix;
+              None)
+      in
       let readopted =
         List.filter
           (fun (f : Igp.Lsa.fake) ->
             match Igp.Network.inject_fake t.net f with
-            | () -> stamp t ~time f; true
+            | () -> true
             | exception Invalid_argument _ -> false)
           adopted_here
       in
-      if readopted <> [] then Hashtbl.replace t.adopted prefix readopted;
+      (* A topology change since those lies went in can also make them
+         loop: keep them only under the same end-state gate a fresh
+         steering must pass, else withdraw and forget them. *)
+      let verdict =
+        if reinstalled = None && readopted = [] then Ok ()
+        else Transient.state_safe t.net ~prefix
+      in
+      let message =
+        match verdict with
+        | Ok () ->
+          Option.iter
+            (fun s -> List.iter (stamp t ~time) s.plan.Augmentation.fakes)
+            reinstalled;
+          List.iter (stamp t ~time) readopted;
+          if readopted <> [] then Hashtbl.replace t.adopted prefix readopted;
+          message
+        | Error reason ->
+          Option.iter
+            (fun s ->
+              Augmentation.revert t.net s.plan;
+              Hashtbl.remove t.states prefix)
+            reinstalled;
+          List.iter (retract_if_installed t) readopted;
+          Printf.sprintf "%s; withdrew previous steering (unsafe): %s" message
+            reason
+      in
       record t ~time ~prefix message;
       false
     in

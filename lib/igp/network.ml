@@ -80,16 +80,6 @@ let retract_fake t ~fake_id =
   Lsdb.retract_fake t.lsdb ~fake_id;
   account t ~origin:fake.Lsa.attachment
 
-let inject_fake_wire t buf =
-  match Codec.decode buf with
-  | Error reason -> Error reason
-  | Ok { lsa = Lsa.Fake fake; _ } ->
-    (match inject_fake t fake with
-    | () -> Ok ()
-    | exception Invalid_argument reason -> Error reason)
-  | Ok { lsa = Lsa.Router _ | Lsa.Prefix _; _ } ->
-    Error "wire packet is not a fake LSA"
-
 let router_lsa t ~origin =
   Lsa.Router { origin; links = Graph.succ t.graph origin }
 

@@ -32,11 +32,6 @@ val retract_fake : t -> fake_id:string -> unit
 
 val retract_all_fakes : t -> unit
 
-val inject_fake_wire : t -> bytes -> (unit, string) result
-(** Decode a wire-format LSA packet ([Codec]) and inject it; the packet
-    must carry a fake LSA. This is the path a real Fibbing controller
-    takes: it forges bytes, the routers parse them. *)
-
 val router_lsa : t -> origin:Netgraph.Graph.node -> Lsa.t
 (** The router LSA [origin] would originate for its current adjacencies
     (derived from the physical graph). *)

@@ -51,8 +51,6 @@ let apportion fractions total =
   done;
   m
 
-let apportion fractions ~total = apportion fractions total
-
 let approximate ~max_total fractions =
   let k = Array.length fractions in
   if k = 0 then invalid_arg "Ratio.approximate: empty fractions";
@@ -63,10 +61,10 @@ let approximate ~max_total fractions =
   let sum = Array.fold_left ( +. ) 0. fractions in
   if abs_float (sum -. 1.) > 1e-6 then
     invalid_arg "Ratio.approximate: fractions must sum to 1";
-  let best = ref (apportion fractions ~total:k) in
+  let best = ref (apportion fractions k) in
   let best_err = ref (max_error fractions !best) in
   for total = k + 1 to max_total do
-    let candidate = apportion fractions ~total in
+    let candidate = apportion fractions total in
     let err = max_error fractions candidate in
     if err < !best_err -. 1e-12 then begin
       best := candidate;

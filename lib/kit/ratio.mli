@@ -7,12 +7,6 @@
     routes towards next hop [i]; the FIB width bounds the total
     [sum m_i]. This module finds the best bounded-total approximation. *)
 
-val apportion : float array -> total:int -> int array
-(** Largest-remainder apportionment of exactly [total] entries (each at
-    least 1) to the fractions; used by callers managing their own entry
-    budgets. Requires [total >= Array.length fractions] (the result may
-    exceed [total] only when that lower bound forces it). *)
-
 val approximate : max_total:int -> float array -> int array
 (** [approximate ~max_total fractions] returns multiplicities [m] with
     [1 <= m.(i)], [sum m <= max_total], minimizing the maximum absolute

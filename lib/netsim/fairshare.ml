@@ -26,13 +26,9 @@ let epsilon = 1e-9
    Per-round work is O(degree of what froze * log), not O(flows *
    links). *)
 
-(* Below this many groups, domain spawn/join costs more than the whole
-   setup; the pool only engages on batches worth sharding. *)
-let par_threshold = 512
-
 let m_wf_alloc = Obs.Metrics.counter "fairshare.alloc_words"
 
-let water_fill_kernel ?pool capacities ~demands ~links ~weights =
+let water_fill_kernel capacities ~demands ~links ~weights =
   let n = Array.length demands in
   if Array.length links <> n || Array.length weights <> n then
     invalid_arg "Fairshare.water_fill: array length mismatch";
@@ -42,21 +38,9 @@ let water_fill_kernel ?pool capacities ~demands ~links ~weights =
   let rates = Array.make n 0. in
   if n = 0 then rates
   else begin
-    let par =
-      match pool with
-      | Some p when Kit.Pool.domain_count p > 1 && n >= par_threshold -> Some p
-      | Some _ | None -> None
-    in
-    (* Setup phase 1 — normalize each group's link list. Per-group and
-       pure, so it fans out across domains. *)
-    let normalized =
-      match par with
-      | Some p -> Kit.Pool.map p ~n (fun g -> List.sort_uniq Link.compare links.(g))
-      | None -> Array.map (List.sort_uniq Link.compare) links
-    in
-    (* Setup phase 2 — intern links to dense ids, sequentially in group
-       order so ids (and hence heap tie-breaking) are identical at any
-       pool width. *)
+    (* Setup: normalize each group's link list, then intern links to
+       dense ids in group order (ids fix the heap's tie-breaking). *)
+    let normalized = Array.map (List.sort_uniq Link.compare) links in
     let ids : (Link.t, int) Hashtbl.t = Hashtbl.create (4 * n) in
     let nl = ref 0 in
     Array.iter
@@ -66,13 +50,9 @@ let water_fill_kernel ?pool capacities ~demands ~links ~weights =
              incr nl
            end))
       normalized;
-    (* Setup phase 3 — per-group incidence over dense ids: read-only
-       hashtable lookups, fanned out. *)
-    let to_ids ls = Array.of_list (List.map (Hashtbl.find ids) ls) in
     let incidence =
-      match par with
-      | Some p -> Kit.Pool.map p ~n (fun g -> to_ids normalized.(g))
-      | None -> Array.map to_ids normalized
+      Array.map (fun ls -> Array.of_list (List.map (Hashtbl.find ids) ls))
+        normalized
     in
     let nl = !nl in
     let cap = Array.make nl 0. in
@@ -221,12 +201,12 @@ let water_fill_kernel ?pool capacities ~demands ~links ~weights =
     rates
   end
 
-let water_fill ?pool capacities ~demands ~links ~weights =
+let water_fill capacities ~demands ~links ~weights =
   if Obs.enabled () then
     Obs.Prof.with_span "fairshare.water_fill" ~alloc_counter:m_wf_alloc
       ~attrs:[ ("groups", Obs.Attr.Int (Array.length demands)) ]
-      (fun () -> water_fill_kernel ?pool capacities ~demands ~links ~weights)
-  else water_fill_kernel ?pool capacities ~demands ~links ~weights
+      (fun () -> water_fill_kernel capacities ~demands ~links ~weights)
+  else water_fill_kernel capacities ~demands ~links ~weights
 
 let check_distinct_ids routes =
   let seen = Hashtbl.create 64 in

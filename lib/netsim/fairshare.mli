@@ -22,7 +22,6 @@ type route = {
 }
 
 val water_fill :
-  ?pool:Kit.Pool.t ->
   Link.capacities ->
   demands:float array ->
   links:Link.t list array ->
@@ -34,15 +33,7 @@ val water_fill :
     per-member rate of each group, index-aligned with the inputs — equal
     to what [allocate] gives each member of the group expanded into
     singletons. A group with no links gets its full demand. Raises
-    [Invalid_argument] on mismatched array lengths or a weight < 1.
-
-    [pool] fans the setup out across domains — per-group link-list
-    normalization and the incidence id-mapping, the O(flows * path
-    length) part. Link interning, the CSR build and the fill kernel
-    itself stay sequential, so the result is bitwise-identical at any
-    pool width (the sequential kernel is the equivalence oracle). The
-    pool only engages above ~500 groups; below that domain spawn
-    dominates. *)
+    [Invalid_argument] on mismatched array lengths or a weight < 1. *)
 
 val allocate : Link.capacities -> route list -> (int * float) list
 (** [(flow id, rate)] for every route, in input order. A flow with an

@@ -571,41 +571,13 @@ let recompute_routes t =
 
 (* ---- allocation ---- *)
 
-(* Matches Fairshare.par_threshold: under ~500 classes the per-class
-   walk is too cheap to shard. *)
-let par_threshold = 512
-
 let allocate_max_min t =
-  let classes = Hashtbl.fold (fun _ c acc -> c :: acc) t.classes [] in
-  let arr = Array.of_list classes in
-  let n = Array.length arr in
-  let pool = Igp.Spf_engine.pool (Igp.Network.engine t.net) in
-  let par = Kit.Pool.domain_count pool > 1 && n >= par_threshold in
-  let demands = Array.make n 0. in
-  let links = Array.make n [] in
-  let weights = Array.make n 1 in
-  let gather i =
-    let c = arr.(i) in
-    demands.(i) <- c.key.ck_demand;
-    links.(i) <- c.c_links;
-    weights.(i) <- c.weight
-  in
-  if par then Kit.Pool.iter pool ~n gather
-  else
-    for i = 0 to n - 1 do
-      gather i
-    done;
-  let rates =
-    Fairshare.water_fill
-      ?pool:(if par then Some pool else None)
-      t.caps ~demands ~links ~weights
-  in
-  let scatter i = arr.(i).rate <- rates.(i) in
-  if par then Kit.Pool.iter pool ~n scatter
-  else
-    for i = 0 to n - 1 do
-      scatter i
-    done
+  let arr = Array.of_list (Hashtbl.fold (fun _ c acc -> c :: acc) t.classes []) in
+  let demands = Array.map (fun c -> c.key.ck_demand) arr in
+  let links = Array.map (fun c -> c.c_links) arr in
+  let weights = Array.map (fun c -> c.weight) arr in
+  let rates = Fairshare.water_fill t.caps ~demands ~links ~weights in
+  Array.iteri (fun i c -> c.rate <- rates.(i)) arr
 
 let allocate_aimd t aimd =
   (* Classes are singletons here ([create] disables aggregation for

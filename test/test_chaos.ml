@@ -543,6 +543,15 @@ let test_chaos_deterministic () =
     && a.controller_alive = b.controller_alive
     && a.reactions = b.reactions)
 
+(* Regression: a rejected steering used to roll back to the previous
+   plan after checking only that it still installs. A topology change
+   since had made that plan loop, so the watchdog caught a one-step
+   forwarding loop (seed 4111 at t=20, seed 11648 at t=12). *)
+let test_rollback_rechecks_safety seed () =
+  let v = Scenarios.Chaos.run ~seed ~until:30. () in
+  if not (Scenarios.Chaos.ok v) then
+    Alcotest.failf "%a" Scenarios.Chaos.pp v
+
 (* ---------- Lie aging: the controller-death fallback ---------- *)
 
 let stream = 131072.
@@ -781,7 +790,13 @@ let () =
             test_crash_restart_idempotent;
         ] );
       ( "chaos",
-        [ Alcotest.test_case "deterministic" `Quick test_chaos_deterministic ]
+        [
+          Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
+          Alcotest.test_case "rollback gated, seed 4111" `Quick
+            (test_rollback_rechecks_safety 4111);
+          Alcotest.test_case "rollback gated, seed 11648" `Quick
+            (test_rollback_rechecks_safety 11648);
+        ]
         @ qsuite [ prop_chaos_converges ] );
       ( "script-faults",
         [

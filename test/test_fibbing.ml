@@ -593,98 +593,6 @@ let test_controller_backs_off_when_ineffective () =
   Alcotest.(check int) "and no lies were installed" 0
     (Fibbing.Controller.fake_count controller)
 
-(* ---------- Budget ---------- *)
-
-let split nh fraction = { R.next_hop = nh; fraction }
-
-let test_budget_minimum () =
-  let requests =
-    [
-      { Fibbing.Budget.router = 0; splits = [ split 1 0.5; split 2 0.5 ] };
-      { Fibbing.Budget.router = 3; splits = [ split 4 0.3; split 5 0.7 ] };
-    ]
-  in
-  Alcotest.(check int) "minimum" 4 (Fibbing.Budget.minimum_entries requests);
-  Alcotest.(check bool) "below minimum rejected" true
-    (try ignore (Fibbing.Budget.allocate ~budget:3 requests); false
-     with Invalid_argument _ -> true)
-
-let test_budget_spends_where_it_helps () =
-  (* Router 0 wants 50/50 (exact with 2 entries); router 1 wants
-     0.28/0.72 (needs many). Extra entries must flow to router 1. *)
-  let requests =
-    [
-      { Fibbing.Budget.router = 0; splits = [ split 10 0.5; split 11 0.5 ] };
-      { Fibbing.Budget.router = 1; splits = [ split 12 0.28; split 13 0.72 ] };
-    ]
-  in
-  let a = Fibbing.Budget.allocate ~budget:12 requests in
-  let entries router =
-    List.fold_left (fun acc (_, m) -> acc + m) 0 (List.assoc router a.weighted)
-  in
-  Alcotest.(check int) "router 0 stays at 2" 2 (entries 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "router 1 gets the rest (%d)" (entries 1))
-    true
-    (entries 1 > 2);
-  Alcotest.(check (float 1e-9)) "router 0 exact" 0.
-    (List.assoc 0 a.per_router_error);
-  Alcotest.(check bool) "budget respected" true (a.entries_used <= 12)
-
-let test_budget_stops_when_nothing_improves () =
-  (* Two exactly-satisfiable routers: any budget beyond the minimum is
-     left unspent. *)
-  let requests =
-    [
-      { Fibbing.Budget.router = 0; splits = [ split 1 0.5; split 2 0.5 ] };
-      { Fibbing.Budget.router = 3; splits = [ split 4 (1. /. 3.); split 5 (2. /. 3.) ] };
-    ]
-  in
-  let a = Fibbing.Budget.allocate ~budget:100 requests in
-  Alcotest.(check int) "minimal spend" 5 a.entries_used;
-  Alcotest.(check (float 1e-9)) "zero error" 0. a.max_error
-
-let test_budget_monotone_in_budget () =
-  let requests =
-    [
-      { Fibbing.Budget.router = 0; splits = [ split 1 0.28; split 2 0.72 ] };
-      { Fibbing.Budget.router = 3; splits = [ split 4 0.41; split 5 0.59 ] };
-    ]
-  in
-  let errors =
-    List.map
-      (fun budget -> (Fibbing.Budget.allocate ~budget requests).max_error)
-      [ 4; 6; 10; 20; 40 ]
-  in
-  let rec non_increasing = function
-    | a :: (b :: _ as rest) -> a +. 1e-12 >= b && non_increasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "error non-increasing in budget" true (non_increasing errors)
-
-let test_budget_compiles_via_pin () =
-  (* The allocation plugs into the hybrid compiler as explicit
-     multiplicities. *)
-  let d, net = demo_net () in
-  let requests =
-    [
-      { Fibbing.Budget.router = d.a;
-        splits = [ split d.b (1. /. 3.); split d.r1 (2. /. 3.) ] };
-    ]
-  in
-  let allocation = Fibbing.Budget.allocate ~budget:4 requests in
-  let empty = { R.prefix = pfx "blue"; routers = [] } in
-  match
-    Fibbing.Augmentation.hybrid_plan ~pin:allocation.weighted net empty
-  with
-  | Error e -> Alcotest.failf "hybrid_plan: %s" e
-  | Ok plan ->
-    Fibbing.Augmentation.apply net plan;
-    let fib = Option.get (Igp.Network.fib net ~router:d.a (pfx "blue")) in
-    Alcotest.(check (list (pair int int))) "1:2 installed"
-      [ (d.b, 1); (d.r1, 2) ]
-      (Igp.Fib.weights fib)
-
 (* ---------- Transient safety ---------- *)
 
 let test_transient_baseline_safe () =
@@ -972,99 +880,6 @@ let test_audit_detects_override () =
       (ra.lied_distance < ra.honest_distance)
   | None -> Alcotest.fail "B missing from audit"
 
-(* ---------- Session (the controller's OSPF adjacency) ---------- *)
-
-let demo_fake d ~id : Igp.Lsa.fake =
-  {
-    fake_id = id;
-    attachment = d.Netgraph.Topologies.b;
-    attachment_cost = 1;
-    prefix = pfx "blue";
-    announced_cost = 1;
-    forwarding = d.Netgraph.Topologies.r3;
-  }
-
-let test_session_handshake () =
-  let d, net = demo_net () in
-  ignore d;
-  let s = Fibbing.Session.create net ~attachment:d.r3 in
-  Alcotest.(check bool) "starts Down" true (Fibbing.Session.state s = Down);
-  Fibbing.Session.establish s ~now:0.;
-  Alcotest.(check bool) "reaches Full" true (Fibbing.Session.state s = Full);
-  Alcotest.(check bool) "sent hellos" true (Fibbing.Session.hellos_sent s >= 6)
-
-let test_session_refuses_injection_before_full () =
-  let d, net = demo_net () in
-  let s = Fibbing.Session.create net ~attachment:d.r3 in
-  match Fibbing.Session.inject s (demo_fake d ~id:"early") with
-  | Error reason -> Alcotest.(check bool) "refused" true (String.length reason > 0)
-  | Ok () -> Alcotest.fail "injection must require Full"
-
-let test_session_injects_when_full () =
-  let d, net = demo_net () in
-  let s = Fibbing.Session.create net ~attachment:d.r3 in
-  Fibbing.Session.establish s ~now:0.;
-  (match Fibbing.Session.inject s (demo_fake d ~id:"fB") with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "inject: %s" e);
-  Alcotest.(check (list string)) "tracked" [ "fB" ] (Fibbing.Session.injected s);
-  let fib = Option.get (Igp.Network.fib net ~router:d.b (pfx "blue")) in
-  Alcotest.(check (list int)) "ECMP via session" [ d.r2; d.r3 ]
-    (Igp.Fib.next_hops fib)
-
-let test_session_death_purges_lies () =
-  let d, net = demo_net () in
-  let s = Fibbing.Session.create net ~attachment:d.r3 in
-  Fibbing.Session.establish s ~now:0.;
-  (match Fibbing.Session.inject s (demo_fake d ~id:"fB") with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "inject: %s" e);
-  (* The controller host dies: no more hellos answered. *)
-  Fibbing.Session.set_peer_reachable s false;
-  Fibbing.Session.tick s ~now:200.;
-  Alcotest.(check bool) "back to Down" true (Fibbing.Session.state s = Down);
-  Alcotest.(check (list string)) "lies purged" [] (Fibbing.Session.injected s);
-  Alcotest.(check int) "network clean" 0 (List.length (Igp.Network.fakes net));
-  let fib = Option.get (Igp.Network.fib net ~router:d.b (pfx "blue")) in
-  Alcotest.(check (list int)) "plain IGP restored" [ d.r2 ] (Igp.Fib.next_hops fib)
-
-let test_session_survives_with_keepalives () =
-  let d, net = demo_net () in
-  let s = Fibbing.Session.create net ~attachment:d.r3 in
-  Fibbing.Session.establish s ~now:0.;
-  (match Fibbing.Session.inject s (demo_fake d ~id:"fB") with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "inject: %s" e);
-  (* Regular ticks every hello interval: session stays Full for hours. *)
-  for i = 1 to 360 do
-    Fibbing.Session.tick s ~now:(100. +. (float_of_int i *. 10.))
-  done;
-  Alcotest.(check bool) "still Full" true (Fibbing.Session.state s = Full);
-  Alcotest.(check int) "lie still installed" 1 (List.length (Igp.Network.fakes net))
-
-let test_session_reconnect () =
-  let d, net = demo_net () in
-  let s = Fibbing.Session.create net ~attachment:d.r3 in
-  Fibbing.Session.establish s ~now:0.;
-  Fibbing.Session.set_peer_reachable s false;
-  Fibbing.Session.tick s ~now:200.;
-  Alcotest.(check bool) "down" true (Fibbing.Session.state s = Down);
-  Fibbing.Session.set_peer_reachable s true;
-  Fibbing.Session.establish s ~now:300.;
-  Alcotest.(check bool) "full again" true (Fibbing.Session.state s = Full);
-  match Fibbing.Session.inject s (demo_fake d ~id:"again") with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "re-inject: %s" e
-
-let test_session_validation () =
-  let _, net = demo_net () in
-  Alcotest.(check bool) "dead <= hello rejected" true
-    (try
-       ignore (Fibbing.Session.create ~hello_interval:10. ~dead_interval:5. net
-                 ~attachment:0);
-       false
-     with Invalid_argument _ -> true)
-
 (* Property: whatever the controller does under random surges, the
    forwarding state it leaves after every poll is loop- and
    blackhole-free. This is the live-network version of the transient
@@ -1162,16 +977,6 @@ let () =
           Alcotest.test_case "collateral" `Quick test_verify_detects_collateral;
           Alcotest.test_case "baseline ok" `Quick test_verify_ok_baseline;
         ] );
-      ( "budget",
-        [
-          Alcotest.test_case "minimum" `Quick test_budget_minimum;
-          Alcotest.test_case "spends where it helps" `Quick
-            test_budget_spends_where_it_helps;
-          Alcotest.test_case "stops when satisfied" `Quick
-            test_budget_stops_when_nothing_improves;
-          Alcotest.test_case "monotone in budget" `Quick test_budget_monotone_in_budget;
-          Alcotest.test_case "compiles via pin" `Quick test_budget_compiles_via_pin;
-        ] );
       ( "transient",
         [
           Alcotest.test_case "baseline safe" `Quick test_transient_baseline_safe;
@@ -1198,17 +1003,6 @@ let () =
           Alcotest.test_case "roundtrips demo plan" `Quick
             test_audit_roundtrips_demo_plan;
           Alcotest.test_case "detects override" `Quick test_audit_detects_override;
-        ] );
-      ( "session",
-        [
-          Alcotest.test_case "handshake" `Quick test_session_handshake;
-          Alcotest.test_case "refuses before Full" `Quick
-            test_session_refuses_injection_before_full;
-          Alcotest.test_case "injects when Full" `Quick test_session_injects_when_full;
-          Alcotest.test_case "death purges lies" `Quick test_session_death_purges_lies;
-          Alcotest.test_case "keepalives" `Quick test_session_survives_with_keepalives;
-          Alcotest.test_case "reconnect" `Quick test_session_reconnect;
-          Alcotest.test_case "validation" `Quick test_session_validation;
         ] );
       ( "controller",
         [

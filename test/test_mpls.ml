@@ -114,74 +114,6 @@ let test_tunnel_encap_overhead () =
     (Mpls.Tunnels.encap_overhead_bytes t ~packet_size:1500 ~label_bytes:4
        ~volume:1_500_000.)
 
-(* ---------- Splitter ---------- *)
-
-let mk_tunnels k =
-  let d = demo () in
-  let t = Mpls.Tunnels.create d.graph (caps 1000.) in
-  List.init k (fun i ->
-      match
-        Mpls.Tunnels.establish t ~head:d.a ~tail:d.c ~bandwidth:(float_of_int (i + 1))
-      with
-      | Ok tunnel -> tunnel
-      | Error e -> Alcotest.failf "tunnel %d: %s" i e)
-
-let test_splitter_respects_weights () =
-  match mk_tunnels 2 with
-  | [ t1; t2 ] ->
-    let s = Mpls.Splitter.create [ (t1, 1.); (t2, 2.) ] in
-    for i = 0 to 899 do
-      ignore (Mpls.Splitter.assign s ~flow_id:i ~demand:1.)
-    done;
-    let fractions = Mpls.Splitter.realized_fractions s in
-    let f1 = List.assoc_opt t1 fractions in
-    ignore f1;
-    let get tunnel =
-      List.fold_left
-        (fun acc ((tl : Mpls.Tunnels.tunnel), f) ->
-          if tl.id = tunnel.Mpls.Tunnels.id then f else acc)
-        0. fractions
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "t1 ~ 1/3, got %.3f" (get t1))
-      true
-      (abs_float (get t1 -. (1. /. 3.)) < 0.01);
-    Alcotest.(check int) "state grows per flow" 900 (Mpls.Splitter.state_entries s)
-  | _ -> Alcotest.fail "two tunnels expected"
-
-let test_splitter_sticky () =
-  match mk_tunnels 2 with
-  | [ t1; t2 ] ->
-    let s = Mpls.Splitter.create [ (t1, 1.); (t2, 1.) ] in
-    let first = Mpls.Splitter.assign s ~flow_id:42 ~demand:5. in
-    for _ = 1 to 5 do
-      let again = Mpls.Splitter.assign s ~flow_id:42 ~demand:5. in
-      Alcotest.(check int) "same tunnel" first.id again.id
-    done;
-    Alcotest.(check int) "one state entry" 1 (Mpls.Splitter.state_entries s)
-  | _ -> Alcotest.fail "two tunnels expected"
-
-let test_splitter_release () =
-  match mk_tunnels 2 with
-  | [ t1; t2 ] ->
-    let s = Mpls.Splitter.create [ (t1, 1.); (t2, 1.) ] in
-    ignore (Mpls.Splitter.assign s ~flow_id:1 ~demand:1.);
-    Mpls.Splitter.release s ~flow_id:1;
-    Alcotest.(check int) "state freed" 0 (Mpls.Splitter.state_entries s);
-    Mpls.Splitter.release s ~flow_id:99 (* no-op *)
-  | _ -> Alcotest.fail "two tunnels expected"
-
-let test_splitter_rejects_bad_weights () =
-  match mk_tunnels 1 with
-  | [ t1 ] ->
-    Alcotest.(check bool) "zero weight" true
-      (try ignore (Mpls.Splitter.create [ (t1, 0.) ]); false
-       with Invalid_argument _ -> true);
-    Alcotest.(check bool) "empty" true
-      (try ignore (Mpls.Splitter.create []); false
-       with Invalid_argument _ -> true)
-  | _ -> Alcotest.fail "one tunnel expected"
-
 (* The paper's argument in numbers: achieving the demo's load balancing
    with RSVP-TE costs strictly more control messages than the 3 fake
    LSAs Fibbing floods. *)
@@ -237,13 +169,6 @@ let () =
           Alcotest.test_case "teardown" `Quick test_tunnel_teardown_releases;
           Alcotest.test_case "refresh overhead" `Quick test_tunnel_refresh_overhead_grows;
           Alcotest.test_case "encap overhead" `Quick test_tunnel_encap_overhead;
-        ] );
-      ( "splitter",
-        [
-          Alcotest.test_case "respects weights" `Quick test_splitter_respects_weights;
-          Alcotest.test_case "sticky" `Quick test_splitter_sticky;
-          Alcotest.test_case "release" `Quick test_splitter_release;
-          Alcotest.test_case "bad weights" `Quick test_splitter_rejects_bad_weights;
         ] );
       ( "comparison",
         [

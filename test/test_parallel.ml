@@ -1,9 +1,8 @@
 let pfx = Igp.Prefix.v
 (* Parallel-equivalence tests: the worker-pool width must be
-   unobservable in results. SPF/FIB tables, water-fill rates and chaos
-   verdicts/timelines are computed at domains 1, 2 and 4 and compared
-   byte-for-byte (serialized FIB dumps, exact float equality, captured
-   timeline JSON). *)
+   unobservable in results. SPF/FIB tables and chaos verdicts/timelines
+   are computed at domains 1, 2 and 4 and compared byte-for-byte
+   (serialized FIB dumps, captured timeline JSON). *)
 
 module G = Netgraph.Graph
 module T = Netgraph.Topologies
@@ -87,41 +86,6 @@ let prop_spf_fib_width_independent =
       let reference = replay_churn ~seed ~ops 1 in
       List.for_all (fun d -> replay_churn ~seed ~ops d = reference) widths)
 
-(* ---------- Water-fill ---------- *)
-
-(* 600 groups: above Fairshare's ~512-group threshold, so the pooled
-   setup phases really engage. *)
-let waterfill_case seed =
-  let prng = Kit.Prng.create ~seed in
-  let n = 600 in
-  let nlinks = 40 in
-  let demands =
-    Array.init n (fun _ -> 1024. *. float_of_int (1 + Kit.Prng.int prng 64))
-  in
-  let links =
-    Array.init n (fun _ ->
-        let len = 1 + Kit.Prng.int prng 4 in
-        let s = Kit.Prng.int prng (nlinks - len) in
-        List.init len (fun k -> (s + k, s + k + 1)))
-  in
-  let weights = Array.init n (fun _ -> 1 + Kit.Prng.int prng 3) in
-  let caps = Netsim.Link.capacities ~default:(256. *. 1024.) in
-  (caps, demands, links, weights)
-
-let prop_waterfill_width_independent =
-  QCheck.Test.make ~name:"water-fill rates identical at domains 1/2/4"
-    ~count:200
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let caps, demands, links, weights = waterfill_case seed in
-      let reference = Netsim.Fairshare.water_fill caps ~demands ~links ~weights in
-      List.for_all
-        (fun d ->
-          let pool = Kit.Pool.create ~domains:d () in
-          Netsim.Fairshare.water_fill ~pool caps ~demands ~links ~weights
-          = reference)
-        widths)
-
 (* ---------- Chaos sweeps ---------- *)
 
 let sweep domains =
@@ -166,7 +130,6 @@ let () =
   Alcotest.run "parallel"
     [
       ("spf", qsuite [ prop_spf_fib_width_independent ]);
-      ("waterfill", qsuite [ prop_waterfill_width_independent ]);
       ( "chaos",
         [
           Alcotest.test_case "sweep width-independent" `Quick

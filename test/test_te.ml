@@ -13,48 +13,6 @@ let demo_net () =
   Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
   (d, net)
 
-(* ---------- Matrix ---------- *)
-
-let test_matrix_aggregates () =
-  let m =
-    Te.Matrix.of_entries
-      [
-        { src = 0; prefix = pfx "p"; demand = 10. };
-        { src = 0; prefix = pfx "p"; demand = 5. };
-        { src = 1; prefix = pfx "q"; demand = 2. };
-      ]
-  in
-  checkf 1e-9 "summed" 15. (Te.Matrix.demand m ~src:0 ~prefix:(pfx "p"));
-  checkf 1e-9 "other" 2. (Te.Matrix.demand m ~src:1 ~prefix:(pfx "q"));
-  checkf 1e-9 "absent" 0. (Te.Matrix.demand m ~src:3 ~prefix:(pfx "p"));
-  checkf 1e-9 "total" 17. (Te.Matrix.total m);
-  Alcotest.(check (list string)) "prefixes" [ "p"; "q" ]
-    (List.sort compare (List.map Igp.Prefix.to_string (Te.Matrix.prefixes m)))
-
-let test_matrix_scale_add () =
-  let m = Te.Matrix.of_entries [ { src = 0; prefix = pfx "p"; demand = 10. } ] in
-  let m2 = Te.Matrix.scale m 3. in
-  checkf 1e-9 "scaled" 30. (Te.Matrix.demand m2 ~src:0 ~prefix:(pfx "p"));
-  let m3 = Te.Matrix.add m m2 in
-  checkf 1e-9 "added" 40. (Te.Matrix.demand m3 ~src:0 ~prefix:(pfx "p"))
-
-let test_matrix_rejects_negative () =
-  Alcotest.(check bool) "negative" true
-    (try
-       ignore (Te.Matrix.of_entries [ { src = 0; prefix = pfx "p"; demand = -1. } ]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_matrix_of_flows () =
-  let flows =
-    [
-      Netsim.Flow.make ~id:0 ~src:2 ~prefix:(pfx "p") ~demand:4. ();
-      Netsim.Flow.make ~id:1 ~src:2 ~prefix:(pfx "p") ~demand:6. ();
-    ]
-  in
-  let m = Te.Matrix.of_flows flows in
-  checkf 1e-9 "merged" 10. (Te.Matrix.demand m ~src:2 ~prefix:(pfx "p"))
-
 (* ---------- Mcf ---------- *)
 
 let test_mcf_single_path () =
@@ -561,13 +519,6 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let () =
   Alcotest.run "te"
     [
-      ( "matrix",
-        [
-          Alcotest.test_case "aggregates" `Quick test_matrix_aggregates;
-          Alcotest.test_case "scale/add" `Quick test_matrix_scale_add;
-          Alcotest.test_case "negative" `Quick test_matrix_rejects_negative;
-          Alcotest.test_case "of flows" `Quick test_matrix_of_flows;
-        ] );
       ( "mcf",
         [
           Alcotest.test_case "single path" `Quick test_mcf_single_path;
