@@ -1,25 +1,22 @@
 let pfx = Igp.Prefix.v
 (* Benchmark harness: regenerates every table and figure of the paper
-   (see DESIGN.md's experiment index) and runs Bechamel timings for the
-   computational pieces.
+   (see DESIGN.md's experiment index), runs Bechamel timings for the
+   computational pieces, and runs the perf tracks.
 
-     dune exec bench/main.exe            — all experiment sections + timings
-     dune exec bench/main.exe -- quick   — skip the Bechamel timings
-     dune exec bench/main.exe -- flow-quick — only TFLOW, reduced scale
-     dune exec bench/main.exe -- par-quick  — only TPAR, reduced scale
-     dune exec bench/main.exe -- watch-quick — only TWATCH (watchdog
-                                           overhead + non-interference gate)
-     dune exec bench/main.exe -- par     — only TPAR, full scale
-     dune exec bench/main.exe -- spf     — only TSPF
-     dune exec bench/main.exe -- json    — also write BENCH_*.json
-     dune exec bench/main.exe -- domains=N  — pin the worker-pool width
-     dune exec bench/main.exe -- prof [--history FILE --tag SHA]
-                                         — TPROF allocation tracks, and
-                                           append one history row per track
-     dune exec bench/main.exe -- prof-quick — TPROF only, reduced scale
+     dune exec bench/main.exe -- [quick] [json] [domains=N]
+                                 [--history FILE --tag TAG] [TRACK...]
      dune exec bench/main.exe -- gate [--history FILE]
-                                         — fail (exit 1) if the newest rows
-                                           regress beyond the noise bands
+
+   Without a TRACK: every experiment section, the Bechamel timings and
+   every perf track. With TRACKs (spf flow par fib watch prof): only
+   those tracks. [quick] runs each track at its reduced size and skips
+   the Bechamel timings; [json] writes each track's rows to
+   BENCH_<track>.json in the cwd; [domains=N] pins the worker-pool
+   width; [--history] appends each track's rows to FILE, tagged TAG
+   (default "dev"). [gate] compares the newest history row of each
+   track against the rolling median (default file bench/history.jsonl)
+   and exits 1 on a regression. A failed track gate exits 1; an unknown
+   argument exits 2 with a usage line.
 
    Experiment ids:
      F1A  Fig. 1a  IGP shortest paths
@@ -30,7 +27,8 @@ let pfx = Igp.Prefix.v
      TQOE §3       smooth vs stutter playback
      TOVH §2       control/data-plane overhead vs MPLS and weight re-opt
      TSCALE §1/§2  fake count, compile time, split error vs FIB width
-     TOPT §2       Fibbing realizes the optimal min-max utilization *)
+     TOPT §2       Fibbing realizes the optimal min-max utilization
+     TSPF TFLOW TPAR TFIB TWATCH TPROF  perf tracks (registry at the end) *)
 
 module G = Netgraph.Graph
 module T = Netgraph.Topologies
@@ -884,615 +882,6 @@ let tplan () =
     (worst_igp /. worst.planned_utilization)
 
 (* ------------------------------------------------------------------ *)
-(* TSPF: the SPF engine against the seed's per-(router, prefix) path. *)
-
-let tspf ~json () =
-  section "TSPF"
-    "SPF engine: batched + incremental FIB recompute on the largest zoo";
-  let entry = Netgraph.Zoo.geant () in
-  let g = entry.Netgraph.Zoo.graph in
-  let n = G.node_count g in
-  let links = G.edge_count g / 2 in
-  let net = Igp.Network.create g in
-  (* One prefix per PoP: the all-routers x all-prefixes table a real
-     deployment keeps converged. *)
-  List.iter
-    (fun r ->
-      Igp.Network.announce_prefix net (pfx (Printf.sprintf "p%02d" r)) ~origin:r
-        ~cost:0)
-    (G.nodes g);
-  let prefixes = Igp.Lsdb.prefix_list (Igp.Network.lsdb net) in
-  let routers = G.nodes g in
-  let engine = Igp.Network.engine net in
-  (* All repetitions are kept (not just the best) so the percentiles
-     below come from real samples; telemetry stays disabled while the
-     clock runs, so the instrumentation costs only its flag checks. *)
-  let wall_samples ?(repeat = 5) ?(prepare = ignore) f =
-    let samples = ref [] in
-    for _ = 1 to repeat do
-      prepare ();
-      let t0 = Unix.gettimeofday () in
-      f ();
-      samples := ((Unix.gettimeofday () -. t0) *. 1000.) :: !samples
-    done;
-    List.rev !samples
-  in
-  let best = List.fold_left min infinity in
-  (* Seed path: one Dijkstra per (router, prefix) — what the old
-     per-(version, router, prefix) FIB cache recomputed after every
-     version bump. *)
-  let seed_full_ms =
-    best
-      (wall_samples (fun () ->
-           let view = Igp.Lsdb.view (Igp.Network.lsdb net) in
-           List.iter
-             (fun r ->
-               List.iter
-                 (fun p -> ignore (Igp.Spf.compute_prefix view ~router:r p))
-                 prefixes)
-             routers))
-  in
-  (* Engine, cold: one Dijkstra per router shared by all prefixes. *)
-  let cold_samples =
-    wall_samples ~repeat:10
-      ~prepare:(fun () -> Igp.Spf_engine.invalidate_all engine)
-      (fun () -> Igp.Network.warm net)
-  in
-  let engine_cold_ms = best cold_samples in
-  (* Engine, churn: install/retract one fake and reconverge the full
-     table. The fake attaches near router 0 and lies about the prefix of
-     the farthest PoP, so a realistic fraction of routers is affected. *)
-  let far =
-    let r = Netgraph.Dijkstra.run g ~source:0 in
-    List.fold_left
-      (fun best v ->
-        match (Netgraph.Dijkstra.distance r v, Netgraph.Dijkstra.distance r best) with
-        | Some dv, Some db when dv > db -> v
-        | _ -> best)
-      0 routers
-  in
-  let flip = ref false in
-  let churn () =
-    flip := not !flip;
-    if !flip then
-      Igp.Network.inject_fake net
-        {
-          fake_id = "bench";
-          attachment = 0;
-          attachment_cost = 1;
-          prefix = pfx (Printf.sprintf "p%02d" far);
-          announced_cost = 0;
-          forwarding = fst (List.hd (G.succ g 0));
-        }
-    else Igp.Network.retract_fake net ~fake_id:"bench"
-  in
-  Igp.Network.warm net;
-  let s0 = Igp.Spf_engine.stats engine in
-  let churns = 30 in
-  let churn_samples =
-    wall_samples ~repeat:churns ~prepare:churn (fun () -> Igp.Network.warm net)
-  in
-  let engine_churn_ms = best churn_samples in
-  let s1 = Igp.Spf_engine.stats engine in
-  (* Percentiles via the Obs histograms (values observed directly, so
-     the clock source is irrelevant); enabled only after timing ends. *)
-  let cold_summary, churn_summary =
-    Obs.reset ();
-    Obs.enable ();
-    let h_cold = Obs.Metrics.histogram "bench.spf_cold_ms" in
-    let h_churn = Obs.Metrics.histogram "bench.spf_churn_ms" in
-    List.iter (Obs.Metrics.observe h_cold) cold_samples;
-    List.iter (Obs.Metrics.observe h_churn) churn_samples;
-    let s = (Obs.Metrics.summary h_cold, Obs.Metrics.summary h_churn) in
-    Obs.disable ();
-    s
-  in
-  let avg_dirty =
-    float_of_int (s1.routers_dirtied - s0.routers_dirtied)
-    /. float_of_int churns
-  in
-  let speedup_cold = seed_full_ms /. engine_cold_ms in
-  let speedup_churn = seed_full_ms /. engine_churn_ms in
-  let domains = Kit.Pool.domain_count (Igp.Spf_engine.pool engine) in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf
-    "topology: %s (%d routers, %d links, %d prefixes); %d domains on %d cores@."
-    entry.Netgraph.Zoo.name n links (List.length prefixes) domains cores;
-  Format.printf "%-44s %10.3f ms@."
-    "seed full recompute (router x prefix Dijkstras)" seed_full_ms;
-  Format.printf "%-44s %10.3f ms  (%.1fx)@."
-    (Printf.sprintf "engine cold (%d batched Dijkstras, %d domains)" n domains)
-    engine_cold_ms speedup_cold;
-  Format.printf "%-44s %10.3f ms  (%.1fx)@."
-    (Printf.sprintf "engine churn (1 fake, ~%.1f routers dirty)" avg_dirty)
-    engine_churn_ms speedup_churn;
-  let pp_pcts label (s : Obs.Metrics.histogram_summary) =
-    Format.printf "%-44s p50 %8.3f  p95 %8.3f  p99 %8.3f ms (%d samples)@."
-      label s.p50 s.p95 s.p99 s.count
-  in
-  pp_pcts "engine cold percentiles" cold_summary;
-  pp_pcts "engine churn percentiles" churn_summary;
-  if json then begin
-    let oc = open_out "BENCH_spf.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"spf\",\n\
-      \  \"topology\": %S,\n\
-      \  \"routers\": %d,\n\
-      \  \"links\": %d,\n\
-      \  \"prefixes\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"domains\": %d,\n\
-      \  \"seed_full_ms\": %.6f,\n\
-      \  \"engine_cold_ms\": %.6f,\n\
-      \  \"engine_churn_ms\": %.6f,\n\
-      \  \"engine_cold_p50_ms\": %.6f,\n\
-      \  \"engine_cold_p95_ms\": %.6f,\n\
-      \  \"engine_cold_p99_ms\": %.6f,\n\
-      \  \"engine_churn_p50_ms\": %.6f,\n\
-      \  \"engine_churn_p95_ms\": %.6f,\n\
-      \  \"engine_churn_p99_ms\": %.6f,\n\
-      \  \"speedup_cold\": %.2f,\n\
-      \  \"speedup_churn\": %.2f,\n\
-      \  \"avg_dirty_routers\": %.2f\n\
-       }\n"
-      entry.Netgraph.Zoo.name n links (List.length prefixes) cores domains
-      seed_full_ms engine_cold_ms engine_churn_ms cold_summary.p50
-      cold_summary.p95 cold_summary.p99 churn_summary.p50 churn_summary.p95
-      churn_summary.p99 speedup_cold speedup_churn avg_dirty;
-    close_out oc;
-    Format.printf "wrote BENCH_spf.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
-(* TFLOW: the flow engine at flash-crowd scale — flow-class aggregation
-   plus the indexed water-filling kernel vs the seed's per-flow list
-   allocator. *)
-
-let tflow ~json ~quick () =
-  section "TFLOW"
-    "Flow engine: class aggregation + indexed max-min fair at crowd scale";
-  let counts =
-    if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]
-  in
-  let wall_samples ?(repeat = 5) f =
-    let samples = ref [] in
-    for _ = 1 to repeat do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      samples := ((Unix.gettimeofday () -. t0) *. 1000.) :: !samples
-    done;
-    List.rev !samples
-  in
-  let rec links_of_path = function
-    | a :: (b :: _ as rest) -> (a, b) :: links_of_path rest
-    | [] | [ _ ] -> []
-  in
-  (* Two arenas: the paper's demo network (two servers surging towards
-     the blue prefix) and the GEANT zoo (several PoPs towards one CDN
-     prefix), so the kernel is exercised on both a 3-bottleneck toy and
-     a real 40-router backbone. *)
-  let demo_case () =
-    let d = T.demo () in
-    let net = Igp.Network.create d.graph in
-    Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
-    let caps = Netsim.Link.capacities ~default:Demo.backbone_capacity in
-    List.iter
-      (fun link -> Netsim.Link.set_link caps link Demo.link_capacity)
-      [ (d.a, d.r1); (d.b, d.r2); (d.b, d.r3) ];
-    let spec src =
-      {
-        Video.Workload.src;
-        prefix = pfx "blue";
-        rate = Demo.stream_rate;
-        video_duration = 86_400.;
-      }
-    in
-    ("demo", net, caps, [ spec d.a; spec d.b ])
-  in
-  let geant_case () =
-    let entry = Netgraph.Zoo.geant () in
-    let g = entry.Netgraph.Zoo.graph in
-    let net = Igp.Network.create g in
-    Igp.Network.announce_prefix net (pfx "cdn") ~origin:0 ~cost:0;
-    let caps = Netsim.Link.capacities ~default:(64. *. 1024. *. 1024.) in
-    (* Four ingress PoPs spread across the node range, none the origin. *)
-    let nodes = G.nodes g in
-    let n = List.length nodes in
-    let sources =
-      List.filteri (fun i _ -> i > 0 && i mod (n / 4) = 0) nodes
-    in
-    let spec src =
-      {
-        Video.Workload.src;
-        prefix = pfx "cdn";
-        rate = Demo.stream_rate;
-        video_duration = 86_400.;
-      }
-    in
-    (entry.Netgraph.Zoo.name, net, caps, List.map spec sources)
-  in
-  let prng = Kit.Prng.create ~seed:23 in
-  let results = ref [] in
-  List.iter
-    (fun (name, net, caps, specs) ->
-      List.iter
-        (fun count ->
-          let repeat = if count >= 100_000 then 3 else 5 in
-          let flows =
-            Video.Workload.crowd ~jitter:0. prng specs ~first_id:0 ~count
-              ~at:0.
-          in
-          (* New engine: full simulation steps (routing, allocation,
-             link rates, series bookkeeping) over the aggregated
-             classes; per-flow history off, as a crowd run would have
-             it. *)
-          let sim =
-            Netsim.Sim.create ~dt:0.5 ~aggregation:true ~flow_history:false
-              net caps
-          in
-          List.iter (Netsim.Sim.add_flow sim) flows;
-          Netsim.Sim.run_until sim 0.5;
-          let new_samples =
-            wall_samples ~repeat (fun () ->
-                Netsim.Sim.run_until sim (Netsim.Sim.time sim +. 0.5))
-          in
-          let classes = Netsim.Sim.flow_classes sim in
-          (* Seed path: the per-flow list allocator plus the per-route
-             link-throughput scan — the allocation work the old step did
-             every dt (its routing and bookkeeping costs are not even
-             charged, so the speedup below is an underestimate). *)
-          let routes =
-            List.filter_map
-              (fun (f : Netsim.Flow.t) ->
-                match Netsim.Sim.flow_path sim f.id with
-                | Some path ->
-                  Some { Netsim.Fairshare.flow = f; links = links_of_path path }
-                | None -> None)
-              flows
-          in
-          let old_samples =
-            wall_samples ~repeat (fun () ->
-                ignore
-                  (Netsim.Fairshare.link_throughput routes
-                     (Netsim.Fairshare.allocate_reference caps routes)))
-          in
-          results := (name, count, classes, old_samples, new_samples) :: !results)
-        counts)
-    [ demo_case (); geant_case () ];
-  let results = List.rev !results in
-  (* Percentiles via the Obs histograms, enabled only after timing. *)
-  let summarized =
-    Obs.reset ();
-    Obs.enable ();
-    let s =
-      List.map
-        (fun (name, count, classes, old_samples, new_samples) ->
-          let summarize label samples =
-            let h =
-              Obs.Metrics.histogram
-                (Printf.sprintf "bench.flow_%s_%s_%d_ms" label name count)
-            in
-            List.iter (Obs.Metrics.observe h) samples;
-            Obs.Metrics.summary h
-          in
-          ( name,
-            count,
-            classes,
-            summarize "old" old_samples,
-            summarize "new" new_samples ))
-        results
-    in
-    Obs.disable ();
-    s
-  in
-  Format.printf "%-10s %8s %8s %12s %12s %9s@." "topology" "flows" "classes"
-    "seed p50" "engine p50" "speedup";
-  List.iter
-    (fun (name, count, classes, (o : Obs.Metrics.histogram_summary)
-              , (n : Obs.Metrics.histogram_summary)) ->
-      Format.printf "%-10s %8d %8d %9.3f ms %9.3f ms %8.1fx@." name count
-        classes o.p50 n.p50 (o.p50 /. n.p50))
-    summarized;
-  List.iter
-    (fun (name, count, _, (o : Obs.Metrics.histogram_summary)
-              , (n : Obs.Metrics.histogram_summary)) ->
-      if count = 10_000 then
-        Format.printf
-          "acceptance (%s at 10k flows): %.1fx step-time speedup (target 10x)@."
-          name (o.p50 /. n.p50))
-    summarized;
-  if json then begin
-    let oc = open_out "BENCH_flow.json" in
-    Printf.fprintf oc "{\n  \"bench\": \"flow\",\n  \"results\": [\n";
-    let total = List.length summarized in
-    List.iteri
-      (fun i (name, count, classes, (o : Obs.Metrics.histogram_summary)
-                  , (n : Obs.Metrics.histogram_summary)) ->
-        Printf.fprintf oc
-          "    {\"topology\": %S, \"flows\": %d, \"classes\": %d,\n\
-          \     \"old_p50_ms\": %.6f, \"old_p95_ms\": %.6f,\n\
-          \     \"new_p50_ms\": %.6f, \"new_p95_ms\": %.6f,\n\
-          \     \"speedup_p50\": %.2f}%s\n"
-          name count classes o.p50 o.p95 n.p50 n.p95 (o.p50 /. n.p50)
-          (if i = total - 1 then "" else ","))
-      summarized;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    Format.printf "wrote BENCH_flow.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
-(* TPAR: multicore scale-out — the same two workloads at 1/2/4/8
-   domains, with the sequential run as the equivalence oracle. Speedups
-   are whatever the machine gives (the JSON records its core count); the
-   determinism check is unconditional and fails the bench — parallel
-   runs must produce byte-identical FIBs, chaos verdicts and per-run
-   timelines. *)
-
-let tpar ~json ~quick () =
-  section "TPAR"
-    "Multicore scale-out: SPF churn, chaos sweeps vs domains";
-  let cores = Domain.recommended_domain_count () in
-  let widths = [ 1; 2; 4; 8 ] in
-  Format.printf "machine cores (recommended domains): %d@." cores;
-  let best = List.fold_left min infinity in
-  let wall_samples ?(repeat = 5) ?(prepare = ignore) f =
-    let samples = ref [] in
-    for _ = 1 to repeat do
-      prepare ();
-      let t0 = Unix.gettimeofday () in
-      f ();
-      samples := ((Unix.gettimeofday () -. t0) *. 1000.) :: !samples
-    done;
-    List.rev !samples
-  in
-  (* -- Track A: GEANT churn reconvergence, SPF batches sharded. -- *)
-  let spf_track d =
-    let entry = Netgraph.Zoo.geant () in
-    let g = entry.Netgraph.Zoo.graph in
-    let net = Igp.Network.create ~domains:d g in
-    List.iter
-      (fun r ->
-        Igp.Network.announce_prefix net (pfx (Printf.sprintf "p%02d" r)) ~origin:r
-          ~cost:0)
-      (G.nodes g);
-    let prefixes = Igp.Lsdb.prefix_list (Igp.Network.lsdb net) in
-    let flip = ref false in
-    let churn () =
-      flip := not !flip;
-      if !flip then
-        Igp.Network.inject_fake net
-          {
-            fake_id = "bench";
-            attachment = 0;
-            attachment_cost = 1;
-            prefix = pfx "p20";
-            announced_cost = 0;
-            forwarding = fst (List.hd (G.succ g 0));
-          }
-      else Igp.Network.retract_fake net ~fake_id:"bench"
-    in
-    Igp.Network.warm net;
-    let samples =
-      wall_samples ~repeat:(if quick then 10 else 30) ~prepare:churn (fun () ->
-          Igp.Network.warm net)
-    in
-    (* Serialize every FIB after the last (fake-retracted) reconvergence:
-       the dump must be byte-identical at every width. *)
-    Igp.Network.warm net;
-    let buf = Buffer.create 65536 in
-    List.iter
-      (fun prefix ->
-        Array.iteri
-          (fun router fib ->
-            match fib with
-            | None -> Buffer.add_string buf (Printf.sprintf "%d/%s -@." router (Igp.Prefix.to_string prefix))
-            | Some fib ->
-              Buffer.add_string buf
-                (Format.asprintf "%d/%s %a@." router (Igp.Prefix.to_string prefix)
-                   (Igp.Fib.pp ~names:(G.name g))
-                   fib))
-          (Igp.Network.fib_table net prefix))
-      prefixes;
-    (best samples, Buffer.contents buf)
-  in
-  (* -- Track B: chaos seed sweep, one scenario per domain. -- *)
-  let chaos_seeds = List.init (if quick then 8 else 64) (fun i -> i + 1) in
-  let chaos_track d =
-    let pool = Kit.Pool.create ~domains:d () in
-    let t0 = Unix.gettimeofday () in
-    let results = Scenarios.Chaos.sweep ~pool ~seeds:chaos_seeds ~until:20. () in
-    ((Unix.gettimeofday () -. t0) *. 1000., List.map fst results)
-  in
-  let spf = List.map spf_track widths in
-  let chaos = List.map chaos_track widths in
-  let base f l = f (List.hd l) in
-  let spf_ref = base snd spf and chaos_ref = base snd chaos in
-  let spf_ok = List.for_all (fun (_, dump) -> dump = spf_ref) spf in
-  let chaos_ok = List.for_all (fun (_, vs) -> vs = chaos_ref) chaos in
-  (* Determinism of captured timelines: a telemetry-on sweep must emit
-     byte-identical per-run timelines at widths 1, 2 and 4. *)
-  let timeline_sweep d =
-    Obs.reset ();
-    Obs.enable ();
-    let seeds = List.filteri (fun i _ -> i < 4) chaos_seeds in
-    let results =
-      Scenarios.Chaos.sweep
-        ~pool:(Kit.Pool.create ~domains:d ())
-        ~seeds ~until:20. ()
-    in
-    Obs.disable ();
-    List.map (fun (v, tl) -> (v, Option.value ~default:"" tl)) results
-  in
-  let tl1 = timeline_sweep 1 in
-  let tl_ok = List.for_all (fun d -> timeline_sweep d = tl1) [ 2; 4 ] in
-  Format.printf "@.%-8s %14s %14s@." "domains" "spf churn" "chaos sweep";
-  List.iteri
-    (fun i d ->
-      Format.printf "%-8d %11.3f ms %11.3f ms@." d
-        (fst (List.nth spf i))
-        (fst (List.nth chaos i)))
-    widths;
-  let speedups track = List.map (fun (ms, _) -> base fst track /. ms) track in
-  let spf_speedups = speedups spf in
-  let chaos_speedups = speedups chaos in
-  let pp_speedups label l =
-    Format.printf "%-20s" label;
-    List.iter (fun s -> Format.printf " %6.2fx" s) l;
-    Format.printf "@."
-  in
-  pp_speedups "spf speedup" spf_speedups;
-  pp_speedups "chaos speedup" chaos_speedups;
-  Format.printf
-    "determinism: fibs %s, chaos verdicts %s, timelines %s@."
-    (if spf_ok then "identical" else "DIVERGED")
-    (if chaos_ok then "identical" else "DIVERGED")
-    (if tl_ok then "identical" else "DIVERGED");
-  if json then begin
-    let oc = open_out "BENCH_parallel.json" in
-    let floats l = String.concat ", " (List.map (Printf.sprintf "%.6f") l) in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"parallel\",\n\
-      \  \"cores\": %d,\n\
-      \  \"domains\": [%s],\n\
-      \  \"spf_churn_ms\": [%s],\n\
-      \  \"spf_speedup\": [%s],\n\
-      \  \"chaos_seeds\": %d,\n\
-      \  \"chaos_sweep_ms\": [%s],\n\
-      \  \"chaos_speedup\": [%s],\n\
-      \  \"determinism\": {\"spf_fibs\": %b, \"chaos_verdicts\": %b,\n\
-      \                  \"chaos_timelines\": %b}\n\
-       }\n"
-      cores
-      (String.concat ", " (List.map string_of_int widths))
-      (floats (List.map fst spf))
-      (floats spf_speedups)
-      (List.length chaos_seeds)
-      (floats (List.map fst chaos))
-      (floats chaos_speedups) spf_ok chaos_ok tl_ok;
-    close_out oc;
-    Format.printf "wrote BENCH_parallel.json@."
-  end;
-  if not (spf_ok && chaos_ok && tl_ok) then begin
-    Format.printf "TPAR FAILED: parallel execution diverged from sequential@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* TWATCH: cost and non-interference of the runtime safety watchdog.
-   The enforced gate is deterministic (work counters, not wall clock):
-   on a calm steady-state run the incremental gating must keep the full
-   safety sweep under 5% of steps, the watchdog must observe zero
-   violations, and arming it must not perturb the simulation at all —
-   the F2 series and the chaos verdicts must be bit-identical with and
-   without it. Wall-clock overhead is printed for the record only. *)
-
-let twatch ~quick () =
-  section "TWATCH" "watchdog: overhead and non-interference";
-  let failed = ref false in
-  (* -- Gate 1: steady state. One long-lived flow, no faults, no
-     controller action: after the initial route computation nothing
-     dirties routing, so the sweep must stay gated off. *)
-  let () =
-    let d = T.demo () in
-    let net = Igp.Network.create d.graph in
-    Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
-    let caps = Netsim.Link.capacities ~default:1e6 in
-    let sim = Netsim.Sim.create ~dt:0.5 net caps in
-    let wd = Netsim.Watchdog.arm sim in
-    Netsim.Sim.add_flow sim
-      (Netsim.Flow.make ~id:0 ~src:d.a ~prefix:(pfx "blue") ~demand:10. ());
-    Netsim.Sim.run_until sim 100.;
-    let s = Netsim.Watchdog.stats wd in
-    let sweep_pct =
-      100. *. float_of_int s.safety_sweeps /. float_of_int (max 1 s.steps_checked)
-    in
-    Format.printf
-      "steady state: %d steps, %d sweeps, %d skipped — sweep rate %.1f%% \
-       (gate: < 5%%), %d violations@."
-      s.steps_checked s.safety_sweeps s.safety_skipped sweep_pct s.violations;
-    if sweep_pct >= 5. || s.violations > 0 then failed := true
-  in
-  (* -- Gate 2: the Fig. 2 demo run with and without the watchdog. The
-     controller steers (routing changes, sweeps run), yet the plotted
-     series must be bit-identical — observation only, no perturbation. *)
-  let () =
-    let run ~watchdog =
-      let d = Demo.make ~fibbing:true () in
-      ignore (Demo.load_fig2_workload d);
-      let wd =
-        if watchdog then Some (Netsim.Watchdog.arm d.Demo.sim) else None
-      in
-      let t0 = Unix.gettimeofday () in
-      Demo.run d ~until:55.;
-      let wall = (Unix.gettimeofday () -. t0) *. 1000. in
-      (Demo.fig2_series d, wd, wall)
-    in
-    let series_off, _, wall_off = run ~watchdog:false in
-    let series_on, wd, wall_on = run ~watchdog:true in
-    let identical = series_on = series_off in
-    (match wd with
-    | Some wd ->
-      let s = Netsim.Watchdog.stats wd in
-      Format.printf
-        "fig2 demo:    %d steps, %d sweeps, %d skipped, %d violations; \
-         series %s; wall %.1f -> %.1f ms (informational)@."
-        s.steps_checked s.safety_sweeps s.safety_skipped s.violations
-        (if identical then "identical" else "DIVERGED")
-        wall_off wall_on;
-      if s.violations > 0 then failed := true
-    | None -> ());
-    if not identical then failed := true
-  in
-  (* -- Gate 3: chaos seeds with and without the watchdog. Same faults,
-     same verdict (modulo the watchdog's own fields), zero violations. *)
-  let () =
-    let seeds = List.init (if quick then 4 else 8) (fun i -> i + 1) in
-    let strip (v : Scenarios.Chaos.verdict) =
-      ( v.plan.events,
-        v.edges_restored,
-        v.fakes_left,
-        v.fibs_match,
-        v.unroutable_at_until,
-        v.unroutable_at_end,
-        v.controller_alive,
-        v.reactions )
-    in
-    let sweep ~watchdog =
-      let t0 = Unix.gettimeofday () in
-      let vs =
-        List.map
-          (fun seed -> Scenarios.Chaos.run ~watchdog ~seed ~until:20. ())
-          seeds
-      in
-      ((Unix.gettimeofday () -. t0) *. 1000., vs)
-    in
-    let wall_off, off = sweep ~watchdog:false in
-    let wall_on, on = sweep ~watchdog:true in
-    let identical = List.map strip on = List.map strip off in
-    let violations =
-      List.fold_left
-        (fun acc (v : Scenarios.Chaos.verdict) ->
-          acc + List.length v.violations)
-        0 on
-    in
-    Format.printf
-      "chaos x%d:     verdicts %s, %d violations; wall %.1f -> %.1f ms \
-       (informational)@."
-      (List.length seeds)
-      (if identical then "identical" else "DIVERGED")
-      violations wall_off wall_on;
-    if (not identical) || violations > 0 then failed := true
-  in
-  if !failed then begin
-    Format.printf "TWATCH FAILED: watchdog overhead or interference gate@.";
-    exit 1
-  end
-  else Format.printf "TWATCH gate: OK@."
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per computational stage. *)
 
 let bechamel_timings () =
@@ -1567,9 +956,597 @@ let bechamel_timings () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* TPROF: allocation/GC profiles of the three hot paths, with optional
-   bench-history rows (prof --history FILE --tag SHA) feeding the
-   regression gate (gate --history FILE). *)
+(* Perf tracks. Each one returns its results as bench-history rows plus
+   whether its gate passed; the driver at the bottom of this file prints
+   the rows, writes BENCH_<track>.json and appends to the history file.
+   Every timed region holds only the work under test: oracles and
+   equivalence probes run outside it. *)
+
+let row track values = { Obs.History.tag = ""; track; values }
+let num = float_of_int
+let flag b = if b then 1. else 0.
+
+let time_ms f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  (x, (Unix.gettimeofday () -. t0) *. 1000.)
+
+(* [repeat] wall-clock samples of [f]; [prepare] runs untimed before
+   each one. All samples are kept so percentiles come from real data. *)
+let wall_samples ?(prepare = ignore) ~repeat f =
+  List.init repeat (fun _ ->
+      prepare ();
+      snd (time_ms f))
+
+let best = List.fold_left min infinity
+
+(* GEANT with one prefix per PoP — the all-routers x all-prefixes table a
+   real deployment keeps converged — and a churn step that alternately
+   installs and retracts one fake. The fake attaches near router 0 and
+   lies about the prefix of the farthest PoP, so a realistic fraction of
+   routers is affected. *)
+let geant_churn ?domains () =
+  let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
+  let net = Igp.Network.create ?domains g in
+  List.iter
+    (fun r ->
+      Igp.Network.announce_prefix net (pfx (Printf.sprintf "p%02d" r)) ~origin:r
+        ~cost:0)
+    (G.nodes g);
+  let far =
+    let r = Netgraph.Dijkstra.run g ~source:0 in
+    List.fold_left
+      (fun best v ->
+        match (Netgraph.Dijkstra.distance r v, Netgraph.Dijkstra.distance r best) with
+        | Some dv, Some db when dv > db -> v
+        | _ -> best)
+      0 (G.nodes g)
+  in
+  let flip = ref false in
+  let churn () =
+    flip := not !flip;
+    if !flip then
+      Igp.Network.inject_fake net
+        {
+          fake_id = "bench";
+          attachment = 0;
+          attachment_cost = 1;
+          prefix = pfx (Printf.sprintf "p%02d" far);
+          announced_cost = 0;
+          forwarding = fst (List.hd (G.succ g 0));
+        }
+    else Igp.Network.retract_fake net ~fake_id:"bench"
+  in
+  (g, net, churn)
+
+(* TSPF: the SPF engine against the seed's per-(router, prefix) path. *)
+let tspf churns =
+  let g, net, churn = geant_churn () in
+  let routers = G.nodes g in
+  let prefixes = Igp.Lsdb.prefix_list (Igp.Network.lsdb net) in
+  let engine = Igp.Network.engine net in
+  (* Seed path: one Dijkstra per (router, prefix) — what the old
+     per-(version, router, prefix) FIB cache recomputed after every
+     version bump. *)
+  let seed_full_ms =
+    best
+      (wall_samples ~repeat:5 (fun () ->
+           let view = Igp.Lsdb.view (Igp.Network.lsdb net) in
+           List.iter
+             (fun r ->
+               List.iter
+                 (fun p -> ignore (Igp.Spf.compute_prefix view ~router:r p))
+                 prefixes)
+             routers))
+  in
+  (* Engine, cold: one Dijkstra per router shared by all prefixes. *)
+  let cold =
+    wall_samples ~repeat:10
+      ~prepare:(fun () -> Igp.Spf_engine.invalidate_all engine)
+      (fun () -> Igp.Network.warm net)
+  in
+  (* Engine, churn: install/retract one fake and reconverge the table. *)
+  Igp.Network.warm net;
+  let s0 = Igp.Spf_engine.stats engine in
+  let churned =
+    wall_samples ~repeat:churns ~prepare:churn (fun () -> Igp.Network.warm net)
+  in
+  let s1 = Igp.Spf_engine.stats engine in
+  let pcts label samples =
+    List.map
+      (fun p ->
+        (Printf.sprintf "engine_%s_p%.0f_ms" label p, Kit.Stats.percentile p samples))
+      [ 50.; 95.; 99. ]
+  in
+  ( [
+      row "spf"
+        ([
+           ("routers", num (G.node_count g));
+           ("links", num (G.edge_count g / 2));
+           ("prefixes", num (List.length prefixes));
+           ("domains", num (Kit.Pool.domain_count (Igp.Spf_engine.pool engine)));
+           ("seed_full_ms", seed_full_ms);
+           ("engine_cold_ms", best cold);
+           ("engine_churn_ms", best churned);
+         ]
+        @ pcts "cold" cold @ pcts "churn" churned
+        @ [
+            ("speedup_cold", seed_full_ms /. best cold);
+            ("speedup_churn", seed_full_ms /. best churned);
+            ( "avg_dirty_routers",
+              num (s1.routers_dirtied - s0.routers_dirtied) /. num churns );
+          ]);
+    ],
+    true )
+
+(* TFLOW: the flow engine at flash-crowd scale — flow-class aggregation
+   plus the indexed water-filling kernel vs the seed's per-flow list
+   allocator. *)
+let tflow counts =
+  let rec links_of_path = function
+    | a :: (b :: _ as rest) -> (a, b) :: links_of_path rest
+    | [] | [ _ ] -> []
+  in
+  (* Two arenas: the paper's demo network (two servers surging towards
+     the blue prefix) and the GEANT zoo (several PoPs towards one CDN
+     prefix), so the kernel is exercised on both a 3-bottleneck toy and
+     a real backbone. *)
+  let demo_case () =
+    let d = T.demo () in
+    let net = Igp.Network.create d.graph in
+    Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
+    let caps = Netsim.Link.capacities ~default:Demo.backbone_capacity in
+    List.iter
+      (fun link -> Netsim.Link.set_link caps link Demo.link_capacity)
+      [ (d.a, d.r1); (d.b, d.r2); (d.b, d.r3) ];
+    ("demo", net, caps, pfx "blue", [ d.a; d.b ])
+  in
+  let geant_case () =
+    let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
+    let net = Igp.Network.create g in
+    Igp.Network.announce_prefix net (pfx "cdn") ~origin:0 ~cost:0;
+    let caps = Netsim.Link.capacities ~default:(64. *. 1024. *. 1024.) in
+    (* Four ingress PoPs spread across the node range, none the origin. *)
+    let nodes = G.nodes g in
+    let n = List.length nodes in
+    ("geant", net, caps, pfx "cdn",
+     List.filteri (fun i _ -> i > 0 && i mod (n / 4) = 0) nodes)
+  in
+  let prng = Kit.Prng.create ~seed:23 in
+  let rows =
+    List.concat_map
+      (fun (name, net, caps, prefix, sources) ->
+        let specs =
+          List.map
+            (fun src ->
+              { Video.Workload.src; prefix; rate = Demo.stream_rate;
+                video_duration = 86_400. })
+            sources
+        in
+        List.map
+          (fun count ->
+            let repeat = if count >= 100_000 then 3 else 5 in
+            let flows =
+              Video.Workload.crowd ~jitter:0. prng specs ~first_id:0 ~count
+                ~at:0.
+            in
+            (* New engine: full simulation steps (routing, allocation,
+               link rates, series bookkeeping) over the aggregated
+               classes; per-flow history off, as a crowd run would have
+               it. *)
+            let sim =
+              Netsim.Sim.create ~dt:0.5 ~aggregation:true ~flow_history:false
+                net caps
+            in
+            List.iter (Netsim.Sim.add_flow sim) flows;
+            Netsim.Sim.run_until sim 0.5;
+            let engine =
+              wall_samples ~repeat (fun () ->
+                  Netsim.Sim.run_until sim (Netsim.Sim.time sim +. 0.5))
+            in
+            (* Seed path: the per-flow list allocator plus the per-route
+               link-throughput scan — the allocation work the old step
+               did every dt (its routing and bookkeeping costs are not
+               charged, so the speedup is an underestimate). *)
+            let routes =
+              List.filter_map
+                (fun (f : Netsim.Flow.t) ->
+                  Option.map
+                    (fun path ->
+                      { Netsim.Fairshare.flow = f; links = links_of_path path })
+                    (Netsim.Sim.flow_path sim f.id))
+                flows
+            in
+            let seed =
+              wall_samples ~repeat (fun () ->
+                  ignore
+                    (Netsim.Fairshare.link_throughput routes
+                       (Netsim.Fairshare.allocate_reference caps routes)))
+            in
+            let p = Kit.Stats.percentile in
+            row ("flow_" ^ name)
+              [
+                ("flows", num count);
+                ("classes", num (Netsim.Sim.flow_classes sim));
+                ("old_p50_ms", p 50. seed);
+                ("old_p95_ms", p 95. seed);
+                ("new_p50_ms", p 50. engine);
+                ("new_p95_ms", p 95. engine);
+                ("speedup_p50", p 50. seed /. p 50. engine);
+              ])
+          counts)
+      [ demo_case (); geant_case () ]
+  in
+  (rows, true)
+
+(* TPAR: multicore scale-out — GEANT churn reconvergence (SPF batches
+   sharded) and a chaos seed sweep (one scenario per domain) at 1/2/4/8
+   domains, with the width-1 run as the equivalence oracle. Speedups are
+   whatever the machine gives (BENCH_par.json records its core count);
+   the gate is unconditional — FIBs, chaos verdicts and per-run
+   timelines must be byte-identical at every width. *)
+let tpar (churns, nseeds) =
+  let widths = [ 1; 2; 4; 8 ] in
+  let spf_track d =
+    let g, net, churn = geant_churn ~domains:d () in
+    Igp.Network.warm net;
+    let samples =
+      wall_samples ~repeat:churns ~prepare:churn (fun () -> Igp.Network.warm net)
+    in
+    (* Serialize every FIB after the last (fake-retracted) reconvergence. *)
+    Igp.Network.warm net;
+    let buf = Buffer.create 65536 in
+    List.iter
+      (fun prefix ->
+        Array.iteri
+          (fun router fib ->
+            Buffer.add_string buf
+              (match fib with
+              | None -> Printf.sprintf "%d/%s -\n" router (Igp.Prefix.to_string prefix)
+              | Some fib ->
+                Format.asprintf "%d/%s %a@." router (Igp.Prefix.to_string prefix)
+                  (Igp.Fib.pp ~names:(G.name g))
+                  fib))
+          (Igp.Network.fib_table net prefix))
+      (Igp.Lsdb.prefix_list (Igp.Network.lsdb net));
+    (best samples, Buffer.contents buf)
+  in
+  let seeds = List.init nseeds (fun i -> i + 1) in
+  let chaos_track d =
+    let pool = Kit.Pool.create ~domains:d () in
+    let results, ms =
+      time_ms (fun () -> Scenarios.Chaos.sweep ~pool ~seeds ~until:20. ())
+    in
+    (ms, List.map fst results)
+  in
+  (* A telemetry-on sweep must emit byte-identical per-run timelines. *)
+  let timeline_sweep d =
+    Obs.reset ();
+    Obs.enable ();
+    let results =
+      Scenarios.Chaos.sweep
+        ~pool:(Kit.Pool.create ~domains:d ())
+        ~seeds:(List.filteri (fun i _ -> i < 4) seeds)
+        ~until:20. ()
+    in
+    Obs.disable ();
+    List.map (fun (v, tl) -> (v, Option.value ~default:"" tl)) results
+  in
+  let spf = List.map spf_track widths in
+  let chaos = List.map chaos_track widths in
+  let same l = List.for_all (fun (_, x) -> x = snd (List.hd l)) l in
+  let spf_ok = same spf and chaos_ok = same chaos in
+  let tl1 = timeline_sweep 1 in
+  let tl_ok = List.for_all (fun d -> timeline_sweep d = tl1) [ 2; 4 ] in
+  let spf1 = fst (List.hd spf) and chaos1 = fst (List.hd chaos) in
+  let rows =
+    List.map2
+      (fun d ((spf_ms, _), (chaos_ms, _)) ->
+        row "par"
+          [
+            ("domains", num d);
+            ("spf_churn_ms", spf_ms);
+            ("spf_speedup", spf1 /. spf_ms);
+            ("chaos_seeds", num nseeds);
+            ("chaos_sweep_ms", chaos_ms);
+            ("chaos_speedup", chaos1 /. chaos_ms);
+          ])
+      widths (List.combine spf chaos)
+  in
+  ( rows
+    @ [
+        row "par_determinism"
+          [
+            ("spf_fibs", flag spf_ok);
+            ("chaos_verdicts", flag chaos_ok);
+            ("chaos_timelines", flag tl_ok);
+          ];
+      ],
+    spf_ok && chaos_ok && tl_ok )
+
+(* TFIB: prefix-scale FIB. A synthetic Zipf-nested prefix table is
+   loaded into the compressed trie; we measure build time, aggregation
+   ratio and approximate memory, then apply a fixed churn (re-steer /
+   retract / re-install random prefixes) and measure per-update latency
+   plus the deterministic visited-node counter. Gates:
+     - after churn the aggregated trie must route every probed
+       breakpoint address exactly like the flat table;
+     - mean visited nodes per update must be independent of table size
+       (the FAQS property: updates walk one path and refresh direct
+       children only — never the whole trie);
+     - at network level (GEANT carrying a synthesized table), per-router
+       aggregated LPM must agree with the flat FIB across lie churn. *)
+let tfib (scales, geant_prefixes, lies) =
+  let churn_ops = 1_000 in
+  let behaviors = 8 in
+  let scale n =
+    let prng = Kit.Prng.create ~seed:7 in
+    let prefixes = Array.of_list (Igp.Prefix.synthesize prng ~n) in
+    (* Behaviors come from a small distinct set, skewed so nested
+       subnets usually share their covering aggregate's value — the
+       redundancy FAQS exists to strip. *)
+    let behavior () =
+      let u = Kit.Prng.float prng 1. in
+      int_of_float (float_of_int behaviors *. (u ** 3.))
+    in
+    let t = Igp.Fib_trie.create ~eq:Int.equal in
+    let (), build_ms =
+      time_ms (fun () ->
+          Array.iter (fun p -> Igp.Fib_trie.update t p (behavior ())) prefixes)
+    in
+    let stats = Igp.Fib_trie.stats t in
+    let visited0 = Igp.Fib_trie.visited t in
+    let (), churn_ms =
+      time_ms (fun () ->
+          for _ = 1 to churn_ops do
+            let p = Kit.Prng.pick prng prefixes in
+            match Kit.Prng.int prng 3 with
+            | 0 -> Igp.Fib_trie.remove t p
+            | _ -> Igp.Fib_trie.update t p (behavior ())
+          done)
+    in
+    let visited_per_update =
+      num (Igp.Fib_trie.visited t - visited0) /. num churn_ops
+    in
+    (* Equivalence probe at breakpoints: each sampled prefix's first
+       address, last address, and one past the end. *)
+    let mismatches = ref 0 in
+    for _ = 1 to 2_000 do
+      let p = Kit.Prng.pick prng prefixes in
+      List.iter
+        (fun a ->
+          let flat = Option.map snd (Igp.Fib_trie.lookup t a) in
+          let agg = Option.map snd (Igp.Fib_trie.lookup_aggregated t a) in
+          if flat <> agg then incr mismatches)
+        [
+          Igp.Prefix.first_addr p;
+          Igp.Prefix.last_addr p;
+          (Igp.Prefix.last_addr p + 1) land 0xFFFFFFFF;
+        ]
+    done;
+    ( [
+        row "fib_trie"
+          [
+            ("prefixes", num n);
+            ("build_ms", build_ms);
+            ("routes", num stats.routes);
+            ("installed", num stats.installed);
+            ("approx_bytes", num stats.approx_bytes);
+            ("mismatches", num !mismatches);
+          ];
+        row "fib_update"
+          [
+            ("wall_ms", churn_ms /. num churn_ops);
+            ("visited_per_update", visited_per_update);
+            ("aggregation_ratio", stats.ratio);
+            ("prefixes", num n);
+          ];
+      ],
+      visited_per_update,
+      !mismatches = 0 )
+  in
+  let results = List.map scale scales in
+  (* FAQS gate on the deterministic counter, not wall clock: update work
+     at the largest table must not exceed the smallest by more than a
+     constant factor. *)
+  let visited (_, v, _) = v in
+  let v_small = visited (List.hd results) in
+  let v_large = visited (List.nth results (List.length results - 1)) in
+  let independent = v_large <= (4. *. v_small) +. 16. in
+  (* Integrated: GEANT carrying a synthesized table, with lie churn. The
+     per-router aggregated LPM must agree with a flat scan of the
+     announced prefixes after every reconvergence. *)
+  let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
+  let net = Igp.Network.create g in
+  let prng = Kit.Prng.create ~seed:23 in
+  let prefixes = Array.of_list (Igp.Prefix.synthesize prng ~n:geant_prefixes) in
+  let nodes = Array.of_list (G.nodes g) in
+  Array.iter
+    (fun p ->
+      Igp.Network.announce_prefix net p ~origin:(Kit.Prng.pick prng nodes) ~cost:0)
+    prefixes;
+  let (), warm_ms = time_ms (fun () -> Igp.Network.warm net) in
+  let flat_lpm router a =
+    (* Reference: longest announced prefix covering [a] that has a FIB
+       at this router, found by linear scan. *)
+    Array.fold_left
+      (fun best p ->
+        if not (Igp.Prefix.contains_addr p a) then best
+        else
+          match Igp.Network.fib net ~router p with
+          | None -> best
+          | Some fib -> (
+            match best with
+            | Some (q, _) when Igp.Prefix.len q >= Igp.Prefix.len p -> best
+            | _ -> Some (p, fib)))
+      None prefixes
+  in
+  let disagreements = ref 0 in
+  let agree () =
+    for _ = 1 to 200 do
+      let router = Kit.Prng.pick prng nodes in
+      let a = Igp.Prefix.first_addr (Kit.Prng.pick prng prefixes) in
+      match (Igp.Network.lpm net ~router a, flat_lpm router a) with
+      | None, None -> ()
+      | Some (_, agg), Some (_, flat) when Igp.Fib.same_behavior agg flat -> ()
+      | _ -> incr disagreements
+    done
+  in
+  agree ();
+  (* Lie churn: inject and retract fakes on random announced prefixes.
+     Only the install + reconverge and retract + reconverge halves are
+     timed; the oracle probes after each half stay outside the clock. *)
+  let lie_ms = ref 0. in
+  for i = 1 to lies do
+    let at = Kit.Prng.pick prng nodes in
+    let prefix = Kit.Prng.pick prng prefixes in
+    let forwarding = fst (Kit.Prng.pick prng (Array.of_list (G.succ g at))) in
+    let fake_id = Printf.sprintf "tfib%d" i in
+    let (), inject_ms =
+      time_ms (fun () ->
+          Igp.Network.inject_fake net
+            { fake_id; attachment = at; attachment_cost = 1; prefix;
+              announced_cost = 0; forwarding };
+          Igp.Network.warm net)
+    in
+    agree ();
+    let (), retract_ms =
+      time_ms (fun () ->
+          Igp.Network.retract_fake net ~fake_id;
+          Igp.Network.warm net)
+    in
+    agree ();
+    lie_ms := !lie_ms +. inject_ms +. retract_ms
+  done;
+  (* Aggregation payoff across the real per-router tries. *)
+  let aggregation =
+    Array.map
+      (fun router -> Igp.Spf_engine.aggregation (Igp.Network.engine net) ~router)
+      nodes
+  in
+  let mean f =
+    Array.fold_left (fun acc s -> acc +. f s) 0. aggregation
+    /. num (Array.length aggregation)
+  in
+  let geant =
+    row "fib_geant"
+      [
+        ("prefixes", num geant_prefixes);
+        ("warm_ms", warm_ms);
+        ("lie_cycle_ms", !lie_ms /. num lies);
+        ("mean_aggregation_ratio", mean (fun s -> s.Igp.Fib_trie.ratio));
+        ("mean_trie_kb", mean (fun s -> num s.Igp.Fib_trie.approx_bytes /. 1024.));
+        ("disagreements", num !disagreements);
+      ]
+  in
+  ( List.concat_map (fun (rows, _, _) -> rows) results @ [ geant ],
+    List.for_all (fun (_, _, ok) -> ok) results
+    && independent && !disagreements = 0 )
+
+(* TWATCH: cost and non-interference of the runtime safety watchdog.
+   The gate is deterministic (work counters, not wall clock): on a calm
+   steady-state run the incremental gating must keep the full safety
+   sweep under 5% of steps, the watchdog must observe zero violations,
+   and arming it must not perturb the simulation at all — the F2 series
+   and the chaos verdicts must be bit-identical with and without it.
+   Wall-clock overhead is recorded for information only. *)
+let twatch nseeds =
+  (* Steady state: one long-lived flow, no faults, no controller action.
+     After the initial route computation nothing dirties routing, so the
+     sweep must stay gated off. *)
+  let steady, steady_ok =
+    let d = T.demo () in
+    let net = Igp.Network.create d.graph in
+    Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
+    let caps = Netsim.Link.capacities ~default:1e6 in
+    let sim = Netsim.Sim.create ~dt:0.5 net caps in
+    let wd = Netsim.Watchdog.arm sim in
+    Netsim.Sim.add_flow sim
+      (Netsim.Flow.make ~id:0 ~src:d.a ~prefix:(pfx "blue") ~demand:10. ());
+    Netsim.Sim.run_until sim 100.;
+    let s = Netsim.Watchdog.stats wd in
+    let sweep_pct =
+      100. *. num s.safety_sweeps /. num (max 1 s.steps_checked)
+    in
+    ( row "watch_steady"
+        [
+          ("steps", num s.steps_checked);
+          ("sweeps", num s.safety_sweeps);
+          ("skipped", num s.safety_skipped);
+          ("sweep_pct", sweep_pct);
+          ("violations", num s.violations);
+        ],
+      sweep_pct < 5. && s.violations = 0 )
+  in
+  (* The Fig. 2 demo run with and without the watchdog. The controller
+     steers (routing changes, sweeps run), yet the plotted series must be
+     bit-identical — observation only, no perturbation. *)
+  let fig2, fig2_ok =
+    let run arm =
+      let d = Demo.make ~fibbing:true () in
+      ignore (Demo.load_fig2_workload d);
+      let armed = arm d.Demo.sim in
+      let (), wall = time_ms (fun () -> Demo.run d ~until:55.) in
+      (Demo.fig2_series d, armed, wall)
+    in
+    let series_off, (), wall_off = run ignore in
+    let series_on, wd, wall_on = run Netsim.Watchdog.arm in
+    let s = Netsim.Watchdog.stats wd in
+    let identical = series_on = series_off in
+    ( row "watch_fig2"
+        [
+          ("steps", num s.steps_checked);
+          ("sweeps", num s.safety_sweeps);
+          ("skipped", num s.safety_skipped);
+          ("violations", num s.violations);
+          ("series_identical", flag identical);
+          ("wall_off_ms", wall_off);
+          ("wall_on_ms", wall_on);
+        ],
+      identical && s.violations = 0 )
+  in
+  (* Chaos seeds with and without the watchdog: same faults, same verdict
+     (modulo the watchdog's own fields), zero violations. *)
+  let chaos, chaos_ok =
+    let seeds = List.init nseeds (fun i -> i + 1) in
+    let strip (v : Scenarios.Chaos.verdict) =
+      ( v.plan.events,
+        v.edges_restored,
+        v.fakes_left,
+        v.fibs_match,
+        v.unroutable_at_until,
+        v.unroutable_at_end,
+        v.controller_alive,
+        v.reactions )
+    in
+    let sweep ~watchdog =
+      time_ms (fun () ->
+          List.map
+            (fun seed -> Scenarios.Chaos.run ~watchdog ~seed ~until:20. ())
+            seeds)
+    in
+    let off, wall_off = sweep ~watchdog:false in
+    let on, wall_on = sweep ~watchdog:true in
+    let identical = List.map strip on = List.map strip off in
+    let violations =
+      List.fold_left
+        (fun acc (v : Scenarios.Chaos.verdict) -> acc + List.length v.violations)
+        0 on
+    in
+    ( row "watch_chaos"
+        [
+          ("seeds", num nseeds);
+          ("verdicts_identical", flag identical);
+          ("violations", num violations);
+          ("wall_off_ms", wall_off);
+          ("wall_on_ms", wall_on);
+        ],
+      identical && violations = 0 )
+  in
+  ([ steady; fig2; chaos ], steady_ok && fig2_ok && chaos_ok)
+
+(* TPROF: allocation/GC profiles of the three hot paths. Its rows are
+   what CI appends to the bench history for the regression gate. *)
 
 (* One measured block: force a clean heap, run [cycles] repetitions,
    read the GC deltas directly via [Obs.Prof] snapshots (no telemetry
@@ -1585,94 +1562,51 @@ let prof_measure ~cycles f =
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   (Obs.Prof.delta ~before ~after:(Obs.Prof.snapshot ()), wall_ms)
 
-let tprof ~quick ~history ~tag () =
-  section "TPROF" "Allocation/GC profile of the hot paths (domains pinned to 1)";
+let prof_row track ~cycles ~context f =
+  let d, wall_ms = prof_measure ~cycles f in
+  let per = num cycles in
+  row track
+    ([
+       ("alloc_words", Obs.Prof.allocated_words d /. per);
+       ("minor_collections", num d.Obs.Prof.minor_collections);
+       ("major_collections", num d.Obs.Prof.major_collections);
+       ("wall_ms", wall_ms /. per);
+       ("cycles", per);
+       ("domains", 1.);
+     ]
+    @ context)
+
+let tprof (churn_cycles, groups, fill_cycles, flows) =
   (* Allocation attribution needs the work on the measuring domain, and
-     history rows must not depend on the CI matrix width — every net
-     and kernel in this section runs single-domain. *)
+     history rows must not depend on the CI matrix width, so every net
+     and kernel here runs single-domain; the width in effect before is
+     restored afterwards. *)
+  let width = Kit.Pool.default_domain_count () in
   Kit.Pool.set_default_domains (Some 1);
-  let rows = ref [] in
-  let emit ~track ~cycles ~context (d : Obs.Prof.snap) wall_ms =
-    let per = float_of_int cycles in
-    let alloc = Obs.Prof.allocated_words d /. per in
-    Format.printf
-      "%-12s %14.0f w/cycle  %5d minor gc  %3d major gc  %8.3f ms/cycle@."
-      track alloc d.Obs.Prof.minor_collections d.Obs.Prof.major_collections
-      (wall_ms /. per);
-    rows :=
-      {
-        Obs.History.tag;
-        track;
-        values =
-          [
-            ("alloc_words", alloc);
-            ("minor_collections", float_of_int d.Obs.Prof.minor_collections);
-            ("major_collections", float_of_int d.Obs.Prof.major_collections);
-            ("wall_ms", wall_ms /. per);
-            ("cycles", per);
-            ("domains", 1.);
-          ]
-          @ context;
-      }
-      :: !rows
-  in
-  (* Track 1 — SPF churn on GEANT: install/retract one fake, reconverge
-     the full router x prefix table (the TSPF churn loop). *)
-  let () =
-    let entry = Netgraph.Zoo.geant () in
-    let g = entry.Netgraph.Zoo.graph in
-    let net = Igp.Network.create g in
-    List.iter
-      (fun r ->
-        Igp.Network.announce_prefix net (pfx (Printf.sprintf "p%02d" r)) ~origin:r
-          ~cost:0)
-      (G.nodes g);
-    let routers = G.nodes g in
-    let far =
-      let r = Netgraph.Dijkstra.run g ~source:0 in
-      List.fold_left
-        (fun best v ->
-          match
-            (Netgraph.Dijkstra.distance r v, Netgraph.Dijkstra.distance r best)
-          with
-          | Some dv, Some db when dv > db -> v
-          | _ -> best)
-        0 routers
-    in
-    let flip = ref false in
-    let churn () =
-      flip := not !flip;
-      if !flip then
-        Igp.Network.inject_fake net
-          {
-            fake_id = "bench";
-            attachment = 0;
-            attachment_cost = 1;
-            prefix = pfx (Printf.sprintf "p%02d" far);
-            announced_cost = 0;
-            forwarding = fst (List.hd (G.succ g 0));
-          }
-      else Igp.Network.retract_fake net ~fake_id:"bench";
+  Fun.protect ~finally:(fun () -> Kit.Pool.set_default_domains (Some width))
+  @@ fun () ->
+  (* SPF churn on GEANT: the TSPF churn loop, reconverging each step. *)
+  let spf_churn =
+    let g, net, churn = geant_churn () in
+    let step () =
+      churn ();
       Igp.Network.warm net
     in
     Igp.Network.warm net;
-    churn ();
     (* warm both branches of the flip *)
-    churn ();
-    let cycles = if quick then 10 else 30 in
-    let d, wall = prof_measure ~cycles churn in
-    emit ~track:"spf_churn" ~cycles
+    step ();
+    step ();
+    prof_row "spf_churn" ~cycles:churn_cycles
       ~context:
         [
-          ("routers", float_of_int (G.node_count g));
-          ("prefixes", float_of_int (List.length routers));
+          ("routers", num (G.node_count g));
+          ("prefixes", num (G.node_count g));
         ]
-      d wall
+      step
   in
-  (* Track 2 — the indexed water-filling kernel on a synthetic batch:
-     fixed PRNG, 3-link paths over a 400-link core. *)
-  let () =
-    let groups = if quick then 10_000 else 50_000 in
+  (* The indexed water-filling kernel on a synthetic batch: fixed PRNG,
+     3-link paths over a 400-link core. *)
+  let water_fill =
     let nlinks = 400 in
     let prng = Kit.Prng.create ~seed:42 in
     let caps = Netsim.Link.capacities ~default:1000. in
@@ -1688,18 +1622,15 @@ let tprof ~quick ~history ~tag () =
     in
     run ();
     (* warm *)
-    let cycles = if quick then 3 else 5 in
-    let d, wall = prof_measure ~cycles run in
-    emit ~track:"water_fill" ~cycles
-      ~context:[ ("groups", float_of_int groups); ("links", float_of_int nlinks) ]
-      d wall
+    prof_row "water_fill" ~cycles:fill_cycles
+      ~context:[ ("groups", num groups); ("links", num nlinks) ]
+      run
   in
-  (* Track 3 — the aggregated simulator step under a flash crowd (the
-     flood scenario's steady state). *)
-  let () =
+  (* The aggregated simulator step under a flash crowd (the flood
+     scenario's steady state). *)
+  let sim_step =
     let d = Demo.make ~fibbing:true () in
     let prng = Kit.Prng.create ~seed:11 in
-    let flows = if quick then 1000 else 2000 in
     let spec src =
       {
         Video.Workload.src;
@@ -1716,258 +1647,116 @@ let tprof ~quick ~history ~tag () =
     List.iter (Netsim.Sim.add_flow d.sim) crowd;
     Demo.run d ~until:4.;
     (* warm: all flows active, classes formed *)
-    let steps = 20 in
-    let dp, wall =
-      prof_measure ~cycles:steps (fun () ->
-          Demo.run d ~until:(Netsim.Sim.time d.sim +. d.Demo.dt))
-    in
-    emit ~track:"sim_step" ~cycles:steps
-      ~context:[ ("flows", float_of_int flows) ]
-      dp wall
+    prof_row "sim_step" ~cycles:20
+      ~context:[ ("flows", num flows) ]
+      (fun () -> Demo.run d ~until:(Netsim.Sim.time d.sim +. d.Demo.dt))
   in
-  match history with
-  | None -> ()
-  | Some file ->
-    Obs.History.append ~file (List.rev !rows);
-    Format.printf "appended %d rows (tag %s) to %s@." (List.length !rows) tag
-      file
+  ([ spf_churn; water_fill; sim_step ], true)
 
 (* ------------------------------------------------------------------ *)
-(* TFIB: prefix-scale FIB. A synthetic Zipf-nested prefix table is
-   loaded into the compressed trie; we measure build time, aggregation
-   ratio and approximate memory, then apply a fixed churn (re-steer /
-   retract / re-install random prefixes) and measure per-update latency
-   plus the deterministic visited-node counter. Enforced gates:
-     - after churn the aggregated trie must route every probed
-       breakpoint address exactly like the flat table;
-     - mean visited nodes per update must be independent of table size
-       (the FAQS property: updates walk one path and refresh direct
-       children only — never the whole trie);
-     - at network level (GEANT carrying a synthesized table), per-router
-       aggregated LPM must agree with the flat FIB across lie churn. *)
+(* The track registry and the driver. *)
 
-let tfib ~json ~quick ~history ~tag () =
-  section "TFIB"
-    "prefix-scale FIB: trie build, FAQS aggregation, incremental updates";
-  let scales = if quick then [ 10_000; 50_000 ] else [ 100_000; 1_000_000 ] in
-  let churn_ops = 1_000 in
-  let behaviors = 8 in
-  let failed = ref false in
-  let results =
-    List.map
-      (fun n ->
-        let prng = Kit.Prng.create ~seed:7 in
-        let prefixes = Array.of_list (Igp.Prefix.synthesize prng ~n) in
-        (* Behaviors come from a small distinct set, skewed so nested
-           subnets usually share their covering aggregate's value — the
-           redundancy FAQS exists to strip. *)
-        let behavior () =
-          let u = Kit.Prng.float prng 1. in
-          int_of_float (float_of_int behaviors *. (u ** 3.))
-        in
-        let t = Igp.Fib_trie.create ~eq:Int.equal in
-        let t0 = Unix.gettimeofday () in
-        Array.iter (fun p -> Igp.Fib_trie.update t p (behavior ())) prefixes;
-        let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        let stats = Igp.Fib_trie.stats t in
-        let visited0 = Igp.Fib_trie.visited t in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to churn_ops do
-          let p = Kit.Prng.pick prng prefixes in
-          match Kit.Prng.int prng 3 with
-          | 0 -> Igp.Fib_trie.remove t p
-          | _ -> Igp.Fib_trie.update t p (behavior ())
-        done;
-        let churn_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        let visited_per_update =
-          float_of_int (Igp.Fib_trie.visited t - visited0)
-          /. float_of_int churn_ops
-        in
-        (* Equivalence probe at breakpoints: each sampled prefix's first
-           address, last address, and one past the end. *)
-        let mismatches = ref 0 in
-        for _ = 1 to 2_000 do
-          let p = Kit.Prng.pick prng prefixes in
-          List.iter
-            (fun a ->
-              let flat = Option.map snd (Igp.Fib_trie.lookup t a) in
-              let agg = Option.map snd (Igp.Fib_trie.lookup_aggregated t a) in
-              if flat <> agg then incr mismatches)
-            [
-              Igp.Prefix.first_addr p;
-              Igp.Prefix.last_addr p;
-              (Igp.Prefix.last_addr p + 1) land 0xFFFFFFFF;
-            ]
-        done;
-        if !mismatches > 0 then failed := true;
-        Format.printf
-          "%8d prefixes: build %8.1f ms, %8d installed of %8d (ratio %.2f), \
-           %8.0f KB, churn %7.4f ms/op, %6.1f visited/op, %d mismatches@."
-          n build_ms stats.Igp.Fib_trie.installed stats.Igp.Fib_trie.routes
-          stats.Igp.Fib_trie.ratio
-          (float_of_int stats.Igp.Fib_trie.approx_bytes /. 1024.)
-          (churn_ms /. float_of_int churn_ops)
-          visited_per_update !mismatches;
-        (n, build_ms, stats, churn_ms /. float_of_int churn_ops,
-         visited_per_update))
-      scales
-  in
-  (* FAQS gate on the deterministic counter, not wall clock: update work
-     at the largest table must not exceed the smallest by more than a
-     constant factor. *)
-  let n_small, _, _, _, v_small = List.hd results in
-  let n_large, _, _, _, v_large = List.nth results (List.length results - 1) in
-  let independent = v_large <= (4. *. v_small) +. 16. in
-  Format.printf
-    "update cost: %.1f visited/op at %d prefixes vs %.1f at %d — %s@." v_small
-    n_small v_large n_large
-    (if independent then "independent of table size"
-     else "GROWS WITH TABLE SIZE");
-  if not independent then failed := true;
-  (* -- Integrated: GEANT carrying a synthesized table, with lie churn.
-     The per-router aggregated LPM must agree with a flat scan of the
-     announced prefixes after every reconvergence. *)
-  let geant_prefixes = if quick then 300 else 2_000 in
-  let warm_ms, lie_ms, agg_ratio, agg_kb =
-    let entry = Netgraph.Zoo.geant () in
-    let g = entry.Netgraph.Zoo.graph in
-    let net = Igp.Network.create g in
-    let prng = Kit.Prng.create ~seed:23 in
-    let prefixes = Array.of_list (Igp.Prefix.synthesize prng ~n:geant_prefixes) in
-    let nodes = Array.of_list (G.nodes g) in
-    Array.iter
-      (fun p ->
-        Igp.Network.announce_prefix net p ~origin:(Kit.Prng.pick prng nodes)
-          ~cost:0)
-      prefixes;
-    let t0 = Unix.gettimeofday () in
-    Igp.Network.warm net;
-    let warm_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let flat_lpm router a =
-      (* Reference: longest announced prefix covering [a] that has a FIB
-         at this router, found by linear scan. *)
-      Array.fold_left
-        (fun best p ->
-          if not (Igp.Prefix.contains_addr p a) then best
-          else
-            match Igp.Network.fib net ~router p with
-            | None -> best
-            | Some fib -> (
-              match best with
-              | Some (q, _) when Igp.Prefix.len q >= Igp.Prefix.len p -> best
-              | _ -> Some (p, fib)))
-        None prefixes
-    in
-    let agree label =
-      let bad = ref 0 in
-      for _ = 1 to 200 do
-        let router = Kit.Prng.pick prng nodes in
-        let p = Kit.Prng.pick prng prefixes in
-        let a = Igp.Prefix.first_addr p in
-        match (Igp.Network.lpm net ~router a, flat_lpm router a) with
-        | None, None -> ()
-        | Some (_, agg), Some (_, flat) ->
-          if not (Igp.Fib.same_behavior agg flat) then incr bad
-        | _ -> incr bad
-      done;
-      if !bad > 0 then begin
-        Format.printf "GEANT %s: %d/200 probes disagree with flat FIB@." label
-          !bad;
-        failed := true
-      end
-    in
-    agree "baseline";
-    (* Lie churn: inject and retract fakes on random announced prefixes,
-       reconverging and re-probing each time. *)
-    let lies = if quick then 5 else 20 in
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to lies do
-      let at = Kit.Prng.pick prng nodes in
-      let prefix = Kit.Prng.pick prng prefixes in
-      let forwarding = fst (Kit.Prng.pick prng (Array.of_list (G.succ g at))) in
-      let fake_id = Printf.sprintf "tfib%d" i in
-      Igp.Network.inject_fake net
-        { fake_id; attachment = at; attachment_cost = 1; prefix;
-          announced_cost = 0; forwarding };
-      Igp.Network.warm net;
-      agree (Printf.sprintf "lie %d installed" i);
-      Igp.Network.retract_fake net ~fake_id;
-      Igp.Network.warm net;
-      agree (Printf.sprintf "lie %d retracted" i)
-    done;
-    let lie_ms = (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int lies in
-    (* Aggregation payoff across the real per-router tries. *)
-    let ratios, kbs =
-      List.split
-        (List.map
-           (fun router ->
-             let s = Igp.Spf_engine.aggregation (Igp.Network.engine net) ~router in
-             (s.Igp.Fib_trie.ratio,
-              float_of_int s.Igp.Fib_trie.approx_bytes /. 1024.))
-           (Array.to_list nodes))
-    in
-    let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
-    (warm_ms, lie_ms, mean ratios, mean kbs)
-  in
-  Format.printf
-    "GEANT x %d prefixes: warm %8.1f ms, %8.2f ms per lie cycle, mean \
-     aggregation ratio %.2f, %.0f KB trie per router@."
-    geant_prefixes warm_ms lie_ms agg_ratio agg_kb;
-  if json then begin
-    let oc = open_out "BENCH_fib.json" in
-    let field fmt (n, build_ms, (s : Igp.Fib_trie.stats), ms_per_op, vpo) =
-      Printf.sprintf fmt n build_ms s.routes s.installed s.ratio s.approx_bytes
-        ms_per_op vpo
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"fib\",\n\
-      \  \"scales\": [\n%s\n  ],\n\
-      \  \"geant\": {\"prefixes\": %d, \"warm_ms\": %.2f, \"lie_cycle_ms\": \
-       %.2f,\n\
-      \            \"mean_aggregation_ratio\": %.3f, \
-       \"mean_trie_kb\": %.1f},\n\
-      \  \"equivalent\": %b\n\
-       }\n"
-      (String.concat ",\n"
-         (List.map
-            (field
-               "    {\"prefixes\": %d, \"build_ms\": %.2f, \"routes\": %d, \
-                \"installed\": %d,\n\
-               \     \"aggregation_ratio\": %.3f, \"approx_bytes\": %d, \
-                \"update_ms\": %.5f,\n\
-               \     \"visited_per_update\": %.1f}")
-            results))
-      geant_prefixes warm_ms lie_ms agg_ratio agg_kb (not !failed);
-    close_out oc;
-    Format.printf "wrote BENCH_fib.json@."
-  end;
-  (match history with
-  | None -> ()
-  | Some file ->
-    let rows =
-      List.map
-        (fun (n, _, (s : Igp.Fib_trie.stats), ms_per_op, vpo) ->
-          {
-            Obs.History.tag;
-            track = "fib_update";
-            values =
-              [
-                ("wall_ms", ms_per_op);
-                ("visited_per_update", vpo);
-                ("aggregation_ratio", s.ratio);
-                ("prefixes", float_of_int n);
-              ];
-          })
-        results
-    in
-    Obs.History.append ~file rows;
-    Format.printf "appended %d rows (tag %s) to %s@." (List.length rows) tag
-      file);
-  if !failed then begin
-    Format.printf "TFIB FAILED: aggregated FIB diverged or updates scale with table size@.";
-    exit 1
-  end
+type track =
+  | Track : {
+      name : string;
+      title : string;
+      quick : 'size;
+      full : 'size;
+      run : 'size -> Obs.History.row list * bool;
+    }
+      -> track
+
+let tracks =
+  [
+    Track
+      {
+        name = "spf";
+        title = "SPF engine: batched + incremental FIB recompute on the largest zoo";
+        (* 30 churns (~0.1 ms each) are cheap enough for the quick run. *)
+        quick = 30;
+        full = 30;
+        run = tspf;
+      };
+    Track
+      {
+        name = "flow";
+        title = "Flow engine: class aggregation + indexed max-min fair at crowd scale";
+        quick = [ 1_000; 10_000 ];
+        full = [ 1_000; 10_000; 100_000 ];
+        run = tflow;
+      };
+    Track
+      {
+        name = "par";
+        title = "Multicore scale-out: SPF churn, chaos sweeps vs domains";
+        quick = (10, 8);
+        full = (30, 64);
+        run = tpar;
+      };
+    Track
+      {
+        name = "fib";
+        title = "prefix-scale FIB: trie build, FAQS aggregation, incremental updates";
+        quick = ([ 10_000; 50_000 ], 300, 5);
+        full = ([ 100_000; 1_000_000 ], 2_000, 20);
+        run = tfib;
+      };
+    Track
+      {
+        name = "watch";
+        title = "watchdog: overhead and non-interference";
+        quick = 4;
+        full = 8;
+        run = twatch;
+      };
+    Track
+      {
+        name = "prof";
+        title = "Allocation/GC profile of the hot paths (domains pinned to 1)";
+        quick = (10, 10_000, 3, 1_000);
+        full = (30, 50_000, 5, 2_000);
+        run = tprof;
+      };
+  ]
+
+let track_names = List.map (fun (Track t) -> t.name) tracks
+
+let pp_row fmt (r : Obs.History.row) =
+  Format.fprintf fmt "@[<hov 2>%s" r.track;
+  List.iter
+    (fun (k, v) ->
+      if Float.is_integer v || Float.abs v >= 100. then
+        Format.fprintf fmt "@ %s=%.0f" k v
+      else Format.fprintf fmt "@ %s=%.4g" k v)
+    r.values;
+  Format.fprintf fmt "@]@."
+
+let write_bench name rows =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let oc = open_out file in
+  Printf.fprintf oc "{\"track\": %s, \"cores\": %d, \"rows\": [\n  %s\n]}\n"
+    (Kit.Json.to_string (Kit.Json.Str name))
+    (Domain.recommended_domain_count ())
+    (String.concat ",\n  " (List.map Obs.History.row_to_json rows));
+  close_out oc;
+  Format.printf "wrote %s@." file
+
+(* Runs one track, routes its rows to every sink, and returns whether
+   its gate passed. *)
+let run_track ~quick ~json ~history ~tag (Track t) =
+  section ("T" ^ String.uppercase_ascii t.name) t.title;
+  let rows, ok = t.run (if quick then t.quick else t.full) in
+  let rows = List.map (fun r -> { r with Obs.History.tag }) rows in
+  List.iter (pp_row Format.std_formatter) rows;
+  if json then write_bench t.name rows;
+  Option.iter
+    (fun file ->
+      Obs.History.append ~file rows;
+      Format.printf "appended %d rows (tag %s) to %s@." (List.length rows) tag
+        file)
+    history;
+  if not ok then Format.printf "T%s gate FAILED@." (String.uppercase_ascii t.name);
+  ok
 
 let gate_main ~file =
   section "GATE" "Bench-history regression gate (newest row vs rolling median)";
@@ -1994,127 +1783,83 @@ let gate_main ~file =
       end
     end
 
-(* --history FILE / history=FILE, --tag SHA / tag=SHA. *)
-let flag_value name =
-  let v = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--" ^ name && i + 1 < Array.length Sys.argv then
-        v := Some Sys.argv.(i + 1)
-      else
-        match String.split_on_char '=' a with
-        | [ k; x ] when k = name -> v := Some x
-        | _ -> ())
-    Sys.argv;
-  !v
+let usage () =
+  Printf.eprintf
+    "usage: main.exe [quick] [json] [domains=N] [--history FILE --tag TAG] \
+     [TRACK...]\n\
+    \       main.exe gate [--history FILE]\n\
+     tracks: %s\n"
+    (String.concat " " track_names);
+  exit 2
+
+type opts = {
+  quick : bool;
+  json : bool;
+  domains : int option;
+  history : string option;
+  tag : string;
+  selected : string list;
+}
+
+let rec parse o = function
+  | [] -> o
+  | "quick" :: rest -> parse { o with quick = true } rest
+  | "json" :: rest -> parse { o with json = true } rest
+  | "--history" :: file :: rest -> parse { o with history = Some file } rest
+  | "--tag" :: tag :: rest -> parse { o with tag } rest
+  | a :: rest when List.mem a track_names ->
+    parse { o with selected = a :: o.selected } rest
+  | a :: rest -> (
+    match String.split_on_char '=' a with
+    | [ "domains"; d ] -> (
+      match int_of_string_opt d with
+      | Some d when d >= 1 -> parse { o with domains = Some d } rest
+      | _ -> usage ())
+    | _ -> usage ())
 
 let () =
-  let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let json = Array.exists (fun a -> a = "json") Sys.argv in
-  (* domains=N pins the process-default pool width (same knob as
-     fibbingctl --domains); otherwise FIBBING_DOMAINS / the machine
-     default apply. *)
-  Array.iter
-    (fun a ->
-      match String.split_on_char '=' a with
-      | [ "domains"; d ] -> Kit.Pool.set_default_domains (int_of_string_opt d)
-      | _ -> ())
-    Sys.argv;
-  if Array.exists (fun a -> a = "gate") Sys.argv then begin
-    let file =
-      Option.value ~default:"bench/history.jsonl" (flag_value "history")
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "gate" ] -> exit (gate_main ~file:"bench/history.jsonl")
+  | [ "gate"; "--history"; file ] -> exit (gate_main ~file)
+  | args ->
+    let o =
+      parse
+        { quick = false; json = false; domains = None; history = None;
+          tag = "dev"; selected = [] }
+        args
     in
-    exit (gate_main ~file)
-  end;
-  if Array.exists (fun a -> a = "prof-quick") Sys.argv then begin
-    (* Allocation-baseline smoke for @prof-quick / @check: the three
-       prof tracks at reduced scale, no history. *)
-    tprof ~quick:true ~history:None ~tag:"dev" ();
+    Option.iter (fun d -> Kit.Pool.set_default_domains (Some d)) o.domains;
+    if o.selected = [] then begin
+      f1a ();
+      f1b ();
+      f1c ();
+      f1d ();
+      let f2_state = f2 () in
+      tqoe f2_state;
+      tovh ();
+      tscale ();
+      topt ();
+      tabr ();
+      taimd ();
+      tzoo ();
+      ttrans ();
+      tfail ();
+      tctrl ();
+      tconv ();
+      tstrat ();
+      tmicro ();
+      tplan ();
+      if not o.quick then bechamel_timings ()
+    end;
+    let oks =
+      List.filter_map
+        (fun (Track t as track) ->
+          if o.selected = [] || List.mem t.name o.selected then
+            Some
+              (run_track ~quick:o.quick ~json:o.json ~history:o.history
+                 ~tag:o.tag track)
+          else None)
+        tracks
+    in
     Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "prof") Sys.argv then begin
-    let tag = Option.value ~default:"dev" (flag_value "tag") in
-    tprof ~quick ~history:(flag_value "history") ~tag ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "fib-quick") Sys.argv then begin
-    (* Prefix-scale FIB smoke for @fib-quick / @check: reduced-scale
-       trie build + churn with the flat/aggregated equivalence and
-       FAQS update-cost gates; exits 1 on divergence. *)
-    tfib ~json:false ~quick:true ~history:None ~tag:"dev" ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "fib") Sys.argv then begin
-    (* Full-scale TFIB only (with json: regenerates BENCH_fib.json;
-       with --history: appends fib_update rows for the gate). *)
-    let tag = Option.value ~default:"dev" (flag_value "tag") in
-    tfib ~json ~quick ~history:(flag_value "history") ~tag ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "flow-quick") Sys.argv then begin
-    (* Standalone smoke for @flow-quick / @check: just the flow engine
-       section at reduced scale, no JSON. *)
-    tflow ~json:false ~quick:true ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "watch-quick") Sys.argv then begin
-    (* Watchdog smoke for @watch-quick / @check: the deterministic
-       overhead + non-interference gates at reduced scale. *)
-    twatch ~quick:true ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "par-quick") Sys.argv then begin
-    (* Parallel-equivalence smoke for @par-quick / @check: TPAR at
-       reduced scale, exits 1 if parallel ≢ sequential. *)
-    tpar ~json:false ~quick:true ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "par") Sys.argv then begin
-    (* Full-scale TPAR only (with json: regenerates BENCH_parallel.json). *)
-    tpar ~json ~quick:false ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "spf") Sys.argv then begin
-    (* TSPF only (with json: regenerates BENCH_spf.json). *)
-    tspf ~json ();
-    Format.printf "@.done.@.";
-    exit 0
-  end;
-  f1a ();
-  f1b ();
-  f1c ();
-  f1d ();
-  let f2_state = f2 () in
-  tqoe f2_state;
-  tovh ();
-  tscale ();
-  topt ();
-  tabr ();
-  taimd ();
-  tzoo ();
-  ttrans ();
-  tfail ();
-  tctrl ();
-  tconv ();
-  tstrat ();
-  tmicro ();
-  tplan ();
-  tspf ~json ();
-  tflow ~json ~quick ();
-  tpar ~json ~quick ();
-  tfib ~json ~quick ~history:None ~tag:"dev" ();
-  twatch ~quick ();
-  if not quick then bechamel_timings ();
-  (* Last: pins the default pool width to 1 for its own nets. *)
-  tprof ~quick ~history:(flag_value "history")
-    ~tag:(Option.value ~default:"dev" (flag_value "tag"))
-    ();
-  Format.printf "@.done.@."
+    if not (List.for_all Fun.id oks) then exit 1

@@ -64,11 +64,3 @@ let compute (view : Lsdb.view) ~router =
   |> List.filter_map (fun prefix ->
          let sink = Hashtbl.find view.sinks prefix in
          fib_of_first_hops view ~router ~prefix ~sink result)
-
-let distance (view : Lsdb.view) ~router prefix =
-  check_router view router;
-  match Lsdb.sink view prefix with
-  | None -> None
-  | Some sink ->
-    let result = Dijkstra.run view.graph ~source:router in
-    Option.map (fun d -> d - 1) (Dijkstra.distance result sink)

@@ -11,7 +11,3 @@ val compute_prefix :
 
 val compute : Lsdb.view -> router:Netgraph.Graph.node -> Fib.t list
 (** FIBs for every reachable prefix (sorted by prefix name). *)
-
-val distance :
-  Lsdb.view -> router:Netgraph.Graph.node -> Lsa.prefix -> int option
-(** SPF cost to the prefix without building the FIB. *)

@@ -203,11 +203,10 @@ let test_fib_fractions_empty_when_local () =
 
 let test_spf_distance_only () =
   let d, net = demo_net () in
-  let view = Igp.Lsdb.view (Igp.Network.lsdb net) in
   Alcotest.(check (option int)) "distance A" (Some 3)
-    (Igp.Spf.distance view ~router:d.a (pfx "blue"));
+    (Igp.Network.distance net ~router:d.a (pfx "blue"));
   Alcotest.(check (option int)) "unknown" None
-    (Igp.Spf.distance view ~router:d.a (pfx "green"))
+    (Igp.Network.distance net ~router:d.a (pfx "green"))
 
 let test_spf_compute_all_prefixes () =
   let d = T.demo () in
