@@ -1273,9 +1273,9 @@ let tpar (churns, nseeds) =
        breakpoint address exactly like the flat table;
      - mean visited nodes per update must be independent of table size
        (the FAQS property: updates walk one path and refresh direct
-       children only — never the whole trie);
-     - at network level (GEANT carrying a synthesized table), per-router
-       aggregated LPM must agree with the flat FIB across lie churn. *)
+       children only — never the whole trie).
+   A GEANT row then times warm-up and lie churn with a synthesized
+   table announced across the routers. *)
 let tfib (scales, geant_prefixes, lies) =
   let churn_ops = 1_000 in
   let behaviors = 8 in
@@ -1353,9 +1353,7 @@ let tfib (scales, geant_prefixes, lies) =
   let v_small = visited (List.hd results) in
   let v_large = visited (List.nth results (List.length results - 1)) in
   let independent = v_large <= (4. *. v_small) +. 16. in
-  (* Integrated: GEANT carrying a synthesized table, with lie churn. The
-     per-router aggregated LPM must agree with a flat scan of the
-     announced prefixes after every reconvergence. *)
+  (* Integrated: GEANT carrying a synthesized table, with lie churn. *)
   let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
   let net = Igp.Network.create g in
   let prng = Kit.Prng.create ~seed:23 in
@@ -1366,36 +1364,9 @@ let tfib (scales, geant_prefixes, lies) =
       Igp.Network.announce_prefix net p ~origin:(Kit.Prng.pick prng nodes) ~cost:0)
     prefixes;
   let (), warm_ms = time_ms (fun () -> Igp.Network.warm net) in
-  let flat_lpm router a =
-    (* Reference: longest announced prefix covering [a] that has a FIB
-       at this router, found by linear scan. *)
-    Array.fold_left
-      (fun best p ->
-        if not (Igp.Prefix.contains_addr p a) then best
-        else
-          match Igp.Network.fib net ~router p with
-          | None -> best
-          | Some fib -> (
-            match best with
-            | Some (q, _) when Igp.Prefix.len q >= Igp.Prefix.len p -> best
-            | _ -> Some (p, fib)))
-      None prefixes
-  in
-  let disagreements = ref 0 in
-  let agree () =
-    for _ = 1 to 200 do
-      let router = Kit.Prng.pick prng nodes in
-      let a = Igp.Prefix.first_addr (Kit.Prng.pick prng prefixes) in
-      match (Igp.Network.lpm net ~router a, flat_lpm router a) with
-      | None, None -> ()
-      | Some (_, agg), Some (_, flat) when Igp.Fib.same_behavior agg flat -> ()
-      | _ -> incr disagreements
-    done
-  in
-  agree ();
-  (* Lie churn: inject and retract fakes on random announced prefixes.
-     Only the install + reconverge and retract + reconverge halves are
-     timed; the oracle probes after each half stay outside the clock. *)
+  (* Lie churn: inject and retract fakes on random announced prefixes;
+     each cycle is one install + reconverge and one retract +
+     reconverge. *)
   let lie_ms = ref 0. in
   for i = 1 to lies do
     let at = Kit.Prng.pick prng nodes in
@@ -1409,39 +1380,23 @@ let tfib (scales, geant_prefixes, lies) =
               announced_cost = 0; forwarding };
           Igp.Network.warm net)
     in
-    agree ();
     let (), retract_ms =
       time_ms (fun () ->
           Igp.Network.retract_fake net ~fake_id;
           Igp.Network.warm net)
     in
-    agree ();
     lie_ms := !lie_ms +. inject_ms +. retract_ms
   done;
-  (* Aggregation payoff across the real per-router tries. *)
-  let aggregation =
-    Array.map
-      (fun router -> Igp.Spf_engine.aggregation (Igp.Network.engine net) ~router)
-      nodes
-  in
-  let mean f =
-    Array.fold_left (fun acc s -> acc +. f s) 0. aggregation
-    /. num (Array.length aggregation)
-  in
   let geant =
     row "fib_geant"
       [
         ("prefixes", num geant_prefixes);
         ("warm_ms", warm_ms);
         ("lie_cycle_ms", !lie_ms /. num lies);
-        ("mean_aggregation_ratio", mean (fun s -> s.Igp.Fib_trie.ratio));
-        ("mean_trie_kb", mean (fun s -> num s.Igp.Fib_trie.approx_bytes /. 1024.));
-        ("disagreements", num !disagreements);
       ]
   in
   ( List.concat_map (fun (rows, _, _) -> rows) results @ [ geant ],
-    List.for_all (fun (_, _, ok) -> ok) results
-    && independent && !disagreements = 0 )
+    List.for_all (fun (_, _, ok) -> ok) results && independent )
 
 (* TWATCH: cost and non-interference of the runtime safety watchdog.
    The gate is deterministic (work counters, not wall clock): on a calm

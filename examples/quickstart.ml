@@ -31,7 +31,7 @@ let () =
       ]
   in
   Format.printf "@.Requirements:@.  %a" (Fibbing.Requirements.pp ~names) reqs;
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
 
   (* 3. Compile to fake LSAs. [compile] verifies the candidate plan on a
      clone of the network before returning it. *)

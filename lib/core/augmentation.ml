@@ -368,7 +368,7 @@ let verify_candidate net (reqs : Requirements.t) plan ~baseline =
 let compile ?(max_entries = Splitting.default_max_entries) ?tag
     ?(max_repairs = 8) net (reqs : Requirements.t) =
   let g = Igp.Network.graph net in
-  let baseline = Verify.snapshot net reqs.prefix in
+  let baseline = Igp.Network.fibs net reqs.prefix in
   let collateral_pins report =
     List.filter_map
       (fun (i : Verify.issue) ->

@@ -253,7 +253,7 @@ let revalidate t sim =
     Hashtbl.iter (fun p _ -> Hashtbl.replace prefixes p ()) t.adopted;
     Hashtbl.iter
       (fun prefix () ->
-        match Transient.state_safe t.net ~prefix with
+        match Igp.Safety.state_safe t.net ~prefix with
         | Ok () -> ()
         | Error reason ->
           quarantine t ~time ~prefix
@@ -380,7 +380,7 @@ let resync t ~time ~reason =
     adopted;
   List.iter
     (fun prefix ->
-      match Transient.state_safe t.net ~prefix with
+      match Igp.Safety.state_safe t.net ~prefix with
       | Ok () -> ()
       | Error why ->
         quarantine t ~time ~prefix
@@ -550,7 +550,7 @@ let install_requirements t ~time ~prefix ~description routers =
          steering must pass, else withdraw and forget them. *)
       let verdict =
         if reinstalled = None && readopted = [] then Ok ()
-        else Transient.state_safe t.net ~prefix
+        else Igp.Safety.state_safe t.net ~prefix
       in
       let message =
         match verdict with
@@ -587,7 +587,7 @@ let install_requirements t ~time ~prefix ~description routers =
       let scratch = Igp.Network.clone t.net in
       Augmentation.apply scratch plan;
       Igp.Network.warm scratch;
-      (match Transient.state_safe scratch ~prefix with
+      (match Igp.Safety.state_safe scratch ~prefix with
       | Error reason ->
         rollback (Printf.sprintf "rejected steering (unsafe end state): %s" reason)
       | Ok () ->

@@ -5,7 +5,7 @@ let verifies net (reqs : Requirements.t) (plan : Augmentation.plan) ~baseline =
     .Verify.ok
 
 let minimize net (reqs : Requirements.t) (plan : Augmentation.plan) =
-  let baseline = Verify.snapshot net reqs.prefix in
+  let baseline = Igp.Network.fibs net reqs.prefix in
   if not (verifies net reqs plan ~baseline) then plan
   else begin
     (* Try to drop fakes one at a time, most expensive lies first (they

@@ -5,19 +5,17 @@ type violation = { step : int; fake_id : string; problem : string }
 (* The loop/blackhole analysis itself lives in [Igp.Safety], below both
    this install-time checker and the runtime watchdog ([Netsim] cannot
    depend on this library). *)
-let state_safe net ~prefix = Igp.Safety.state_safe net ~prefix
-
 let check_order net ~prefix fakes =
   let scratch = Igp.Network.clone net in
   let rec steps index = function
     | [] -> Ok ()
     | (fake : Igp.Lsa.fake) :: rest ->
       Igp.Network.inject_fake scratch fake;
-      (match state_safe scratch ~prefix with
+      (match Igp.Safety.state_safe scratch ~prefix with
       | Ok () -> steps (index + 1) rest
       | Error problem -> Error { step = index; fake_id = fake.fake_id; problem })
   in
-  match state_safe scratch ~prefix with
+  match Igp.Safety.state_safe scratch ~prefix with
   | Error problem ->
     Error { step = 0; fake_id = "<initial state>"; problem }
   | Ok () -> steps 1 fakes
@@ -28,7 +26,7 @@ let check_order net ~prefix fakes =
    clone of the current scratch. *)
 let greedy_order net ~prefix items ~advance ~describe =
   let scratch = Igp.Network.clone net in
-  match state_safe scratch ~prefix with
+  match Igp.Safety.state_safe scratch ~prefix with
   | Error problem -> Error (Printf.sprintf "unsafe initial state: %s" problem)
   | Ok () ->
     let rec pick ordered remaining =
@@ -38,7 +36,7 @@ let greedy_order net ~prefix items ~advance ~describe =
         let try_candidate item =
           let trial = Igp.Network.clone scratch in
           advance trial item;
-          match state_safe trial ~prefix with Ok () -> true | Error _ -> false
+          Igp.Safety.verdict trial ~prefix = Igp.Safety.Safe
         in
         (match List.find_opt try_candidate remaining with
         | None ->

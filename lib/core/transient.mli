@@ -21,12 +21,6 @@ type violation = {
   problem : string;  (** Human-readable description (loop / blackhole). *)
 }
 
-val state_safe : Igp.Network.t -> prefix:Igp.Lsa.prefix -> (unit, string) result
-(** Is the network's {e current} forwarding for the prefix loop-free, and
-    does every router that has a route actually reach an announcer by
-    following next hops? (Delegates to {!Igp.Safety.state_safe}, shared
-    with the runtime watchdog.) *)
-
 val check_order :
   Igp.Network.t ->
   prefix:Igp.Lsa.prefix ->

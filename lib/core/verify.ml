@@ -6,8 +6,6 @@ type issue = { router : Graph.node; kind : kind; detail : string }
 
 type report = { ok : bool; issues : issue list }
 
-let snapshot net prefix = Igp.Network.fibs net prefix
-
 let pp_weights ~names fmt weights =
   Format.pp_print_list
     ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
@@ -52,7 +50,7 @@ let check net ~prefix ~expected ~baseline =
     (fun (router, _) ->
       if (not (is_required router)) && not (List.mem_assoc router baseline) then
         issue router `Collateral "prefix became newly reachable")
-    (snapshot net prefix);
+    (Igp.Network.fibs net prefix);
   let issues = List.rev !issues in
   { ok = issues = []; issues }
 

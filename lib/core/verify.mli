@@ -17,10 +17,6 @@ type issue = {
 
 type report = { ok : bool; issues : issue list }
 
-val snapshot :
-  Igp.Network.t -> Igp.Lsa.prefix -> (Netgraph.Graph.node * Igp.Fib.t) list
-(** Current FIB of every router that can reach the prefix. *)
-
 val check :
   Igp.Network.t ->
   prefix:Igp.Lsa.prefix ->

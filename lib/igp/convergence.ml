@@ -29,54 +29,6 @@ let installation_schedule timing g ~origin =
                +. (float_of_int (router mod 7) *. timing.jitter) ))
   |> List.sort (fun (_, a) (_, b) -> compare a b)
 
-type verdict =
-  | Safe
-  | Loop of Graph.node list
-  | Blackhole of Graph.node
-
-let forwarding_verdict ~nodes ~fib =
-  let forwarding router =
-    match fib router with
-    | Some f when not f.Fib.local -> Fib.next_hops f
-    | Some _ | None -> []
-  in
-  (* Kahn over the forwarding edges. *)
-  let indegree = Hashtbl.create 16 in
-  let bump v = Hashtbl.replace indegree v (1 + Option.value ~default:0 (Hashtbl.find_opt indegree v)) in
-  List.iter (fun router -> List.iter bump (forwarding router)) nodes;
-  let queue = Queue.create () in
-  List.iter
-    (fun router -> if not (Hashtbl.mem indegree router) then Queue.push router queue)
-    nodes;
-  let processed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let router = Queue.pop queue in
-    incr processed;
-    List.iter
-      (fun nh ->
-        let d = Hashtbl.find indegree nh - 1 in
-        if d = 0 then begin
-          Hashtbl.remove indegree nh;
-          Queue.push nh queue
-        end
-        else Hashtbl.replace indegree nh d)
-      (forwarding router)
-  done;
-  if !processed < List.length nodes then
-    Loop (List.filter (fun router -> Hashtbl.mem indegree router) nodes)
-  else begin
-    let routed router = fib router <> None in
-    match
-      List.find_opt
-        (fun router ->
-          routed router
-          && List.exists (fun nh -> not (routed nh)) (forwarding router))
-        nodes
-    with
-    | Some router -> Blackhole router
-    | None -> Safe
-  end
-
 type report = {
   states : int;
   unsafe_states : int;
@@ -85,32 +37,27 @@ type report = {
   first_problem : (float * string) option;
 }
 
+(* Shorter than [Safety.describe]: the report names the prefix once. *)
 let describe_verdict g = function
-  | Safe -> "safe"
-  | Loop routers ->
+  | Safety.Safe -> "safe"
+  | Safety.Loop routers ->
     Printf.sprintf "loop through {%s}"
       (String.concat ", " (List.map (Graph.name g) routers))
-  | Blackhole router -> Printf.sprintf "blackhole at %s" (Graph.name g router)
+  | Safety.Blackhole router ->
+    Printf.sprintf "blackhole at %s" (Graph.name g router)
 
 let analyze ?(timing = default_timing) ~before ~after ~origin ~prefix () =
   let g = Network.graph after in
-  let nodes = Graph.nodes g in
-  let old_fib = Hashtbl.create 16 and new_fib = Hashtbl.create 16 in
-  List.iter
-    (fun router ->
-      Hashtbl.replace old_fib router (Network.fib before ~router prefix);
-      Hashtbl.replace new_fib router (Network.fib after ~router prefix))
-    nodes;
-  let changed router = Hashtbl.find old_fib router <> Hashtbl.find new_fib router in
+  let fibs net =
+    Array.init (Graph.node_count g) (fun router -> Network.fib net ~router prefix)
+  in
+  let old_fib = fibs before and new_fib = fibs after in
+  let changed router = old_fib.(router) <> new_fib.(router) in
   let schedule =
     List.filter (fun (router, _) -> changed router)
       (installation_schedule timing g ~origin)
   in
-  let applied = Hashtbl.create 16 in
-  let mixed router =
-    if Hashtbl.mem applied router then Hashtbl.find new_fib router
-    else Hashtbl.find old_fib router
-  in
+  let mixed = Array.copy old_fib in
   let states = List.length schedule in
   let unsafe_states = ref 0 in
   let unsafe_window = ref 0. in
@@ -121,9 +68,9 @@ let analyze ?(timing = default_timing) ~before ~after ~origin ~prefix () =
   let rec walk = function
     | [] -> ()
     | (router, time) :: rest ->
-      Hashtbl.replace applied router ();
-      (match forwarding_verdict ~nodes ~fib:mixed with
-      | Safe -> ()
+      mixed.(router) <- new_fib.(router);
+      (match Safety.analyze mixed with
+      | Safety.Safe -> ()
       | problem ->
         incr unsafe_states;
         let until =

@@ -36,18 +36,6 @@ val installation_schedule :
     time: flood depth x per-hop + SPF delay + jitter. Sorted by time;
     unreachable routers are omitted. *)
 
-type verdict =
-  | Safe
-  | Loop of Netgraph.Graph.node list  (** Routers on (or feeding) a cycle. *)
-  | Blackhole of Netgraph.Graph.node  (** A routed router forwards into the void. *)
-
-val forwarding_verdict :
-  nodes:Netgraph.Graph.node list ->
-  fib:(Netgraph.Graph.node -> Fib.t option) ->
-  verdict
-(** Safety of an arbitrary forwarding state given as a FIB lookup —
-    shared by the transient-order checker and the convergence replay. *)
-
 type report = {
   states : int;  (** Mixed states traversed (= routers that changed). *)
   unsafe_states : int;

@@ -83,10 +83,6 @@ let uses_fake t = List.exists (fun e -> e.via_fakes <> []) t.entries
 
 let equal_forwarding a b = weights a = weights b
 
-let same_behavior a b =
-  a.local = b.local
-  && (a.local || equal_forwarding a b)
-
 let pp ~names fmt t =
   if t.local then
     Format.fprintf fmt "%s -> %s: local (cost %d)" (names t.router)

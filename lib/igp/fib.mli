@@ -59,10 +59,4 @@ val equal_forwarding : t -> t -> bool
     fakes produced them). Compares canonical {!weights}, so entry order
     and duplicate next-hop splits do not matter. *)
 
-val same_behavior : t -> t -> bool
-(** Forwarding-behavior equality used as the trie aggregation relation:
-    both local, or both non-local with {!equal_forwarding}. Ignores
-    [router], [prefix] and [distance] — two routes with the same
-    behavior may be collapsed into one aggregated entry. *)
-
 val pp : names:(Netgraph.Graph.node -> string) -> Format.formatter -> t -> unit

@@ -247,41 +247,9 @@ let lookup_within t p =
   go t.root;
   !best
 
-let find t p =
-  match lookup_within t p with
-  | Some (q, r) when Prefix.equal q p -> Some r
-  | _ -> None
-
-let fold f t acc =
-  let rec go node acc =
-    match node with
-    | None -> acc
-    | Some n ->
-      let acc =
-        match n.route with Some r -> f (prefix_of n) r acc | None -> acc
-      in
-      go n.one (go n.zero acc)
-  in
-  go t.root acc
-
-let iter f t = fold (fun p r () -> f p r) t ()
-
-let iter_installed f t =
-  let rec go node =
-    match node with
-    | None -> ()
-    | Some n ->
-      (match n.route with Some r when n.inst -> f (prefix_of n) r | _ -> ());
-      go n.zero;
-      go n.one
-  in
-  go t.root
-
 let routes t = t.routes
 
 let installed t = t.installed
-
-let node_count t = t.nodes
 
 let visited t = t.visited
 

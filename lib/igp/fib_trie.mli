@@ -35,9 +35,6 @@ val update : 'a t -> Prefix.t -> 'a -> unit
 val remove : 'a t -> Prefix.t -> unit
 (** Delete the route if present; no-op otherwise. *)
 
-val find : 'a t -> Prefix.t -> 'a option
-(** Exact-match lookup. *)
-
 val lookup : 'a t -> int -> (Prefix.t * 'a) option
 (** Longest-prefix match of a 32-bit address over the flat table. *)
 
@@ -51,19 +48,10 @@ val lookup_within : 'a t -> Prefix.t -> (Prefix.t * 'a) option
     destination block, used to resolve flow prefixes against announced
     prefixes. *)
 
-val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
-(** All routes, ascending prefix order. *)
-
-val iter_installed : (Prefix.t -> 'a -> unit) -> 'a t -> unit
-
-val fold : (Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-
 val routes : 'a t -> int
 
 val installed : 'a t -> int
 (** Routes surviving aggregation; [installed t <= routes t]. *)
-
-val node_count : 'a t -> int
 
 val visited : 'a t -> int
 (** Cumulative count of nodes touched by updates/removes since

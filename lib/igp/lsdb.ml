@@ -44,10 +44,11 @@ type t = {
   mutable version : int;
   mutable last_origin : Graph.node option;
   mutable cached_view : (int * view) option;
-  mutable resolver : (int * Lsa.prefix Fib_trie.t) option;
-      (* LPM index over announced prefixes, rebuilt lazily per version;
-         maps any destination prefix to the announced prefix governing
-         it (longest covering announcement). *)
+  mutable resolver : Lsa.prefix Fib_trie.t option;
+      (* LPM index over announced prefixes, built lazily and dropped by
+         [announce_prefix] — the only writer of [announcements]; maps
+         any destination prefix to the announced prefix governing it
+         (longest covering announcement). *)
   mutable delta_log : (int * delta) list; (* newest first *)
   mutable log_entries : int;
   mutable log_floor : int;
@@ -124,6 +125,7 @@ let announce_prefix t prefix ~origin ~cost =
   t.announcements <-
     List.filter (fun (p, o, _) -> not (Prefix.equal p prefix && o = origin)) t.announcements
     @ [ (prefix, origin, cost) ];
+  t.resolver <- None;
   bump t (Lsa.key (Prefix { origin; prefix; cost }));
   record t [ Generic_delta ]
 
@@ -219,13 +221,13 @@ let prefixes t = t.announcements
 
 let resolver t =
   match t.resolver with
-  | Some (version, trie) when version = t.version -> trie
-  | Some _ | None ->
+  | Some trie -> trie
+  | None ->
     let trie = Fib_trie.create ~eq:Prefix.equal in
     List.iter
       (fun (p, _, _) -> Fib_trie.update trie p p)
       t.announcements;
-    t.resolver <- Some (t.version, trie);
+    t.resolver <- Some trie;
     trie
 
 let resolve t prefix =

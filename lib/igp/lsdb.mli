@@ -128,8 +128,9 @@ val resolve : t -> Lsa.prefix -> Lsa.prefix option
     announcement that governs its routes): exact announcements resolve
     to themselves; a more-specific destination (a /32 inside an
     announced /16, say) resolves to its covering announcement; [None]
-    when no announcement covers it. Backed by an LPM index cached per
-    LSDB version. *)
+    when no announcement covers it. Backed by an LPM index that is
+    rebuilt only after an announcement changes — fake churn leaves it
+    alone. *)
 
 val sequence : t -> key:string -> int option
 (** Current sequence number of the LSA with this [Lsa.key]; [None] if

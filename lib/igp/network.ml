@@ -106,8 +106,6 @@ let next_hops t ~router prefix =
 
 let resolve t prefix = Lsdb.resolve t.lsdb prefix
 
-let lpm t ~router addr = Spf_engine.lpm t.engine ~router addr
-
 let warm t = Spf_engine.compute_all t.engine
 
 let engine t = t.engine

@@ -56,11 +56,6 @@ val resolve : t -> Lsa.prefix -> Lsa.prefix option
     {!Lsdb.resolve}); how flows aimed at arbitrary destinations find
     the announcement that routes them. *)
 
-val lpm :
-  t -> router:Netgraph.Graph.node -> int -> (Lsa.prefix * Fib.t) option
-(** Longest-prefix match of a destination address in the router's
-    aggregated FIB trie (see {!Spf_engine.lpm}). *)
-
 val distance : t -> router:Netgraph.Graph.node -> Lsa.prefix -> int option
 
 val next_hops : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Netgraph.Graph.node list

@@ -32,12 +32,6 @@ type t = {
   mutable entries : (Lsa.prefix, Fib.t) Hashtbl.t option array;
       (* Slot [r] holds router [r]'s full per-prefix FIB table, valid at
          version [synced]; [None] marks a dirty router. *)
-  mutable tries : Fib.t Fib_trie.t option array;
-      (* Lazily materialized aggregated FIB trie per router, aggregation
-         equality = [Fib.same_behavior]. Built on the first [lpm] call
-         for a router and from then on patched incrementally whenever
-         the router's flat table is refilled — never rebuilt. Routers
-         that are never LPM-queried pay nothing. *)
   mutable synced : int;
   spf_runs : int Atomic.t; (* bumped from worker domains *)
   mutable syncs : int;
@@ -57,7 +51,6 @@ let create ?pool lsdb =
     lsdb;
     pool;
     entries = Array.make n None;
-    tries = Array.make n None;
     synced = Lsdb.version lsdb;
     spf_runs = Atomic.make 0;
     syncs = 0;
@@ -98,33 +91,6 @@ let compute_router t view r =
   let tbl = Hashtbl.create (max 8 (2 * List.length fib_list)) in
   List.iter (fun (f : Fib.t) -> Hashtbl.replace tbl f.prefix f) fib_list;
   tbl
-
-(* FAQS-style incremental maintenance: diff the router's fresh flat
-   table against the trie and touch only the differing prefixes. The
-   trie re-aggregates bottom-up from each changed node; identical routes
-   (the common case after a localized delta) cost one [find]. *)
-let patch_trie trie tbl =
-  let stale =
-    Fib_trie.fold
-      (fun p _ acc -> if Hashtbl.mem tbl p then acc else p :: acc)
-      trie []
-  in
-  List.iter (Fib_trie.remove trie) stale;
-  Hashtbl.iter
-    (fun p (fib : Fib.t) ->
-      match Fib_trie.find trie p with
-      | Some old when old = fib -> ()
-      | Some _ | None -> Fib_trie.update trie p fib)
-    tbl
-
-(* Every flat-table refill flows through here so a materialized trie
-   never goes stale. Parallel callers write disjoint router slots, so
-   per-slot trie mutation stays single-writer. *)
-let install_table t r tbl =
-  t.entries.(r) <- Some tbl;
-  match t.tries.(r) with
-  | None -> ()
-  | Some trie -> patch_trie trie tbl
 
 let drop_all t =
   Array.fill t.entries 0 (Array.length t.entries) None;
@@ -260,7 +226,6 @@ let sync t =
     let n = Graph.node_count (Lsdb.base_graph t.lsdb) in
     if Array.length t.entries <> n then begin
       t.entries <- Array.make n None;
-      t.tries <- Array.make n None;
       t.full_invalidations <- t.full_invalidations + 1;
       record_dirt t Full_dirt;
       Obs.Metrics.incr m_full_invalidations
@@ -343,7 +308,7 @@ let table_for t router =
       else fill ()
     in
     Obs.Metrics.incr m_spf_runs;
-    install_table t router tbl;
+    t.entries.(router) <- Some tbl;
     tbl
 
 let fib t ~router prefix =
@@ -373,7 +338,7 @@ let compute_all t =
     let work () =
       Kit.Pool.iter t.pool ~n:(Array.length missing) (fun i ->
           let r = missing.(i) in
-          install_table t r (compute_router t view r))
+          t.entries.(r) <- Some (compute_router t view r))
     in
     Obs.Metrics.add m_spf_runs (Array.length missing);
     if Obs.enabled () then begin
@@ -388,24 +353,6 @@ let compute_all t =
       Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
     end
     else work ()
-
-let trie_for t router =
-  sync t;
-  check_router t router;
-  let tbl = table_for t router in
-  match t.tries.(router) with
-  | Some trie -> trie
-  | None ->
-    (* First materialization for this router: seed the trie from the
-       current flat table. All later table refills patch it in place. *)
-    let trie = Fib_trie.create ~eq:Fib.same_behavior in
-    Hashtbl.iter (fun p fib -> Fib_trie.update trie p fib) tbl;
-    t.tries.(router) <- Some trie;
-    trie
-
-let lpm t ~router addr = Fib_trie.lookup_aggregated (trie_for t router) addr
-
-let aggregation t ~router = Fib_trie.stats (trie_for t router)
 
 let prefix_table t prefix =
   compute_all t;

@@ -59,19 +59,6 @@ val compute_all : t -> unit
 (** Bring every router's table up to date, fanning dirty routers across
     the pool. *)
 
-val lpm :
-  t -> router:Netgraph.Graph.node -> int -> (Lsa.prefix * Fib.t) option
-(** Longest-prefix match of a 32-bit destination address in the
-    router's {e aggregated} FIB: the returned prefix is the aggregated
-    entry that matched (possibly shorter than the flat best match), the
-    FIB forwards identically to the flat table's. The router's trie is
-    built on first use and thereafter maintained incrementally as SPF
-    deltas refill the flat table. *)
-
-val aggregation : t -> router:Netgraph.Graph.node -> Fib_trie.stats
-(** Aggregation statistics of the router's trie (routes, installed
-    aggregated entries, ratio, approximate memory). Forces the trie. *)
-
 val prefix_table : t -> Lsa.prefix -> Fib.t option array
 (** Per-router FIBs for one prefix, indexed by router id ([compute_all]
     is implied). The returned array is fresh; mutating it is harmless. *)

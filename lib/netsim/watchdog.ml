@@ -179,12 +179,16 @@ let check_utilization t sim ~time =
              rate bound t.config.utilization_bound))
     (Sim.current_link_rates sim)
 
-let classify problem =
-  (* [Igp.Safety.state_safe] errors start with "forwarding loop" or
-     "blackhole". *)
-  if String.length problem >= 9 && String.sub problem 0 9 = "blackhole" then
-    Blackhole
-  else Forwarding_loop
+(* An unsafe [Igp.Safety] verdict, worded as [Igp.Safety.state_safe]
+   words it. *)
+let report_unsafe t net ~time prefix verdict =
+  let kind =
+    match verdict with
+    | Igp.Safety.Blackhole _ -> Blackhole
+    | Igp.Safety.Loop _ | Igp.Safety.Safe -> Forwarding_loop
+  in
+  report t ~time ~kind ~prefix ~subject:(Igp.Prefix.to_string prefix)
+    (Igp.Safety.describe (Igp.Network.graph net) ~prefix verdict)
 
 (* Has routing actually changed since the watchdog last looked? Version
    unchanged: certainly not. Version moved: ask the SPF dirty log; an
@@ -227,9 +231,9 @@ let sweep_safety t sim ~time ~on_unsafe =
                 ~subject:(Graph.name (Igp.Network.graph net) fib.router)
                 reason))
         (Igp.Network.fib_table net prefix);
-      match Igp.Safety.state_safe net ~prefix with
-      | Ok () -> ()
-      | Error problem -> on_unsafe ~time prefix problem)
+      match Igp.Safety.verdict net ~prefix with
+      | Igp.Safety.Safe -> ()
+      | unsafe -> on_unsafe ~time prefix unsafe)
     prefixes
 
 (* ---- the two checkpoints ---- *)
@@ -244,9 +248,7 @@ let check t sim =
   check_lies t sim ~time;
   check_utilization t sim ~time;
   if routing_dirty t (Sim.network sim) then
-    sweep_safety t sim ~time ~on_unsafe:(fun ~time prefix problem ->
-        report t ~time ~kind:(classify problem) ~prefix
-          ~subject:(Igp.Prefix.to_string prefix) problem)
+    sweep_safety t sim ~time ~on_unsafe:(report_unsafe t (Sim.network sim))
   else begin
     t.n_skipped <- t.n_skipped + 1;
     Obs.Metrics.incr m_safety_skipped
@@ -265,16 +267,17 @@ let guard t sim =
   if routing_dirty t (Sim.network sim) then begin
     let net = Sim.network sim in
     let lsdb = Igp.Network.lsdb net in
-    sweep_safety t sim ~time:(Sim.time sim) ~on_unsafe:(fun ~time prefix problem ->
+    sweep_safety t sim ~time:(Sim.time sim) ~on_unsafe:(fun ~time prefix unsafe ->
         let blamed =
           List.filter
             (fun (f : Igp.Lsa.fake) -> Igp.Prefix.equal f.prefix prefix)
             (Igp.Lsdb.fakes lsdb)
         in
-        if blamed = [] then
-          report t ~time ~kind:(classify problem) ~prefix
-            ~subject:(Igp.Prefix.to_string prefix) problem
+        if blamed = [] then report_unsafe t net ~time prefix unsafe
         else begin
+          let problem =
+            Igp.Safety.describe (Igp.Network.graph net) ~prefix unsafe
+          in
           List.iter
             (fun (f : Igp.Lsa.fake) ->
               Igp.Network.retract_fake net ~fake_id:f.fake_id)
@@ -292,11 +295,9 @@ let guard t sim =
             (fun hook -> hook ~prefix ~reason:problem)
             t.quarantine_hooks;
           (* The purge must have restored safety; if not, report. *)
-          match Igp.Safety.state_safe net ~prefix with
-          | Ok () -> ()
-          | Error problem ->
-            report t ~time ~kind:(classify problem) ~prefix
-              ~subject:(Igp.Prefix.to_string prefix) problem
+          match Igp.Safety.verdict net ~prefix with
+          | Igp.Safety.Safe -> ()
+          | still -> report_unsafe t net ~time prefix still
         end);
     (* The purges themselves bumped the version; absorb them so the
        post-step check does not re-sweep an already-vetted state. *)

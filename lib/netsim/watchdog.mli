@@ -9,7 +9,7 @@
 
     - {b per-prefix safety}: the live forwarding graph of every
       announced prefix is loop-free and blackhole-free
-      ({!Igp.Safety.state_safe});
+      ({!Igp.Safety.verdict});
     - {b lie budget}: at most [max_fakes] fakes installed;
     - {b lie freshness}: every installed fake carries an expiry
       (mortal), not further out than [max_lie_age], and not silently

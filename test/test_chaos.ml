@@ -441,6 +441,20 @@ let test_watchdog_detects_forced_loop () =
   let kinds = List.map (fun (v : W.violation) -> v.kind) (W.violations wd) in
   Alcotest.(check bool) "loop flagged" true (List.mem W.Forwarding_loop kinds)
 
+(* The loop text reaches controller quarantine reasons and watchdog
+   details, so it is pinned word for word. *)
+let test_forced_loop_text () =
+  let d, net, sim = watchdog_sim () in
+  let wd = W.arm ~config:{ W.default_config with guard = false } sim in
+  Netsim.Sim.run_until sim 1.;
+  inject_loop d net sim;
+  let text = "forwarding loop for blue through {A, B}" in
+  Alcotest.(check (result unit string)) "state_safe" (Error text)
+    (Igp.Safety.state_safe net ~prefix:(pfx "blue"));
+  W.check_now wd sim;
+  Alcotest.(check (list string)) "watchdog detail" [ text ]
+    (List.map (fun (v : W.violation) -> v.detail) (W.violations wd))
+
 let test_watchdog_budget_and_freshness () =
   let d, net, sim = watchdog_sim () in
   let wd =
@@ -768,6 +782,7 @@ let () =
             test_watchdog_quiet_on_safe_run;
           Alcotest.test_case "detects forced loop" `Quick
             test_watchdog_detects_forced_loop;
+          Alcotest.test_case "forced loop text" `Quick test_forced_loop_text;
           Alcotest.test_case "budget + freshness" `Quick
             test_watchdog_budget_and_freshness;
           Alcotest.test_case "dangling lie" `Quick test_watchdog_dangling_lie;

@@ -176,7 +176,7 @@ let test_compile_demo_full () =
         (d.a, [ (d.b, 1. /. 3.); (d.r1, 2. /. 3.) ]);
       ]
   in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let plan = ok_exn (A.compile ~max_entries:4 net reqs) in
   A.apply net plan;
   let report =
@@ -195,7 +195,7 @@ let test_compile_falls_back_to_override () =
 
 let test_compile_is_surgical () =
   let d, net = demo_net () in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.b, [ (d.r3, 1.0) ]) ] in
   let plan = ok_exn (A.compile net reqs) in
   A.apply net plan;
@@ -217,7 +217,7 @@ let test_compile_repairs_collateral () =
      equal-cost echo would capture B (and transitively A and R1); the
      repair loop must pin them so only R3's forwarding changes. *)
   let d, net = demo_net () in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.r3, [ (d.b, 1.0) ]) ] in
   match A.compile net reqs with
   | Error e -> Alcotest.failf "expected repair to succeed: %s" e
@@ -286,7 +286,7 @@ let prop_compile_verified_on_random =
         else begin
           let chosen = List.filteri (fun i _ -> i < 3) (List.sort_uniq compare safe) in
           let reqs = R.even ~prefix:(pfx "p") ~router chosen in
-          let baseline = Fibbing.Verify.snapshot net (pfx "p") in
+          let baseline = Igp.Network.fibs net (pfx "p") in
           match A.compile net reqs with
           | Error _ -> true (* honest failure is acceptable *)
           | Ok plan ->
@@ -316,7 +316,7 @@ let test_merger_preserves_verification () =
       ]
   in
   let plan = ok_exn (A.compile ~max_entries:4 net reqs) in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let minimized = Fibbing.Merger.minimize net reqs plan in
   A.apply net minimized;
   let report =
@@ -350,7 +350,7 @@ let test_merger_drops_inert_fake () =
 
 let test_verify_detects_requirement_miss () =
   let d, net = demo_net () in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let report =
     Fibbing.Verify.check net ~prefix:(pfx "blue")
       ~expected:[ (d.b, [ (d.r2, 1); (d.r3, 1) ]) ]
@@ -362,7 +362,7 @@ let test_verify_detects_requirement_miss () =
 
 let test_verify_detects_collateral () =
   let d, net = demo_net () in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   Igp.Network.inject_fake net
     {
       fake_id = "rogue";
@@ -379,7 +379,7 @@ let test_verify_detects_collateral () =
 
 let test_verify_ok_baseline () =
   let _, net = demo_net () in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let report = Fibbing.Verify.check net ~prefix:(pfx "blue") ~expected:[] ~baseline in
   Alcotest.(check bool) "trivially ok" true report.ok
 
@@ -487,7 +487,7 @@ let test_controller_handles_anycast_prefix () =
     (Netsim.Sim.unroutable_flows sim);
   (* Forwarding state stays safe under anycast. *)
   Alcotest.(check bool) "state safe" true
-    (Fibbing.Transient.state_safe net ~prefix:(pfx "blue") = Ok ())
+    (Igp.Safety.state_safe net ~prefix:(pfx "blue") = Ok ())
 
 let test_controller_escalates_upstream () =
   (* The paper's second surge: B exhausted, the fix must land at A. *)
@@ -598,7 +598,7 @@ let test_controller_backs_off_when_ineffective () =
 let test_transient_baseline_safe () =
   let _, net = demo_net () in
   Alcotest.(check bool) "IGP state safe" true
-    (Fibbing.Transient.state_safe net ~prefix:(pfx "blue") = Ok ())
+    (Igp.Safety.state_safe net ~prefix:(pfx "blue") = Ok ())
 
 let test_transient_detects_loop () =
   let d, net = demo_net () in
@@ -609,7 +609,7 @@ let test_transient_detects_loop () =
   in
   Igp.Network.inject_fake net (cheap ~id:"l1" ~at:d.a ~fwd:d.b);
   Igp.Network.inject_fake net (cheap ~id:"l2" ~at:d.b ~fwd:d.a);
-  match Fibbing.Transient.state_safe net ~prefix:(pfx "blue") with
+  match Igp.Safety.state_safe net ~prefix:(pfx "blue") with
   | Error reason ->
     Alcotest.(check bool) "mentions loop" true
       (String.length reason > 0)
@@ -671,7 +671,7 @@ let test_transient_safe_order_found () =
 
 let test_transient_apply_and_revert_safely () =
   let d, net = demo_net () in
-  let baseline = Fibbing.Verify.snapshot net (pfx "blue") in
+  let baseline = Igp.Network.fibs net (pfx "blue") in
   let plan = r3_via_b_plan net in
   (match Fibbing.Transient.apply_safely net plan with
   | Ok () -> ()
@@ -703,7 +703,7 @@ let test_transient_safe_removal_order_found () =
     List.iter
       (fun (f : Igp.Lsa.fake) ->
         Igp.Network.retract_fake scratch ~fake_id:f.fake_id;
-        match Fibbing.Transient.state_safe scratch ~prefix:(pfx "blue") with
+        match Igp.Safety.state_safe scratch ~prefix:(pfx "blue") with
         | Ok () -> ()
         | Error reason ->
           Alcotest.failf "unsafe after retracting %s: %s" f.fake_id reason)
@@ -816,7 +816,7 @@ let prop_transient_safe_removal_on_random =
                 List.for_all
                   (fun (f : Igp.Lsa.fake) ->
                     Igp.Network.retract_fake scratch ~fake_id:f.fake_id;
-                    Fibbing.Transient.state_safe scratch ~prefix:(pfx "p") = Ok ())
+                    Igp.Safety.state_safe scratch ~prefix:(pfx "p") = Ok ())
                   order
                 && Igp.Network.fakes scratch = []))
         end)
@@ -900,7 +900,7 @@ let prop_controller_keeps_state_safe =
       Fibbing.Controller.attach controller sim;
       let safe = ref true in
       Netsim.Sim.on_step sim (fun _ ->
-          if Fibbing.Transient.state_safe net ~prefix:(pfx "p") <> Ok () then
+          if Igp.Safety.state_safe net ~prefix:(pfx "p") <> Ok () then
             safe := false);
       (* A surge of random flows from random ingresses. *)
       let flow_count = 5 + Kit.Prng.int prng 15 in

@@ -574,63 +574,44 @@ let test_convergence_weight_change_microloops () =
       (String.length description > 0)
   | None -> Alcotest.fail "expected a problem description"
 
-let test_convergence_verdict_direct () =
+(* ---------- Safety (the one loop/blackhole analysis) ---------- *)
+
+(* A hand-made one-hop FIB: [router] forwards [blue] to [next_hop]. *)
+let hop router next_hop =
+  Some
+    {
+      Igp.Fib.router;
+      prefix = pfx "blue";
+      distance = 1;
+      local = false;
+      entries = [ { next_hop; multiplicity = 1; via_fakes = [] } ];
+    }
+
+let test_safety_verdict_direct () =
   let d, net = demo_net () in
-  let fib router = Igp.Network.fib net ~router (pfx "blue") in
-  (match
-     Igp.Convergence.forwarding_verdict ~nodes:(G.nodes d.graph) ~fib
-   with
-  | Igp.Convergence.Safe -> ()
-  | Igp.Convergence.Loop _ | Igp.Convergence.Blackhole _ ->
+  (match Igp.Safety.verdict net ~prefix:(pfx "blue") with
+  | Igp.Safety.Safe -> ()
+  | Igp.Safety.Loop _ | Igp.Safety.Blackhole _ ->
     Alcotest.fail "baseline must be safe");
   (* A hand-made two-node loop. *)
-  let looped router =
-    if router = d.a then
-      Some
-        {
-          Igp.Fib.router = d.a;
-          prefix = pfx "blue";
-          distance = 1;
-          local = false;
-          entries = [ { next_hop = d.b; multiplicity = 1; via_fakes = [] } ];
-        }
-    else if router = d.b then
-      Some
-        {
-          Igp.Fib.router = d.b;
-          prefix = pfx "blue";
-          distance = 1;
-          local = false;
-          entries = [ { next_hop = d.a; multiplicity = 1; via_fakes = [] } ];
-        }
-    else None
-  in
-  match
-    Igp.Convergence.forwarding_verdict ~nodes:[ d.a; d.b ] ~fib:looped
-  with
-  | Igp.Convergence.Loop routers ->
+  let looped = Array.make (G.node_count d.graph) None in
+  looped.(d.a) <- hop d.a d.b;
+  looped.(d.b) <- hop d.b d.a;
+  match Igp.Safety.analyze looped with
+  | Igp.Safety.Loop routers ->
     Alcotest.(check (list int)) "both on the loop" [ d.a; d.b ]
       (List.sort compare routers)
-  | Igp.Convergence.Safe | Igp.Convergence.Blackhole _ ->
+  | Igp.Safety.Safe | Igp.Safety.Blackhole _ ->
     Alcotest.fail "loop not found"
 
-let test_convergence_blackhole_verdict () =
+let test_safety_blackhole_verdict () =
   let d, _ = demo_net () in
-  let fib router =
-    if router = d.a then
-      Some
-        {
-          Igp.Fib.router = d.a;
-          prefix = pfx "blue";
-          distance = 1;
-          local = false;
-          entries = [ { next_hop = d.b; multiplicity = 1; via_fakes = [] } ];
-        }
-    else None (* B has no route: A forwards into the void *)
-  in
-  match Igp.Convergence.forwarding_verdict ~nodes:[ d.a; d.b ] ~fib with
-  | Igp.Convergence.Blackhole router -> Alcotest.(check int) "at A" d.a router
-  | Igp.Convergence.Safe | Igp.Convergence.Loop _ ->
+  let fibs = Array.make (G.node_count d.graph) None in
+  (* B has no route: A forwards into the void. *)
+  fibs.(d.a) <- hop d.a d.b;
+  match Igp.Safety.analyze fibs with
+  | Igp.Safety.Blackhole router -> Alcotest.(check int) "at A" d.a router
+  | Igp.Safety.Safe | Igp.Safety.Loop _ ->
     Alcotest.fail "blackhole not found"
 
 (* ---------- Codec (wire format) ---------- *)
@@ -727,6 +708,34 @@ let test_codec_rejects_oversize_fields () =
               sequence = 0 });
        false
      with Invalid_argument _ -> true)
+
+(* Flows aimed at arbitrary destinations find their governing
+   announcement through [resolve]: fake churn must not change the
+   answer, and a later, more-specific announcement takes over its
+   range. *)
+let test_network_resolve () =
+  let d = T.demo () in
+  let net = Igp.Network.create d.graph in
+  List.iter
+    (fun s -> Igp.Network.announce_prefix net (pfx s) ~origin:d.c ~cost:0)
+    [ "10.0.0.0/8"; "10.1.0.0/16" ];
+  let resolves label dest want =
+    Alcotest.(check (option string)) label want
+      (Option.map Igp.Prefix.to_string (Igp.Network.resolve net (pfx dest)))
+  in
+  resolves "exact" "10.1.0.0/16" (Some "10.1.0.0/16");
+  resolves "covering block" "10.1.2.3/32" (Some "10.1.0.0/16");
+  resolves "outer block" "10.2.0.1/32" (Some "10.0.0.0/8");
+  resolves "no cover" "192.168.0.1/32" None;
+  Igp.Network.inject_fake net
+    { fake_id = "f16"; attachment = d.b; attachment_cost = 1;
+      prefix = pfx "10.1.0.0/16"; announced_cost = 1; forwarding = d.r3 };
+  resolves "under a fake" "10.1.2.3/32" (Some "10.1.0.0/16");
+  Igp.Network.retract_fake net ~fake_id:"f16";
+  resolves "after retraction" "10.1.2.3/32" (Some "10.1.0.0/16");
+  Igp.Network.announce_prefix net (pfx "10.1.2.0/24") ~origin:d.a ~cost:0;
+  resolves "later more-specific" "10.1.2.3/32" (Some "10.1.2.0/24");
+  resolves "sibling keeps its block" "10.1.3.1/32" (Some "10.1.0.0/16")
 
 let test_network_router_lsa () =
   let d, net = demo_net () in
@@ -1129,50 +1138,6 @@ let prop_trie_matches_flat =
                breakpoints)
         ops)
 
-(* Network-level: after arbitrary fake churn, the aggregated per-router
-   trie must route every breakpoint address exactly like the flat FIB. *)
-let test_engine_lpm_matches_flat () =
-  let d = T.demo () in
-  let net = Igp.Network.create d.graph in
-  let announced = [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24" ] in
-  List.iter (fun s -> Igp.Network.announce_prefix net (pfx s) ~origin:d.c ~cost:0)
-    announced;
-  let check_agree label =
-    List.iter
-      (fun router ->
-        List.iter
-          (fun s ->
-            let p = pfx s in
-            let flat = Igp.Network.fib net ~router p in
-            (match Igp.Network.lpm net ~router (Igp.Prefix.first_addr p) with
-            | None ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: router %d %s unreachable both ways" label router s)
-                true (flat = None)
-            | Some (_, agg) ->
-              let flat = Option.get flat in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: router %d %s same behavior" label router s)
-                true
-                (Igp.Fib.same_behavior flat agg)))
-          announced)
-      (G.nodes d.graph)
-  in
-  check_agree "baseline";
-  Igp.Network.inject_fake net
-    { fake_id = "f16"; attachment = d.b; attachment_cost = 1;
-      prefix = pfx "10.1.0.0/16"; announced_cost = 1; forwarding = d.r3 };
-  check_agree "fake on /16";
-  Igp.Network.retract_fake net ~fake_id:"f16";
-  check_agree "fake retracted";
-  (* Aggregation must be doing something: nested equal-behavior prefixes
-     collapse in the trie. *)
-  let stats = Igp.Spf_engine.aggregation (Igp.Network.engine net) ~router:d.a in
-  Alcotest.(check bool)
-    (Printf.sprintf "aggregates (%d/%d installed)" stats.installed stats.routes)
-    true
-    (stats.installed < stats.routes)
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1193,8 +1158,6 @@ let () =
           Alcotest.test_case "nested overlap" `Quick test_trie_nested_overlap;
           Alcotest.test_case "sibling barriers" `Quick test_trie_sibling_barriers;
           Alcotest.test_case "lookup within" `Quick test_trie_lookup_within;
-          Alcotest.test_case "engine lpm matches flat" `Quick
-            test_engine_lpm_matches_flat;
         ] );
       ( "lsa",
         [
@@ -1245,6 +1208,7 @@ let () =
             test_network_set_weight_reconverges;
           Alcotest.test_case "refresh cost" `Quick test_network_refresh_cost;
           Alcotest.test_case "retract all" `Quick test_network_retract_all;
+          Alcotest.test_case "resolve" `Quick test_network_resolve;
         ] );
       ( "spf-engine",
         [
@@ -1258,8 +1222,8 @@ let () =
             test_convergence_fake_injection_loop_free;
           Alcotest.test_case "weight change micro-loops" `Quick
             test_convergence_weight_change_microloops;
-          Alcotest.test_case "loop verdict" `Quick test_convergence_verdict_direct;
-          Alcotest.test_case "blackhole verdict" `Quick test_convergence_blackhole_verdict;
+          Alcotest.test_case "loop verdict" `Quick test_safety_verdict_direct;
+          Alcotest.test_case "blackhole verdict" `Quick test_safety_blackhole_verdict;
         ] );
       ( "codec",
         [
