@@ -48,7 +48,7 @@ let () =
       (fun fake -> Format.printf "  %a@." (Igp.Lsa.pp ~names) (Fake fake))
       plan.fakes;
 
-    (* 4. Inject. Every router recomputes SPF on the augmented topology. *)
+    (* 4. Inject. Every router recomputes its routes to the lied-about prefix. *)
     Fibbing.Augmentation.apply net plan;
     show_fibs "Routes after Fibbing (Fig. 1c/1d):";
 

@@ -3,25 +3,10 @@ module Graph = Netgraph.Graph
 let m_delta_appends = Obs.Metrics.counter "lsdb.delta_appends"
 let m_log_overflows = Obs.Metrics.counter "lsdb.log_overflows"
 
-type view = {
-  graph : Graph.t;
-  real_nodes : int;
-  prefixes : Lsa.prefix array;
-  sinks : (Lsa.prefix, Graph.node) Hashtbl.t;
-  fake_stubs : Lsa.fake array;
-}
-
-let sink view prefix = Hashtbl.find_opt view.sinks prefix
-
-let fake_of_node view node =
-  let i = node - view.real_nodes in
-  if i >= 0 && i < Array.length view.fake_stubs then Some view.fake_stubs.(i)
-  else None
-
 type delta =
   | Fake_delta of {
       attachment : Graph.node;
-      view_cost : int;
+      cost : int;
       prefix : Lsa.prefix;
     }
   | Weight_delta of {
@@ -34,16 +19,27 @@ type delta =
 
 let log_cap = 1024
 
+(* An LSA's identity: what {!Lsa.key} formats, kept unformatted so
+   bumping a sequence number (and cloning) costs no string building. *)
+type lsa_id =
+  | Router_id of Graph.node
+  | Prefix_id of Graph.node * Lsa.prefix
+  | Fake_id of string
+
+let key_of_id = function
+  | Router_id origin -> Lsa.key (Router { origin; links = [] })
+  | Prefix_id (origin, prefix) -> Lsa.key (Prefix { origin; prefix; cost = 0 })
+  | Fake_id fake_id -> Printf.sprintf "fake:%s" fake_id
+
 type t = {
   base : Graph.t;
   mutable announcements : (Lsa.prefix * Graph.node * int) list; (* newest last *)
   mutable fake_list : Lsa.fake list; (* newest last *)
   expiries : (string, float) Hashtbl.t;
       (* fake_id -> absolute expiry time; absent = never expires. *)
-  sequences : (string, int) Hashtbl.t;
+  sequences : (lsa_id, int) Hashtbl.t;
   mutable version : int;
   mutable last_origin : Graph.node option;
-  mutable cached_view : (int * view) option;
   mutable resolver : Lsa.prefix Fib_trie.t option;
       (* LPM index over announced prefixes, built lazily and dropped by
          [announce_prefix] — the only writer of [announcements]; maps
@@ -64,7 +60,6 @@ let create base =
     sequences = Hashtbl.create 32;
     version = 0;
     last_origin = None;
-    cached_view = None;
     resolver = None;
     delta_log = [];
     log_entries = 0;
@@ -72,6 +67,30 @@ let create base =
   }
 
 let base_graph t = t.base
+
+(* What replaying [announce_prefix] over [src]'s announcements and then
+   [install_fake] over its fakes would leave, built without the replay's
+   per-call list scans: the same lists, every LSA at sequence 1, one
+   version per LSA. *)
+let clone src base =
+  let sequences = Hashtbl.create (max 32 (List.length src.announcements)) in
+  let seen id = Hashtbl.replace sequences id 1 in
+  List.iter (fun (prefix, origin, _) -> seen (Prefix_id (origin, prefix))) src.announcements;
+  List.iter (fun (f : Lsa.fake) -> seen (Fake_id f.fake_id)) src.fake_list;
+  let last_of f l = match List.rev l with x :: _ -> Some (f x) | [] -> None in
+  let version = List.length src.announcements + List.length src.fake_list in
+  {
+    (create base) with
+    announcements = src.announcements;
+    fake_list = src.fake_list;
+    sequences;
+    version;
+    last_origin =
+      (match last_of (fun (f : Lsa.fake) -> f.attachment) src.fake_list with
+      | Some _ as o -> o
+      | None -> last_of (fun (_, o, _) -> o) src.announcements);
+    log_floor = version;
+  }
 
 (* Tag [deltas] with the current (already bumped) version. On overflow
    the whole log is dropped and the floor raised to the current version:
@@ -105,18 +124,14 @@ let deltas_since t ~since =
     Some (take [] t.delta_log)
   end
 
-let bump t key =
-  let seq = Option.value ~default:0 (Hashtbl.find_opt t.sequences key) in
-  Hashtbl.replace t.sequences key (seq + 1);
+let bump t id =
+  let seq = Option.value ~default:0 (Hashtbl.find_opt t.sequences id) in
+  Hashtbl.replace t.sequences id (seq + 1);
   t.version <- t.version + 1
-
-(* Cost from a fake's attachment router to the prefix sink through the
-   fake's stub node, in view units (includes the +1 announcer offset). *)
-let fake_view_cost (f : Lsa.fake) = f.attachment_cost + f.announced_cost + 1
 
 let fake_delta (f : Lsa.fake) =
   Fake_delta
-    { attachment = f.attachment; view_cost = fake_view_cost f; prefix = f.prefix }
+    { attachment = f.attachment; cost = Lsa.total_cost f; prefix = f.prefix }
 
 let announce_prefix t prefix ~origin ~cost =
   if cost < 0 then invalid_arg "Lsdb.announce_prefix: negative cost";
@@ -126,7 +141,7 @@ let announce_prefix t prefix ~origin ~cost =
     List.filter (fun (p, o, _) -> not (Prefix.equal p prefix && o = origin)) t.announcements
     @ [ (prefix, origin, cost) ];
   t.resolver <- None;
-  bump t (Lsa.key (Prefix { origin; prefix; cost }));
+  bump t (Prefix_id (origin, prefix));
   record t [ Generic_delta ]
 
 let prefix_known t prefix =
@@ -154,7 +169,7 @@ let install_fake t (fake : Lsa.fake) =
     List.filter (fun (f : Lsa.fake) -> not (String.equal f.fake_id fake.fake_id)) t.fake_list
     @ [ fake ];
   t.last_origin <- Some fake.attachment;
-  bump t (Lsa.key (Fake fake));
+  bump t (Fake_id fake.fake_id);
   (* Supersession is a retraction plus an installation: both deltas are
      logged so incremental consumers see the old fake disappear too. *)
   record t
@@ -174,7 +189,7 @@ let retract_fake t ~fake_id =
         t.fake_list;
     Hashtbl.remove t.expiries fake_id;
     t.last_origin <- Some fake.attachment;
-    bump t (Printf.sprintf "fake:%s" fake_id);
+    bump t (Fake_id fake_id);
     record t [ fake_delta fake ]
 
 let retract_all_fakes t =
@@ -236,7 +251,10 @@ let resolve t prefix =
 let prefix_list t =
   List.sort_uniq compare (List.map (fun (p, _, _) -> p) t.announcements)
 
-let sequence t ~key = Hashtbl.find_opt t.sequences key
+let sequence t ~key =
+  Hashtbl.fold
+    (fun id seq found -> if String.equal (key_of_id id) key then Some seq else found)
+    t.sequences None
 
 let version t = t.version
 
@@ -251,56 +269,12 @@ let reoriginate t ~origin =
   (* A router (re)floods its own LSA with a higher sequence number:
      crash (MaxAge flush) and recovery both look like this to the rest
      of the domain. The adjacency changes themselves live in the graph;
-     here we advance the LSA identity and invalidate cached views. *)
+     here we advance the LSA identity and log a generic delta. *)
   t.last_origin <- Some origin;
-  bump t (Lsa.key (Router { origin; links = [] }));
+  bump t (Router_id origin);
   record t [ Generic_delta ]
 
 let weight_changed t u v ~old_weight ~new_weight =
   t.last_origin <- Some u;
   t.version <- t.version + 1;
   record t [ Weight_delta { u; v; old_weight; new_weight } ]
-
-let build_view t =
-  let graph = Graph.copy t.base in
-  let real_nodes = Graph.node_count graph in
-  (* One stub node per fake, reachable only via its attachment. Stubs are
-     added before sinks, so the stub for [fake_stubs.(i)] is node
-     [real_nodes + i] — [fake_of_node] relies on this. *)
-  let fake_stubs = Array.of_list t.fake_list in
-  Array.iter
-    (fun (f : Lsa.fake) ->
-      let node = Graph.add_node graph ~name:f.fake_id in
-      Graph.add_edge graph f.attachment node ~weight:f.attachment_cost)
-    fake_stubs;
-  (* One sink per prefix, fed by real announcers and by fakes. A cost of 0
-     is represented by a +1 offset on every announcer edge (Graph rejects
-     zero-weight edges), which preserves all cost comparisons. *)
-  let prefixes = Array.of_list (prefix_list t) in
-  let sinks = Hashtbl.create (max 16 (2 * Array.length prefixes)) in
-  Array.iter
-    (fun prefix ->
-      let sink =
-        Graph.add_node graph
-          ~name:(Printf.sprintf "prefix:%s" (Prefix.to_string prefix))
-      in
-      Hashtbl.replace sinks prefix sink)
-    prefixes;
-  List.iter
-    (fun (p, origin, cost) ->
-      Graph.add_edge graph origin (Hashtbl.find sinks p) ~weight:(cost + 1))
-    t.announcements;
-  Array.iteri
-    (fun i (f : Lsa.fake) ->
-      Graph.add_edge graph (real_nodes + i) (Hashtbl.find sinks f.prefix)
-        ~weight:(f.announced_cost + 1))
-    fake_stubs;
-  { graph; real_nodes; prefixes; sinks; fake_stubs }
-
-let view t =
-  match t.cached_view with
-  | Some (version, v) when version = t.version -> v
-  | Some _ | None ->
-    let v = build_view t in
-    t.cached_view <- Some (t.version, v);
-    v

@@ -5,10 +5,9 @@
     prefix and fake LSAs are installed explicitly. Each change bumps a
     version and a per-LSA sequence number, mirroring OSPF supersession.
 
-    [view] materializes the augmented routing graph every router computes
-    SPF on: the physical graph, plus one stub node per fake LSA, plus one
-    virtual sink node per prefix with an incoming edge from every
-    announcer (real egress at its announced cost, fakes at theirs).
+    The LSDB only stores LSAs; routes are computed from them by {!Spf}
+    in two stages (SPF over the physical graph, then per-prefix
+    candidates: real announcers and fakes).
 
     Beyond the version counter, the LSDB keeps a bounded log of the
     structural deltas behind recent version bumps. Incremental consumers
@@ -19,29 +18,12 @@
 
 type t
 
-type view = {
-  graph : Netgraph.Graph.t;
-      (** Augmented graph. Node identifiers [< real_nodes] coincide with
-          the physical graph's. *)
-  real_nodes : int;
-  prefixes : Lsa.prefix array;  (** Distinct announced prefixes, sorted. *)
-  sinks : (Lsa.prefix, Netgraph.Graph.node) Hashtbl.t;
-  fake_stubs : Lsa.fake array;
-      (** The stub node of [fake_stubs.(i)] is [real_nodes + i]. *)
-}
-
-val sink : view -> Lsa.prefix -> Netgraph.Graph.node option
-(** The prefix's virtual sink node, if the prefix is announced. *)
-
-val fake_of_node : view -> Netgraph.Graph.node -> Lsa.fake option
-(** The fake whose stub node this is; [None] for real nodes and sinks. *)
-
 type delta =
   | Fake_delta of {
       attachment : Netgraph.Graph.node;
-      view_cost : int;
-          (** Cost from the attachment to the prefix sink through the
-              fake's stub, in view units (announcer +1 offset included). *)
+      cost : int;
+          (** {!Lsa.total_cost}: the cost at which the attachment reaches
+              the prefix through the fake. *)
       prefix : Lsa.prefix;
     }  (** A fake LSA appeared or disappeared (same dirty test either way). *)
   | Weight_delta of {
@@ -53,13 +35,21 @@ type delta =
            a delta describes one directed edge [u -> v]). *)
   | Generic_delta
       (** Anything else (prefix announcement, external graph surgery);
-          consumers must assume the whole view changed. *)
+          consumers must assume every route changed. *)
 
 val create : Netgraph.Graph.t -> t
 (** The LSDB reads the physical graph lazily: weight changes made to the
     graph afterwards are picked up after a call to [touch]. *)
 
 val base_graph : t -> Netgraph.Graph.t
+
+val clone : t -> Netgraph.Graph.t -> t
+(** [clone t g] is an LSDB over [g] (a copy of [t]'s base graph) with
+    what replaying [t]'s announcements through {!announce_prefix} and
+    then its fakes through {!install_fake} would leave: the same
+    announcements and fakes in the same order, each LSA at sequence 1,
+    one version per LSA, no fake expiries. Linear in their number. Its
+    delta log starts empty at that version. *)
 
 val announce_prefix : t -> Lsa.prefix -> origin:Netgraph.Graph.node -> cost:int -> unit
 (** Install (or supersede) the real announcement of a prefix. A prefix may
@@ -135,7 +125,8 @@ val resolve : t -> Lsa.prefix -> Lsa.prefix option
 val sequence : t -> key:string -> int option
 (** Current sequence number of the LSA with this [Lsa.key]; [None] if
     never installed. Sequence numbers survive retraction (as in OSPF,
-    where a purged LSA's sequence keeps increasing). *)
+    where a purged LSA's sequence keeps increasing). A diagnostic: it
+    scans every LSA the database has seen. *)
 
 val version : t -> int
 (** Bumped on every change; cheap to poll. *)
@@ -148,7 +139,7 @@ val last_origin : t -> Netgraph.Graph.node option
 
 val touch : ?origin:Netgraph.Graph.node -> t -> unit
 (** Signal that the physical graph was mutated externally (e.g. a link
-    removal at [origin]), invalidating cached views. Logged as
+    removal at [origin]). Logged as
     [Generic_delta]. *)
 
 val reoriginate : t -> origin:Netgraph.Graph.node -> unit
@@ -174,6 +165,3 @@ val deltas_since : t -> since:int -> delta list option
 (** All deltas applied after version [since], oldest first; [None] when
     the log no longer reaches back that far (caller must assume
     everything changed). [Some []] iff [since] is the current version. *)
-
-val view : t -> view
-(** Cached per [version]. *)

@@ -30,11 +30,7 @@ let create ?domains graph =
 
 let clone t =
   let graph = Graph.copy t.graph in
-  let lsdb = Lsdb.create graph in
-  List.iter
-    (fun (prefix, origin, cost) -> Lsdb.announce_prefix lsdb prefix ~origin ~cost)
-    (Lsdb.prefixes t.lsdb);
-  List.iter (fun fake -> Lsdb.install_fake lsdb fake) (Lsdb.fakes t.lsdb);
+  let lsdb = Lsdb.clone t.lsdb graph in
   let pool =
     Kit.Pool.create ~domains:(Kit.Pool.domain_count (Spf_engine.pool t.engine)) ()
   in

@@ -12,8 +12,10 @@ val create : ?domains:int -> Netgraph.Graph.t -> t
     stays sequential instead of nesting fan-outs. *)
 
 val clone : t -> t
-(** Independent deep copy (graph, announcements, fakes); used to test a
-    candidate augmentation before touching the live network. Control-cost
+(** Independent deep copy (graph, announcements, fakes), built in time
+    linear in the prefix and fake counts (see {!Lsdb.clone}); used to
+    test a candidate augmentation before touching the live network.
+    Fake expiries are not copied. Control-cost
     counters start at zero in the clone; the SPF pool keeps the
     original's width. *)
 

@@ -22,16 +22,32 @@ type stats = {
 
 (* One dirty-log event: the set of routers whose cached tables a sync
    (or an explicit invalidation) dropped. [Full_dirt] means "assume
-   everything" — the entries array was rebuilt, so even router identity
+   everything" — the slots array was rebuilt, so even router identity
    is suspect. *)
 type dirt = Full_dirt | Routers_dirt of Graph.node list
+
+type table = (Lsa.prefix, Fib.t) Hashtbl.t
+
+(* A router's cached state. Only [Current] counts as a kept table; the
+   other two are what the dirty accounting calls dropped, and the next
+   lookup refills them. *)
+type slot =
+  | Current of Spf.tree * table
+  | Stale_rows of Spf.tree * table * Lsa.prefix list
+      (* Stage 1 still holds; the listed prefixes' rows must be
+         rewritten (fake deltas), every other row is current. *)
+  | Dirty (* Stage 1 must rerun (one Dijkstra), then every row. *)
+
+type origins = { announcers : (Graph.node * int) list; fakes : Lsa.fake list }
+
+(* Stage 2's inputs per prefix, valid at LSDB version [at]. *)
+type index = { mutable at : int; routes : (Lsa.prefix, origins) Hashtbl.t }
 
 type t = {
   lsdb : Lsdb.t;
   pool : Kit.Pool.t;
-  mutable entries : (Lsa.prefix, Fib.t) Hashtbl.t option array;
-      (* Slot [r] holds router [r]'s full per-prefix FIB table, valid at
-         version [synced]; [None] marks a dirty router. *)
+  mutable slots : slot array; (* indexed by router, valid at [synced] *)
+  mutable index : index option;
   mutable synced : int;
   spf_runs : int Atomic.t; (* bumped from worker domains *)
   mutable syncs : int;
@@ -50,7 +66,8 @@ let create ?pool lsdb =
   {
     lsdb;
     pool;
-    entries = Array.make n None;
+    slots = Array.make n Dirty;
+    index = None;
     synced = Lsdb.version lsdb;
     spf_runs = Atomic.make 0;
     syncs = 0;
@@ -84,73 +101,123 @@ let stats t =
     routers_kept = t.routers_kept;
   }
 
-(* One Dijkstra for router [r], shared by every prefix. *)
-let compute_router t view r =
-  Atomic.incr t.spf_runs;
-  let fib_list = Spf.compute view ~router:r in
-  let tbl = Hashtbl.create (max 8 (2 * List.length fib_list)) in
-  List.iter (fun (f : Fib.t) -> Hashtbl.replace tbl f.prefix f) fib_list;
-  tbl
+let build_index lsdb =
+  let routes = Hashtbl.create 64 in
+  let update p f =
+    Hashtbl.replace routes p
+      (f (Option.value ~default:{ announcers = []; fakes = [] } (Hashtbl.find_opt routes p)))
+  in
+  List.iter
+    (fun (p, o, cost) -> update p (fun r -> { r with announcers = (o, cost) :: r.announcers }))
+    (Lsdb.prefixes lsdb);
+  List.iter
+    (fun (f : Lsa.fake) -> update f.prefix (fun r -> { r with fakes = f :: r.fakes }))
+    (Lsdb.fakes lsdb);
+  { at = Lsdb.version lsdb; routes }
 
-let drop_all t =
-  Array.fill t.entries 0 (Array.length t.entries) None;
+(* The index at the current version. Only a generic delta can change
+   announcements, so across fake and weight deltas the index is patched:
+   each fake delta re-reads its (announced, hence indexed) prefix's
+   fakes. Must run on the coordinating domain, before any fan-out reads
+   the index. *)
+let index t =
+  let version = Lsdb.version t.lsdb in
+  let idx =
+    match t.index with
+    | Some idx when idx.at = version -> idx
+    | Some idx -> (
+      match Lsdb.deltas_since t.lsdb ~since:idx.at with
+      | Some deltas when not (List.mem Lsdb.Generic_delta deltas) ->
+        List.iter
+          (function
+            | Lsdb.Fake_delta { prefix; _ } ->
+              let fakes =
+                List.filter
+                  (fun (f : Lsa.fake) -> Prefix.equal f.prefix prefix)
+                  (Lsdb.fakes t.lsdb)
+              in
+              Hashtbl.replace idx.routes prefix
+                { (Hashtbl.find idx.routes prefix) with fakes }
+            | Lsdb.Weight_delta _ | Lsdb.Generic_delta -> ())
+          deltas;
+        idx.at <- version;
+        idx
+      | Some _ | None -> build_index t.lsdb)
+    | None -> build_index t.lsdb
+  in
+  t.index <- Some idx;
+  idx
+
+let write_row tree tbl prefix { announcers; fakes } =
+  match Spf.prefix_fib tree prefix ~announcers ~fakes with
+  | Some fib -> Hashtbl.replace tbl prefix fib
+  | None -> Hashtbl.remove tbl prefix
+
+(* Bring router [r]'s slot to [Current]: a stale-rows slot rewrites only
+   its listed rows from the cached stage 1; a dirty one runs stage 1
+   (the only Dijkstra) and every row. Touches slot [r] only, so distinct
+   routers may be refilled in parallel. *)
+let refill t idx r =
+  match t.slots.(r) with
+  | Current _ -> ()
+  | Stale_rows (tree, tbl, prefixes) ->
+    List.iter (fun p -> write_row tree tbl p (Hashtbl.find idx.routes p)) prefixes;
+    t.slots.(r) <- Current (tree, tbl)
+  | Dirty ->
+    Atomic.incr t.spf_runs;
+    let tree = Spf.shortest_paths (Lsdb.base_graph t.lsdb) ~router:r in
+    let tbl = Hashtbl.create (max 8 (2 * Hashtbl.length idx.routes)) in
+    Hashtbl.iter (write_row tree tbl) idx.routes;
+    t.slots.(r) <- Current (tree, tbl)
+
+let drop_all t = Array.fill t.slots 0 (Array.length t.slots) Dirty
+
+let count_full_invalidation t =
   t.full_invalidations <- t.full_invalidations + 1;
   Obs.Metrics.incr m_full_invalidations
 
 let invalidate_all t =
   drop_all t;
+  count_full_invalidation t;
   record_dirt t Full_dirt;
   t.synced <- Lsdb.version t.lsdb
 
-(* Cached view distance from [r] to [prefix]'s sink: FIB distances have
-   the announcer +1 offset removed, so add it back; no FIB entry means
-   the prefix was unreachable (infinite distance). *)
-let cached_view_distance tbl prefix =
-  match Hashtbl.find_opt tbl prefix with
-  | Some (fib : Fib.t) -> Some (fib.distance + 1)
-  | None -> None
-
-(* Fake install/retract at attachment [a] with sink cost [c]: router [r]'s
-   routes for that prefix can change only if the candidate path through
-   the fake competes with r's cached distance, i.e.
-   d(r, a) + c <= cached_view_distance(r, prefix). Equality matters:
+(* Fake install/retract at attachment [a] for [prefix], reaching it at
+   [cost] from [a]: router [r]'s row for that prefix can change only if
+   the candidate competes with r's cached distance, i.e.
+   d(r, a) + cost <= cached distance(r, prefix). Equality matters:
    retracting an equal-cost fake changes the ECMP set, and an install at
-   equal cost widens it. [d(r, a)] comes from one reverse-graph Dijkstra
-   rooted at the attachment — fake stubs are never transit nodes, so
-   real-node distances in the view equal base-graph distances, and a
-   fake-only batch leaves the base graph untouched.
+   equal cost widens it. [d(r, a)] is read from r's cached stage 1: a
+   fake-only batch leaves the physical graph untouched.
 
-   Deltas are applied in log order: a router whose true distance is
-   changed by delta i is dirtied by delta i's own test (retraction
-   affects r only when the candidate equals the distance — caught by
-   [<=]), so every router still holding its table when delta j > i is
-   examined has a cached distance that is still its true distance. That
-   makes the sequential test sound for arbitrary install/retract
-   interleavings, including supersessions (logged as retract + install). *)
-let apply_fake_delta t rev_graph rev_results ~attachment ~view_cost ~prefix =
-  let rev =
-    match Hashtbl.find_opt rev_results attachment with
-    | Some r -> r
-    | None ->
-      let r = Dijkstra.run rev_graph ~source:attachment in
-      Hashtbl.add rev_results attachment r;
-      r
+   Deltas are applied in log order: a row whose true distance is changed
+   by delta i is flagged by delta i's own test (retraction affects r
+   only when the candidate equals the distance — caught by [<=]), and a
+   flagged row is never tested again, so every row still unflagged when
+   delta j > i is examined has a cached distance that is still its true
+   distance. That makes the sequential test sound for arbitrary
+   install/retract interleavings, including supersessions (logged as
+   retract + install). A flagged router keeps its stage 1 and all other
+   rows; only the flagged rows are rewritten on refill. *)
+let apply_fake_delta t ~attachment ~cost ~prefix =
+  let flags tree tbl =
+    match Spf.distance tree attachment with
+    | None -> false (* attachment unreachable: the fake can't matter *)
+    | Some d_ra -> (
+      match Hashtbl.find_opt tbl prefix with
+      | None -> true (* was unreachable; an install could route it *)
+      | Some (fib : Fib.t) -> d_ra + cost <= fib.distance)
   in
   Array.iteri
-    (fun r entry ->
-      match entry with
-      | None -> ()
-      | Some tbl -> (
-        match Dijkstra.distance rev r with
-        | None -> () (* attachment unreachable: the fake can't matter *)
-        | Some d_ra ->
-          let dirty =
-            match cached_view_distance tbl prefix with
-            | None -> true (* was unreachable; an install could route it *)
-            | Some cached -> d_ra + view_cost <= cached
-          in
-          if dirty then t.entries.(r) <- None))
-    t.entries
+    (fun r slot ->
+      match slot with
+      | Dirty -> ()
+      | Current (tree, tbl) ->
+        if flags tree tbl then t.slots.(r) <- Stale_rows (tree, tbl, [ prefix ])
+      | Stale_rows (tree, tbl, prefixes) ->
+        if (not (List.mem prefix prefixes)) && flags tree tbl then
+          t.slots.(r) <- Stale_rows (tree, tbl, prefix :: prefixes))
+    t.slots
 
 (* Weight change on directed edge (u, v), evaluated on the post-change
    graph: router [r] is affected iff the edge lies on one of its old or
@@ -167,7 +234,8 @@ let apply_fake_delta t rev_graph rev_results ~attachment ~view_cost ~prefix =
    neither, A < d(r, u) + min(w_old, w_new) and d_new(r, v) = A, so the
    test stays quiet — and then no shortest path of r (to any node: a
    shortest path through the edge would have a shortest prefix to [v]
-   using it) changes, distances and DAGs included.
+   using it) changes, distances and DAGs included: stage 1 and every
+   row stand.
 
    Only single-delta batches use this rule: two weight changes evaluated
    against the final graph can mask each other, so mixed or multi-delta
@@ -179,10 +247,10 @@ let apply_weight_delta t ~u ~v ~old_weight ~new_weight =
     let from_v = Dijkstra.run rev ~source:v in
     let bound = min old_weight new_weight in
     Array.iteri
-      (fun r entry ->
-        match entry with
-        | None -> ()
-        | Some _ -> (
+      (fun r slot ->
+        match slot with
+        | Dirty -> ()
+        | Current _ | Stale_rows _ -> (
           match Dijkstra.distance from_u r with
           | None -> () (* r can't reach u, so it can't use the edge *)
           | Some d_ru ->
@@ -191,32 +259,30 @@ let apply_weight_delta t ~u ~v ~old_weight ~new_weight =
               | None -> true
               | Some d_rv -> d_ru + bound <= d_rv
             in
-            if dirty then t.entries.(r) <- None))
-      t.entries
+            if dirty then t.slots.(r) <- Dirty))
+      t.slots
   end
 
+(* [false] when the batch has no precise rule and every slot must go. *)
 let apply_deltas t deltas =
-  let fake_only =
-    List.for_all
-      (function Lsdb.Fake_delta _ -> true | _ -> false)
-      deltas
-  in
-  if fake_only then begin
-    let rev_graph = Graph.reverse (Lsdb.base_graph t.lsdb) in
-    let rev_results = Hashtbl.create 4 in
+  if List.for_all (function Lsdb.Fake_delta _ -> true | _ -> false) deltas then begin
     List.iter
       (function
-        | Lsdb.Fake_delta { attachment; view_cost; prefix } ->
-          apply_fake_delta t rev_graph rev_results ~attachment ~view_cost
-            ~prefix
+        | Lsdb.Fake_delta { attachment; cost; prefix } ->
+          apply_fake_delta t ~attachment ~cost ~prefix
         | Lsdb.Weight_delta _ | Lsdb.Generic_delta -> assert false)
-      deltas
+      deltas;
+    true
   end
   else
     match deltas with
     | [ Lsdb.Weight_delta { u; v; old_weight; new_weight } ] ->
-      apply_weight_delta t ~u ~v ~old_weight ~new_weight
-    | _ -> drop_all t
+      apply_weight_delta t ~u ~v ~old_weight ~new_weight;
+      true
+    | _ -> false
+
+let is_current = function Current _ -> true | Stale_rows _ | Dirty -> false
+let is_dirty = function Dirty -> true | Current _ | Stale_rows _ -> false
 
 let sync t =
   let current = Lsdb.version t.lsdb in
@@ -224,29 +290,33 @@ let sync t =
     t.syncs <- t.syncs + 1;
     Obs.Metrics.incr m_syncs;
     let n = Graph.node_count (Lsdb.base_graph t.lsdb) in
-    if Array.length t.entries <> n then begin
-      t.entries <- Array.make n None;
-      t.full_invalidations <- t.full_invalidations + 1;
-      record_dirt t Full_dirt;
-      Obs.Metrics.incr m_full_invalidations
+    if Array.length t.slots <> n then begin
+      t.slots <- Array.make n Dirty;
+      count_full_invalidation t;
+      record_dirt t Full_dirt
     end
-    else begin
-      let valid a =
-        Array.fold_left (fun k e -> if Option.is_some e then k + 1 else k) 0 a
+    else if not (Array.for_all is_dirty t.slots) then begin
+      (* The counters and the timeline see [Current] slots only: a slot
+         already waiting for a refill is neither kept nor dirtied again. *)
+      let was_current = Array.map is_current t.slots in
+      let before = Array.fold_left (fun k c -> if c then k + 1 else k) 0 was_current in
+      let precise =
+        match Lsdb.deltas_since t.lsdb ~since:t.synced with
+        | None -> false
+        | Some deltas -> apply_deltas t deltas
       in
-      let before = valid t.entries in
+      if not precise then begin
+        drop_all t;
+        if before > 0 then count_full_invalidation t
+      end;
       if before > 0 then begin
-        let was_valid = Array.map Option.is_some t.entries in
-        (match Lsdb.deltas_since t.lsdb ~since:t.synced with
-        | None -> drop_all t
-        | Some deltas -> apply_deltas t deltas);
         let dirtied = ref [] in
         Array.iteri
           (fun r was ->
-            if was && t.entries.(r) = None then dirtied := r :: !dirtied)
-          was_valid;
+            if was && not (is_current t.slots.(r)) then dirtied := r :: !dirtied)
+          was_current;
         if !dirtied <> [] then record_dirt t (Routers_dirt !dirtied);
-        let after = valid t.entries in
+        let after = before - List.length !dirtied in
         t.routers_kept <- t.routers_kept + after;
         t.routers_dirtied <- t.routers_dirtied + (before - after);
         Obs.Metrics.add m_routers_kept after;
@@ -286,30 +356,27 @@ let dirtied_since t ~cursor =
   end
 
 let check_router t router =
-  if router < 0 || router >= Array.length t.entries then
+  if router < 0 || router >= Array.length t.slots then
     invalid_arg "Spf_engine: not a real router"
 
 let table_for t router =
-  match t.entries.(router) with
-  | Some tbl -> tbl
-  | None ->
-    let fill () = compute_router t (Lsdb.view t.lsdb) router in
-    let tbl =
-      if Obs.enabled () then begin
-        let t0 = Obs.Clock.now () in
-        let tbl =
-          Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words
-            ~attrs:[ ("router", Int router); ("dirty", Int 1) ]
-            fill
-        in
-        Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.);
-        tbl
-      end
-      else fill ()
-    in
-    Obs.Metrics.incr m_spf_runs;
-    t.entries.(router) <- Some tbl;
-    tbl
+  (match t.slots.(router) with
+  | Current _ -> ()
+  | slot ->
+    let idx = index t in
+    let fill () = refill t idx router in
+    if Obs.enabled () then begin
+      let t0 = Obs.Clock.now () in
+      Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words
+        ~attrs:[ ("router", Int router); ("dirty", Int 1) ]
+        fill;
+      Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
+    end
+    else fill ();
+    if is_dirty slot then Obs.Metrics.incr m_spf_runs);
+  match t.slots.(router) with
+  | Current (_, tbl) -> tbl
+  | Stale_rows _ | Dirty -> assert false (* refilled just above *)
 
 let fib t ~router prefix =
   sync t;
@@ -321,26 +388,28 @@ let distance t ~router prefix =
 
 let compute_all t =
   sync t;
-  let n = Array.length t.entries in
+  let n = Array.length t.slots in
   let missing = ref [] in
   for r = n - 1 downto 0 do
-    if t.entries.(r) = None then missing := r :: !missing
+    if not (is_current t.slots.(r)) then missing := r :: !missing
   done;
   match !missing with
   | [] -> ()
   | [ r ] -> ignore (table_for t r)
   | rs ->
-    (* Materialize the view before fanning out: [Lsdb.view] mutates its
-       cache and must not race. Workers then only read the view and
-       write disjoint slots of [entries]. *)
-    let view = Lsdb.view t.lsdb in
-    let missing = Array.of_list rs in
+    (* Bring the index up to date before fanning out: [index] mutates
+       engine state and must not race. Workers then only read the index
+       and the graph, and write disjoint slots. *)
+    let idx = index t in
+    (* Only stage-1 refills are worth a fan-out: rewriting the rows a
+       lie flagged costs microseconds, less than spawning a domain. *)
+    let dirty, stale = List.partition (fun r -> is_dirty t.slots.(r)) rs in
+    let dirty = Array.of_list dirty in
     let work () =
-      Kit.Pool.iter t.pool ~n:(Array.length missing) (fun i ->
-          let r = missing.(i) in
-          t.entries.(r) <- Some (compute_router t view r))
+      List.iter (refill t idx) stale;
+      Kit.Pool.iter t.pool ~n:(Array.length dirty) (fun i -> refill t idx dirty.(i))
     in
-    Obs.Metrics.add m_spf_runs (Array.length missing);
+    Obs.Metrics.add m_spf_runs (Array.length dirty);
     if Obs.enabled () then begin
       let t0 = Obs.Clock.now () in
       (* No pool-width attribute here: the timeline must be a pure
@@ -348,7 +417,7 @@ let compute_all t =
          (Prof attrs only appear under the separate prof switch, which
          the determinism-gated paths never enable.) *)
       Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words
-        ~attrs:[ ("dirty", Int (Array.length missing)) ]
+        ~attrs:[ ("dirty", Int (List.length rs)) ]
         work;
       Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
     end
@@ -358,6 +427,6 @@ let prefix_table t prefix =
   compute_all t;
   Array.map
     (function
-      | Some tbl -> Hashtbl.find_opt tbl prefix
-      | None -> assert false (* compute_all filled every slot *))
-    t.entries
+      | Current (_, tbl) -> Hashtbl.find_opt tbl prefix
+      | Stale_rows _ | Dirty -> assert false (* compute_all refilled every slot *))
+    t.slots

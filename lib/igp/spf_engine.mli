@@ -1,27 +1,31 @@
 (** Batched, incremental, parallel SPF/FIB engine.
 
-    The engine keeps one full per-prefix FIB table per router — computed
-    by a single Dijkstra over the LSDB view and shared by every prefix —
-    instead of a per-(router, prefix) cache. Tables stay valid across
-    LSDB version bumps whenever the logged deltas provably cannot change
-    a router's shortest-path DAGs:
+    Routes are computed in two stages ({!Spf}): per router, one Dijkstra
+    over the physical graph (stage 1), then every prefix's row from its
+    announcers and fakes (stage 2). The engine caches, per router, the
+    stage-1 result beside one full per-prefix FIB table, and reads stage
+    2's inputs from one prefix -> (announcers, fakes) index per LSDB
+    version. Tables stay valid across LSDB version bumps whenever the
+    logged deltas provably cannot change them:
 
-    - a fake install/retract at attachment [a] with sink cost [c] dirties
-      router [r] only when [d(r, a) + c <= r]'s cached distance for the
-      fake's prefix (one reverse Dijkstra per attachment answers all
-      routers at once);
+    - a fake install/retract at attachment [a] reaching prefix [p] at
+      cost [c] flags router [r] only when [d(r, a) + c <= r]'s cached
+      distance to [p], with [d(r, a)] read from [r]'s cached stage 1; a
+      flagged router later rewrites only [p]'s row, with no Dijkstra;
     - a single weight change on edge [(u, v)] dirties [r] only when
       [d(r, u) + min(w_old, w_new) <= d(r, v)] on the post-change graph
       (two reverse Dijkstras), which holds exactly when the edge lies on
-      one of [r]'s old or new shortest-path DAGs;
+      one of [r]'s old or new shortest-path DAGs; a dirty router reruns
+      stage 1;
     - anything else (announcements, link removals, several weight changes
       in one batch, log overflow) invalidates every table.
 
-    Both rules are sound over-approximations: a kept table is bitwise
-    what a from-scratch SPF would produce. Dirty routers are recomputed
-    lazily on lookup, or in bulk by [compute_all], which fans the batch
-    across a [Kit.Pool] of domains (per-source Dijkstra is embarrassingly
-    parallel).
+    All rules are sound over-approximations: a kept table is bitwise
+    what a from-scratch computation would produce. Flagged and dirty
+    routers count alike as dirtied ({!stats}, {!dirtied_since}). They
+    are refilled lazily on lookup, or in bulk by [compute_all], which
+    fans the batch across a [Kit.Pool] of domains (per-router refill is
+    embarrassingly parallel).
 
     The engine is not itself thread-safe: calls into one engine must come
     from a single domain (it parallelizes internally). *)
@@ -29,11 +33,14 @@
 type t
 
 type stats = {
-  spf_runs : int;  (** Dijkstras run on the view (one per router refill). *)
+  spf_runs : int;
+      (** Stage-1 Dijkstras (one per refill of a dirty router; refills
+          that only rewrite rows flagged by lies run none). *)
   syncs : int;  (** Version bumps absorbed. *)
   full_invalidations : int;  (** Syncs that dropped every table. *)
-  routers_dirtied : int;  (** Tables dropped across all syncs. *)
-  routers_kept : int;  (** Tables preserved across all syncs. *)
+  routers_dirtied : int;
+      (** Tables flagged or dropped across all syncs. *)
+  routers_kept : int;  (** Tables kept whole across all syncs. *)
 }
 
 val create : ?pool:Kit.Pool.t -> Lsdb.t -> t
@@ -49,7 +56,7 @@ val sync : t -> unit
     graph they described. *)
 
 val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
-(** The router's FIB for one prefix; computes (and caches) the router's
+(** The router's FIB for one prefix; refills (and caches) the router's
     whole table on a miss. [None] if the prefix is unknown or
     unreachable. Raises [Invalid_argument] for non-real routers. *)
 

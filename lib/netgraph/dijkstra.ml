@@ -2,6 +2,8 @@ type result = {
   source : Graph.node;
   dist : int array; (* max_int encodes "unreachable" *)
   preds : Graph.node list array;
+  order : Graph.node array; (* settled nodes, first [settled] slots *)
+  settled : int;
 }
 
 let unreachable = max_int
@@ -11,6 +13,8 @@ let run g ~source =
   let dist = Array.make n unreachable in
   let preds = Array.make n [] in
   let settled = Array.make n false in
+  let order = Array.make n source in
+  let count = ref 0 in
   let heap = Kit.Heap.Int.create ~capacity:n () in
   dist.(source) <- 0;
   Kit.Heap.Int.push heap ~priority:0 source;
@@ -20,6 +24,8 @@ let run g ~source =
     | Some (_, u) ->
       if not settled.(u) then begin
         settled.(u) <- true;
+        order.(!count) <- u;
+        incr count;
         (* Each directed edge (u, v) is relaxed exactly once ([settled]
            guards re-expansion of u), so [u] can never already be in
            [preds.(v)] — no membership scan needed. *)
@@ -36,7 +42,7 @@ let run g ~source =
       else loop ()
   in
   loop ();
-  { source; dist; preds }
+  { source; dist; preds; order; settled = !count }
 
 let source r = r.source
 
@@ -48,6 +54,11 @@ let distance_exn r v =
 let reachable r v = r.dist.(v) <> unreachable
 
 let predecessors r v = if r.dist.(v) = unreachable then [] else r.preds.(v)
+
+let iter_settled r f =
+  for i = 0 to r.settled - 1 do
+    f r.order.(i)
+  done
 
 (* Nodes on the shortest-path DAG between source and target: reverse DFS
    from the target along predecessor sets. *)
@@ -83,19 +94,3 @@ let shortest_path_nodes r ~target =
   if Array.length marked = 0 then []
   else
     List.filter (fun v -> marked.(v)) (List.init (Array.length marked) Fun.id)
-
-let all_distances g pairs =
-  let by_source = Hashtbl.create 16 in
-  let cached source =
-    match Hashtbl.find_opt by_source source with
-    | Some r -> r
-    | None ->
-      let r = run g ~source in
-      Hashtbl.add by_source source r;
-      r
-  in
-  Seq.filter_map
-    (fun (s, t) ->
-      let r = cached s in
-      match distance r t with None -> None | Some d -> Some (s, t, d))
-    pairs

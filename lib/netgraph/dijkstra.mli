@@ -22,6 +22,11 @@ val predecessors : result -> Graph.node -> Graph.node list
 (** All shortest-path predecessors of the node (empty for the source and
     for unreachable nodes). Together these encode every shortest path. *)
 
+val iter_settled : result -> (Graph.node -> unit) -> unit
+(** Reachable nodes in the order the run settled them, source first.
+    Distances are non-decreasing along it and, weights being positive,
+    every node comes after all of its predecessors. *)
+
 val first_hops : Graph.t -> result -> target:Graph.node -> Graph.node list
 (** Distinct first hops (neighbors of the source) over all shortest paths
     from the source to [target], in ascending node order. Empty when
@@ -32,7 +37,3 @@ val shortest_path_nodes : result -> target:Graph.node -> Graph.node list
 (** All nodes lying on at least one shortest path from the source to
     [target] (including both endpoints), ascending order. Empty when
     unreachable. *)
-
-val all_distances : Graph.t -> (Graph.node * Graph.node) Seq.t -> (Graph.node * Graph.node * int) Seq.t
-(** Batched distance queries grouped by source to avoid recomputing SPF;
-    unreachable pairs are omitted. *)

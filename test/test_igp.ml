@@ -27,6 +27,17 @@ let fake ~id ~at ~cost ~fwd : Igp.Lsa.fake =
     forwarding = fwd;
   }
 
+(* Every router's FIB for [prefix] equals the augmented-graph oracle's. *)
+let check_against_oracle net prefix =
+  let view = Spf_oracle.view (Igp.Network.lsdb net) in
+  List.iter
+    (fun router ->
+      Alcotest.(check bool)
+        (Printf.sprintf "router %d = oracle" router)
+        true
+        (Igp.Network.fib net ~router prefix = Spf_oracle.compute_prefix view ~router prefix))
+    (Igp.Network.routers net)
+
 (* ---------- Lsa ---------- *)
 
 let test_lsa_total_cost () =
@@ -49,14 +60,15 @@ let test_lsdb_announce_and_view () =
   let d, net = demo_net () in
   let lsdb = Igp.Network.lsdb net in
   Alcotest.(check int) "one announcement" 1 (List.length (Igp.Lsdb.prefixes lsdb));
-  let view = Igp.Lsdb.view lsdb in
+  let view = Spf_oracle.view lsdb in
   Alcotest.(check int) "real nodes" 7 view.real_nodes;
   Alcotest.(check int) "augmented nodes" 8 (G.node_count view.graph);
   Alcotest.(check bool) "sink fed by C" true
-    (match Igp.Lsdb.sink view (pfx "blue") with
+    (match Spf_oracle.sink view (pfx "blue") with
     | Some sink -> G.has_edge view.graph d.c sink
     | None -> false);
-  Alcotest.(check (array string)) "prefixes sorted" [| "blue" |] (Array.map Igp.Prefix.to_string view.prefixes)
+  Alcotest.(check (list string)) "prefixes sorted" [ "blue" ]
+    (List.map Igp.Prefix.to_string view.prefixes)
 
 let test_lsdb_install_fake_validation () =
   let d, net = demo_net () in
@@ -213,12 +225,42 @@ let test_spf_compute_all_prefixes () =
   let net = Igp.Network.create d.graph in
   Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
   Igp.Network.announce_prefix net (pfx "red") ~origin:d.r4 ~cost:0;
-  let view = Igp.Lsdb.view (Igp.Network.lsdb net) in
-  let fibs = Igp.Spf.compute view ~router:d.a in
-  Alcotest.(check int) "two prefixes" 2 (List.length fibs);
-  Alcotest.(check (list string)) "sorted" [ "blue"; "red" ]
+  let oracle = Spf_oracle.compute (Spf_oracle.view (Igp.Network.lsdb net)) ~router:d.a in
+  Alcotest.(check (list string)) "two prefixes" [ "blue"; "red" ]
     (List.sort compare
-       (List.map (fun (f : Igp.Fib.t) -> Igp.Prefix.to_string f.prefix) fibs))
+       (List.map (fun (f : Igp.Fib.t) -> Igp.Prefix.to_string f.prefix) oracle));
+  Alcotest.(check bool) "engine table = oracle" true
+    (List.for_all
+       (fun (f : Igp.Fib.t) -> Igp.Network.fib net ~router:d.a f.prefix = Some f)
+       oracle)
+
+(* Stage 2's tie rules at one router: B announces blue itself at the
+   same cost as its shortest path to C's announcement, and is the
+   attachment of two equal-cost fakes that share a forwarding
+   neighbour, plus a third that resolves onto B's real next hop. *)
+let test_spf_origin_and_fakes_tie () =
+  let d = T.demo () in
+  let net = Igp.Network.create d.graph in
+  Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
+  Igp.Network.announce_prefix net (pfx "blue") ~origin:d.b ~cost:2;
+  let fib_b () = fib_exn net ~router:d.b (pfx "blue") in
+  let entries (f : Igp.Fib.t) =
+    List.map (fun (e : Igp.Fib.entry) -> (e.next_hop, e.multiplicity, e.via_fakes)) f.entries
+  in
+  let pin label (f : Igp.Fib.t) expected =
+    Alcotest.(check int) (label ^ ": distance") 2 f.distance;
+    Alcotest.(check bool) (label ^ ": local") true f.local;
+    Alcotest.(check (list (triple int int (list string)))) (label ^ ": entries") expected
+      (entries f)
+  in
+  pin "anycast tie" (fib_b ()) [ (d.r2, 1, []) ];
+  Igp.Network.inject_fake net (fake ~id:"fy" ~at:d.b ~cost:2 ~fwd:d.r3);
+  Igp.Network.inject_fake net (fake ~id:"fx" ~at:d.b ~cost:2 ~fwd:d.r3);
+  pin "two fakes, one neighbour" (fib_b ()) [ (d.r2, 1, []); (d.r3, 2, [ "fx"; "fy" ]) ];
+  Igp.Network.inject_fake net (fake ~id:"fz" ~at:d.b ~cost:2 ~fwd:d.r2);
+  pin "fake on the real hop" (fib_b ())
+    [ (d.r2, 2, [ "fz" ]); (d.r3, 2, [ "fx"; "fy" ]) ];
+  check_against_oracle net (pfx "blue")
 
 let test_prefix_cost_matters () =
   let d = T.demo () in
@@ -282,6 +324,59 @@ let test_network_clone_carries_fakes () =
   Igp.Network.inject_fake net (fake ~id:"f" ~at:d.b ~cost:2 ~fwd:d.r3);
   let clone = Igp.Network.clone net in
   Alcotest.(check int) "fake copied" 1 (List.length (Igp.Network.fakes clone))
+
+(* The clone is built directly, not by replaying announcements and
+   fakes; it must leave exactly the state such a replay leaves. *)
+let test_network_clone_matches_replay () =
+  let d, net = demo_net () in
+  Igp.Network.announce_prefix net (pfx "red") ~origin:d.r4 ~cost:1;
+  Igp.Network.announce_prefix net (pfx "red") ~origin:d.a ~cost:2;
+  Igp.Network.announce_prefix net (pfx "blue") ~origin:d.r1 ~cost:2;
+  Igp.Network.inject_fake net (fake ~id:"f2" ~at:d.b ~cost:2 ~fwd:d.r3);
+  Igp.Network.inject_fake net (fake ~id:"f1" ~at:d.a ~cost:3 ~fwd:d.r1);
+  Igp.Network.inject_fake net
+    { (fake ~id:"f3" ~at:d.r4 ~cost:1 ~fwd:d.c) with prefix = pfx "red" };
+  Igp.Network.retract_fake net ~fake_id:"f2";
+  Igp.Network.inject_fake net (fake ~id:"f2" ~at:d.b ~cost:3 ~fwd:d.r3);
+  Igp.Lsdb.set_fake_expiry (Igp.Network.lsdb net) ~fake_id:"f1" ~now:0. ~ttl:5.;
+  let replay = Igp.Network.create (G.copy (Igp.Network.graph net)) in
+  List.iter
+    (fun (p, origin, cost) -> Igp.Network.announce_prefix replay p ~origin ~cost)
+    (Igp.Lsdb.prefixes (Igp.Network.lsdb net));
+  List.iter (Igp.Network.inject_fake replay) (Igp.Network.fakes net);
+  let clone = Igp.Network.clone net in
+  let lsdb n = Igp.Network.lsdb n in
+  let fake_ids n = List.map (fun (f : Igp.Lsa.fake) -> f.fake_id) (Igp.Network.fakes n) in
+  let announcements n =
+    List.map
+      (fun (p, o, c) -> (Igp.Prefix.to_string p, o, c))
+      (Igp.Lsdb.prefixes (lsdb n))
+  in
+  Alcotest.(check (list string)) "fakes order" (fake_ids replay) (fake_ids clone);
+  Alcotest.(check (list (triple string int int))) "prefixes order"
+    (announcements replay) (announcements clone);
+  Alcotest.(check int) "version" (Igp.Lsdb.version (lsdb replay))
+    (Igp.Lsdb.version (lsdb clone));
+  Alcotest.(check (option int)) "last origin" (Igp.Lsdb.last_origin (lsdb replay))
+    (Igp.Lsdb.last_origin (lsdb clone));
+  List.iter
+    (fun key ->
+      Alcotest.(check (option int)) key
+        (Igp.Lsdb.sequence (lsdb replay) ~key)
+        (Igp.Lsdb.sequence (lsdb clone) ~key))
+    [ "fake:f1"; "fake:f2"; "fake:f3"; "prefix:6:blue"; "prefix:2:blue"; "prefix:0:red" ];
+  Alcotest.(check (option (float 0.))) "no expiries" None
+    (Igp.Lsdb.fake_expiry (lsdb clone) ~fake_id:"f1");
+  List.iter
+    (fun p ->
+      List.iter
+        (fun router ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d" (Igp.Prefix.to_string p) router)
+            true
+            (Igp.Network.fib clone ~router p = Igp.Network.fib replay ~router p))
+        (G.nodes (Igp.Network.graph net)))
+    [ pfx "blue"; pfx "red" ]
 
 let test_network_set_weight_reconverges () =
   let d, net = demo_net () in
@@ -429,13 +524,47 @@ let test_engine_incremental_keeps_routers () =
     (s2.routers_kept > s1.routers_kept);
   let fib_b = fib_exn net ~router:d.b (pfx "blue") in
   Alcotest.(check (list int)) "B took the cheap fake" [ d.r3 ]
-    (Igp.Fib.next_hops fib_b)
+    (Igp.Fib.next_hops fib_b);
+  (* Lies never rerun stage 1: dirtied routers only rewrite blue's row. *)
+  Alcotest.(check int) "install ran no Dijkstra" 7 s2.spf_runs;
+  Igp.Network.retract_fake net ~fake_id:"near";
+  Igp.Network.warm net;
+  Alcotest.(check int) "retract ran no Dijkstra" 7
+    (Igp.Spf_engine.stats engine).spf_runs;
+  check_against_oracle net (pfx "blue")
+
+(* Work-counter guard on the refill's scaling in the prefix count: a
+   cold warm of GEANT carrying 4 000 prefixes may allocate at most 2.5x
+   what the same warm allocates with 2 000 (a refill linear in P gives
+   2x, a quadratic one 4x). *)
+let test_engine_warm_linear_in_prefixes () =
+  let warm_bytes n =
+    let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
+    let net = Igp.Network.create ~domains:1 g in
+    let prng = Kit.Prng.create ~seed:23 in
+    let nodes = Array.of_list (G.nodes g) in
+    List.iter
+      (fun p -> Igp.Network.announce_prefix net p ~origin:(Kit.Prng.pick prng nodes) ~cost:0)
+      (Igp.Prefix.synthesize prng ~n);
+    let before = Gc.allocated_bytes () in
+    Igp.Network.warm net;
+    Gc.allocated_bytes () -. before
+  in
+  let small = warm_bytes 2_000 in
+  let large = warm_bytes 4_000 in
+  if large > 2.5 *. small then
+    Alcotest.failf "warm allocation grew %.2fx from 2000 to 4000 prefixes (%.0f -> %.0f bytes)"
+      (large /. small) small large
 
 (* The incremental engine must be invisible: after any churn sequence,
    every router's FIB for every prefix equals a from-scratch SPF on the
-   current view. Exercises the sequential fake rule (installs, retracts,
-   supersessions), the single-weight-change rule, and the generic
-   full-invalidation fallback (link removals). *)
+   augmented graph (the independent oracle). Exercises the sequential
+   fake rule (installs, retracts, supersessions), the single-weight-change
+   rule, and the generic full-invalidation fallback (link removals).
+   Prefixes are anycast (2-3 origins at costs 0-2) and fakes are often
+   attached at an origin or installed in equal-cost groups sharing one
+   forwarding neighbour, so stage 2's tie rules (local, multiplicity,
+   via_fakes) are exercised. *)
 let prop_engine_matches_scratch =
   QCheck.Test.make ~name:"incremental engine = from-scratch SPF" ~count:500
     QCheck.(pair (int_range 0 1000000) (int_range 1 8))
@@ -446,30 +575,48 @@ let prop_engine_matches_scratch =
       let g = entry.Netgraph.Zoo.graph in
       let n = G.node_count g in
       let net = Igp.Network.create g in
-      let prefixes = [ pfx "p0"; pfx "p1" ] in
-      List.iter
-        (fun p ->
-          Igp.Network.announce_prefix net p ~origin:(Kit.Prng.int prng n)
-            ~cost:(Kit.Prng.int prng 3))
+      let prefixes = [| pfx "p0"; pfx "p1" |] in
+      let origins = Array.make 2 [] in
+      Array.iteri
+        (fun i p ->
+          for _ = 1 to 2 + Kit.Prng.int prng 2 do
+            let origin = Kit.Prng.int prng n in
+            origins.(i) <- origin :: origins.(i);
+            Igp.Network.announce_prefix net p ~origin ~cost:(Kit.Prng.int prng 3)
+          done)
         prefixes;
-      let random_neighbor router =
-        let succ = G.succ g router in
-        fst (List.nth succ (Kit.Prng.int prng (List.length succ)))
+      (* Install [k] fakes for one prefix at one attachment (often one
+         of the prefix's origins), all with the same costs and the same
+         forwarding neighbour. Ids are reused, so supersessions happen. *)
+      let install k =
+        let i = Kit.Prng.int prng 2 in
+        let attachment =
+          if Kit.Prng.bool prng then
+            List.nth origins.(i) (Kit.Prng.int prng (List.length origins.(i)))
+          else Kit.Prng.int prng n
+        in
+        let attachment_cost = 1 + Kit.Prng.int prng 3
+        and announced_cost = Kit.Prng.int prng 6 in
+        match G.succ g attachment with
+        | [] -> () (* link removals isolated it *)
+        | succ ->
+          let forwarding = fst (List.nth succ (Kit.Prng.int prng (List.length succ))) in
+          for _ = 1 to k do
+            Igp.Network.inject_fake net
+              {
+                fake_id = Printf.sprintf "f%d" (Kit.Prng.int prng 6);
+                attachment;
+                attachment_cost;
+                prefix = prefixes.(i);
+                announced_cost;
+                forwarding;
+              }
+          done
       in
       let churn () =
         match Kit.Prng.int prng 10 with
-        | 0 | 1 | 2 | 3 ->
-          (* Install (ids are reused, so supersessions happen too). *)
-          let attachment = Kit.Prng.int prng n in
-          Igp.Network.inject_fake net
-            {
-              fake_id = Printf.sprintf "f%d" (Kit.Prng.int prng 4);
-              attachment;
-              attachment_cost = 1 + Kit.Prng.int prng 3;
-              prefix = List.nth prefixes (Kit.Prng.int prng 2);
-              announced_cost = Kit.Prng.int prng 6;
-              forwarding = random_neighbor attachment;
-            }
+        | 0 | 1 | 2 -> install 1
+        | 3 -> install (2 + Kit.Prng.int prng 2)
         | 4 | 5 -> (
           match Igp.Network.fakes net with
           | [] -> ()
@@ -493,18 +640,31 @@ let prop_engine_matches_scratch =
             Igp.Lsdb.touch ~origin:u (Igp.Network.lsdb net))
       in
       let agrees () =
-        let view = Igp.Lsdb.view (Igp.Network.lsdb net) in
+        let view = Spf_oracle.view (Igp.Network.lsdb net) in
         (* p0 through per-router lookups, p1 through the batched
            (pool-backed) table, so both engine paths are checked. *)
         let table1 = Igp.Network.fib_table net (pfx "p1") in
         List.for_all
           (fun router ->
             Igp.Network.fib net ~router (pfx "p0")
-            = Igp.Spf.compute_prefix view ~router (pfx "p0")
-            && table1.(router) = Igp.Spf.compute_prefix view ~router (pfx "p1"))
+            = Spf_oracle.compute_prefix view ~router (pfx "p0")
+            && table1.(router) = Spf_oracle.compute_prefix view ~router (pfx "p1"))
           (G.nodes g)
       in
-      let rec go k = k = 0 || (churn (); agrees () && go (k - 1)) in
+      (* A third of the steps check nothing and refill at most one
+         router, so flagged and dirty routers meet later deltas. *)
+      let rec go k =
+        if k = 0 then agrees ()
+        else begin
+          churn ();
+          (if Kit.Prng.int prng 3 = 0 then begin
+             ignore (Igp.Network.fib net ~router:(Kit.Prng.int prng n) (pfx "p0"));
+             true
+           end
+           else agrees ())
+          && go (k - 1)
+        end
+      in
       agrees () && go ops)
 
 (* ---------- Convergence ---------- *)
@@ -1191,6 +1351,7 @@ let () =
             test_fib_fractions_empty_when_local;
           Alcotest.test_case "distance only" `Quick test_spf_distance_only;
           Alcotest.test_case "all prefixes" `Quick test_spf_compute_all_prefixes;
+          Alcotest.test_case "origin and fakes tie" `Quick test_spf_origin_and_fakes_tie;
           Alcotest.test_case "announce cost" `Quick test_prefix_cost_matters;
         ] );
       ( "flooding",
@@ -1204,6 +1365,7 @@ let () =
           Alcotest.test_case "control cost" `Quick test_network_control_cost_accounting;
           Alcotest.test_case "clone independent" `Quick test_network_clone_independent;
           Alcotest.test_case "clone carries fakes" `Quick test_network_clone_carries_fakes;
+          Alcotest.test_case "clone matches replay" `Quick test_network_clone_matches_replay;
           Alcotest.test_case "weight reconvergence" `Quick
             test_network_set_weight_reconverges;
           Alcotest.test_case "refresh cost" `Quick test_network_refresh_cost;
@@ -1214,6 +1376,8 @@ let () =
         [
           Alcotest.test_case "incremental invalidation" `Quick
             test_engine_incremental_keeps_routers;
+          Alcotest.test_case "warm linear in prefixes" `Quick
+            test_engine_warm_linear_in_prefixes;
         ] );
       ( "convergence",
         [
