@@ -1489,7 +1489,7 @@ let twatch nseeds =
   in
   ([ steady; fig2; chaos ], steady_ok && fig2_ok && chaos_ok)
 
-(* TPROF: allocation/GC profiles of the three hot paths. Its rows are
+(* TPROF: allocation/GC profiles of the hot paths. Its rows are
    what CI appends to the bench history for the regression gate. *)
 
 (* One measured block: force a clean heap, run [cycles] repetitions,
@@ -1570,10 +1570,10 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
       ~context:[ ("groups", num groups); ("links", num nlinks) ]
       run
   in
-  (* The aggregated simulator step under a flash crowd (the flood
-     scenario's steady state). *)
-  let sim_step =
-    let d = Demo.make ~fibbing:true () in
+  (* The demo under a flash crowd of [flows] streams from A and B, run
+     until every flow is active and the classes are formed. *)
+  let crowd ~fibbing =
+    let d = Demo.make ~fibbing () in
     let prng = Kit.Prng.create ~seed:11 in
     let spec src =
       {
@@ -1590,12 +1590,31 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
     in
     List.iter (Netsim.Sim.add_flow d.sim) crowd;
     Demo.run d ~until:4.;
-    (* warm: all flows active, classes formed *)
+    d
+  in
+  (* The aggregated simulator step (the flood scenario's steady state). *)
+  let sim_step =
+    let d = crowd ~fibbing:true in
     prof_row "sim_step" ~cycles:20
       ~context:[ ("flows", num flows) ]
       (fun () -> Demo.run d ~until:(Netsim.Sim.time d.sim +. d.Demo.dt))
   in
-  ([ spf_churn; water_fill; sim_step ], true)
+  (* One controller reaction to the crowd's hot links, from the same
+     lie-free state each cycle: a fresh controller reacts, then
+     withdraws its lies. The controller reads Sim's demand matrix, so
+     these words do not grow with [flows]; a per-stream scan would. *)
+  let reacted = ref true in
+  let react =
+    let d = crowd ~fibbing:false in
+    prof_row "react" ~cycles:5
+      ~context:[ ("flows", num flows) ]
+      (fun () ->
+        let controller = Fibbing.Controller.create d.net in
+        Fibbing.Controller.react controller d.sim [];
+        if Fibbing.Controller.fake_count controller = 0 then reacted := false;
+        Fibbing.Controller.withdraw_all controller)
+  in
+  ([ spf_churn; water_fill; sim_step; react ], !reacted)
 
 (* ------------------------------------------------------------------ *)
 (* The track registry and the driver. *)

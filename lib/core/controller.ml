@@ -2,7 +2,6 @@ module Graph = Netgraph.Graph
 module Sim = Netsim.Sim
 module Monitor = Netsim.Monitor
 module Link = Netsim.Link
-module Flow = Netsim.Flow
 
 (* Telemetry: no-ops while Obs is disabled. *)
 let m_reactions = Obs.Metrics.counter "controller.reactions"
@@ -407,31 +406,6 @@ let resync t ~time ~reason =
       ]
   end
 
-(* Demand-based directed link loads, split into the part caused by flows
-   (of the given prefix) passing through [via] and everything else. *)
-let demand_loads sim ~prefix ~via =
-  let own : (Link.t, float) Hashtbl.t = Hashtbl.create 32 in
-  let other : (Link.t, float) Hashtbl.t = Hashtbl.create 32 in
-  let bump table link amount =
-    Hashtbl.replace table link
-      (amount +. Option.value ~default:0. (Hashtbl.find_opt table link))
-  in
-  List.iter
-    (fun (flow : Flow.t) ->
-      match Sim.flow_path sim flow.id with
-      | None -> ()
-      | Some path ->
-        let mine = Igp.Prefix.equal flow.prefix prefix && List.mem via path in
-        let rec walk = function
-          | u :: (v :: _ as rest) ->
-            bump (if mine then own else other) (u, v) flow.demand;
-            walk rest
-          | _ -> ()
-        in
-        walk path)
-    (Sim.active_flows sim);
-  (own, other)
-
 (* Capacity available to [v]'s traffic through candidate next hop [n]:
    the residual max-flow from n to the prefix's egress(es) once all
    foreign demand is subtracted, paths through v excluded, capped by the
@@ -648,7 +622,10 @@ let cooldown_active t ~time prefix =
   | Some s -> time -. s.last_action < t.config.cooldown
   | None -> false
 
-let rec handle_router t sim ~time ~prefix ~visited ~depth v =
+(* [demands] is the reaction's one read of the traffic matrix: paths
+   cannot change within a reaction, since Sim adopts new routing only on
+   its next step. *)
+let rec handle_router t sim ~demands ~time ~prefix ~visited ~depth v =
   let g = Igp.Network.graph t.net in
   if List.mem v visited || depth > t.config.escalation_depth then ()
   else begin
@@ -656,19 +633,8 @@ let rec handle_router t sim ~time ~prefix ~visited ~depth v =
     | [] -> ()
     | egresses when List.mem v egresses -> ()
     | egresses ->
-      let own, other = demand_loads sim ~prefix ~via:v in
-      let own_demand =
-        (* Demand entering v for this prefix: flows through v, counted
-           once each (their demand on the first outgoing link sums to the
-           total since each flow leaves v exactly once). *)
-        List.fold_left
-          (fun acc (flow : Flow.t) ->
-            match Sim.flow_path sim flow.id with
-            | Some path when Igp.Prefix.equal flow.prefix prefix && List.mem v path ->
-              acc +. flow.demand
-            | Some _ | None -> acc)
-          0. (Sim.active_flows sim)
-      in
+      let other = Demand.foreign_loads demands ~prefix ~via:v in
+      let own_demand = Demand.through demands ~prefix ~via:v in
       let cands = candidates t ~prefix ~v in
       let avails =
         List.map (fun n -> (n, availability t sim ~v ~egresses ~other n)) cands
@@ -705,33 +671,7 @@ let rec handle_router t sim ~time ~prefix ~visited ~depth v =
       (* Not enough capacity from here: walk towards the heaviest
          upstream neighbor feeding v. *)
       if kept_total < own_demand -. 1e-9 then begin
-        ignore own;
-        let inflow = Hashtbl.create 4 in
-        List.iter
-          (fun (flow : Flow.t) ->
-            match Sim.flow_path sim flow.id with
-            | Some path when Igp.Prefix.equal flow.prefix prefix ->
-              let rec find_pred = function
-                | u :: (w :: _ as rest) ->
-                  if w = v then
-                    Hashtbl.replace inflow u
-                      (flow.Flow.demand
-                      +. Option.value ~default:0. (Hashtbl.find_opt inflow u))
-                  else find_pred rest
-                | _ -> ()
-              in
-              find_pred path
-            | Some _ | None -> ())
-          (Sim.active_flows sim);
-        let best =
-          Hashtbl.fold
-            (fun u d acc ->
-              match acc with
-              | Some (_, bd) when bd >= d -> acc
-              | Some _ | None -> Some (u, d))
-            inflow None
-        in
-        match best with
+        match Demand.heaviest (Demand.inflow demands ~prefix ~via:v) with
         | Some (u, _) when u <> v ->
           if Obs.enabled () then
             Obs.Timeline.record ~time ~source:"controller" ~kind:"escalate"
@@ -741,15 +681,15 @@ let rec handle_router t sim ~time ~prefix ~visited ~depth v =
                 ("to", String (Graph.name g u));
                 ("depth", Int (depth + 1));
               ];
-          handle_router t sim ~time ~prefix ~visited:(v :: visited)
+          handle_router t sim ~demands ~time ~prefix ~visited:(v :: visited)
             ~depth:(depth + 1) u
-        | Some _ | None -> ignore g
+        | Some _ | None -> ()
       end
   end
 
 (* Global strategy: recompute the optimal splits for the prefix's whole
    demand set and install them wholesale. *)
-let handle_global t sim ~time ~prefix =
+let handle_global t sim ~demands ~time ~prefix =
   if cooldown_active t ~time prefix then ()
   else begin
     match (announcer_of t.net prefix, t.reoptimize) with
@@ -757,18 +697,7 @@ let handle_global t sim ~time ~prefix =
     | Some _, None ->
       record t ~time ~prefix "global strategy needs a reoptimizer; skipping"
     | Some egress, Some reoptimize ->
-      let by_src = Hashtbl.create 4 in
-      List.iter
-        (fun (flow : Flow.t) ->
-          if Igp.Prefix.equal flow.prefix prefix && flow.src <> egress then
-            Hashtbl.replace by_src flow.src
-              (flow.demand
-              +. Option.value ~default:0. (Hashtbl.find_opt by_src flow.src)))
-        (Sim.active_flows sim);
-      let demands =
-        Hashtbl.fold (fun src d acc -> (src, d) :: acc) by_src []
-        |> List.sort compare
-      in
+      let demands = Demand.by_src demands ~prefix ~except:egress in
       if demands <> [] then begin
         (* Compute the target routing against a lie-free clone. *)
         let scratch = Igp.Network.clone t.net in
@@ -787,38 +716,17 @@ let handle_global t sim ~time ~prefix =
       end
   end
 
-let handle_link t sim ~time (x, y) =
+let handle_link t sim ~time ((x, _) as link) =
+  let demands = Sim.demand_matrix sim in
   (* Dominant prefix on the congested link, by offered demand. *)
-  let by_prefix = Hashtbl.create 4 in
-  List.iter
-    (fun (flow : Flow.t) ->
-      match Sim.flow_path sim flow.id with
-      | None -> ()
-      | Some path ->
-        let rec crosses = function
-          | u :: (v :: _ as rest) -> (u = x && v = y) || crosses rest
-          | _ -> false
-        in
-        if crosses path then
-          Hashtbl.replace by_prefix flow.prefix
-            (flow.demand
-            +. Option.value ~default:0. (Hashtbl.find_opt by_prefix flow.prefix)))
-    (Sim.active_flows sim);
-  let dominant =
-    Hashtbl.fold
-      (fun prefix d acc ->
-        match acc with
-        | Some (_, bd) when bd >= d -> acc
-        | Some _ | None -> Some (prefix, d))
-      by_prefix None
-  in
-  match dominant with
+  match Demand.heaviest (Demand.on_link demands link) with
   | None -> ()
   | Some (prefix, _) when quarantine_active t ~time prefix -> ()
   | Some (prefix, _) ->
     (match t.config.strategy with
-    | Local_deflection -> handle_router t sim ~time ~prefix ~visited:[] ~depth:0 x
-    | Global_optimal -> handle_global t sim ~time ~prefix)
+    | Local_deflection ->
+      handle_router t sim ~demands ~time ~prefix ~visited:[] ~depth:0 x
+    | Global_optimal -> handle_global t sim ~demands ~time ~prefix)
 
 let react t sim _alarms =
   match Sim.monitor sim with

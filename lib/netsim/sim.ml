@@ -36,6 +36,10 @@ type flow_class = {
   c_links : Link.t list; (* distinct directed links of the path *)
   members : (int, unit) Hashtbl.t;
   mutable weight : int;
+  (* Smallest member id, the class's place in [demand_matrix]; stale
+     after that member leaves, until the next [demand_matrix] rescans. *)
+  mutable first : int;
+  mutable first_stale : bool;
   mutable rate : float; (* per-member rate of the last completed step *)
 }
 
@@ -439,12 +443,15 @@ let join_class t (flow : Flow.t) path =
           c_links = List.sort_uniq Link.compare (links_of_path path);
           members = Hashtbl.create 4;
           weight = 0;
+          first = flow.id;
+          first_stale = false;
           rate = 0.;
         }
       in
       Hashtbl.replace t.classes key c;
       c
   in
+  if flow.id < c.first then c.first <- flow.id;
   c.weight <- c.weight + 1;
   Hashtbl.replace c.members flow.id ();
   Hashtbl.replace t.class_of flow.id c
@@ -455,6 +462,7 @@ let leave_class t id =
   | Some c ->
     Hashtbl.remove c.members id;
     c.weight <- c.weight - 1;
+    if id = c.first then c.first_stale <- true;
     Hashtbl.remove t.class_of id;
     if c.weight = 0 then Hashtbl.remove t.classes c.key
 
@@ -486,6 +494,48 @@ let remove_flow t id =
   Hashtbl.remove t.paths id;
   if Hashtbl.mem t.class_of id then leave_class t id
   else Hashtbl.remove t.unroutable_set id
+
+(* ---- demand matrix ---- *)
+
+type demand = {
+  src : Netgraph.Graph.node;
+  prefix : Igp.Lsa.prefix;
+  path : Netgraph.Graph.node list option;
+  amount : float;
+}
+
+(* One entry per class and one per unroutable flow, in ascending order
+   of smallest member id: a consumer summing per key meets its keys in
+   the order an id-sorted walk over the streams would (see sim.mli).
+   Between steps every active flow is placed — in a class or in
+   [unroutable_set] — since [recompute_routes] places each start. *)
+let demand_matrix t =
+  let unroutable id () acc =
+    let f : Flow.t = Hashtbl.find t.active id in
+    (id, { src = f.src; prefix = f.prefix; path = None; amount = f.demand })
+    :: acc
+  in
+  let classed =
+    Hashtbl.fold
+      (fun _ c acc ->
+        if c.first_stale then begin
+          c.first <- Hashtbl.fold (fun id () m -> Int.min id m) c.members max_int;
+          c.first_stale <- false
+        end;
+        let k = c.key in
+        ( c.first,
+          {
+            src = k.ck_src;
+            prefix = k.ck_prefix;
+            path = Some k.ck_path;
+            amount = float_of_int c.weight *. k.ck_demand;
+          } )
+        :: acc)
+      t.classes []
+  in
+  Hashtbl.fold unroutable t.unroutable_set classed
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 let rewalk_all t = Hashtbl.iter (fun _ flow -> place_flow t flow) t.active
 

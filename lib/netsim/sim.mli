@@ -141,6 +141,35 @@ val run_until : t -> float -> unit
 
 val active_flows : t -> Flow.t list
 
+type demand = {
+  src : Netgraph.Graph.node;
+  prefix : Igp.Lsa.prefix;
+  path : Netgraph.Graph.node list option;
+      (** The class's hashed path; [None] for a flow with no class. *)
+  amount : float;  (** Offered rate: member count × per-stream demand. *)
+}
+
+val demand_matrix : t -> demand list
+(** The offered traffic, read-only and aggregated: one entry per flow
+    class (see [aggregation] in {!create}) and one entry, with path
+    [None], per active flow that has no class — an unroutable flow
+    ([unroutable_flows]; every other active flow has a class between
+    steps). Costs O(classes + unroutable flows), not O(flows).
+
+    Ordering contract: entries come in ascending order of their smallest
+    member flow id. A consumer that sums entries per key (prefix,
+    source, upstream router) into a [Hashtbl] therefore meets its keys
+    in the same first-seen order as a walk over [active_flows] (sorted
+    by id) would, so [Hashtbl.fold] tie-breaks agree with such a walk.
+    Sums agree bit for bit when demands are dyadic (every workload's
+    stream rate is), and within n·ε relative otherwise, n being the
+    number of streams summed.
+
+    The view is valid between steps: paths and classes change only
+    inside a step, so a poll hook may build it once and reuse it for
+    the whole reaction, even across fake injections (new routing is
+    adopted on the next step). *)
+
 val flow_rate : t -> int -> float
 (** Current allocated rate of a flow; [0.] if inactive or unroutable. *)
 

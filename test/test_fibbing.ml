@@ -920,6 +920,344 @@ let prop_controller_keeps_state_safe =
       Netsim.Sim.run_until sim 25.;
       !safe)
 
+(* ---------- Demand matrix vs the per-stream oracle ---------- *)
+
+module D = Fibbing.Demand
+
+let ghost = pfx "dm-ghost" (* announced nowhere: its streams stay unroutable *)
+let dm_prefixes = [ pfx "dm-a"; pfx "dm-b"; ghost ]
+
+(* A 3x3 unit grid: corners have several equal-cost paths, so hashing
+   spreads one source's streams over several classes. dm-a sits at the
+   far corner, dm-b is anycast at the two other corners. *)
+let grid_net () =
+  let g = T.grid ~rows:3 ~cols:3 in
+  let net = Igp.Network.create g in
+  Igp.Network.announce_prefix net (pfx "dm-a") ~origin:8 ~cost:0;
+  Igp.Network.announce_prefix net (pfx "dm-b") ~origin:2 ~cost:0;
+  Igp.Network.announce_prefix net (pfx "dm-b") ~origin:6 ~cost:1;
+  (g, net)
+
+(* Random streams: distinct ids in shuffled order (so start order is not
+   id order), a few sources and a three-value demand palette (so classes
+   have many members), staggered starts and stops (so classes lose their
+   smallest member), some aimed at the ghost prefix. *)
+let add_random_streams prng sim ~count ~palette ~sources ~prefixes =
+  let ids = Array.init (3 * count) Fun.id in
+  Kit.Prng.shuffle prng ids;
+  for i = 0 to count - 1 do
+    Netsim.Sim.add_flow sim
+      (Netsim.Flow.make ~id:ids.(i) ~src:(Kit.Prng.pick prng sources)
+         ~prefix:(Kit.Prng.pick prng prefixes)
+         ~demand:(Kit.Prng.pick prng palette)
+         ~start_time:(0.5 *. float_of_int (Kit.Prng.int prng 5))
+         ~duration:(Kit.Prng.pick prng [| 0.5; 1.; 2.; infinity; infinity |])
+         ())
+  done
+
+(* Dyadic sums are exact in any order, so the view must match bit for
+   bit. Otherwise both sides round (u = epsilon_float / 2, positive
+   terms, exact sum S): the oracle adds n streams one at a time, within
+   (n-1)u S; the view rounds each class product once and adds at most n
+   of them, within n u S. So they differ by at most (2n-1)u S < n
+   epsilon S to first order; (n+1) epsilon of the oracle's sum covers
+   the second-order terms. *)
+let same_sum ~dyadic ~n view oracle =
+  if dyadic then Int64.equal (Int64.bits_of_float view) (Int64.bits_of_float oracle)
+  else
+    Float.abs (view -. oracle)
+    <= float_of_int (n + 1) *. epsilon_float *. Float.abs oracle
+
+let same_entries ~dyadic ~n view oracle =
+  List.length view = List.length oracle
+  && List.for_all2
+       (fun (kv, v) (ko, o) -> kv = ko && same_sum ~dyadic ~n v o)
+       view oracle
+
+(* Keys must come out of [Hashtbl.fold] in the same order: that is the
+   tie-break contract, not just the same contents. *)
+let same_table ~dyadic ~n view oracle =
+  let entries t = List.rev (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+  same_entries ~dyadic ~n (entries view) (entries oracle)
+
+let tables_agree ~dyadic sim =
+  let m = Netsim.Sim.demand_matrix sim in
+  let n = List.length (Netsim.Sim.active_flows sim) in
+  let g = Igp.Network.graph (Netsim.Sim.network sim) in
+  List.for_all
+    (fun (u, v, _) ->
+      same_table ~dyadic ~n (D.on_link m (u, v)) (Demand_oracle.on_link sim (u, v)))
+    (G.edges g)
+  && List.for_all
+       (fun prefix ->
+         List.for_all
+           (fun via ->
+             same_table ~dyadic ~n
+               (D.foreign_loads m ~prefix ~via)
+               (Demand_oracle.foreign_loads sim ~prefix ~via)
+             && same_sum ~dyadic ~n
+                  (D.through m ~prefix ~via)
+                  (Demand_oracle.through sim ~prefix ~via)
+             && same_table ~dyadic ~n
+                  (D.inflow m ~prefix ~via)
+                  (Demand_oracle.inflow sim ~prefix ~via)
+             && same_entries ~dyadic ~n
+                  (D.by_src m ~prefix ~except:via)
+                  (Demand_oracle.by_src sim ~prefix ~except:via))
+           (G.nodes g))
+       dm_prefixes
+
+(* Property: every table the controller derives from the demand matrix
+   equals the per-stream scan it replaced, with aggregation on and off,
+   under AIMD, with unroutable streams and with a link failure and
+   restore re-hashing streams between classes — checked at every step. *)
+let prop_demand_tables_match_oracle =
+  QCheck.Test.make ~name:"demand tables match the per-stream oracle" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let prng = Kit.Prng.create ~seed in
+      let dyadic = Kit.Prng.bool prng in
+      let aggregation = Kit.Prng.bool prng in
+      let rate_model =
+        if Kit.Prng.bool prng then Netsim.Sim.Aimd (Netsim.Aimd.create ())
+        else Netsim.Sim.Max_min_fair
+      in
+      let g, net = grid_net () in
+      let caps = Netsim.Link.capacities ~default:100. in
+      let sim = Netsim.Sim.create ~dt:0.5 ~rate_model ~aggregation net caps in
+      let palette =
+        if dyadic then [| 1.; 0.5; 96. |]
+        else Array.init 3 (fun _ -> 0.1 +. Kit.Prng.float prng 10.)
+      in
+      add_random_streams prng sim ~count:(1 + Kit.Prng.int prng 60) ~palette
+        ~sources:[| 0; 1; 3; 4; 8 |]
+        ~prefixes:(Array.of_list dm_prefixes);
+      if Kit.Prng.bool prng then begin
+        let u, v, _ = Kit.Prng.pick prng (Array.of_list (G.edges g)) in
+        let time = 0.5 *. float_of_int (Kit.Prng.int prng 4) in
+        Netsim.Sim.fail_link sim ~time (u, v);
+        Netsim.Sim.restore_link sim ~time:(time +. 1.) (u, v)
+      end;
+      List.for_all
+        (fun until ->
+          Netsim.Sim.run_until sim until;
+          tables_agree ~dyadic sim)
+        [ 0.5; 1.; 1.5; 2.; 2.5; 3.; 3.5 ])
+
+(* One controlled run on the grid. Demands are dyadic and capacities so
+   large that no link saturates: every stream gets exactly its demand,
+   so link rates — and with them the monitor's alarms — are bit-equal
+   with aggregation on and off, and only the demand view differs. A low
+   threshold still makes the busiest links hot. *)
+let grid_reactions ~seed ~aggregation =
+  let prng = Kit.Prng.create ~seed in
+  let _, net = grid_net () in
+  let caps = Netsim.Link.capacities ~default:(2. ** 26.) in
+  let monitor =
+    Netsim.Monitor.create ~poll_interval:1.0 ~threshold:0.004
+      ~clear_threshold:0.002 ~alpha:1.0 caps
+  in
+  let sim = Netsim.Sim.create ~dt:0.5 ~monitor ~aggregation net caps in
+  let strategy =
+    if Kit.Prng.bool prng then Fibbing.Controller.Local_deflection
+    else Fibbing.Controller.Global_optimal
+  in
+  let config =
+    { Fibbing.Controller.default_config with cooldown = 2.; strategy }
+  in
+  (* The global strategy's input is the per-source demand; record it
+     rather than run the TE pipeline on it. *)
+  let global_inputs = ref [] in
+  let reoptimize _ ~prefix ~capacities:_ ~demands ~egress =
+    global_inputs := (prefix, demands, egress) :: !global_inputs;
+    []
+  in
+  let controller = Fibbing.Controller.create ~config ~reoptimize net in
+  Fibbing.Controller.attach controller sim;
+  add_random_streams prng sim ~count:(10 + Kit.Prng.int prng 50)
+    ~palette:[| 65536.; 131072.; 262144. |]
+    ~sources:(Array.init 9 Fun.id)
+    ~prefixes:[| pfx "dm-a"; pfx "dm-b"; pfx "dm-b"; ghost |];
+  Netsim.Sim.run_until sim 12.;
+  ( List.map
+      (fun (a : Fibbing.Controller.action) -> (a.time, a.description, a.fakes_installed))
+      (Fibbing.Controller.actions controller),
+    List.rev !global_inputs,
+    List.sort compare (Igp.Network.fakes net),
+    Netsim.Sim.current_link_rates sim )
+
+(* Property: with aggregation off the demand matrix has one entry per
+   stream in id order, so the controller reads exactly what the
+   per-stream scans read; with aggregation on it must still choose the
+   same prefix, router and splits at every reaction. *)
+let prop_reactions_independent_of_aggregation =
+  QCheck.Test.make ~name:"reactions identical with aggregation on and off"
+    ~count:100 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      grid_reactions ~seed ~aggregation:true
+      = grid_reactions ~seed ~aggregation:false)
+
+(* Two keys in the same bucket of a fresh [Hashtbl.create 4] (16
+   buckets): only for such keys does insertion order decide which of
+   two equal sums [Hashtbl.fold] meets first. *)
+let same_bucket keys =
+  let bucket k = Hashtbl.hash k land 15 in
+  let rec go = function
+    | k :: rest -> (
+      match List.find_opt (fun k' -> bucket k' = bucket k) rest with
+      | Some k' -> (k, k')
+      | None -> go rest)
+    | [] -> Alcotest.fail "no two keys share a bucket"
+  in
+  go keys
+
+(* The pick a tie would get if the keys had been inserted the other way
+   round. The tie tests assert it differs, so they really pin the
+   order contract. *)
+let heaviest_reversed table =
+  let swapped = Hashtbl.create 4 in
+  Hashtbl.iter (fun k v -> Hashtbl.replace swapped k v) table;
+  Demand_oracle.heaviest swapped
+
+let tie_flows sim ~early ~late =
+  (* [early] carries two streams with large ids from t = 0 (its class is
+     created first); [late] one stream of twice the demand and the
+     smallest id from t = 0.5. Equal sums; [late] holds the smallest
+     member id. *)
+  List.iter (Netsim.Sim.add_flow sim)
+    [
+      Netsim.Flow.make ~id:10 ~src:(fst early) ~prefix:(snd early) ~demand:4. ();
+      Netsim.Flow.make ~id:11 ~src:(fst early) ~prefix:(snd early) ~demand:4. ();
+      Netsim.Flow.make ~id:1 ~src:(fst late) ~prefix:(snd late) ~demand:8.
+        ~start_time:0.5 ();
+    ]
+
+let tie_sim net =
+  let caps = Netsim.Link.capacities ~default:1000. in
+  let monitor =
+    Netsim.Monitor.create ~poll_interval:1.0 ~threshold:0.85 ~clear_threshold:0.6
+      ~alpha:1.0 caps
+  in
+  (caps, Netsim.Sim.create ~dt:0.5 ~monitor net caps)
+
+let test_tie_dominant_prefix () =
+  (* X-Y is the alarm link (capacity 10, offered 16); X can deflect via
+     W. Prefixes p and q, both at Y, offer 8 each on X-Y. *)
+  let p, q = same_bucket (List.init 40 (fun i -> pfx (Printf.sprintf "tie%d" i))) in
+  let g = G.create () in
+  let x = G.add_node g ~name:"X" and w = G.add_node g ~name:"W" in
+  let y = G.add_node g ~name:"Y" in
+  G.add_link g x y ~weight:2;
+  G.add_link g x w ~weight:1;
+  G.add_link g w y ~weight:2;
+  let net = Igp.Network.create g in
+  Igp.Network.announce_prefix net p ~origin:y ~cost:0;
+  Igp.Network.announce_prefix net q ~origin:y ~cost:0;
+  let caps, sim = tie_sim net in
+  Netsim.Link.set_link caps (x, y) 10.;
+  let oracle = ref None in
+  Netsim.Sim.on_poll sim (fun sim _ ->
+      let table = Demand_oracle.on_link sim (x, y) in
+      if !oracle = None && Hashtbl.length table = 2 then
+        oracle := Some (Demand_oracle.heaviest table, heaviest_reversed table));
+  let controller = Fibbing.Controller.create net in
+  Fibbing.Controller.attach controller sim;
+  tie_flows sim ~early:(x, p) ~late:(x, q);
+  Netsim.Sim.run_until sim 3.;
+  match (!oracle, Fibbing.Controller.actions controller) with
+  | Some (Some (pick, sum), Some (other, _)), first :: _ ->
+    Alcotest.(check (float 0.)) "tie" 8. sum;
+    Alcotest.(check bool) "the order decides this tie" true (pick <> other);
+    let expected = Printf.sprintf "steer %s at X:" (Igp.Prefix.to_string pick) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%S starts with %S" first.description expected)
+      true
+      (String.starts_with ~prefix:expected first.description)
+  | _ -> Alcotest.fail "no reaction to the tied link"
+
+let test_tie_upstream_neighbour () =
+  (* V-D is the alarm link (capacity 10, offered 16) and V has no
+     alternate, so the controller escalates to the upstream neighbour
+     feeding V the most: u1 and u2 feed 8 each. *)
+  let u1, u2 = same_bucket (List.init 40 (fun i -> i + 2)) in
+  let g = G.create () in
+  for i = 0 to max u1 u2 do
+    ignore (G.add_node g ~name:(Printf.sprintf "N%d" i))
+  done;
+  let v = 0 and d = 1 in
+  G.add_link g u1 v ~weight:1;
+  G.add_link g u2 v ~weight:1;
+  G.add_link g v d ~weight:1;
+  let net = Igp.Network.create g in
+  let prefix = pfx "tie-sink" in
+  Igp.Network.announce_prefix net prefix ~origin:d ~cost:0;
+  let caps, sim = tie_sim net in
+  Netsim.Link.set_link caps (v, d) 10.;
+  let oracle = ref None in
+  Netsim.Sim.on_poll sim (fun sim _ ->
+      let table = Demand_oracle.inflow sim ~prefix ~via:v in
+      if !oracle = None && Hashtbl.length table = 2 then
+        oracle := Some (Demand_oracle.heaviest table, heaviest_reversed table));
+  let controller = Fibbing.Controller.create net in
+  Fibbing.Controller.attach controller sim;
+  tie_flows sim ~early:(u1, prefix) ~late:(u2, prefix);
+  Obs.enable ();
+  let (), captured =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Obs.capture (fun () -> Netsim.Sim.run_until sim 3.))
+  in
+  let escalated_to =
+    List.find_map
+      (fun (e : Obs.Timeline.event) ->
+        if e.kind = "escalate" then
+          match List.assoc_opt "to" e.attrs with
+          | Some (Obs.Attr.String name) -> Some name
+          | Some _ | None -> None
+        else None)
+      captured.Obs.events
+  in
+  match (!oracle, escalated_to) with
+  | Some (Some (pick, sum), Some (other, _)), Some name ->
+    Alcotest.(check (float 0.)) "tie" 8. sum;
+    Alcotest.(check bool) "the order decides this tie" true (pick <> other);
+    Alcotest.(check string) "controller escalates to the oracle's pick"
+      (G.name g pick) name
+  | _ -> Alcotest.fail "no escalation from the tied router"
+
+(* One reaction on the demo's hot B-R2 link, [streams] streams in the
+   same two classes (A's and B's). One domain: [Gc.allocated_bytes]
+   counts the calling domain only, so SPF fan-out would hide words. *)
+let react_allocated_bytes ~streams =
+  let d = T.demo () in
+  let net = Igp.Network.create ~domains:1 d.graph in
+  Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
+  let caps = Netsim.Link.capacities ~default:(11. *. 1024. *. 1024.) in
+  Netsim.Link.set_link caps (d.b, d.r2) (2.75 *. 1024. *. 1024.);
+  let monitor = Netsim.Monitor.create ~poll_interval:2.0 ~alpha:1.0 caps in
+  let sim = Netsim.Sim.create ~dt:0.5 ~monitor ~flow_history:false net caps in
+  for i = 0 to streams - 1 do
+    Netsim.Sim.add_flow sim
+      (Netsim.Flow.make ~id:i
+         ~src:(if i mod 2 = 0 then d.a else d.b)
+         ~prefix:(pfx "blue") ~demand:stream ())
+  done;
+  Netsim.Sim.run_until sim 4.;
+  let controller = Fibbing.Controller.create net in
+  let before = Gc.allocated_bytes () in
+  Fibbing.Controller.react controller sim [];
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "reacted" true (Fibbing.Controller.fake_count controller > 0);
+  bytes
+
+let test_react_allocation_flat_in_streams () =
+  let small = react_allocated_bytes ~streams:1_000 in
+  let large = react_allocated_bytes ~streams:10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 000 streams allocate %.2fx of 1 000 (%.0f vs %.0f bytes)"
+       (large /. small) large small)
+    true
+    (large <= 1.5 *. small)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1019,5 +1357,16 @@ let () =
             test_controller_withdraws_when_monitor_goes_silent;
           Alcotest.test_case "backs off when ineffective" `Quick
             test_controller_backs_off_when_ineffective;
+          Alcotest.test_case "tie: dominant prefix as per-stream" `Quick
+            test_tie_dominant_prefix;
+          Alcotest.test_case "tie: upstream neighbour as per-stream" `Quick
+            test_tie_upstream_neighbour;
+          Alcotest.test_case "react allocation flat in streams" `Quick
+            test_react_allocation_flat_in_streams;
         ] );
+      qsuite "demand-props"
+        [
+          prop_demand_tables_match_oracle;
+          prop_reactions_independent_of_aggregation;
+        ];
     ]
