@@ -36,7 +36,7 @@ let run ?rate_model ~fibbing () =
 
 let abr_summary d flows =
   let results =
-    List.map (fun flow -> Video.Abr.of_flow d.Demo.sim ~dt:d.Demo.dt flow) flows
+    List.map (fun flow -> Video.Abr.replay ~dt:d.Demo.dt (Video.Client.trace d.Demo.sim flow)) flows
   in
   let n = float_of_int (List.length results) in
   let mean f = List.fold_left (fun acc r -> acc +. f r) 0. results /. n in

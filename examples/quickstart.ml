@@ -38,12 +38,8 @@ let () =
   (match Fibbing.Augmentation.compile ~max_entries:4 net reqs with
   | Error e -> Format.printf "compilation failed: %s@." e
   | Ok plan ->
-    Format.printf "@.Compiled plan (%d fake LSAs, mode %s):@."
-      (Fibbing.Augmentation.fake_count plan)
-      (match plan.mode with
-      | Extension -> "extension"
-      | Override -> "override"
-      | Hybrid -> "hybrid");
+    Format.printf "@.Compiled plan (%d fake LSAs):@."
+      (Fibbing.Augmentation.fake_count plan);
     List.iter
       (fun fake -> Format.printf "  %a@." (Igp.Lsa.pp ~names) (Fake fake))
       plan.fakes;

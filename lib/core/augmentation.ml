@@ -1,11 +1,8 @@
 module Graph = Netgraph.Graph
 module Dijkstra = Netgraph.Dijkstra
 
-type mode = Extension | Override | Hybrid
-
 type plan = {
   prefix : Igp.Lsa.prefix;
-  mode : mode;
   fakes : Igp.Lsa.fake list;
   expected : (Graph.node * (Graph.node * int) list) list;
   costs : (Graph.node * int) list;
@@ -40,172 +37,16 @@ let make_fakes ~tag ~g ~prefix ~router ~total_cost weighted ~skip_one_for =
           }))
     weighted
 
-let no_own_fakes net prefix router =
-  match Igp.Network.fib net ~router prefix with
-  | None -> true
-  | Some fib -> not (Igp.Fib.uses_fake fib)
-
-let extension_plan ?(max_entries = Splitting.default_max_entries)
-    ?tag net (reqs : Requirements.t) =
-  let tag = Option.value ~default:(default_tag reqs.prefix) tag in
-  let g = Igp.Network.graph net in
-  let* () = Requirements.validate net reqs in
-  let rec per_router acc = function
-    | [] -> Ok (List.rev acc)
-    | (rr : Requirements.router_requirement) :: rest ->
-      let rname = Graph.name g rr.router in
-      (match Igp.Network.fib net ~router:rr.router reqs.prefix with
-      | None -> Error (Printf.sprintf "%s cannot reach %s" rname (Igp.Prefix.to_string reqs.prefix))
-      | Some fib ->
-        if Igp.Fib.uses_fake fib then
-          Error
-            (Printf.sprintf
-               "%s already has fake routes for %s; retract them first" rname
-               (Igp.Prefix.to_string reqs.prefix))
-        else begin
-          let weighted = Splitting.multiplicities ~max_entries rr.splits in
-          let desired_hops = List.map fst weighted in
-          let real_hops = Igp.Fib.next_hops fib in
-          let missing =
-            List.filter (fun nh -> not (List.mem nh desired_hops)) real_hops
-          in
-          if missing <> [] then
-            Error
-              (Printf.sprintf
-                 "extension cannot remove %s's current next hop %s; use override"
-                 rname
-                 (Graph.name g (List.hd missing)))
-          else begin
-            let fakes =
-              make_fakes ~tag ~g ~prefix:reqs.prefix ~router:rr.router
-                ~total_cost:fib.Igp.Fib.distance weighted
-                ~skip_one_for:real_hops
-            in
-            per_router
-              ((rr.router, fib.Igp.Fib.distance, weighted, fakes) :: acc)
-              rest
-          end
-        end)
-  in
-  let* rows = per_router [] reqs.routers in
-  Ok
-    {
-      prefix = reqs.prefix;
-      mode = Extension;
-      fakes = List.concat_map (fun (_, _, _, fakes) -> fakes) rows;
-      expected = List.map (fun (router, _, weighted, _) -> (router, weighted)) rows;
-      costs = List.map (fun (router, cost, _, _) -> (router, cost)) rows;
-      pinned = [];
-    }
-
 (* Distances of every router towards [target] on the physical graph. *)
 let distances_towards g target =
   let reversed = Graph.reverse g in
   let r = Dijkstra.run reversed ~source:target in
   fun u -> Dijkstra.distance r u
 
-let override_plan ?(max_entries = Splitting.default_max_entries) ?tag
-    ?(pin = []) net (reqs : Requirements.t) =
-  let tag = Option.value ~default:(default_tag reqs.prefix) tag in
-  let g = Igp.Network.graph net in
-  let* () = Requirements.validate net reqs in
-  (* Targets: required routers (splits compiled to multiplicities) then
-     pinned routers (multiplicities given directly). *)
-  let targets =
-    List.map
-      (fun (rr : Requirements.router_requirement) ->
-        (rr.router, Splitting.multiplicities ~max_entries rr.splits))
-      reqs.routers
-    @ pin
-  in
-  let lied = List.map fst targets in
-  let* () =
-    if List.length (List.sort_uniq compare lied) <> List.length lied then
-      Error "override: a router is both required and pinned"
-    else Ok ()
-  in
-  let* () =
-    match List.find_opt (fun v -> not (no_own_fakes net reqs.prefix v)) lied with
-    | Some v ->
-      Error
-        (Printf.sprintf "%s already has fake routes for %s; retract them first"
-           (Graph.name g v) (Igp.Prefix.to_string reqs.prefix))
-    | None -> Ok ()
-  in
-  (* Current SPF distances (no fakes of ours involved, per check above). *)
-  let distance_of v =
-    match Igp.Network.distance net ~router:v reqs.prefix with
-    | Some d -> d
-    | None -> max_int
-  in
-  let* () =
-    match List.find_opt (fun v -> distance_of v = max_int) lied with
-    | Some v ->
-      Error (Printf.sprintf "%s cannot reach %s" (Graph.name g v) (Igp.Prefix.to_string reqs.prefix))
-    | None -> Ok ()
-  in
-  (* dist(u -> v) for every router u, for each lied-to v. *)
-  let towards = List.map (fun v -> (v, distances_towards g v)) lied in
-  (* Upper bound: strictly undercut the router's own real routes. *)
-  let labels = Hashtbl.create 8 in
-  List.iter (fun v -> Hashtbl.replace labels v (distance_of v - 1)) lied;
-  (* Pairwise consistency: u must not be captured by v's lie. Relax to a
-     fixpoint (at most |lied| passes over a shortest-path-like system). *)
-  let changed = ref true and passes = ref 0 in
-  while !changed && !passes <= List.length lied do
-    changed := false;
-    incr passes;
-    List.iter
-      (fun (v, dist_to_v) ->
-        let lv = Hashtbl.find labels v in
-        List.iter
-          (fun u ->
-            if u <> v then begin
-              match dist_to_v u with
-              | None -> ()
-              | Some d ->
-                let bound = d + lv - 1 in
-                if Hashtbl.find labels u > bound then begin
-                  Hashtbl.replace labels u bound;
-                  changed := true
-                end
-            end)
-          lied)
-      towards
-  done;
-  let* () =
-    match List.find_opt (fun v -> Hashtbl.find labels v < 1) lied with
-    | Some v ->
-      Error
-        (Printf.sprintf
-           "override: no positive fake cost exists for %s (requirements too \
-            entangled)"
-           (Graph.name g v))
-    | None -> Ok ()
-  in
-  let fakes =
-    List.concat_map
-      (fun (router, weighted) ->
-        make_fakes ~tag ~g ~prefix:reqs.prefix ~router
-          ~total_cost:(Hashtbl.find labels router) weighted ~skip_one_for:[])
-      targets
-  in
-  Ok
-    {
-      prefix = reqs.prefix;
-      mode = Override;
-      fakes;
-      expected = targets;
-      costs = List.map (fun v -> (v, Hashtbl.find labels v)) lied;
-      pinned = List.map fst pin;
-    }
-
-(* Unified per-router compilation: extension where the requirement only
-   adds paths, override where it removes some, one consistent cost
-   relaxation across all lied-to routers. See the .mli for the
-   invariants. *)
-let hybrid_plan ?(max_entries = Splitting.default_max_entries) ?tag ?(pin = [])
-    net (reqs : Requirements.t) =
+(* One candidate plan: extension where a router's requirement only adds
+   paths, override where it removes some, one consistent cost relaxation
+   across all lied-to routers. See the .mli for the invariants. *)
+let candidate ~max_entries ?tag ~pin net (reqs : Requirements.t) =
   let tag = Option.value ~default:(default_tag reqs.prefix) tag in
   let g = Igp.Network.graph net in
   let* () = Requirements.validate net reqs in
@@ -242,7 +83,7 @@ let hybrid_plan ?(max_entries = Splitting.default_max_entries) ?tag ?(pin = [])
   let lied = List.map (fun (router, _, _, _) -> router) targets in
   let* () =
     if List.length (List.sort_uniq compare lied) <> List.length lied then
-      Error "hybrid: a router is both required and pinned"
+      Error "compile: a router is both required and pinned"
     else Ok ()
   in
   let distance_of v =
@@ -314,7 +155,7 @@ let hybrid_plan ?(max_entries = Splitting.default_max_entries) ?tag ?(pin = [])
     | Some v ->
       Error
         (Printf.sprintf
-           "hybrid: no positive fake cost exists for %s (requirements too \
+           "compile: no positive fake cost exists for %s (requirements too \
             entangled)"
            (Graph.name g v))
     | None -> Ok ()
@@ -323,27 +164,20 @@ let hybrid_plan ?(max_entries = Splitting.default_max_entries) ?tag ?(pin = [])
     List.map
       (fun (router, weighted, real_hops, _) ->
         let cost = Hashtbl.find labels router in
-        let extension_mode = cost = distance_of router in
-        let skip_one_for = if extension_mode then real_hops else [] in
+        let skip_one_for = if cost = distance_of router then real_hops else [] in
         let fakes =
           make_fakes ~tag ~g ~prefix:reqs.prefix ~router ~total_cost:cost
             weighted ~skip_one_for
         in
-        (router, weighted, cost, extension_mode, fakes))
+        (router, weighted, cost, fakes))
       targets
   in
-  let all_extension = List.for_all (fun (_, _, _, ext, _) -> ext) rows in
-  let all_override = List.for_all (fun (_, _, _, ext, _) -> not ext) rows in
   Ok
     {
       prefix = reqs.prefix;
-      mode =
-        (if all_extension then Extension
-         else if all_override then Override
-         else Hybrid);
-      fakes = List.concat_map (fun (_, _, _, _, fakes) -> fakes) rows;
-      expected = List.map (fun (router, weighted, _, _, _) -> (router, weighted)) rows;
-      costs = List.map (fun (router, _, cost, _, _) -> (router, cost)) rows;
+      fakes = List.concat_map (fun (_, _, _, fakes) -> fakes) rows;
+      expected = List.map (fun (router, weighted, _, _) -> (router, weighted)) rows;
+      costs = List.map (fun (router, _, cost, _) -> (router, cost)) rows;
       pinned = List.map fst pin;
     }
 
@@ -381,7 +215,7 @@ let compile ?(max_entries = Splitting.default_max_entries) ?tag
       report.Verify.issues
   in
   let rec attempt pin round =
-    let* plan = hybrid_plan ~max_entries ?tag ~pin net reqs in
+    let* plan = candidate ~max_entries ?tag ~pin net reqs in
     let report = verify_candidate net reqs plan ~baseline in
     if report.Verify.ok then Ok plan
     else if round >= max_repairs then

@@ -1,36 +1,40 @@
 (** Compilation of forwarding requirements into fake LSAs — the core of
     Fibbing.
 
-    Two compilation strategies are provided:
+    There is one compiler, [compile]. It runs a single per-router cost
+    relaxation: every lied-to router starts at its highest safe fake
+    cost, and the pairwise consistency rule
+    [L(u) <= dist(u, v) + L(v) − 1] then lowers whoever a neighbour's
+    lie would otherwise capture. Each router ends in one of two
+    outcomes:
 
-    - {b Extension} ({i the demo's technique}): fake routes are injected
-      at exactly the router's current SPF cost, so they join the existing
-      equal-cost set. This adds next hops (and multiplicities) without
-      disturbing anything else — it reproduces the paper's fB (cost 2 at
-      B) and the two fA (cost 3 at A). It cannot remove a next hop the
-      IGP already uses.
+    - {b Extension} (the demo's technique): its cost stays at its
+      current SPF distance, so the fakes join the existing equal-cost
+      set. They add next hops (and multiplicities) and the real routes
+      supply the first unit of every hop they already use. This is the
+      start when the router's requirement only adds paths; it reproduces
+      the paper's fB (cost 2 at B) and the two fA (cost 3 at A).
 
-    - {b Override}: fake routes are injected strictly below the current
-      SPF cost, replacing the router's real routes entirely, enabling
-      arbitrary next-hop sets. Costs are derived by constraint
-      relaxation: start each lied-to router at its highest safe cost
-      (current distance − 1) and propagate pairwise consistency
-      [L(u) <= dist(u, v) + L(v) − 1] so no router is captured by a
-      neighbor's lie, plus lower bounds protecting non-required routers.
+    - {b Override}: its cost ends strictly below its SPF distance, so
+      fakes replace the real routes entirely and carry every
+      multiplicity unit. This is the start (distance − 1) when a current
+      next hop must be removed, and where the relaxation lowers a router.
 
-    [compile] is the production entry point: it tries extension, falls
-    back to override, verifies the candidate on a cloned network, and
-    repairs residual collateral damage by {i pinning} the affected
-    routers (lying to them so they keep forwarding exactly as before) —
-    the same grow-the-lie-set loop the Fibbing paper's augmentation uses.
-    The result is guaranteed verified or an [Error] is returned; nothing
-    is ever silently wrong. *)
+    An exact-cost tie between a router's extension lie and the path
+    towards another router's lie is allowed when every tied path enters
+    the router's existing first hops (SPF deduplicates them), which keeps
+    the demo plan at 3 fakes. A router at distance 1 can only be
+    extended, since no positive-cost lie undercuts it.
 
-type mode = Extension | Override | Hybrid
+    [compile] then verifies the candidate on a cloned network and repairs
+    residual collateral damage by {i pinning} the affected routers (lying
+    to them so they keep forwarding exactly as before) — the same
+    grow-the-lie-set loop the Fibbing paper's augmentation uses. The
+    result is verified or an [Error] is returned; nothing is ever
+    silently wrong. *)
 
 type plan = {
   prefix : Igp.Lsa.prefix;
-  mode : mode;
   fakes : Igp.Lsa.fake list;
   expected : (Netgraph.Graph.node * (Netgraph.Graph.node * int) list) list;
       (** Per required (and pinned) router, the FIB weights the plan must
@@ -43,47 +47,6 @@ type plan = {
 
 val fake_count : plan -> int
 
-val extension_plan :
-  ?max_entries:int ->
-  ?tag:string ->
-  Igp.Network.t ->
-  Requirements.t ->
-  (plan, string) result
-(** Pure extension compilation. Fails (with an explanatory message) when
-    a required router would need to {i drop} one of its current next
-    hops, when the prefix is unreachable, or when fakes for this prefix
-    are already installed at a required router. The plan is not yet
-    verified against collateral effects — use [compile] for that. *)
-
-val override_plan :
-  ?max_entries:int ->
-  ?tag:string ->
-  ?pin:(Netgraph.Graph.node * (Netgraph.Graph.node * int) list) list ->
-  Igp.Network.t ->
-  Requirements.t ->
-  (plan, string) result
-(** Pure override compilation. [pin] adds routers whose current weighted
-    next hops must be preserved by explicit lies. *)
-
-val hybrid_plan :
-  ?max_entries:int ->
-  ?tag:string ->
-  ?pin:(Netgraph.Graph.node * (Netgraph.Graph.node * int) list) list ->
-  Igp.Network.t ->
-  Requirements.t ->
-  (plan, string) result
-(** Per-router mode selection under one consistent cost assignment:
-    every lied-to router starts at its highest safe cost — the current
-    distance when its requirement only {i adds} paths (extension), one
-    below when a current next hop must be removed (override) — and the
-    pairwise relaxation [L(u) <= dist(u, v) + L(v) − 1] then lowers
-    whoever a neighbor's lie would otherwise capture. Routers whose
-    final cost equals their distance keep their real routes and get
-    fakes only for the missing multiplicity; lowered routers are served
-    entirely by fakes. This is what lets one requirement mix a
-    distance-1 router (which no positive-cost lie can undercut, so it
-    must stay in extension mode) with removals elsewhere. *)
-
 val compile :
   ?max_entries:int ->
   ?tag:string ->
@@ -91,9 +54,11 @@ val compile :
   Igp.Network.t ->
   Requirements.t ->
   (plan, string) result
-(** Extension-then-override with verification and collateral repair
-    (default [max_repairs] 8). On [Ok plan], applying [plan] to the
-    network is guaranteed to pass [Verify.check]. *)
+(** The cost relaxation above, with verification and collateral repair
+    (default [max_repairs] 8). Fails when a required router cannot reach
+    the prefix, already has fake routes for it, or has no positive fake
+    cost. On [Ok plan], applying [plan] to the network is guaranteed to
+    pass [Verify.check]. *)
 
 val apply : Igp.Network.t -> plan -> unit
 (** Inject every fake of the plan. *)

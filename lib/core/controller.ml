@@ -111,8 +111,6 @@ let fake_count t =
 
 let alive t = t.alive
 
-let consecutive_failures t = t.failures
-
 (* Every fake this controller is responsible for keeping alive. *)
 let owned_ids t =
   let ids = Hashtbl.create 8 in
@@ -162,8 +160,6 @@ let record t ~time ~prefix description =
 
 let actions t = Kit.Ring.to_list t.log
 
-let requirements t prefix =
-  Option.map (fun s -> s.reqs) (Hashtbl.find_opt t.states prefix)
 
 let retract_if_installed t (f : Igp.Lsa.fake) =
   if Igp.Lsdb.installed (Igp.Network.lsdb t.net) f.fake_id then
@@ -212,7 +208,7 @@ let quarantine t ~time ~prefix ~reason =
         else Error "plan partially installed"
       in
       (match safely with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error _ -> Augmentation.revert t.net s.plan);
       Hashtbl.remove t.states prefix
     | None -> ());

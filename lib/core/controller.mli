@@ -127,15 +127,6 @@ val quarantine :
     steering unsafe, and wired to the watchdog's quarantine hook so a
     guard purge also enters hold-down. No-op while crashed. *)
 
-val quarantine_active : t -> time:float -> Igp.Lsa.prefix -> bool
-(** Is the prefix currently held down? (Expired holds are collected.) *)
-
-val revalidate : t -> Netsim.Sim.t -> unit
-(** Re-check every steered prefix against the live network and
-    quarantine any whose forwarding state turned unsafe. [attach]
-    registers this on {!Netsim.Sim.on_route_change}, so it runs when a
-    topology change lands — before flows are routed over it. *)
-
 val crash : t -> unit
 (** Fault injection: the controller process dies. All in-memory state
     (requirements, plans, adoption records, backoff) is lost; the lies
@@ -152,13 +143,6 @@ val restart : t -> time:float -> unit
     blindly reinstalls pre-crash state. No-op if alive. *)
 
 val alive : t -> bool
-
-val consecutive_failures : t -> int
-(** Consecutive reactions that were free to act but changed nothing;
-    drives the exponential backoff. *)
-
-val requirements : t -> Igp.Lsa.prefix -> Requirements.t option
-(** The requirements currently enforced for a prefix, if any. *)
 
 val actions : t -> action list
 (** Event log, oldest first. At most [log_capacity] entries are

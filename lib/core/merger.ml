@@ -29,6 +29,3 @@ let minimize net (reqs : Requirements.t) (plan : Augmentation.plan) =
     let fakes = List.fold_left drop_one plan.fakes order in
     { plan with fakes }
   end
-
-let saved ~(before : Augmentation.plan) ~(after : Augmentation.plan) =
-  List.length before.fakes - List.length after.fakes

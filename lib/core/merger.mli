@@ -23,5 +23,3 @@ val minimize :
     otherwise). Expected weights, costs and pinned routers are carried
     over. *)
 
-val saved : before:Augmentation.plan -> after:Augmentation.plan -> int
-(** Number of fakes removed. *)

@@ -20,12 +20,6 @@ let make ~prefix assocs =
         assocs;
   }
 
-let even ~prefix ~router next_hops =
-  let n = List.length next_hops in
-  if n = 0 then invalid_arg "Requirements.even: no next hops";
-  let fraction = 1. /. float_of_int n in
-  make ~prefix [ (router, List.map (fun nh -> (nh, fraction)) next_hops) ]
-
 let find t router = List.find_opt (fun r -> r.router = router) t.routers
 
 let validate net t =

@@ -29,14 +29,6 @@ val make :
 (** Convenience constructor from [(router, [(next_hop, fraction); ...])]
     associations. *)
 
-val even :
-  prefix:Igp.Lsa.prefix ->
-  router:Netgraph.Graph.node ->
-  Netgraph.Graph.node list ->
-  t
-(** Even ECMP over the given next hops at one router — the paper's first
-    intervention (router B). *)
-
 val validate : Igp.Network.t -> t -> (unit, string) result
 (** Checks, against the network: every mentioned router exists and does
     not itself announce the prefix; every next hop is a physical neighbor

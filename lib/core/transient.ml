@@ -78,4 +78,4 @@ let revert_safely net (plan : Augmentation.plan) =
       (fun (fake : Igp.Lsa.fake) ->
         Igp.Network.retract_fake net ~fake_id:fake.fake_id)
       order;
-    Ok ()
+    Ok order

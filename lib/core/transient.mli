@@ -37,17 +37,13 @@ val safe_order :
     fake never invalidates previously safe fakes of a verified plan; if
     no safe next step exists the search reports the blocked state. *)
 
-val safe_removal_order :
-  Igp.Network.t -> Augmentation.plan -> (Igp.Lsa.fake list, string) result
-(** Same, for retracting an installed plan (the reverse problem: each
-    intermediate state has a suffix of the lie). *)
-
 val apply_safely :
   Igp.Network.t -> Augmentation.plan -> (unit, string) result
 (** Find a safe order and inject along it. The network is untouched on
     [Error]. *)
 
 val revert_safely :
-  Igp.Network.t -> Augmentation.plan -> (unit, string) result
-(** Find a safe removal order and retract along it. On [Error] the plan
-    remains fully installed. *)
+  Igp.Network.t -> Augmentation.plan -> (Igp.Lsa.fake list, string) result
+(** Find a safe removal order and retract along it, returning the order
+    used: every state after a prefix of it was checked safe. On [Error]
+    the plan remains fully installed. *)

@@ -178,10 +178,6 @@ let get_prefix c what =
   | Error reason ->
     raise (Malformed (Printf.sprintf "%s at offset %d: %s" what c.pos reason))
 
-let decode_age buf =
-  if Bytes.length buf < header_length then Error "truncated header"
-  else Ok (Bytes.get_uint16_be buf 0)
-
 let decode buf =
   try
     if Bytes.length buf < header_length then raise (Malformed "truncated header");

@@ -23,14 +23,9 @@ val encode : ?age:int -> packet -> bytes
     out of range. *)
 
 val decode : bytes -> (packet, string) result
-(** Checks length consistency and the checksum. *)
-
-val decode_age : bytes -> (int, string) result
-(** The age field only (it is excluded from the checksum, as in OSPF,
-    so relays can age a packet without re-summing). *)
-
-val fletcher16 : bytes -> pos:int -> len:int -> int
-(** The checksum primitive, exposed for tests. *)
+(** Checks length consistency and the checksum. The age field (bytes
+    0–1) is outside the checksum, as in OSPF, so relays can age a packet
+    without re-summing. *)
 
 val wire_length : packet -> int
 (** Length of [encode packet] without building it. *)

@@ -25,8 +25,6 @@ type timing = {
           router load. *)
 }
 
-val default_timing : timing
-
 val installation_schedule :
   timing ->
   Netgraph.Graph.t ->

@@ -33,7 +33,7 @@ val make :
 (** Checked constructor: raises [Invalid_argument] unless every entry
     has multiplicity >= 1 and entries are strictly sorted by next hop
     (canonical form). Zero- or negative-multiplicity entries used to be
-    accepted silently and skewed {!fractions}/{!total_multiplicity}. *)
+    accepted silently and skewed {!fractions}. *)
 
 val invariant : t -> (unit, string) result
 (** The {!make} check, as a result — asserted by the watchdog's safety
@@ -45,8 +45,6 @@ val next_hops : t -> Netgraph.Graph.node list
 val weights : t -> (Netgraph.Graph.node * int) list
 (** Next hop with aggregated multiplicity, in canonical form: ascending
     by next hop, duplicate next-hop entries merged. *)
-
-val total_multiplicity : t -> int
 
 val fractions : t -> (Netgraph.Graph.node * float) list
 (** Traffic fraction sent to each next hop under per-flow ECMP hashing

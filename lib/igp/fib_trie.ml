@@ -247,10 +247,6 @@ let lookup_within t p =
   go t.root;
   !best
 
-let routes t = t.routes
-
-let installed t = t.installed
-
 let visited t = t.visited
 
 type stats = {

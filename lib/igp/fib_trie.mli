@@ -48,18 +48,13 @@ val lookup_within : 'a t -> Prefix.t -> (Prefix.t * 'a) option
     destination block, used to resolve flow prefixes against announced
     prefixes. *)
 
-val routes : 'a t -> int
-
-val installed : 'a t -> int
-(** Routes surviving aggregation; [installed t <= routes t]. *)
-
 val visited : 'a t -> int
 (** Cumulative count of nodes touched by updates/removes since
     creation — deterministic work measure for the bench gate. *)
 
 type stats = {
   routes : int;
-  installed : int;
+  installed : int;  (** Routes surviving aggregation; [installed <= routes]. *)
   nodes : int;
   ratio : float;  (** [routes /. installed]; 1.0 when empty. *)
   approx_bytes : int;

@@ -22,12 +22,6 @@ let total_cost f = f.attachment_cost + f.announced_cost
    stops refreshing. *)
 let max_age = 3600.
 
-let key = function
-  | Router { origin; _ } -> Printf.sprintf "router:%d" origin
-  | Prefix { origin; prefix; _ } ->
-    Printf.sprintf "prefix:%d:%s" origin (Prefix.to_string prefix)
-  | Fake { fake_id; _ } -> Printf.sprintf "fake:%s" fake_id
-
 let pp ~names fmt = function
   | Router { origin; links } ->
     Format.fprintf fmt "Router(%s: %a)" (names origin)

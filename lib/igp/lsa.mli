@@ -44,9 +44,4 @@ val max_age : float
     graceful-degradation argument (controller dies, lies expire, routers
     fall back to pure IGP shortest paths). *)
 
-val key : t -> string
-(** Stable identity used by the LSDB for supersession: router LSAs are
-    keyed by origin, prefix LSAs by (origin, prefix), fake LSAs by
-    [fake_id]. *)
-
 val pp : names:(Netgraph.Graph.node -> string) -> Format.formatter -> t -> unit

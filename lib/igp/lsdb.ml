@@ -19,25 +19,12 @@ type delta =
 
 let log_cap = 1024
 
-(* An LSA's identity: what {!Lsa.key} formats, kept unformatted so
-   bumping a sequence number (and cloning) costs no string building. *)
-type lsa_id =
-  | Router_id of Graph.node
-  | Prefix_id of Graph.node * Lsa.prefix
-  | Fake_id of string
-
-let key_of_id = function
-  | Router_id origin -> Lsa.key (Router { origin; links = [] })
-  | Prefix_id (origin, prefix) -> Lsa.key (Prefix { origin; prefix; cost = 0 })
-  | Fake_id fake_id -> Printf.sprintf "fake:%s" fake_id
-
 type t = {
   base : Graph.t;
   mutable announcements : (Lsa.prefix * Graph.node * int) list; (* newest last *)
   mutable fake_list : Lsa.fake list; (* newest last *)
   expiries : (string, float) Hashtbl.t;
       (* fake_id -> absolute expiry time; absent = never expires. *)
-  sequences : (lsa_id, int) Hashtbl.t;
   mutable version : int;
   mutable last_origin : Graph.node option;
   mutable resolver : Lsa.prefix Fib_trie.t option;
@@ -57,7 +44,6 @@ let create base =
     announcements = [];
     fake_list = [];
     expiries = Hashtbl.create 16;
-    sequences = Hashtbl.create 32;
     version = 0;
     last_origin = None;
     resolver = None;
@@ -70,20 +56,14 @@ let base_graph t = t.base
 
 (* What replaying [announce_prefix] over [src]'s announcements and then
    [install_fake] over its fakes would leave, built without the replay's
-   per-call list scans: the same lists, every LSA at sequence 1, one
-   version per LSA. *)
+   per-call list scans: the same lists, one version per LSA. *)
 let clone src base =
-  let sequences = Hashtbl.create (max 32 (List.length src.announcements)) in
-  let seen id = Hashtbl.replace sequences id 1 in
-  List.iter (fun (prefix, origin, _) -> seen (Prefix_id (origin, prefix))) src.announcements;
-  List.iter (fun (f : Lsa.fake) -> seen (Fake_id f.fake_id)) src.fake_list;
   let last_of f l = match List.rev l with x :: _ -> Some (f x) | [] -> None in
   let version = List.length src.announcements + List.length src.fake_list in
   {
     (create base) with
     announcements = src.announcements;
     fake_list = src.fake_list;
-    sequences;
     version;
     last_origin =
       (match last_of (fun (f : Lsa.fake) -> f.attachment) src.fake_list with
@@ -124,10 +104,7 @@ let deltas_since t ~since =
     Some (take [] t.delta_log)
   end
 
-let bump t id =
-  let seq = Option.value ~default:0 (Hashtbl.find_opt t.sequences id) in
-  Hashtbl.replace t.sequences id (seq + 1);
-  t.version <- t.version + 1
+let bump t = t.version <- t.version + 1
 
 let fake_delta (f : Lsa.fake) =
   Fake_delta
@@ -141,7 +118,7 @@ let announce_prefix t prefix ~origin ~cost =
     List.filter (fun (p, o, _) -> not (Prefix.equal p prefix && o = origin)) t.announcements
     @ [ (prefix, origin, cost) ];
   t.resolver <- None;
-  bump t (Prefix_id (origin, prefix));
+  bump t;
   record t [ Generic_delta ]
 
 let prefix_known t prefix =
@@ -169,7 +146,7 @@ let install_fake t (fake : Lsa.fake) =
     List.filter (fun (f : Lsa.fake) -> not (String.equal f.fake_id fake.fake_id)) t.fake_list
     @ [ fake ];
   t.last_origin <- Some fake.attachment;
-  bump t (Fake_id fake.fake_id);
+  bump t;
   (* Supersession is a retraction plus an installation: both deltas are
      logged so incremental consumers see the old fake disappear too. *)
   record t
@@ -189,12 +166,8 @@ let retract_fake t ~fake_id =
         t.fake_list;
     Hashtbl.remove t.expiries fake_id;
     t.last_origin <- Some fake.attachment;
-    bump t (Fake_id fake_id);
+    bump t;
     record t [ fake_delta fake ]
-
-let retract_all_fakes t =
-  List.iter (fun (f : Lsa.fake) -> retract_fake t ~fake_id:f.fake_id)
-    (List.rev t.fake_list)
 
 let fakes t = t.fake_list
 
@@ -209,8 +182,6 @@ let set_fake_expiry t ~fake_id ~now ~ttl =
   if ttl <= 0. then invalid_arg "Lsdb.set_fake_expiry: ttl must be positive";
   if installed t fake_id then
     Hashtbl.replace t.expiries fake_id (now +. Float.min ttl Lsa.max_age)
-
-let clear_fake_expiry t ~fake_id = Hashtbl.remove t.expiries fake_id
 
 let fake_expiry t ~fake_id = Hashtbl.find_opt t.expiries fake_id
 
@@ -251,11 +222,6 @@ let resolve t prefix =
 let prefix_list t =
   List.sort_uniq compare (List.map (fun (p, _, _) -> p) t.announcements)
 
-let sequence t ~key =
-  Hashtbl.fold
-    (fun id seq found -> if String.equal (key_of_id id) key then Some seq else found)
-    t.sequences None
-
 let version t = t.version
 
 let last_origin t = t.last_origin
@@ -269,9 +235,9 @@ let reoriginate t ~origin =
   (* A router (re)floods its own LSA with a higher sequence number:
      crash (MaxAge flush) and recovery both look like this to the rest
      of the domain. The adjacency changes themselves live in the graph;
-     here we advance the LSA identity and log a generic delta. *)
+     here we advance the version and log a generic delta. *)
   t.last_origin <- Some origin;
-  bump t (Router_id origin);
+  bump t;
   record t [ Generic_delta ]
 
 let weight_changed t u v ~old_weight ~new_weight =

@@ -3,7 +3,7 @@
     A single LSDB instance models the (converged) flooded state of the
     IGP domain: router LSAs are derived from the physical topology graph;
     prefix and fake LSAs are installed explicitly. Each change bumps a
-    version and a per-LSA sequence number, mirroring OSPF supersession.
+    version.
 
     The LSDB only stores LSAs; routes are computed from them by {!Spf}
     in two stages (SPF over the physical graph, then per-prefix
@@ -47,8 +47,8 @@ val clone : t -> Netgraph.Graph.t -> t
 (** [clone t g] is an LSDB over [g] (a copy of [t]'s base graph) with
     what replaying [t]'s announcements through {!announce_prefix} and
     then its fakes through {!install_fake} would leave: the same
-    announcements and fakes in the same order, each LSA at sequence 1,
-    one version per LSA, no fake expiries. Linear in their number. Its
+    announcements and fakes in the same order, one version per LSA, no
+    fake expiries. Linear in their number. Its
     delta log starts empty at that version. *)
 
 val announce_prefix : t -> Lsa.prefix -> origin:Netgraph.Graph.node -> cost:int -> unit
@@ -64,8 +64,6 @@ val install_fake : t -> Lsa.fake -> unit
 
 val retract_fake : t -> fake_id:string -> unit
 (** Raises [Not_found] if no such fake is installed. *)
-
-val retract_all_fakes : t -> unit
 
 val fakes : t -> Lsa.fake list
 (** Currently installed fakes, in installation order. *)
@@ -90,9 +88,6 @@ val set_fake_expiry : t -> fake_id:string -> now:float -> ttl:float -> unit
 (** Stamp (or refresh) one fake's expiry to [now + min ttl Lsa.max_age].
     No-op if the fake is not installed. Raises [Invalid_argument] on a
     non-positive [ttl]. *)
-
-val clear_fake_expiry : t -> fake_id:string -> unit
-(** Make the fake immortal again (remove its expiry). *)
 
 val fake_expiry : t -> fake_id:string -> float option
 (** Absolute expiry time, [None] if the fake never expires. *)
@@ -122,12 +117,6 @@ val resolve : t -> Lsa.prefix -> Lsa.prefix option
     rebuilt only after an announcement changes — fake churn leaves it
     alone. *)
 
-val sequence : t -> key:string -> int option
-(** Current sequence number of the LSA with this [Lsa.key]; [None] if
-    never installed. Sequence numbers survive retraction (as in OSPF,
-    where a purged LSA's sequence keeps increasing). A diagnostic: it
-    scans every LSA the database has seen. *)
-
 val version : t -> int
 (** Bumped on every change; cheap to poll. *)
 
@@ -143,8 +132,7 @@ val touch : ?origin:Netgraph.Graph.node -> t -> unit
     [Generic_delta]. *)
 
 val reoriginate : t -> origin:Netgraph.Graph.node -> unit
-(** Flush-and-reflood the router LSA of [origin]: bumps its sequence
-    number and the version (logged as [Generic_delta]). Used when a
+(** Flush-and-reflood the router LSA of [origin]: bumps the version (logged as [Generic_delta]). Used when a
     router crashes (its LSA is purged domain-wide) and again when it
     recovers (it floods a fresh LSA for its restored adjacencies). *)
 

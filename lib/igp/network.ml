@@ -58,11 +58,7 @@ let account t ~origin =
 
 let set_flooding_loss t loss = t.flooding_loss <- loss
 
-let flooding_loss t = t.flooding_loss
-
 let set_flooding_jitter t jitter = t.flooding_jitter <- jitter
-
-let flooding_jitter t = t.flooding_jitter
 
 let inject_fake t fake =
   Lsdb.install_fake t.lsdb fake;
@@ -75,9 +71,6 @@ let retract_fake t ~fake_id =
   in
   Lsdb.retract_fake t.lsdb ~fake_id;
   account t ~origin:fake.Lsa.attachment
-
-let router_lsa t ~origin =
-  Lsa.Router { origin; links = Graph.succ t.graph origin }
 
 let retract_all_fakes t =
   List.iter (fun (f : Lsa.fake) -> retract_fake t ~fake_id:f.fake_id)
@@ -128,6 +121,5 @@ let refresh_cost t ~period ~duration =
         { Flooding.messages = once.messages * cycles; rounds = once.rounds })
     Flooding.zero (Lsdb.fakes t.lsdb)
 
-let reset_control_cost t = t.control <- Flooding.zero
 
 let routers t = Graph.nodes t.graph

@@ -34,10 +34,6 @@ val retract_fake : t -> fake_id:string -> unit
 
 val retract_all_fakes : t -> unit
 
-val router_lsa : t -> origin:Netgraph.Graph.node -> Lsa.t
-(** The router LSA [origin] would originate for its current adjacencies
-    (derived from the physical graph). *)
-
 val fakes : t -> Lsa.fake list
 
 val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
@@ -77,14 +73,12 @@ val set_weight : t -> Netgraph.Graph.node -> Netgraph.Graph.node -> weight:int -
 
 val control_cost : t -> Flooding.cost
 (** Cumulative control-plane cost of all fake/weight operations since
-    creation or the last [reset_control_cost]. *)
+    creation. *)
 
 val set_flooding_loss : t -> Flooding.loss option -> unit
 (** Make every subsequently accounted flood pay lossy retransmission
     costs (chaos experiments); [None] restores the lossless default.
     Clones start lossless. *)
-
-val flooding_loss : t -> Flooding.loss option
 
 val set_flooding_jitter : t -> Flooding.jitter option -> unit
 (** Make every subsequently accounted flood pay per-adjacency delivery
@@ -92,15 +86,11 @@ val set_flooding_jitter : t -> Flooding.jitter option -> unit
     Composes with [set_flooding_loss]; [None] (the default, and the
     clone state) disables. *)
 
-val flooding_jitter : t -> Flooding.jitter option
-
 val refresh_cost : t -> period:float -> duration:float -> Flooding.cost
 (** Steady-state cost of keeping the currently installed fakes alive for
     [duration] seconds: OSPF re-originates every LSA each [period]
     (1800 s by default in real deployments), and each re-origination
     refloods. This is Fibbing's analogue of RSVP-TE's soft-state
     refreshes — two orders of magnitude rarer. *)
-
-val reset_control_cost : t -> unit
 
 val routers : t -> Netgraph.Graph.node list

@@ -26,36 +26,9 @@ let len t = t land 0x3F
 
 let equal (a : t) (b : t) = a = b
 
-let compare (a : t) (b : t) =
-  let c = Int.compare (addr a) (addr b) in
-  if c <> 0 then c else Int.compare (len a) (len b)
-
-let hash (t : t) = Hashtbl.hash t
-
-let default_route = make ~addr:0 ~len:0
-
-let is_host t = len t = 32
-
-let bit_of_addr a i = (a lsr (31 - i)) land 1
-
-let bit t i =
-  if i < 0 || i > 31 then invalid_arg "Prefix.bit: index not in 0..31";
-  bit_of_addr (addr t) i
-
-let contains p q =
-  len p <= len q && (addr p) land net_mask (len p) = (addr q) land net_mask (len p)
-
-let contains_addr p a = a land net_mask (len p) = addr p
-
 let first_addr t = addr t
 
 let last_addr t = addr t lor (mask32 lsr len t land mask32)
-
-let subnet t ~bit =
-  if is_host t then invalid_arg "Prefix.subnet: /32 has no subnets";
-  if bit <> 0 && bit <> 1 then invalid_arg "Prefix.subnet: bit must be 0 or 1";
-  let l = len t in
-  make ~addr:(addr t lor (bit lsl (31 - l))) ~len:(l + 1)
 
 (* ---- Named prefixes --------------------------------------------------
    The seed topologies announce prefixes by name ("blue", "cdn", "p07").
@@ -196,10 +169,7 @@ let of_string s =
           fail (Printf.sprintf "host bits set below /%d" l)
         else Ok (make ~addr:a ~len:l))
 
-let of_string_exn s =
-  match of_string s with Ok t -> t | Error e -> invalid_arg e
-
-let v = of_string_exn
+let v s = match of_string s with Ok t -> t | Error e -> invalid_arg e
 
 let to_string t =
   match Mutex.protect registry_lock (fun () -> Hashtbl.find_opt name_of_packed t)
@@ -211,9 +181,7 @@ let to_string t =
       Printf.sprintf "%d.%d.%d.%d" (a lsr 24) ((a lsr 16) land 0xFF)
         ((a lsr 8) land 0xFF) (a land 0xFF)
     in
-    if is_host t then quad else Printf.sprintf "%s/%d" quad (len t)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
+    if len t = 32 then quad else Printf.sprintf "%s/%d" quad (len t)
 
 (* ---- Synthetic table generator --------------------------------------
    Production FIB dumps are heavy-tailed: a few popular aggregates own

@@ -19,8 +19,8 @@
       the name back. Names never nest, so all seed behaviour is
       preserved bit-for-bit.
 
-    The accessors {!addr}/{!len}/{!bit} and the containment tests are
-    what {!Fib_trie} builds its compressed binary trie on. *)
+    The accessors {!addr}/{!len} are what {!Fib_trie} builds its
+    compressed binary trie on. *)
 
 type t = private int
 
@@ -34,12 +34,10 @@ val of_string : string -> (t, string) result
     prefix ([A-Za-z_][A-Za-z0-9_-]*, at most 255 bytes). The error
     names the offending token and the reason. *)
 
-val of_string_exn : string -> t
-(** Raises [Invalid_argument] with the {!of_string} error message. *)
-
 val v : string -> t
-(** Compatibility constructor, alias of {!of_string_exn}: the one-word
-    spelling used by scenarios, benches and tests. *)
+(** Compatibility constructor: {!of_string}, raising [Invalid_argument]
+    with its error message. The one-word spelling used by scenarios,
+    benches and tests. *)
 
 val to_string : t -> string
 (** The registered name for named prefixes, dotted-quad CIDR
@@ -52,39 +50,11 @@ val len : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-(** Orders by address, then by mask length — so sorting a prefix list
-    groups nested subnets under their covering aggregates. *)
-
-val hash : t -> int
-
-val default_route : t
-(** 0.0.0.0/0. *)
-
-val is_host : t -> bool
-(** [len t = 32]. *)
-
-val bit : t -> int -> int
-(** [bit t i] is bit [i] of the address, counted from the most
-    significant bit ([i = 0]); requires [0 <= i < 32]. *)
-
-val contains : t -> t -> bool
-(** [contains p q]: every address matched by [q] is matched by [p]
-    ([p] is an equal-or-shorter covering prefix of [q]). *)
-
-val contains_addr : t -> int -> bool
-
 val first_addr : t -> int
 (** Lowest address covered ([= addr t]). *)
 
 val last_addr : t -> int
 (** Highest address covered. *)
-
-val subnet : t -> bit:int -> t
-(** The [bit] (0 or 1) half of [t], one mask bit longer. Raises
-    [Invalid_argument] on a host route. *)
-
-val pp : Format.formatter -> t -> unit
 
 val synthesize : Kit.Prng.t -> n:int -> t list
 (** Deterministic synthetic routing table: [n] distinct CIDR prefixes

@@ -6,10 +6,6 @@ type 'a t = {
 
 let create () = { priorities = [||]; values = [||]; length = 0 }
 
-let is_empty t = t.length = 0
-
-let size t = t.length
-
 let grow t value =
   let capacity = Array.length t.priorities in
   if t.length = capacity then begin
@@ -92,11 +88,6 @@ module Int = struct
       length = 0;
     }
 
-  let is_empty t = t.length = 0
-
-  let size t = t.length
-
-  let clear t = t.length <- 0
 
   let grow t =
     let capacity = Array.length t.priorities in
@@ -158,7 +149,4 @@ module Int = struct
       end;
       Some (priority, value)
     end
-
-  let peek t =
-    if t.length = 0 then None else Some (t.priorities.(0), t.values.(0))
 end

@@ -8,11 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
-val size : 'a t -> int
-(** Number of stored entries (including any stale duplicates). *)
-
 val push : 'a t -> priority:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
@@ -35,18 +30,8 @@ module Int : sig
   val create : ?capacity:int -> unit -> t
   (** [capacity] pre-sizes the backing arrays (default grows on demand). *)
 
-  val is_empty : t -> bool
-
-  val size : t -> int
-  (** Number of stored entries, including stale duplicates. *)
-
-  val clear : t -> unit
-  (** Drop all entries; keeps the backing arrays for reuse. *)
-
   val push : t -> priority:int -> int -> unit
 
   val pop : t -> (int * int) option
   (** Remove and return the minimum-priority entry, if any. *)
-
-  val peek : t -> (int * int) option
 end

@@ -120,7 +120,8 @@ let parse_number st =
   done;
   let s = String.sub st.src start (st.pos - start) in
   match float_of_string_opt s with
-  | Some v -> v
+  | Some v when Float.is_finite v -> v
+  | Some _ -> error st (Printf.sprintf "number out of range %S" s)
   | None -> error st (Printf.sprintf "bad number %S" s)
 
 let parse_literal st word value =
@@ -202,9 +203,6 @@ let parse s =
   | exception Error (pos, msg) ->
     Result.Error (Printf.sprintf "JSON parse error at byte %d: %s" pos msg)
 
-let parse_exn s =
-  match parse s with Ok v -> v | Result.Error msg -> failwith msg
-
 let parse_lines s =
   let lines = String.split_on_char '\n' s in
   let rec go acc i = function
@@ -269,9 +267,3 @@ let to_string v =
   in
   go v;
   Buffer.contents buf
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let to_float = function Num v -> Some v | _ -> None
-
-let to_str = function Str s -> Some s | _ -> None

@@ -20,10 +20,9 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parses one complete JSON document; trailing whitespace is allowed,
-    any other trailing input is an error. Errors carry a byte offset. *)
-
-val parse_exn : string -> t
-(** Raises [Failure] with the parse error. *)
+    any other trailing input is an error, and so is a number that
+    overflows [float] (JSON has no infinity to print it back as).
+    Errors carry a byte offset. *)
 
 val parse_lines : string -> (t list, string) result
 (** Parses JSONL: one document per non-empty line. *)
@@ -32,13 +31,3 @@ val to_string : t -> string
 (** Compact rendering. Floats holding integral values in the safe
     range print without a fractional part, so int-valued counters
     round-trip as [42], not [42.]. *)
-
-val member : string -> t -> t option
-(** [member k (Obj kvs)] is the first binding of [k]; [None] for
-    non-objects. *)
-
-val to_float : t -> float option
-(** [Num]s only. *)
-
-val to_str : t -> string option
-(** [Str]s only. *)

@@ -10,9 +10,6 @@ val create : seed:int -> t
 (** [create ~seed] returns an independent generator. Two generators with
     the same seed produce the same stream. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator continuing from [t]'s state. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -18,8 +18,5 @@ val approximate : max_total:int -> float array -> int array
 
 val max_error : float array -> int array -> float
 (** [max_error fractions m] is the maximum absolute difference between the
-    desired fractions and the realized ones [m.(i) / sum m]. *)
-
-val realized : int array -> float array
-(** [realized m] are the fractions actually produced by multiplicities
-    [m]. Raises [Invalid_argument] if [m] is empty or sums to 0. *)
+    desired fractions and the realized ones [m.(i) / sum m]. Raises
+    [Invalid_argument] if [m] is empty or sums to 0. *)

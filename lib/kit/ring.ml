@@ -9,10 +9,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { data = Array.make capacity None; head = 0; length = 0; dropped = 0 }
 
-let capacity t = Array.length t.data
-
-let length t = t.length
-
 let push t x =
   let cap = Array.length t.data in
   if t.length = cap then t.dropped <- t.dropped + 1 else t.length <- t.length + 1;

@@ -7,11 +7,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** [capacity] must be positive. *)
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Elements currently held, at most [capacity]. *)
-
 val push : 'a t -> 'a -> unit
 (** Append, evicting the oldest element when the ring is full. *)
 
@@ -20,12 +15,6 @@ val dropped : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** Retained elements, oldest first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Oldest first. *)
 
 val clear : 'a t -> unit
 (** Drop every element and reset the [dropped] counter. *)

@@ -4,15 +4,6 @@ let mean = function
   | [] -> 0.
   | xs -> total xs /. float_of_int (List.length xs)
 
-let variance = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-    let m = mean xs in
-    let squares = List.map (fun x -> (x -. m) *. (x -. m)) xs in
-    total squares /. float_of_int (List.length xs)
-
-let stddev xs = sqrt (variance xs)
-
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty list"
   | xs ->
@@ -23,14 +14,6 @@ let percentile p = function
     in
     let rank = max 0 (min (n - 1) rank) in
     List.nth sorted rank
-
-let minimum = function
-  | [] -> invalid_arg "Stats.minimum: empty list"
-  | x :: xs -> List.fold_left min x xs
-
-let maximum = function
-  | [] -> invalid_arg "Stats.maximum: empty list"
-  | x :: xs -> List.fold_left max x xs
 
 let ewma ~alpha previous sample =
   assert (alpha >= 0. && alpha <= 1.);

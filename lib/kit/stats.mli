@@ -3,20 +3,9 @@
 val mean : float list -> float
 (** Arithmetic mean; [0.] on the empty list. *)
 
-val variance : float list -> float
-(** Population variance; [0.] on lists of length < 2. *)
-
-val stddev : float list -> float
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0, 100\]], nearest-rank method on the
     sorted sample. Raises [Invalid_argument] on the empty list. *)
-
-val minimum : float list -> float
-(** Raises [Invalid_argument] on the empty list. *)
-
-val maximum : float list -> float
-(** Raises [Invalid_argument] on the empty list. *)
 
 val total : float list -> float
 

@@ -2,22 +2,16 @@ type t = {
   name : string;
   mutable rev_samples : (float * float) list;
   mutable last_time : float;
-  mutable count : int;
 }
 
-let create ~name = { name; rev_samples = []; last_time = neg_infinity; count = 0 }
-
-let name t = t.name
+let create ~name = { name; rev_samples = []; last_time = neg_infinity }
 
 let add t ~time value =
   if time < t.last_time then invalid_arg "Timeseries.add: non-monotonic time";
   t.rev_samples <- (time, value) :: t.rev_samples;
-  t.last_time <- time;
-  t.count <- t.count + 1
+  t.last_time <- time
 
 let samples t = List.rev t.rev_samples
-
-let length t = t.count
 
 let value_at t time =
   (* rev_samples is newest-first: the first sample at or before [time]. *)
@@ -27,16 +21,6 @@ let value_at t time =
       if sample_time <= time then value else find rest
   in
   find t.rev_samples
-
-let peak t = List.fold_left (fun acc (_, v) -> max acc v) 0. t.rev_samples
-
-let window_mean t ~from ~until =
-  let in_window =
-    List.filter_map
-      (fun (time, v) -> if time >= from && time < until then Some v else None)
-      t.rev_samples
-  in
-  Stats.mean in_window
 
 let to_csv ?(step = 1.0) series =
   let buffer = Buffer.create 256 in

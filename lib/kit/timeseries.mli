@@ -5,8 +5,6 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val add : t -> time:float -> float -> unit
 (** Samples must be appended in non-decreasing time order; raises
     [Invalid_argument] otherwise. *)
@@ -14,21 +12,11 @@ val add : t -> time:float -> float -> unit
 val samples : t -> (float * float) list
 (** All samples in chronological order. *)
 
-val length : t -> int
-
-val value_at : t -> float -> float
-(** [value_at t time] is the most recent sample at or before [time]
-    (step interpolation); [0.] before the first sample. *)
-
-val peak : t -> float
-(** Maximum recorded value; [0.] when empty. *)
-
-val window_mean : t -> from:float -> until:float -> float
-(** Mean of the samples with [from <= time < until]; [0.] if none. *)
-
 val to_csv : ?step:float -> t list -> string
 (** CSV with a header row ("time,<name>,<name>,...") and one row per
-    [step] seconds (default 1.0), resampled like [pp_rows]; for feeding
+    [step] seconds (default 1.0), resampled like [pp_rows] (each cell is
+    the most recent sample at or before its time, [0.] before the
+    first); for feeding
     the series to external plotting tools. *)
 
 val pp_rows : ?step:float -> Format.formatter -> t list -> unit

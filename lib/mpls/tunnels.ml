@@ -19,8 +19,6 @@ type t = {
 let create graph capacities =
   { graph; capacities; next_id = 0; live = []; signaling = 0 }
 
-let tunnels t = t.live
-
 let reserved t link =
   List.fold_left
     (fun acc tunnel ->
@@ -49,13 +47,6 @@ let establish t ~head ~tail ~bandwidth =
       t.signaling <- t.signaling + (2 * hops path);
       Ok tunnel
   end
-
-let teardown t id =
-  match List.find_opt (fun tunnel -> tunnel.id = id) t.live with
-  | None -> raise Not_found
-  | Some tunnel ->
-    t.live <- List.filter (fun tl -> tl.id <> id) t.live;
-    t.signaling <- t.signaling + hops tunnel.path (* PathTear *)
 
 let signaling_messages t = t.signaling
 

@@ -34,24 +34,12 @@ val establish :
 (** CSPF placement honouring existing reservations, reserving bandwidth,
     and accounting signaling (one Path + one Resv message per hop). *)
 
-val teardown : t -> int -> unit
-(** Release a tunnel's reservation (accounts PathTear messages). Raises
-    [Not_found] on unknown id. *)
-
-val tunnels : t -> tunnel list
-
-val reserved : t -> Netsim.Link.t -> float
-
 val signaling_messages : t -> int
 (** Cumulative setup/teardown messages so far. *)
 
 val refresh_messages : t -> period:float -> duration:float -> int
 (** Soft-state refresh traffic for keeping the current tunnels up for
     [duration] seconds with the standard refresh [period] (30 s). *)
-
-val router_state_entries : t -> (Netgraph.Graph.node * int) list
-(** Per router, the number of tunnels it keeps state for (head, transit
-    and tail all count), descending. *)
 
 val total_state : t -> int
 

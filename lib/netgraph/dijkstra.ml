@@ -44,8 +44,6 @@ let run g ~source =
   loop ();
   { source; dist; preds; order; settled = !count }
 
-let source r = r.source
-
 let distance r v = if r.dist.(v) = unreachable then None else Some r.dist.(v)
 
 let distance_exn r v =
@@ -88,9 +86,3 @@ let first_hops g r ~target =
     in
     List.sort_uniq compare hops
   end
-
-let shortest_path_nodes r ~target =
-  let marked = dag_nodes r ~target in
-  if Array.length marked = 0 then []
-  else
-    List.filter (fun v -> marked.(v)) (List.init (Array.length marked) Fun.id)

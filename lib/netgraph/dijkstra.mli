@@ -8,8 +8,6 @@ type result
 
 val run : Graph.t -> source:Graph.node -> result
 
-val source : result -> Graph.node
-
 val distance : result -> Graph.node -> int option
 (** [None] when the node is unreachable from the source. *)
 
@@ -32,8 +30,3 @@ val first_hops : Graph.t -> result -> target:Graph.node -> Graph.node list
     from the source to [target], in ascending node order. Empty when
     [target] is the source or unreachable. This is the ECMP next-hop set a
     router installs. *)
-
-val shortest_path_nodes : result -> target:Graph.node -> Graph.node list
-(** All nodes lying on at least one shortest path from the source to
-    [target] (including both endpoints), ascending order. Empty when
-    unreachable. *)

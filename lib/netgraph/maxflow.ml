@@ -38,7 +38,7 @@ let find_augmenting g capacities flow ~source ~sink =
     Some (rebuild sink [])
   end
 
-let max_flow_with_assignment g capacities ~source ~sink =
+let max_flow g capacities ~source ~sink =
   Hashtbl.iter
     (fun _ c -> if c < 0. then invalid_arg "Maxflow: negative capacity")
     capacities;
@@ -72,10 +72,4 @@ let max_flow_with_assignment g capacities ~source ~sink =
     in
     augment ()
   end;
-  Hashtbl.filter_map_inplace
-    (fun _ f -> if f <= epsilon then None else Some f)
-    flow;
-  (!value, flow)
-
-let max_flow g capacities ~source ~sink =
-  fst (max_flow_with_assignment g capacities ~source ~sink)
+  !value

@@ -12,11 +12,3 @@ val max_flow :
   Graph.t -> capacities -> source:Graph.node -> sink:Graph.node -> float
 (** Value of the maximum flow. Requires non-negative capacities;
     0. when source = sink or the sink is unreachable. *)
-
-val max_flow_with_assignment :
-  Graph.t ->
-  capacities ->
-  source:Graph.node ->
-  sink:Graph.node ->
-  float * (Graph.node * Graph.node, float) Hashtbl.t
-(** As [max_flow], also returning the per-edge flow assignment. *)

@@ -7,9 +7,6 @@ val cost : Graph.t -> path -> int
 (** Sum of edge weights along the path. Raises [Not_found] if a hop is not
     an edge of the graph; [0] for a single-node path. *)
 
-val is_valid : Graph.t -> path -> bool
-(** The path is non-empty and every hop is an existing edge. *)
-
 val all_shortest : ?limit:int -> Graph.t -> source:Graph.node -> target:Graph.node -> path list
 (** Enumerate all distinct shortest paths (at most [limit], default 1024),
     lexicographically by node sequence. Empty if the target is
@@ -19,8 +16,5 @@ val k_shortest : Graph.t -> k:int -> source:Graph.node -> target:Graph.node -> p
 (** Yen's algorithm: the [k] loopless shortest paths in non-decreasing
     cost order (fewer if the graph has fewer distinct paths). Used by the
     MPLS baseline to pre-provision tunnels. *)
-
-val pp : Graph.t -> Format.formatter -> path -> unit
-(** Renders "A-B-R2-C". *)
 
 val to_string : Graph.t -> path -> string

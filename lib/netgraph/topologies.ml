@@ -28,15 +28,6 @@ let demo () =
   Graph.add_link graph r4 c ~weight:2;
   { graph; a; b; r1; r2; r3; r4; c }
 
-let line ~n =
-  if n < 1 then invalid_arg "Topologies.line: n must be >= 1";
-  let g = Graph.create () in
-  let nodes = Array.init n (fun i -> Graph.add_node g ~name:(Printf.sprintf "N%d" i)) in
-  for i = 0 to n - 2 do
-    Graph.add_link g nodes.(i) nodes.(i + 1) ~weight:1
-  done;
-  g
-
 let ring ~n =
   if n < 3 then invalid_arg "Topologies.ring: n must be >= 3";
   let g = Graph.create () in
@@ -81,37 +72,6 @@ let random prng ~n ~extra_edges ~max_weight =
       Graph.add_link g nodes.(u) nodes.(v) ~weight:(weight ());
       incr added
     end
-  done;
-  g
-
-let fat_tree ~k =
-  if k < 2 || k mod 2 <> 0 then invalid_arg "Topologies.fat_tree: k must be even, >= 2";
-  let g = Graph.create () in
-  let half = k / 2 in
-  let cores =
-    Array.init (half * half) (fun i ->
-        Graph.add_node g ~name:(Printf.sprintf "core_%d" i))
-  in
-  for pod = 0 to k - 1 do
-    let aggs =
-      Array.init half (fun i ->
-          Graph.add_node g ~name:(Printf.sprintf "agg_%d_%d" pod i))
-    in
-    let edges =
-      Array.init half (fun i ->
-          Graph.add_node g ~name:(Printf.sprintf "edge_%d_%d" pod i))
-    in
-    (* Full bipartite mesh inside the pod. *)
-    Array.iter
-      (fun agg -> Array.iter (fun edge -> Graph.add_link g agg edge ~weight:1) edges)
-      aggs;
-    (* Aggregation switch i uplinks to core group i. *)
-    Array.iteri
-      (fun i agg ->
-        for j = 0 to half - 1 do
-          Graph.add_link g agg cores.((i * half) + j) ~weight:1
-        done)
-      aggs
   done;
   g
 

@@ -21,9 +21,6 @@ val demo : unit -> demo
     R4–C = 2 (see DESIGN.md for the weight reconstruction). The blue
     destination prefix of the paper is attached at C by the IGP layer. *)
 
-val line : n:int -> Graph.t
-(** n >= 1 nodes "N0" ... in a chain, unit weights. *)
-
 val ring : n:int -> Graph.t
 (** n >= 3 nodes in a cycle, unit weights. *)
 
@@ -41,9 +38,3 @@ val two_level :
 (** ISP-like two-level topology: a well-meshed core ring with chords, and
     [edge_per_core] stub "edge" routers attached to each core node —
     the kind of network the paper's ISP scenario targets. *)
-
-val fat_tree : k:int -> Graph.t
-(** A k-ary fat tree (k even, >= 2): (k/2)² core switches, k pods of k/2
-    aggregation + k/2 edge switches, unit weights. Node names "core_i",
-    "agg_p_i", "edge_p_i". The heavy path redundancy makes it a good
-    stress case for ECMP-based splitting. *)

@@ -12,17 +12,13 @@ type entry = {
   description : string;
 }
 
-val abilene : unit -> entry
-(** Abilene / Internet2 (11 PoPs, 14 links). *)
-
-val nsfnet : unit -> entry
-(** NSFNET T1 backbone, 1991 (14 nodes, 21 links). *)
-
 val geant : unit -> entry
 (** GEANT-like pan-European research network (22 nodes, 36 links),
     simplified from the public 2004 map. *)
 
 val all : unit -> entry list
+(** Abilene / Internet2 (11 PoPs, 14 links), the 1991 NSFNET T1 backbone
+    (14 nodes, 21 links) and {!geant}, in that order. *)
 
 val find : string -> entry option
 (** Case-insensitive lookup by name. *)

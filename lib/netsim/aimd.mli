@@ -28,8 +28,5 @@ val update :
 (** Advance one step for the given routed flows and return their rates.
     Flows unseen before are initialized; rates never exceed demand. *)
 
-val rate : t -> int -> float
-(** Current rate of a flow ([0.] if unknown). *)
-
 val forget : t -> int -> unit
 (** Drop a departed flow's state. *)

@@ -6,8 +6,6 @@ let schedule t ~time event =
   if time < 0. then invalid_arg "Events.schedule: negative time";
   Kit.Heap.push t ~priority:time event
 
-let next_time t = Option.map fst (Kit.Heap.peek t)
-
 let pop_until t ~time =
   let rec drain acc =
     match Kit.Heap.peek t with
@@ -18,7 +16,3 @@ let pop_until t ~time =
     | Some _ | None -> acc
   in
   List.rev (drain [])
-
-let is_empty = Kit.Heap.is_empty
-
-let size = Kit.Heap.size

@@ -7,12 +7,6 @@ val create : unit -> 'a t
 val schedule : 'a t -> time:float -> 'a -> unit
 (** Times may be scheduled in any order; negative times are rejected. *)
 
-val next_time : 'a t -> float option
-
 val pop_until : 'a t -> time:float -> (float * 'a) list
 (** Remove and return every event with timestamp [<= time], in
     chronological order. *)
-
-val is_empty : 'a t -> bool
-
-val size : 'a t -> int

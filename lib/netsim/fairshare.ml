@@ -214,19 +214,9 @@ let check_distinct_ids routes =
     (fun r ->
       let id = r.flow.Flow.id in
       if Hashtbl.mem seen id then
-        invalid_arg "Fairshare.allocate: duplicate flow ids";
+        invalid_arg "Fairshare.allocate_reference: duplicate flow ids";
       Hashtbl.add seen id ())
     routes
-
-let allocate capacities routes =
-  check_distinct_ids routes;
-  let routes_arr = Array.of_list routes in
-  let demands = Array.map (fun r -> r.flow.Flow.demand) routes_arr in
-  let links = Array.map (fun r -> r.links) routes_arr in
-  let weights = Array.make (Array.length routes_arr) 1 in
-  let rates = water_fill capacities ~demands ~links ~weights in
-  Array.to_list
-    (Array.mapi (fun i r -> (r.flow.Flow.id, rates.(i))) routes_arr)
 
 (* ------------------------------------------------------------------ *)
 (* Reference implementation: the original list-based progressive fill,

@@ -7,8 +7,7 @@
     links saturates. This is the bandwidth model behind the Fig. 2
     throughput curves.
 
-    The production kernel ([water_fill], wrapped by [allocate]) is
-    array-indexed: links are interned to dense ints, flow↔link incidence
+    The production kernel ([water_fill]) is array-indexed: links are interned to dense ints, flow↔link incidence
     is built once, per-link remaining capacity / unfrozen-weight
     counters are reconciled lazily, and candidate saturation levels live
     in a min-heap with version-stamped lazy deletion — so a round costs
@@ -31,20 +30,17 @@ val water_fill :
     [weights.(g)] identical flows of demand [demands.(g)] sharing links
     [links.(g)] (a link is charged [weight * rate]). Returns the
     per-member rate of each group, index-aligned with the inputs — equal
-    to what [allocate] gives each member of the group expanded into
-    singletons. A group with no links gets its full demand. Raises
+    to what [allocate_reference] gives each member of the group expanded
+    into singletons (within numerical tolerance). A group with no links gets its full demand. Raises
     [Invalid_argument] on mismatched array lengths or a weight < 1. *)
 
-val allocate : Link.capacities -> route list -> (int * float) list
-(** [(flow id, rate)] for every route, in input order. A flow with an
-    empty link list (locally delivered) gets its full demand. Flow ids
-    must be distinct; raises [Invalid_argument] otherwise. *)
-
 val allocate_reference : Link.capacities -> route list -> (int * float) list
-(** The original O(flows * links)-per-round list implementation of
-    [allocate]: same contract, same fixed point (within numerical
-    tolerance). Kept as the QCheck oracle for [allocate]/[water_fill]
-    and as the pre-kernel baseline timed by the TFLOW bench. *)
+(** [(flow id, rate)] for every route, in input order, by the original
+    O(flows * links)-per-round list fill. A flow with an empty link list
+    (locally delivered) gets its full demand. Flow ids must be distinct;
+    raises [Invalid_argument] otherwise. Kept as the QCheck oracle for
+    [water_fill] and as the pre-kernel baseline timed by the TFLOW
+    bench. *)
 
 val link_throughput : route list -> (int * float) list -> (Link.t * float) list
 (** Aggregate per-link throughput implied by an allocation, sorted by

@@ -68,15 +68,6 @@ val random_plan :
     dead to the end with probability ~0.3. Raises [Invalid_argument]
     when [until <= margin + 1]. *)
 
-val validate : ?margin:float -> plan -> (unit, string) result
-(** Replay the plan through a state machine and reject any schedule a
-    real run could not perform (double failure, restore of a live link,
-    crash overlapping a failed link or a partitioned edge, unhealed
-    element at the end, ...). Partitions must additionally heal by
-    [until - margin] (default margin 4 s, matching [random_plan]) — the
-    quiet tail the reconvergence properties rely on. [random_plan]
-    output always validates. *)
-
 val inject :
   ?on_controller_crash:(Sim.t -> unit) ->
   ?on_controller_restart:(Sim.t -> unit) ->

@@ -14,5 +14,3 @@ let make ~id ~src ~prefix ~demand ?(start_time = 0.) ?(duration = infinity) () =
   { id; src; prefix; demand; start_time; duration }
 
 let end_time t = t.start_time +. t.duration
-
-let active_at t time = time >= t.start_time && time < end_time t

@@ -27,6 +27,3 @@ val make :
     [Invalid_argument] on non-positive demand or negative times. *)
 
 val end_time : t -> float
-
-val active_at : t -> float -> bool
-(** Active on [\[start_time, end_time)). *)

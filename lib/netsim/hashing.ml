@@ -37,9 +37,3 @@ let route_with ~fib ~max_hops ~flow_id ~src =
     end
   in
   walk src 0 []
-
-let route net ~flow_id ~src prefix =
-  route_with
-    ~fib:(fun router -> Igp.Network.fib net ~router prefix)
-    ~max_hops:(Netgraph.Graph.node_count (Igp.Network.graph net))
-    ~flow_id ~src

@@ -23,13 +23,3 @@ val route_with :
     prefix-specialized) FIB view — e.g. the mixed old/new view during a
     reconvergence. [None] on unreachability or when more than [max_hops]
     hops are taken (a forwarding loop). *)
-
-val route :
-  Igp.Network.t ->
-  flow_id:int ->
-  src:Netgraph.Graph.node ->
-  Igp.Lsa.prefix ->
-  Netgraph.Graph.node list option
-(** [route_with] over the network's converged FIBs. [None] if the prefix
-    is unreachable or a forwarding loop is detected (possible with
-    inconsistent fake injections). *)

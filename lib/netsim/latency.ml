@@ -6,7 +6,7 @@ type config = {
 
 let default_config = { ms_per_weight = 5.; service_ms = 0.12; max_queue_ms = 50. }
 
-let link_delay_ms ?(config = default_config) g sim link =
+let link_delay_ms config g sim link =
   let u, v = link in
   let weight = Option.value ~default:1 (Netgraph.Graph.weight g u v) in
   let propagation = float_of_int weight *. config.ms_per_weight in
@@ -21,22 +21,18 @@ let link_delay_ms ?(config = default_config) g sim link =
   in
   propagation +. queueing
 
-let path_delay_ms ?(config = default_config) sim path =
+let flow_delay_ms config sim id =
   let g = Igp.Network.graph (Sim.network sim) in
   let rec walk acc = function
-    | u :: (v :: _ as rest) ->
-      walk (acc +. link_delay_ms ~config g sim (u, v)) rest
+    | u :: (v :: _ as rest) -> walk (acc +. link_delay_ms config g sim (u, v)) rest
     | _ -> acc
   in
-  walk 0. path
-
-let flow_delay_ms ?(config = default_config) sim id =
-  Option.map (path_delay_ms ~config sim) (Sim.flow_path sim id)
+  Option.map (walk 0.) (Sim.flow_path sim id)
 
 let mean_flow_delay_ms ?(config = default_config) sim =
   let delays =
     List.filter_map
-      (fun (flow : Flow.t) -> flow_delay_ms ~config sim flow.id)
+      (fun (flow : Flow.t) -> flow_delay_ms config sim flow.id)
       (Sim.active_flows sim)
   in
   Kit.Stats.mean delays

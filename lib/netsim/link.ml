@@ -24,5 +24,3 @@ let set_link c (u, v) value =
 
 let capacity c link =
   Option.value ~default:c.default (Hashtbl.find_opt c.table link)
-
-let overrides c = List.of_seq (Hashtbl.to_seq c.table)

@@ -15,12 +15,7 @@ val capacities : default:float -> capacities
 (** Capacity table; links not explicitly set have capacity [default]
     (bytes/s). [default] must be positive. *)
 
-val set : capacities -> t -> float -> unit
-(** Override one direction's capacity. Must be positive. *)
-
 val set_link : capacities -> t -> float -> unit
-(** Override both directions. *)
+(** Override both directions' capacity. Must be positive. *)
 
 val capacity : capacities -> t -> float
-
-val overrides : capacities -> (t * float) list

@@ -80,21 +80,11 @@ let propagate net demands =
   Hashtbl.iter (fun prefix ds -> propagate_prefix t net prefix ds) by_prefix;
   t
 
-let load t link = Option.value ~default:0. (Hashtbl.find_opt t.table link)
-
 let loads t =
   Hashtbl.to_seq t.table
   |> List.of_seq
   |> List.filter (fun (_, l) -> l > 0.)
   |> List.sort (fun (a, _) (b, _) -> Link.compare a b)
-
-let max_load t =
-  List.fold_left
-    (fun acc (link, l) ->
-      match acc with
-      | Some (_, best) when best >= l -> acc
-      | Some _ | None -> Some (link, l))
-    None (loads t)
 
 let utilization t capacities =
   List.map (fun (link, l) -> (link, l /. Link.capacity capacities link)) (loads t)

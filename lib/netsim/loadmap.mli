@@ -25,19 +25,11 @@ type t
 val propagate : Igp.Network.t -> demand list -> t
 (** Push every demand through the current FIBs. *)
 
-val load : t -> Link.t -> float
-(** Load on a directed link; [0.] if the link carries nothing. *)
-
 val loads : t -> (Link.t * float) list
 (** All links with non-zero load, sorted by link. *)
 
-val max_load : t -> (Link.t * float) option
-(** The most loaded link. *)
-
-val utilization : t -> Link.capacities -> (Link.t * float) list
-(** Per-link load/capacity ratios for loaded links. *)
-
 val max_utilization : t -> Link.capacities -> (Link.t * float) option
+(** The loaded link with the highest load/capacity ratio. *)
 
 val pp : Netgraph.Graph.t -> Format.formatter -> t -> unit
 (** Table of loaded links, descending load. *)

@@ -13,7 +13,6 @@ type t = {
   window_bytes : (Link.t, float) Hashtbl.t;
   smoothed : (Link.t, float) Hashtbl.t;
   alarmed : (Link.t, unit) Hashtbl.t;
-  histories : (Link.t, Kit.Timeseries.t) Hashtbl.t;
   mutable last_poll : float;
   mutable mute_until : float;
       (* Fault injection: samples arriving before this time are lost. *)
@@ -44,7 +43,6 @@ let create ?(poll_interval = 2.0) ?(threshold = 0.9) ?(clear_threshold = 0.7)
     window_bytes = Hashtbl.create 32;
     smoothed = Hashtbl.create 32;
     alarmed = Hashtbl.create 8;
-    histories = Hashtbl.create 8;
     last_poll = 0.;
     mute_until = neg_infinity;
     sample_loss = None;
@@ -130,24 +128,6 @@ let poll t ~time =
     t.smoothed;
   Hashtbl.reset t.window_bytes;
   Obs.Metrics.incr m_polls;
-  (* Per-link utilization histories, sampled once per poll. Only kept
-     while telemetry is on: unbounded series would leak over long runs. *)
-  if Obs.enabled () then
-    Hashtbl.iter
-      (fun link u ->
-        let ts =
-          match Hashtbl.find_opt t.histories link with
-          | Some ts -> ts
-          | None ->
-            let a, b = link in
-            let ts =
-              Kit.Timeseries.create ~name:(Printf.sprintf "util %d-%d" a b)
-            in
-            Hashtbl.add t.histories link ts;
-            ts
-        in
-        Kit.Timeseries.add ts ~time u)
-      t.smoothed;
   let alarms = ref [] in
   Hashtbl.iter
     (fun link utilization ->
@@ -166,9 +146,6 @@ let poll t ~time =
   List.sort (fun a b -> Link.compare a.link b.link) !alarms
   end
 
-let utilization t link =
-  Option.value ~default:0. (Hashtbl.find_opt t.smoothed link)
-
 let utilizations t =
   Hashtbl.fold (fun link u acc -> (link, u) :: acc) t.smoothed []
   |> List.sort (fun (a, _) (b, _) -> Link.compare a b)
@@ -176,9 +153,3 @@ let utilizations t =
 let threshold t = t.threshold
 
 let clear_threshold t = t.clear_threshold
-
-let history t link = Hashtbl.find_opt t.histories link
-
-let overloaded t =
-  Hashtbl.fold (fun link () acc -> link :: acc) t.alarmed []
-  |> List.sort Link.compare

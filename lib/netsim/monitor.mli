@@ -75,19 +75,9 @@ val set_corruption : t -> corruption option -> unit
     sample loss (a dropped sample is dropped, not corrupted). [None]
     disables. *)
 
-val utilization : t -> Link.t -> float
-(** Current smoothed utilization estimate (0. if never observed). *)
-
 val utilizations : t -> (Link.t * float) list
 (** All links ever observed with their smoothed utilization, by link. *)
 
 val threshold : t -> float
 
 val clear_threshold : t -> float
-
-val overloaded : t -> Link.t list
-(** Links currently in the alarmed state. *)
-
-val history : t -> Link.t -> Kit.Timeseries.t option
-(** Smoothed utilization sampled once per poll, recorded only while
-    [Obs] telemetry is enabled; [None] when nothing was recorded. *)

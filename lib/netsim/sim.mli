@@ -53,7 +53,7 @@ val create :
     [flow_history] (default [true]) records the per-flow throughput
     series behind [flow_series]. Disable it for very large populations
     where per-step O(flows) recording would dominate; link series and
-    the monitor are unaffected ([Video.Client.of_flow] needs it on). *)
+    the monitor are unaffected ([Video.Client.trace] needs it on). *)
 
 val network : t -> Igp.Network.t
 
@@ -114,8 +114,6 @@ val fail_links : t -> time:float -> Link.t list -> unit
 val restore_links : t -> time:float -> Link.t list -> unit
 (** Atomic counterpart of [fail_links]: restore every link of the set in
     one action (the partition heal). *)
-
-val router_crashed : t -> Netgraph.Graph.node -> bool
 
 val on_poll : t -> (t -> Monitor.alarm list -> unit) -> unit
 (** Register a controller hook called after every monitor poll (requires

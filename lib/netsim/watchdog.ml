@@ -83,11 +83,8 @@ type t = {
   mutable n_skipped : int;
   mutable n_violations : int;
   mutable n_quarantines : int;
-  violation_hooks : (violation -> unit) Queue.t;
   quarantine_hooks : (prefix:Igp.Lsa.prefix -> reason:string -> unit) Queue.t;
 }
-
-let on_violation t hook = Queue.add hook t.violation_hooks
 
 let on_quarantine t hook = Queue.add hook t.quarantine_hooks
 
@@ -122,7 +119,6 @@ let report t ~time ~kind ?prefix ~subject detail =
       match prefix with
       | Some p -> [ ("prefix", Obs.Attr.String (Igp.Prefix.to_string p)) ]
       | None -> []);
-  Queue.iter (fun hook -> hook v) t.violation_hooks;
   if t.config.fail_fast then raise (Tripped v)
 
 (* ---- invariants ---- *)
@@ -322,26 +318,9 @@ let arm ?(config = default_config) sim =
       n_skipped = 0;
       n_violations = 0;
       n_quarantines = 0;
-      violation_hooks = Queue.create ();
       quarantine_hooks = Queue.create ();
     }
   in
   if config.guard then Sim.on_route_change sim (fun sim -> guard t sim);
   Sim.on_step sim (fun sim -> check t sim);
   t
-
-let check_now t sim =
-  (* Force a full sweep regardless of the dirty log (tests, one-shot
-     audits): pretend the version moved and the log overflowed. *)
-  t.lsdb_version <- -1;
-  t.spf_cursor <- min_int;
-  check t sim
-
-let pp_violation fmt v =
-  Format.fprintf fmt "[%.2f] %s %s%s: %s" v.time
-    (kind_to_string v.kind)
-    v.subject
-    (match v.prefix with
-    | Some p -> " (prefix " ^ Igp.Prefix.to_string p ^ ")"
-    | None -> "")
-    v.detail

@@ -47,8 +47,6 @@ type kind =
       (** An installed FIB violates {!Igp.Fib.invariant} (non-positive
           multiplicity or non-canonical entries). *)
 
-val kind_to_string : kind -> string
-
 type violation = {
   time : float;
   kind : kind;
@@ -78,22 +76,12 @@ type config = {
   history : int;  (** Violation ring capacity (default 256). *)
 }
 
-val default_config : config
-
 type t
 
 val arm : ?config:config -> Sim.t -> t
 (** Register the watchdog's hooks on the simulation. Raises
     [Invalid_argument] on a non-positive [max_lie_age],
     [utilization_bound] or [history], or a negative [max_fakes]. *)
-
-val check_now : t -> Sim.t -> unit
-(** Force a full post-step check immediately, bypassing the incremental
-    gating (one-shot audits, tests). *)
-
-val on_violation : t -> (violation -> unit) -> unit
-(** Called on every reported violation (before {!Tripped} is raised).
-    This is where a controller wires its quarantine/hold-down. *)
 
 val on_quarantine : t -> (prefix:Igp.Lsa.prefix -> reason:string -> unit) -> unit
 (** Called when the pre-routing guard purges a prefix's lies — lets a
@@ -120,5 +108,3 @@ type stats = {
 val stats : t -> stats
 (** Work counters backing the overhead gate: in steady state
     [safety_skipped] must dominate [safety_sweeps]. *)
-
-val pp_violation : Format.formatter -> violation -> unit

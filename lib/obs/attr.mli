@@ -9,13 +9,9 @@ type t = string * value
 val escape : string -> string
 (** JSON string-body escaping. *)
 
-val value_to_json : value -> string
-(** JSON literal: strings are escaped, floats rendered with ["%.6g"]. *)
-
 val list_to_json : t list -> string
-(** A JSON object [{"k":v,...}] in the given order. *)
-
-val pp_value : Format.formatter -> value -> unit
+(** A JSON object [{"k":v,...}] in the given order: strings are escaped,
+    floats rendered with ["%.6g"]. *)
 
 val pp_list : Format.formatter -> t list -> unit
 (** Renders [k=v k=v ...] for human-readable tables. *)

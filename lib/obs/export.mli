@@ -1,13 +1,13 @@
 (** Standard exporters: Chrome trace-event JSON and OpenMetrics text.
 
     These render the in-memory telemetry into formats off-the-shelf
-    tools understand — [chrome_trace] loads in Perfetto / chrome://
+    tools understand — [chrome_trace_live] loads in Perfetto / chrome://
     tracing, [open_metrics] is scraped by Prometheus-compatible
     collectors. Both are pure renderers over data already collected;
     they never touch the switches or the rings' contents. *)
 
-val chrome_trace : events:Timeline.event list -> spans:Trace.span list -> string
-(** A complete trace-event JSON document:
+val chrome_trace_live : unit -> string
+(** A complete trace-event JSON document over the live rings:
     [{"traceEvents":[...],"displayTimeUnit":"ms"}]. Spans become
     ["ph":"X"] complete events on the thread lane of the domain that
     ran them (so nesting renders per domain), timeline events become
@@ -15,9 +15,6 @@ val chrome_trace : events:Timeline.event list -> spans:Trace.span list -> string
     clock converted to microseconds. Metadata events name the process
     and each domain lane. Events are sorted by timestamp then sequence
     number. *)
-
-val chrome_trace_live : unit -> string
-(** [chrome_trace] over the live rings. *)
 
 val open_metrics : unit -> string
 (** The metrics registry as OpenMetrics text exposition: sorted

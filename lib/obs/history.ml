@@ -60,12 +60,23 @@ let load ~file =
 
 type band = { counter : string; rel : float; abs : float }
 
+(* Deterministic counters get tight bands; GC counts and timings get
+   wide ones. Wall time on shared runners moves 2x between identical
+   runs, so the table timings only trip on a gross regression. *)
 let default_bands =
+  let counter c = { counter = c; rel = 0.02; abs = 64. } in
+  let timing c = { counter = c; rel = 2.0; abs = 5.0 } in
   [
-    { counter = "alloc_words"; rel = 0.02; abs = 64. };
+    counter "alloc_words";
     { counter = "minor_collections"; rel = 0.25; abs = 2. };
     { counter = "major_collections"; rel = 1.0; abs = 2. };
+    counter "installed";
+    counter "approx_bytes";
+    { counter = "visited_per_update"; rel = 0.02; abs = 1. };
     { counter = "wall_ms"; rel = 0.5; abs = 1.0 };
+    timing "build_ms";
+    timing "warm_ms";
+    timing "lie_cycle_ms";
   ]
 
 type verdict = {
@@ -86,18 +97,21 @@ let median xs =
     if n mod 2 = 1 then nth (n / 2)
     else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.
 
-(* Two rows are comparable when every non-gated key agrees exactly
-   (workload sizes, domain counts, ... are ints-in-floats, so exact
-   equality is the right notion). *)
-let same_context ~gated a b =
-  let context r =
-    List.filter (fun (k, _) -> not (List.mem k gated)) r.values
+(* The keys that size a row's workload. Two rows are comparable when
+   these agree exactly (they are ints-in-floats, so exact equality is the
+   right notion); every other key is a measurement. *)
+let workload_keys =
+  [ "prefixes"; "routers"; "links"; "flows"; "groups"; "cycles"; "domains";
+    "seeds"; "chaos_seeds" ]
+
+let same_workload a b =
+  let workload r =
+    List.filter (fun (k, _) -> List.mem k workload_keys) r.values
     |> List.sort compare
   in
-  context a = context b
+  workload a = workload b
 
 let gate ?(bands = default_bands) ?(window = 5) rows =
-  let gated = List.map (fun b -> b.counter) bands in
   let tracks =
     List.fold_left
       (fun acc r -> if List.mem r.track acc then acc else r.track :: acc)
@@ -112,7 +126,7 @@ let gate ?(bands = default_bands) ?(window = 5) rows =
       | newest :: older_rev ->
         let baseline_rows =
           List.filteri (fun i _ -> i < window)
-            (List.filter (same_context ~gated newest) older_rev)
+            (List.filter (same_workload newest) older_rev)
         in
         if baseline_rows = [] then []
         else

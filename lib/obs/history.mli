@@ -14,17 +14,18 @@ type row = {
   tag : string;  (** Commit SHA or a free-form label. *)
   track : string;  (** e.g. ["spf_churn"], ["water_fill"], ["sim_step"]. *)
   values : (string * float) list;
-      (** Counters and context, flat. Keys named in a {!band} are
-          gated; every other key is context and must match exactly for
-          a row to join the baseline (so a workload-size change starts
-          a fresh baseline instead of comparing apples to oranges). *)
+      (** Counters and context, flat. The workload-size keys
+          ([prefixes], [routers], [links], [flows], [groups], [cycles],
+          [domains], [seeds], [chaos_seeds]) must match exactly for a
+          row to join the baseline, so a workload-size change starts a
+          fresh baseline instead of comparing apples to oranges. Every
+          other key is a measurement: gated when a {!band} names it,
+          otherwise only recorded. *)
 }
 
 val row_to_json : row -> string
 (** One line, no trailing newline:
     [{"tag":...,"track":...,"k":v,...}]. *)
-
-val row_of_json : Kit.Json.t -> (row, string) result
 
 val append : file:string -> row list -> unit
 (** Appends one line per row, creating the file if needed. *)
@@ -39,13 +40,6 @@ type band = {
   abs : float;  (** Absolute slack added on top (for near-zero baselines). *)
 }
 
-val default_bands : band list
-(** The documented noise bands: [alloc_words] +2% (deterministic for
-    deterministic code), [minor_collections] +25%, [major_collections]
-    +100%, [wall_ms] +50% (CI wall time is noisy) — each with a small
-    absolute slack. Only regressions (increases) fail; improvements
-    pass and tighten the rolling baseline. *)
-
 type verdict = {
   v_track : string;
   v_counter : string;
@@ -58,9 +52,17 @@ type verdict = {
 val gate : ?bands:band list -> ?window:int -> row list -> verdict list
 (** For each track (in first-appearance order): the newest row is
     compared against the median of up to [window] (default 5)
-    immediately-preceding rows with identical context. Tracks with no
+    immediately-preceding rows with the same workload. Tracks with no
     comparable history produce no verdicts — the first CI run
-    bootstraps the baseline rather than failing. *)
+    bootstraps the baseline rather than failing. The default bands are
+    tight (+2% plus a small slack) on the deterministic counters
+    [alloc_words], [installed], [approx_bytes] and
+    [visited_per_update], +25% and +100% on minor and major
+    collections, +50% + 1 ms on [wall_ms], and +200% + 5 ms on the
+    table timings [build_ms], [warm_ms] and [lie_cycle_ms] (wall time
+    on shared runners moves 2x between identical runs, so these only
+    catch a gross regression). Only regressions (increases) fail;
+    improvements pass and tighten the rolling baseline. *)
 
 val gate_ok : verdict list -> bool
 

@@ -120,10 +120,6 @@ let observe h v =
         if v < h.minv then h.minv <- v;
         if v > h.maxv then h.maxv <- v)
 
-let counter_value c = Atomic.get c.n
-
-let gauge_value g = Atomic.get g.v
-
 (* A coherent copy of a histogram's mutable state, taken under its
    lock; percentile arithmetic then runs lock-free on the copy. *)
 type hist_snap = {
@@ -166,8 +162,6 @@ let snap_quantile s q =
     Float.min s.s_maxv (Float.max s.s_minv estimate)
   end
 
-let quantile h q = snap_quantile (snap h) q
-
 type histogram_summary = {
   count : int;
   sum : float;
@@ -188,8 +182,6 @@ let summary_of_snap s =
     p95 = snap_quantile s 0.95;
     p99 = snap_quantile s 0.99;
   }
-
-let summary (h : histogram) = summary_of_snap (snap h)
 
 (* Cumulative (upper-bound, count) pairs in OpenMetrics style: each
    entry counts observations <= the bound, the final entry is
@@ -233,7 +225,7 @@ let dump () =
         match metric with
         | C c -> Counter (Atomic.get c.n)
         | G g -> Gauge (Atomic.get g.v)
-        | H h -> Histogram (summary h)
+        | H h -> Histogram (summary_of_snap (snap h))
       in
       (name, snap))
     metrics

@@ -31,9 +31,6 @@ val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
-val counter_value : counter -> int
-val gauge_value : gauge -> float
-
 type histogram_summary = {
   count : int;
   sum : float;
@@ -44,20 +41,12 @@ type histogram_summary = {
   p99 : float;
 }
 
-val summary : histogram -> histogram_summary
-
-val quantile : histogram -> float -> float
-(** [quantile h q] with [q] in [\[0, 1\]]; [0.] when empty. *)
-
-val cumulative_buckets : histogram -> (float * int) list
-(** OpenMetrics-style cumulative buckets: each pair counts the
-    observations at or below the upper bound, ending with
-    [(infinity, total)]. A coherent snapshot taken under the
-    histogram's lock. *)
-
 val dump_buckets : unit -> (string * (float * int) list) list
-(** [cumulative_buckets] for every registered histogram, sorted by
-    name — the exporter pairs this with {!dump}. *)
+(** OpenMetrics-style cumulative buckets for every registered histogram,
+    sorted by name — the exporter pairs this with {!dump}. Each pair
+    counts the observations at or below the upper bound, ending with
+    [(infinity, total)]; each histogram is a coherent snapshot taken
+    under its lock. *)
 
 type snapshot =
   | Counter of int

@@ -16,8 +16,6 @@ let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
-let enabled () = Atomic.get on
-
 (* [Gc.quick_stat] counters only catch up at collection boundaries on
    OCaml 5 — between two minor collections its [minor_words] does not
    move at all. [Gc.minor_words] reads the live allocation pointer, so
@@ -57,7 +55,7 @@ let delta ~before ~after =
 
 let allocated_words d = d.minor_words +. d.major_words -. d.promoted_words
 
-let attrs d =
+let delta_attrs d =
   [
     ("alloc_words", Attr.Float (allocated_words d));
     ("minor_words", Attr.Float d.minor_words);
@@ -67,8 +65,6 @@ let attrs d =
     ("major_collections", Attr.Int d.major_collections);
     ("compactions", Attr.Int d.compactions);
   ]
-
-let delta_attrs = attrs
 
 let with_span ?attrs ?alloc_counter name f =
   if not (Atomic.get State.enabled && Atomic.get on) then

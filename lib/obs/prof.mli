@@ -39,10 +39,6 @@ type snap = {
 val enable : unit -> unit
 val disable : unit -> unit
 
-val enabled : unit -> bool
-(** The profiling switch alone; deltas are recorded only when this
-    {e and} [Obs.enabled] are both on. *)
-
 val snapshot : unit -> snap
 (** The calling domain's GC counters, via [Gc.quick_stat]. *)
 
@@ -51,11 +47,6 @@ val delta : before:snap -> after:snap -> snap
 val allocated_words : snap -> float
 (** Total words allocated: [minor + major - promoted] (promotions move
     existing words, they are not new allocation). *)
-
-val attrs : snap -> Attr.t list
-(** A delta as span attributes: [alloc_words], [minor_words],
-    [promoted_words], [major_words], [minor_collections],
-    [major_collections], [compactions]. *)
 
 val with_span :
   ?attrs:Attr.t list -> ?alloc_counter:Metrics.counter -> string -> (unit -> 'a) -> 'a

@@ -71,8 +71,6 @@ let events ?(include_spans = true) () =
   let own = locked (fun () -> Kit.Ring.to_list !ring) in
   merge ~events:own ~spans:(if include_spans then Trace.spans () else [])
 
-let dropped () = locked (fun () -> Kit.Ring.dropped !ring)
-
 let render_json_lines events =
   let buf = Buffer.create 4096 in
   List.iter
@@ -94,7 +92,5 @@ let pp_table ?include_spans fmt () =
       Format.fprintf fmt "%10.3f  %-12s %-18s %a@." e.time e.source e.kind
         Attr.pp_list e.attrs)
     (events ?include_spans ())
-
-let set_capacity capacity = locked (fun () -> ring := Kit.Ring.create ~capacity)
 
 let reset () = locked (fun () -> Kit.Ring.clear !ring)

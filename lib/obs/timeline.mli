@@ -26,25 +26,18 @@ val events : ?include_spans:bool -> unit -> event list
     ([source = "trace"], kind = span name, with a ["duration_ms"]
     attribute appended). *)
 
-val dropped : unit -> int
-
 val to_json_lines : ?include_spans:bool -> unit -> string
 (** One JSON object per event, deterministic for deterministic inputs. *)
 
 val pp_table : ?include_spans:bool -> Format.formatter -> unit -> unit
 
-val set_capacity : int -> unit
-(** Resize the ring (default 65536). Drops all retained events. *)
-
 val reset : unit -> unit
 
-val span_event : Trace.span -> event
-(** The event a completed span merges in as: positioned at the span's
-    begin ([seq], [start_time]), [source = "trace"], kind = span name,
-    with a ["duration_ms"] attribute appended. *)
-
 val merge : events:event list -> spans:Trace.span list -> event list
-(** Convert the spans via {!span_event}, append, sort by [seq] — the
+(** Convert each span to the event it merges in as (positioned at the
+    span's begin, [seq] and [start_time]; [source = "trace"], kind =
+    span name, a ["duration_ms"] attribute appended), append, sort by
+    [seq] — the
     same merge [events] performs on the live rings, applied to explicit
     lists (e.g. an [Obs.capture] result). *)
 

@@ -116,22 +116,6 @@ let spans () = locked (fun () -> Kit.Ring.to_list !ring)
 
 let dropped () = locked (fun () -> Kit.Ring.dropped !ring)
 
-let render_json_lines spans =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"seq\":%d,\"parent\":%s,\"name\":\"%s\",\"start\":%.6f,\"end\":%.6f,\"attrs\":%s}\n"
-           s.seq
-           (match s.parent with Some p -> string_of_int p | None -> "null")
-           (Attr.escape s.name) s.start_time s.end_time
-           (Attr.list_to_json s.attrs)))
-    spans;
-  Buffer.contents buf
-
-let to_json_lines () = render_json_lines (spans ())
-
 let pp_tree fmt () =
   let all = spans () in
   let present = Hashtbl.create 64 in

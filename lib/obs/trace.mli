@@ -37,9 +37,6 @@ val spans : unit -> span list
 val dropped : unit -> int
 (** Spans evicted by the ring since the last [reset]. *)
 
-val to_json_lines : unit -> string
-(** One JSON object per completed span, deterministic. *)
-
 val pp_tree : Format.formatter -> unit -> unit
 (** Spans as an indented forest (children under parents, by [seq]).
     Spans whose parent was evicted from the ring print as roots. *)
@@ -48,10 +45,6 @@ val set_capacity : int -> unit
 (** Resize the ring (default 16384). Drops all retained spans. *)
 
 val reset : unit -> unit
-
-val render_json_lines : span list -> string
-(** The [to_json_lines] format applied to an explicit span list, e.g.
-    one returned by [Obs.capture]. *)
 
 (**/**)
 

@@ -84,4 +84,4 @@ let fig2_series t =
 
 let qoe t ~flows =
   Video.Qoe.summarize
-    (List.map (fun flow -> Video.Client.of_flow t.sim ~dt:t.dt flow) flows)
+    (List.map (fun flow -> Video.Client.replay ~dt:t.dt (Video.Client.trace t.sim flow)) flows)

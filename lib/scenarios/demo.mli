@@ -31,9 +31,6 @@ val backbone_capacity : float
 (** Bytes/s of every other link (ingress/egress segments with headroom:
     in the demo 31 streams cross A–B unharmed yet overload B–R2). *)
 
-val video_duration : float
-(** Long enough that no video ends within the 55 s experiment. *)
-
 val make :
   ?fibbing:bool ->
   ?dt:float ->
@@ -57,11 +54,9 @@ val load_fig2_workload : t -> Netsim.Flow.t list
 
 val run : t -> until:float -> unit
 
-val fig2_links : t -> (string * Netsim.Link.t) list
-(** The three plotted links, labelled as in the paper. *)
-
 val fig2_series : t -> Kit.Timeseries.t list
-(** Their recorded throughput series. *)
+(** The recorded throughput series of the three links the paper's Fig. 2
+    plots, in the order A-R1, B-R2, B-R3. *)
 
 val qoe : t -> flows:Netsim.Flow.t list -> Video.Qoe.summary
 (** Replay every flow through the playback-buffer client model. *)

@@ -525,7 +525,7 @@ let execute_command state out command =
     let* sim = ensure_sim state in
     let results =
       List.map
-        (fun flow -> Video.Client.of_flow sim ~dt:state.dt flow)
+        (fun flow -> Video.Client.replay ~dt:state.dt (Video.Client.trace sim flow))
         (List.rev state.flows)
     in
     (match results with

@@ -45,14 +45,9 @@
 
 type command
 
-val parse : string -> (command list, string) result
-(** Parse a whole script. Unknown words, malformed numbers and
-    out-of-order times are reported as ["line N: ..."] errors. *)
-
-val execute : ?out:Format.formatter -> command list -> (unit, string) result
-(** Run the script, writing [report] output to [out] (default the
-    standard formatter). Execution errors (unknown router names, steers
-    that fail to compile, ...) abort with a message. *)
-
 val run_string : ?out:Format.formatter -> string -> (unit, string) result
-(** [parse] + [execute]. *)
+(** Parse and run a whole script, writing [report] output to [out]
+    (default the standard formatter). Unknown words, malformed numbers
+    and out-of-order times are reported as ["line N: ..."] errors before
+    anything runs; execution errors (unknown router names, steers that
+    fail to compile, ...) abort with a message. *)

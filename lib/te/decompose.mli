@@ -7,20 +7,6 @@
     that [Fibbing.Augmentation] can compile — this is the "Fibbing can
     implement the optimal solution" pipeline (experiment TOPT). *)
 
-val cancel_cycles :
-  ((Netgraph.Graph.node * Netgraph.Graph.node) * float) list ->
-  ((Netgraph.Graph.node * Netgraph.Graph.node) * float) list
-(** Remove circular flow (which serves no demand) by repeatedly finding a
-    cycle in the positive-flow edge set and subtracting its bottleneck.
-    Terminates because each round zeroes at least one edge. *)
-
-val node_fractions :
-  ((Netgraph.Graph.node * Netgraph.Graph.node) * float) list ->
-  (Netgraph.Graph.node * (Netgraph.Graph.node * float) list) list
-(** Per router with positive outgoing flow, the normalized next-hop
-    fractions (fractions below 1e-6 are dropped and the rest
-    renormalized). *)
-
 val to_requirements :
   Igp.Network.t ->
   prefix:Igp.Lsa.prefix ->
@@ -28,5 +14,8 @@ val to_requirements :
   Fibbing.Requirements.t
 (** Requirements for the routers whose desired fractions differ from
     their current FIB by more than 1% (no point lying to a router that
-    already behaves); cycles are cancelled first. Routers that announce
+    already behaves). Circular flow (which serves no demand) is cancelled
+    first by repeatedly subtracting a cycle's bottleneck; each router's
+    fractions are its outgoing flows normalized, those below 1e-6
+    dropped and the rest renormalized. Routers that announce
     the prefix are skipped (their delivery is local). *)

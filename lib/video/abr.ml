@@ -48,7 +48,7 @@ let select config ~current ~estimate ~buffer =
   if !best > current && buffer < config.switch_up_buffer then current
   else !best
 
-let replay ?(config = default_config) ~duration ~dt samples =
+let replay ?(config = default_config) ~dt { Client.duration; samples } =
   validate config;
   if dt <= 0. then invalid_arg "Abr.replay: dt";
   let buffer = ref 0. in
@@ -121,8 +121,3 @@ let replay ?(config = default_config) ~duration ~dt samples =
     switches = !switches;
     time_at_top = !time_at_top;
   }
-
-let of_flow ?(config = default_config) sim ~dt (flow : Netsim.Flow.t) =
-  let series = Netsim.Sim.flow_series sim flow.id in
-  let duration = min flow.duration (Netsim.Sim.time sim -. flow.start_time) in
-  replay ~config ~duration ~dt (Kit.Timeseries.samples series)

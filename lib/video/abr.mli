@@ -34,9 +34,5 @@ type result = {
   time_at_top : float;  (** Seconds played at the highest rung. *)
 }
 
-val replay :
-  ?config:config -> duration:float -> dt:float -> (float * float) list -> result
-(** Like [Client.replay], over step-wise throughput samples. *)
-
-val of_flow :
-  ?config:config -> Netsim.Sim.t -> dt:float -> Netsim.Flow.t -> result
+val replay : ?config:config -> dt:float -> Client.trace -> result
+(** Like [Client.replay], through the adaptive player. *)

@@ -17,10 +17,6 @@ type item = {
 val catalog : size:int -> rate:float -> duration:float -> item list
 (** A uniform-encoding catalog of [size] items. *)
 
-val zipf_pick : Kit.Prng.t -> s:float -> size:int -> int
-(** Sample a 1-based rank from a Zipf(s) distribution over [size]
-    items (s ~ 0.8–1.2 for video catalogs). *)
-
 type surge = {
   at : float;  (** Start time, s. *)
   length : float;  (** Surge duration, s. *)
@@ -38,8 +34,8 @@ val day :
   surges:surge list ->
   first_id:int ->
   Netsim.Flow.t list
-(** Poisson background arrivals at [base_rate_per_s] with Zipf item
-    choice, plus the surges: during a surge the arrival process gains
+(** Poisson background arrivals at [base_rate_per_s] with Zipf(1) item
+    choice over the catalog's ranks, plus the surges: during a surge the arrival process gains
     [boost] x [base_rate_per_s] extra arrivals, all requesting
     [item_rank]. Flow demands and durations come from the chosen item.
     Deterministic given the PRNG. *)

@@ -14,9 +14,11 @@ type result = {
   smooth : bool;
 }
 
+type trace = { duration : float; samples : (float * float) list }
+
 type phase = Starting | Playing | Stalled
 
-let replay ?(config = default_config) ~duration ~dt samples =
+let replay ?(config = default_config) ~dt { duration; samples } =
   if config.bitrate <= 0. then invalid_arg "Client.replay: bitrate";
   if dt <= 0. then invalid_arg "Client.replay: dt";
   let buffer = ref 0. (* seconds of content buffered *) in
@@ -75,9 +77,8 @@ let replay ?(config = default_config) ~duration ~dt samples =
     smooth;
   }
 
-let of_flow ?(config = default_config) sim ~dt (flow : Netsim.Flow.t) =
-  let series = Netsim.Sim.flow_series sim flow.id in
-  let duration =
-    min flow.duration (Netsim.Sim.time sim -. flow.start_time)
-  in
-  replay ~config ~duration ~dt (Kit.Timeseries.samples series)
+let trace sim (flow : Netsim.Flow.t) =
+  {
+    duration = min flow.duration (Netsim.Sim.time sim -. flow.start_time);
+    samples = Kit.Timeseries.samples (Netsim.Sim.flow_series sim flow.id);
+  }

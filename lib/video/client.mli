@@ -14,9 +14,6 @@ type config = {
   resume_buffer : float;  (** Seconds of content to resume after a stall. *)
 }
 
-val default_config : config
-(** 1 Mbps video (131072 bytes/s), 2 s startup, 2 s resume. *)
-
 type result = {
   startup_delay : float;  (** Wall time until playback began. *)
   stall_count : int;  (** Playback interruptions after startup. *)
@@ -25,19 +22,19 @@ type result = {
   smooth : bool;  (** Started within 2x startup_buffer and never stalled. *)
 }
 
-val replay :
-  ?config:config ->
-  duration:float ->
-  dt:float ->
-  (float * float) list ->
-  result
-(** [replay ~duration ~dt samples] plays a [duration]-seconds video from
-    step-wise throughput [samples] ((time, bytes/s), as produced by
-    [Netsim.Sim.flow_series]); each sample holds for [dt] seconds. The
-    replay stops when the content is fully played or the samples run
-    out. *)
+type trace = {
+  duration : float;  (** Seconds of video to play. *)
+  samples : (float * float) list;
+      (** Step-wise throughput, (time, bytes/s); each sample holds for
+          [dt] seconds. *)
+}
 
-val of_flow :
-  ?config:config -> Netsim.Sim.t -> dt:float -> Netsim.Flow.t -> result
-(** Replay a simulated flow's recorded throughput; the video duration is
-    the flow's duration (capped at the simulated horizon). *)
+val trace : Netsim.Sim.t -> Netsim.Flow.t -> trace
+(** A simulated flow's recorded throughput ([Netsim.Sim.flow_series]);
+    the video duration is the flow's duration, capped at the simulated
+    horizon. *)
+
+val replay : ?config:config -> dt:float -> trace -> result
+(** Play the trace's video through the buffer model (default config: a
+    1 Mbps video, 131072 bytes/s, 2 s startup, 2 s resume). The replay
+    stops when the content is fully played or the samples run out. *)

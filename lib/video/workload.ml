@@ -9,21 +9,6 @@ let flow spec ~id ~start_time =
   Netsim.Flow.make ~id ~src:spec.src ~prefix:spec.prefix ~demand:spec.rate
     ~start_time ~duration:spec.video_duration ()
 
-let burst ?(jitter = 1.0) prng spec ~first_id ~count ~at =
-  List.init count (fun i ->
-      let delay = if jitter > 0. then Kit.Prng.float prng jitter else 0. in
-      flow spec ~id:(first_id + i) ~start_time:(at +. delay))
-
-let poisson prng spec ~first_id ~rate_per_s ~from ~until =
-  if rate_per_s <= 0. then invalid_arg "Workload.poisson: rate";
-  let rec arrivals time acc =
-    let time = time +. Kit.Prng.exponential prng ~mean:(1. /. rate_per_s) in
-    if time >= until then List.rev acc else arrivals time (time :: acc)
-  in
-  List.mapi
-    (fun i start_time -> flow spec ~id:(first_id + i) ~start_time)
-    (arrivals from [])
-
 let crowd ?(jitter = 1.0) prng specs ~first_id ~count ~at =
   if specs = [] then invalid_arg "Workload.crowd: no specs";
   if count < 0 then invalid_arg "Workload.crowd: negative count";

@@ -13,27 +13,6 @@ type spec = {
   video_duration : float;  (** Seconds per video. *)
 }
 
-val burst :
-  ?jitter:float ->
-  Kit.Prng.t ->
-  spec ->
-  first_id:int ->
-  count:int ->
-  at:float ->
-  Netsim.Flow.t list
-(** [count] streams starting at [at], each delayed by a uniform jitter in
-    [\[0, jitter\]] (default 1 s). Ids are [first_id ...]. *)
-
-val poisson :
-  Kit.Prng.t ->
-  spec ->
-  first_id:int ->
-  rate_per_s:float ->
-  from:float ->
-  until:float ->
-  Netsim.Flow.t list
-(** Poisson arrivals between [from] and [until]. *)
-
 val crowd :
   ?jitter:float ->
   Kit.Prng.t ->

@@ -1,16 +1,36 @@
-(* Guard against library modules that only tests use.
+(* Guard against library code that only tests use.
 
-     check_modules LIB_DIR DIR...
+     check_modules ALLOW_FILE LIB_DIR DIR...
 
-   Every [.ml] under LIB_DIR defines a module (its capitalized file
-   name). The module counts as used when its name appears as an
+   Modules. Every [.ml] under LIB_DIR defines a module (its capitalized
+   file name). The module counts as used when its name appears as an
    identifier, outside comments and string literals, in some [.ml] or
    [.mli] under LIB_DIR or one of the DIRs other than its own two files.
+
+   Values. Every [val] of an [.mli] under LIB_DIR, at top level or in a
+   named sub-signature ([module X : sig ... end]), counts as used when
+   some file outside its own module calls it:
+   - qualified, as [M.v], where [M] is the module, a module that
+     re-exports it ([module N = ...M] or [include ...M] anywhere in the
+     scanned files), or, for a value of sub-signature [X], as [X.v];
+   - bare [v] in a file that opens one of those names ([open M],
+     [let open M in], [M.( ... )], [include M]);
+   - any value of a module passed whole as an argument ([F (M)],
+     [(module M)]).
+   Values used only inside their own module belong out of the [.mli];
+   values used nowhere belong out of the library.
+
    Tests are not among the DIRs: code that only they reach is dead
-   weight in the library. Exit 1, naming every unused module, otherwise
-   exit 0. The check is by name, so a constructor or an unrelated module
-   of the same name also counts as a use: it can miss a dead module but
-   never flags a live one. *)
+   weight in the library. ALLOW_FILE lists values that stay exported
+   without a caller, one [Module.value # reason] per line ([#] lines
+   are comments); an entry without a reason, or one that names no
+   uncalled value, is an error. Exit 1 naming every unused module,
+   uncalled value and stale allow-list entry, otherwise exit 0; exit 2
+   on a malformed allow-list.
+
+   The check is by name, so it can miss dead code (an unrelated module
+   of the same name also counts as a re-export, a local [v] in a file
+   that opens [M] counts as a call) but never flags a live value. *)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -34,75 +54,280 @@ let is_ident c =
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
   | _ -> false
 
-(* Capitalized identifiers in [s], skipping (nested) comments, string
-   literals and character literals. *)
-let capitalized_idents s =
+let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+
+(* A token is an identifier or keyword, or one punctuation character;
+   each carries its line. *)
+type token = { text : string; line : int }
+
+(* The tokens of [s], skipping (nested) comments, string literals,
+   quoted strings and character literals. *)
+let tokenize s =
   let n = String.length s in
-  let found = Hashtbl.create 64 in
-  let rec skip_string i =
+  let line = ref 1 in
+  let out = ref [] in
+  let advance i j =
+    for k = i to min n j - 1 do
+      if s.[k] = '\n' then incr line
+    done;
+    j
+  in
+  let rec string_end i =
     if i >= n then n
     else
       match s.[i] with
-      | '\\' -> skip_string (i + 2)
+      | '\\' -> string_end (i + 2)
       | '"' -> i + 1
-      | _ -> skip_string (i + 1)
+      | _ -> string_end (i + 1)
   in
-  let rec skip_comment depth i =
+  (* [{id|...|id}] starting at [i] (on the brace), if it is one. *)
+  let quoted_end i =
+    let j = ref (i + 1) in
+    while !j < n && (s.[!j] = '_' || (s.[!j] >= 'a' && s.[!j] <= 'z')) do
+      incr j
+    done;
+    if !j < n && s.[!j] = '|' then
+      let close = "|" ^ String.sub s (i + 1) (!j - i - 1) ^ "}" in
+      let m = String.length close in
+      let rec find k =
+        if k + m > n then Some n
+        else if String.sub s k m = close then Some (k + m)
+        else find (k + 1)
+      in
+      find (!j + 1)
+    else None
+  in
+  let rec comment_end depth i =
     if i >= n then n
     else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then
-      skip_comment (depth + 1) (i + 2)
+      comment_end (depth + 1) (i + 2)
     else if i + 1 < n && s.[i] = '*' && s.[i + 1] = ')' then
-      if depth = 1 then i + 2 else skip_comment (depth - 1) (i + 2)
-    else if s.[i] = '"' then skip_comment depth (skip_string (i + 1))
-    else skip_comment depth (i + 1)
+      if depth = 1 then i + 2 else comment_end (depth - 1) (i + 2)
+    else if s.[i] = '"' then comment_end depth (string_end (i + 1))
+    else comment_end depth (i + 1)
   in
   let rec scan i =
     if i < n then
       match s.[i] with
-      | '(' when i + 1 < n && s.[i + 1] = '*' -> scan (skip_comment 1 (i + 2))
-      | '"' -> scan (skip_string (i + 1))
+      | '(' when i + 1 < n && s.[i + 1] = '*' ->
+        scan (advance i (comment_end 1 (i + 2)))
+      | '"' -> scan (advance i (string_end (i + 1)))
+      | '{' when quoted_end i <> None ->
+        scan (advance i (Option.get (quoted_end i)))
       | '\'' when i + 1 < n && s.[i + 1] = '\\' ->
         scan
           (match String.index_from_opt s (min n (i + 3)) '\'' with
           | Some j -> j + 1
           | None -> n)
-      | '\'' when i + 2 < n && s.[i + 2] = '\'' -> scan (i + 3)
+      | '\'' when i + 2 < n && s.[i + 2] = '\'' && s.[i + 1] <> '\n' ->
+        scan (i + 3)
       | c when is_ident c ->
         let j = ref i in
         while !j < n && is_ident s.[!j] do
           incr j
         done;
-        if c >= 'A' && c <= 'Z' then
-          Hashtbl.replace found (String.sub s i (!j - i)) ();
+        out := { text = String.sub s i (!j - i); line = !line } :: !out;
         scan !j
-      | _ -> scan (i + 1)
+      | ' ' | '\t' | '\r' -> scan (i + 1)
+      | '\n' ->
+        incr line;
+        scan (i + 1)
+      | c ->
+        out := { text = String.make 1 c; line = !line } :: !out;
+        scan (i + 1)
   in
   scan 0;
-  found
+  Array.of_list (List.rev !out)
+
+let stem f = Filename.remove_extension f
+
+let module_name f = String.capitalize_ascii (Filename.basename (stem f))
+
+(* A value an [.mli] exports: its module, the innermost named
+   sub-signature it sits in (if any), its name and where it is. *)
+type value = { file : string; line : int; modname : string; sub : string option;
+               name : string }
+
+let label v =
+  String.concat "." ([ v.modname ] @ Option.to_list v.sub @ [ v.name ])
+
+(* The [val]s of one [.mli]. [sig] opens a frame, named when it follows
+   [module X :]; [end] closes one. Values inside an unnamed frame
+   ([module type S = sig], a functor parameter) are requirements, not
+   exports. *)
+let values file toks =
+  let modname = module_name file in
+  let n = Array.length toks in
+  let tok i = if i >= 0 && i < n then toks.(i).text else "" in
+  let frames = ref [] in
+  let found = ref [] in
+  for i = 0 to n - 1 do
+    match tok i with
+    | "sig" ->
+      let name =
+        if tok (i - 1) = ":" && tok (i - 3) = "module" && is_upper (tok (i - 2))
+        then Some (tok (i - 2))
+        else None
+      in
+      frames := name :: !frames
+    | "end" -> ( match !frames with _ :: rest -> frames := rest | [] -> ())
+    | "val" | "external" when List.for_all Option.is_some !frames ->
+      let sub = match !frames with sub :: _ -> sub | [] -> None in
+      found := { file; line = toks.(i).line; modname; sub; name = tok (i + 1) } :: !found
+    | _ -> ()
+  done;
+  List.rev !found
+
+(* The last component of the module path starting at token [i], and
+   whether the path ends there (is not followed by [.] or an
+   application). *)
+let path_end toks i =
+  let n = Array.length toks in
+  let rec go i =
+    if i + 2 < n && toks.(i + 1).text = "." && is_upper toks.(i + 2).text then go (i + 2)
+    else i
+  in
+  if i < n && is_upper toks.(i).text then
+    let j = go i in
+    Some (toks.(j).text, j + 1 >= n || (toks.(j + 1).text <> "." && toks.(j + 1).text <> "("))
+  else None
+
+(* Module-level facts about one scanned file: [aliases] are
+   (alias, target) pairs it declares ([module X = P], [include P] making
+   the file's own module an alias of P's last component); [opened] are
+   the names it opens; [whole] the names it passes as a module. *)
+type facts = {
+  path : string;
+  toks : token array;
+  idents : (string, unit) Hashtbl.t;
+  qualified : (string * string, unit) Hashtbl.t;
+  opened : string list;
+  whole : string list;
+  aliases : (string * string) list;
+}
+
+let facts path =
+  let toks = tokenize (read_file path) in
+  let n = Array.length toks in
+  let text i = if i >= 0 && i < n then toks.(i).text else "" in
+  let idents = Hashtbl.create 256 in
+  let qualified = Hashtbl.create 64 in
+  let opened = ref [] and whole = ref [] and aliases = ref [] in
+  for i = 0 to n - 1 do
+    let t = text i in
+    if t <> "" && is_ident t.[0] then Hashtbl.replace idents t ();
+    if is_upper t && text (i + 1) = "." then begin
+      let next = text (i + 2) in
+      if next = "(" then opened := t :: !opened
+      else if next <> "" && is_ident next.[0] && not (is_upper next) then
+        Hashtbl.replace qualified (t, next) ()
+    end;
+    if is_upper t && text (i - 1) = "(" && text (i + 1) = ")" then
+      whole := t :: !whole;
+    if t = "(" && text (i + 1) = "module" then
+      Option.iter (fun (m, _) -> whole := m :: !whole) (path_end toks (i + 2));
+    (match t with
+    | "open" | "include" -> (
+      let j = if text (i + 1) = "!" then i + 2 else i + 1 in
+      match path_end toks j with
+      | Some (m, _) ->
+        opened := m :: !opened;
+        if t = "include" then aliases := (module_name path, m) :: !aliases
+      | None -> ())
+    | "module" when is_upper (text (i + 1)) && text (i + 2) = "=" -> (
+      match path_end toks (i + 3) with
+      | Some (m, true) -> aliases := (text (i + 1), m) :: !aliases
+      | _ -> ())
+    | _ -> ())
+  done;
+  { path; toks; idents; qualified; opened = !opened; whole = !whole;
+    aliases = !aliases }
+
+(* Every name that denotes module [m]: itself and, transitively, each
+   alias of a name that denotes it. *)
+let names_of aliases m =
+  let rec grow acc =
+    let more =
+      List.filter_map
+        (fun (a, target) ->
+          if List.mem target acc && not (List.mem a acc) then Some a else None)
+        aliases
+    in
+    if more = [] then acc else grow (List.sort_uniq compare (more @ acc))
+  in
+  grow [ m ]
+
+let called aliases files v =
+  let names = names_of aliases (Option.value v.sub ~default:v.modname) in
+  let own f = stem f = stem v.file in
+  List.exists
+    (fun fx ->
+      (not (own fx.path))
+      && List.exists
+           (fun m ->
+             Hashtbl.mem fx.qualified (m, v.name)
+             || List.mem m fx.whole
+             || (List.mem m fx.opened && Hashtbl.mem fx.idents v.name))
+           names)
+    files
+
+(* The allow-list: [(label, line)] for every [Module.value # reason]
+   line. *)
+let read_allow file =
+  String.split_on_char '\n' (read_file file)
+  |> List.mapi (fun i l -> (i + 1, String.trim l))
+  |> List.filter_map (fun (i, l) ->
+         if l = "" || l.[0] = '#' then None
+         else
+           match String.index_opt l '#' with
+           | Some k when String.trim (String.sub l (k + 1) (String.length l - k - 1)) <> "" ->
+             Some (String.trim (String.sub l 0 k), i)
+           | _ ->
+             Printf.eprintf "%s:%d: allow-list entry without a '# reason'\n" file i;
+             exit 2)
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: lib :: dirs ->
-    let files = List.concat_map sources (lib :: dirs) in
-    let idents = List.map (fun f -> (f, capitalized_idents (read_file f))) files in
+  | _ :: allow_file :: lib :: dirs ->
+    let allow = read_allow allow_file in
+    let files = List.map facts (List.concat_map sources (lib :: dirs)) in
+    let lib_files = sources lib in
     let unused =
       List.filter
         (fun ml ->
-          let stem = Filename.remove_extension ml in
-          let name = String.capitalize_ascii (Filename.basename stem) in
-          let own f = Filename.remove_extension f = stem in
+          let own f = stem f = stem ml in
           not
             (List.exists
-               (fun (f, found) -> (not (own f)) && Hashtbl.mem found name)
-               idents))
-        (List.filter (fun f -> Filename.check_suffix f ".ml") (sources lib))
+               (fun fx -> (not (own fx.path)) && Hashtbl.mem fx.idents (module_name ml))
+               files))
+        (List.filter (fun f -> Filename.check_suffix f ".ml") lib_files)
     in
-    if unused <> [] then begin
+    let aliases = List.concat_map (fun fx -> fx.aliases) files in
+    let uncalled =
+      List.filter (fun f -> Filename.check_suffix f ".mli") lib_files
+      |> List.concat_map (fun mli ->
+             values mli (List.find (fun fx -> fx.path = mli) files).toks)
+      |> List.filter (fun v -> not (called aliases files v))
+    in
+    let dead = List.filter (fun v -> not (List.mem_assoc (label v) allow)) uncalled in
+    let stale =
+      List.filter (fun (l, _) -> not (List.exists (fun v -> label v = l) uncalled)) allow
+    in
+    if unused <> [] then
       prerr_endline
         ("modules used by no file outside their own (only tests reach them): "
         ^ String.concat ", " unused);
-      exit 1
-    end
+    List.iter
+      (fun v ->
+        Printf.eprintf "%s:%d: %s has no caller outside its own module\n" v.file
+          v.line (label v))
+      dead;
+    List.iter
+      (fun (l, i) ->
+        Printf.eprintf "%s:%d: allow-list entry %s names no uncalled value\n"
+          allow_file i l)
+      stale;
+    if unused <> [] || dead <> [] || stale <> [] then exit 1
   | _ ->
-    prerr_endline "usage: check_modules LIB_DIR DIR...";
+    prerr_endline "usage: check_modules ALLOW_FILE LIB_DIR DIR...";
     exit 2

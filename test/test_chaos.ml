@@ -72,7 +72,9 @@ let test_lsdb_expiry_clear_and_clamp () =
   let lsdb = Igp.Network.lsdb net in
   Igp.Network.inject_fake net (fake ~id:"f1" ~at:d.b ~cost:2 ~fwd:d.r3);
   Igp.Lsdb.set_fake_expiry lsdb ~fake_id:"f1" ~now:0. ~ttl:5.;
-  Igp.Lsdb.clear_fake_expiry lsdb ~fake_id:"f1";
+  (* Retraction drops the expiry: the lie re-installed is immortal. *)
+  Igp.Network.retract_fake net ~fake_id:"f1";
+  Igp.Network.inject_fake net (fake ~id:"f1" ~at:d.b ~cost:2 ~fwd:d.r3);
   Alcotest.(check (list string)) "immortal again" []
     (List.map
        (fun (f : Igp.Lsa.fake) -> f.fake_id)
@@ -192,7 +194,7 @@ let prop_random_plans_validate =
     (fun (seed, faults) ->
       let g = (T.demo ()).graph in
       let plan = Faults.random_plan ~faults ~seed ~until:30. g in
-      match Faults.validate plan with
+      match Faults_oracle.validate plan with
       | Ok () -> true
       | Error e ->
         QCheck.Test.fail_reportf "seed %d: %s@.%s" seed e
@@ -210,7 +212,7 @@ let test_plan_deterministic () =
 let test_validate_rejects_malformed () =
   let bad events : Faults.plan = { seed = 0; until = 30.; events } in
   let rejected plan =
-    match Faults.validate plan with Ok () -> false | Error _ -> true
+    match Faults_oracle.validate plan with Ok () -> false | Error _ -> true
   in
   Alcotest.(check bool) "unhealed link" true
     (rejected (bad [ { time = 1.; kind = Link_down (0, 1) } ]));
@@ -276,7 +278,7 @@ let test_validate_partition_rules () =
   let d = T.demo () in
   let plan events : Faults.plan = { seed = 0; until = 30.; events } in
   let ok events =
-    match Faults.validate (plan events) with Ok () -> true | Error _ -> false
+    match Faults_oracle.validate (plan events) with Ok () -> true | Error _ -> false
   in
   Alcotest.(check bool) "well-formed partition validates" true
     (ok [ partition d ~time:2. ~duration:5. ]);
@@ -337,7 +339,7 @@ let test_partition_inject_cuts_and_heals () =
   let plan : Faults.plan =
     { seed = 0; until = 30.; events = [ partition d ~time:2. ~duration:5. ] }
   in
-  (match Faults.validate plan with
+  (match Faults_oracle.validate plan with
   | Ok () -> ()
   | Error e -> Alcotest.failf "plan invalid: %s" e);
   Faults.inject sim plan;
@@ -385,10 +387,30 @@ let test_random_plans_draw_new_kinds () =
 
 module W = Netsim.Watchdog
 
+(* The documented defaults, with the knobs these tests turn. *)
+let config ?(max_fakes = 64) ?(guard = true) ?(fail_fast = false) () =
+  {
+    W.max_fakes;
+    max_lie_age = Igp.Lsa.max_age;
+    require_mortal = true;
+    utilization_bound = 1.0;
+    guard;
+    fail_fast;
+    history = 256;
+  }
+
+(* One step: the watchdog's post-step check sees the state a test just
+   forced, since forcing it dirtied the routers [watchdog_sim] had
+   routed. *)
+let step sim = Netsim.Sim.run_until sim (Netsim.Sim.time sim +. 0.5)
+
 let watchdog_sim () =
   let d, net = demo_net () in
   let caps = Netsim.Link.capacities ~default:1e6 in
   let sim = Netsim.Sim.create ~dt:0.5 net caps in
+  (* Route blue everywhere up front, so that a change to its routes
+     shows in the SPF dirty log the watchdog gates its sweep on. *)
+  ignore (Igp.Network.fib_table net (pfx "blue"));
   (d, net, sim)
 
 (* Two of these with mirrored attachments form a tight two-router
@@ -434,10 +456,10 @@ let test_watchdog_quiet_on_safe_run () =
 let test_watchdog_detects_forced_loop () =
   let d, net, sim = watchdog_sim () in
   (* guard off: the unsafe state must survive to the check itself. *)
-  let wd = W.arm ~config:{ W.default_config with guard = false } sim in
+  let wd = W.arm ~config:(config ~guard:false ()) sim in
   Netsim.Sim.run_until sim 1.;
   inject_loop d net sim;
-  W.check_now wd sim;
+  step sim;
   let kinds = List.map (fun (v : W.violation) -> v.kind) (W.violations wd) in
   Alcotest.(check bool) "loop flagged" true (List.mem W.Forwarding_loop kinds)
 
@@ -445,56 +467,52 @@ let test_watchdog_detects_forced_loop () =
    details, so it is pinned word for word. *)
 let test_forced_loop_text () =
   let d, net, sim = watchdog_sim () in
-  let wd = W.arm ~config:{ W.default_config with guard = false } sim in
+  let wd = W.arm ~config:(config ~guard:false ()) sim in
   Netsim.Sim.run_until sim 1.;
   inject_loop d net sim;
   let text = "forwarding loop for blue through {A, B}" in
   Alcotest.(check (result unit string)) "state_safe" (Error text)
     (Igp.Safety.state_safe net ~prefix:(pfx "blue"));
-  W.check_now wd sim;
+  step sim;
   Alcotest.(check (list string)) "watchdog detail" [ text ]
     (List.map (fun (v : W.violation) -> v.detail) (W.violations wd))
 
 let test_watchdog_budget_and_freshness () =
   let d, net, sim = watchdog_sim () in
   let wd =
-    W.arm ~config:{ W.default_config with max_fakes = 1; guard = false } sim
+    W.arm ~config:(config ~max_fakes:1 ~guard:false ()) sim
   in
   Netsim.Sim.run_until sim 1.;
   (* Two safe but immortal fakes: over budget and never expiring. *)
   Igp.Network.inject_fake net (fake ~id:"s1" ~at:d.b ~cost:2 ~fwd:d.r3);
   Igp.Network.inject_fake net (fake ~id:"s2" ~at:d.a ~cost:3 ~fwd:d.r1);
-  W.check_now wd sim;
+  step sim;
   let kinds = List.map (fun (v : W.violation) -> v.kind) (W.violations wd) in
   Alcotest.(check bool) "budget breach flagged" true (List.mem W.Lie_budget kinds);
   Alcotest.(check bool) "immortal lie flagged" true (List.mem W.Stale_lie kinds)
 
 let test_watchdog_dangling_lie () =
   let d, net, sim = watchdog_sim () in
-  let wd = W.arm ~config:{ W.default_config with guard = false } sim in
+  let wd = W.arm ~config:(config ~guard:false ()) sim in
   Netsim.Sim.run_until sim 1.;
   Igp.Network.inject_fake net (fake ~id:"s1" ~at:d.b ~cost:2 ~fwd:d.r3);
   Igp.Lsdb.set_fake_expiry (Igp.Network.lsdb net) ~fake_id:"s1"
     ~now:(Netsim.Sim.time sim) ~ttl:30.;
   (* Remove the forwarding adjacency behind the simulator's back. *)
   G.remove_edge d.graph d.b d.r3;
-  W.check_now wd sim;
+  step sim;
   let kinds = List.map (fun (v : W.violation) -> v.kind) (W.violations wd) in
   Alcotest.(check bool) "dangling lie flagged" true
     (List.mem W.Dangling_lie kinds)
 
 let test_watchdog_fail_fast_raises () =
   let d, net, sim = watchdog_sim () in
-  let wd =
-    W.arm
-      ~config:{ W.default_config with guard = false; fail_fast = true }
-      sim
-  in
+  ignore (W.arm ~config:(config ~guard:false ~fail_fast:true ()) sim : W.t);
   Netsim.Sim.run_until sim 1.;
   inject_loop d net sim;
   Alcotest.(check bool) "raises Tripped" true
     (try
-       W.check_now wd sim;
+       step sim;
        false
      with W.Tripped _ -> true)
 

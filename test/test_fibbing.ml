@@ -1,7 +1,8 @@
 let pfx = Igp.Prefix.v
 (* Tests for the Fibbing core: requirements, splitting, augmentation
-   compilation (extension and override), verification, the merger, and
-   the on-demand load-balancing controller. *)
+   compilation (one compiler; its two per-router outcomes, extension and
+   override, are asserted through [compile]), verification, the merger,
+   and the on-demand load-balancing controller. *)
 
 module G = Netgraph.Graph
 module T = Netgraph.Topologies
@@ -13,6 +14,17 @@ let demo_net () =
   let net = Igp.Network.create d.graph in
   Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
   (d, net)
+
+(* Even ECMP over [hops] at one router, the paper's intervention at B. *)
+let even ~prefix ~router hops =
+  let share = 1. /. float_of_int (List.length hops) in
+  R.make ~prefix [ (router, List.map (fun h -> (h, share)) hops) ]
+
+(* Lies currently installed for [prefix]. *)
+let lies_for net prefix =
+  List.filter
+    (fun (f : Igp.Lsa.fake) -> Igp.Prefix.equal f.prefix prefix)
+    (Igp.Network.fakes net)
 
 let ok_exn = function
   | Ok v -> v
@@ -29,7 +41,7 @@ let test_requirements_validate_ok () =
 
 let test_requirements_even () =
   let d, _ = demo_net () in
-  let reqs = R.even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
+  let reqs = even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
   match reqs.routers with
   | [ { splits; _ } ] -> checkf "half" 0.5 (List.hd splits).fraction
   | _ -> Alcotest.fail "one router expected"
@@ -85,7 +97,7 @@ let test_splitting_error_metric () =
   checkf "error vs 50/50" 0.1
     (Fibbing.Splitting.approximation_error splits [ (d.b, 1); (d.r1, 1) ])
 
-(* ---------- Augmentation: extension ---------- *)
+(* ---------- Augmentation: the extension outcome of compile ---------- *)
 
 let test_extension_reproduces_demo_fakes () =
   (* B needs {R2, R3} even: one fake at cost 2 (the paper's fB); A needs
@@ -98,9 +110,10 @@ let test_extension_reproduces_demo_fakes () =
         (d.a, [ (d.b, 1. /. 3.); (d.r1, 2. /. 3.) ]);
       ]
   in
-  let plan = ok_exn (A.extension_plan ~max_entries:4 net reqs) in
+  let plan = ok_exn (A.compile ~max_entries:4 net reqs) in
   Alcotest.(check int) "three fakes" 3 (A.fake_count plan);
-  Alcotest.(check bool) "extension mode" true (plan.mode = A.Extension);
+  Alcotest.(check (list (pair int int))) "both at their SPF cost"
+    [ (d.b, 2); (d.a, 3) ] plan.costs;
   (match List.filter (fun (f : Igp.Lsa.fake) -> f.attachment = d.b) plan.fakes with
   | [ f ] ->
     Alcotest.(check int) "fB cost 2" 2 (Igp.Lsa.total_cost f);
@@ -116,8 +129,8 @@ let test_extension_reproduces_demo_fakes () =
 
 let test_extension_apply_changes_fibs () =
   let d, net = demo_net () in
-  let reqs = R.even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
-  let plan = ok_exn (A.extension_plan net reqs) in
+  let reqs = even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
+  let plan = ok_exn (A.compile net reqs) in
   A.apply net plan;
   let fib = Option.get (Igp.Network.fib net ~router:d.b (pfx "blue")) in
   Alcotest.(check (list int)) "ECMP installed" [ d.r2; d.r3 ] (Igp.Fib.next_hops fib);
@@ -128,23 +141,27 @@ let test_extension_apply_changes_fibs () =
 let test_extension_cannot_remove_next_hop () =
   let d, net = demo_net () in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.b, [ (d.r3, 1.0) ]) ] in
-  Alcotest.(check bool) "extension refuses" true
-    (Result.is_error (A.extension_plan net reqs))
+  (* Fakes at B's SPF cost 2 would keep R2; dropping it forces B below. *)
+  let plan = ok_exn (A.compile net reqs) in
+  Alcotest.(check int) "B overridden at cost 1" 1 (List.assoc d.b plan.costs)
 
 let test_extension_requires_clean_state () =
   let d, net = demo_net () in
-  let reqs = R.even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
-  let plan = ok_exn (A.extension_plan net reqs) in
+  let reqs = even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
+  let plan = ok_exn (A.compile net reqs) in
   A.apply net plan;
-  Alcotest.(check bool) "second compile rejected" true
-    (Result.is_error (A.extension_plan net reqs))
+  match A.compile net reqs with
+  | Ok _ -> Alcotest.fail "second compile accepted"
+  | Error e ->
+    Alcotest.(check string) "second compile rejected"
+      "B already has fake routes for blue; retract them first" e
 
-(* ---------- Augmentation: override ---------- *)
+(* ---------- Augmentation: the override outcome of compile ---------- *)
 
 let test_override_replaces_next_hop () =
   let d, net = demo_net () in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.b, [ (d.r3, 1.0) ]) ] in
-  let plan = ok_exn (A.override_plan net reqs) in
+  let plan = ok_exn (A.compile net reqs) in
   A.apply net plan;
   let fib = Option.get (Igp.Network.fib net ~router:d.b (pfx "blue")) in
   Alcotest.(check (list int)) "only R3" [ d.r3 ] (Igp.Fib.next_hops fib);
@@ -153,17 +170,21 @@ let test_override_replaces_next_hop () =
 let test_override_costs_below_current () =
   let d, net = demo_net () in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.a, [ (d.r1, 1.0) ]) ] in
-  let plan = ok_exn (A.override_plan net reqs) in
+  let plan = ok_exn (A.compile net reqs) in
   Alcotest.(check (list (pair int int))) "cost = D(A)-1 = 2" [ (d.a, 2) ] plan.costs
 
 let test_override_uneven () =
   let d, net = demo_net () in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.b, [ (d.r2, 0.25); (d.r3, 0.75) ]) ] in
-  let plan = ok_exn (A.override_plan net reqs) in
+  let plan = ok_exn (A.compile net reqs) in
   A.apply net plan;
   let fib = Option.get (Igp.Network.fib net ~router:d.b (pfx "blue")) in
   Alcotest.(check (list (pair int int))) "1:3" [ (d.r2, 1); (d.r3, 3) ]
-    (Igp.Fib.weights fib)
+    (Igp.Fib.weights fib);
+  (* B keeps R2 as a next hop, so it stays at its SPF cost and the real
+     route supplies R2's unit: 3 fakes, not 4. *)
+  Alcotest.(check int) "three fakes" 3 (A.fake_count plan);
+  Alcotest.(check (list (pair int int))) "at cost 2" [ (d.b, 2) ] plan.costs
 
 (* ---------- Augmentation: compile (verified end-to-end) ---------- *)
 
@@ -188,7 +209,7 @@ let test_compile_falls_back_to_override () =
   let d, net = demo_net () in
   let reqs = R.make ~prefix:(pfx "blue") [ (d.b, [ (d.r3, 1.0) ]) ] in
   let plan = ok_exn (A.compile net reqs) in
-  Alcotest.(check bool) "override mode" true (plan.mode = A.Override);
+  Alcotest.(check int) "below B's SPF cost" 1 (List.assoc d.b plan.costs);
   A.apply net plan;
   let fib = Option.get (Igp.Network.fib net ~router:d.b (pfx "blue")) in
   Alcotest.(check (list int)) "requirement met" [ d.r3 ] (Igp.Fib.next_hops fib)
@@ -285,7 +306,7 @@ let prop_compile_verified_on_random =
         if safe = [] then true
         else begin
           let chosen = List.filteri (fun i _ -> i < 3) (List.sort_uniq compare safe) in
-          let reqs = R.even ~prefix:(pfx "p") ~router chosen in
+          let reqs = even ~prefix:(pfx "p") ~router chosen in
           let baseline = Igp.Network.fibs net (pfx "p") in
           match A.compile net reqs with
           | Error _ -> true (* honest failure is acceptable *)
@@ -300,11 +321,11 @@ let prop_compile_verified_on_random =
 
 let test_merger_keeps_needed_fake () =
   let d, net = demo_net () in
-  let reqs = R.even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
+  let reqs = even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
   let plan = ok_exn (A.compile net reqs) in
   let minimized = Fibbing.Merger.minimize net reqs plan in
   Alcotest.(check int) "still one fake" 1 (A.fake_count minimized);
-  Alcotest.(check int) "saved none" 0 (Fibbing.Merger.saved ~before:plan ~after:minimized)
+  Alcotest.(check int) "saved none" (A.fake_count plan) (A.fake_count minimized)
 
 let test_merger_preserves_verification () =
   let d, net = demo_net () in
@@ -328,7 +349,7 @@ let test_merger_preserves_verification () =
 
 let test_merger_drops_inert_fake () =
   let d, net = demo_net () in
-  let reqs = R.even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
+  let reqs = even ~prefix:(pfx "blue") ~router:d.b [ d.r2; d.r3 ] in
   let plan = ok_exn (A.compile net reqs) in
   let inert : Igp.Lsa.fake =
     {
@@ -344,7 +365,7 @@ let test_merger_drops_inert_fake () =
   let minimized = Fibbing.Merger.minimize net reqs padded in
   Alcotest.(check int) "inert fake dropped" 1 (A.fake_count minimized);
   Alcotest.(check int) "saved one" 1
-    (Fibbing.Merger.saved ~before:padded ~after:minimized)
+    (A.fake_count padded - A.fake_count minimized)
 
 (* ---------- Verify ---------- *)
 
@@ -442,15 +463,13 @@ let test_controller_withdraws_after_calm () =
     (Fibbing.Controller.fake_count controller)
 
 let test_controller_requirements_exposed () =
-  let d, _, sim, controller = controller_sim () in
+  let d, net, sim, _ = controller_sim () in
   for i = 0 to 30 do
     Netsim.Sim.add_flow sim
       (Netsim.Flow.make ~id:i ~src:d.a ~prefix:(pfx "blue") ~demand:stream ())
   done;
   Netsim.Sim.run_until sim 10.;
-  match Fibbing.Controller.requirements controller (pfx "blue") with
-  | Some reqs -> Alcotest.(check string) "prefix" "blue" (Igp.Prefix.to_string reqs.prefix)
-  | None -> Alcotest.fail "no requirements recorded"
+  Alcotest.(check bool) "lies installed for blue" true (lies_for net (pfx "blue") <> [])
 
 let test_controller_handles_anycast_prefix () =
   (* blue announced at both C and R4: the availability computation must
@@ -527,14 +546,12 @@ let test_controller_withdraw_all_then_fresh_cycle () =
   Alcotest.(check int) "all withdrawn" 0 (Fibbing.Controller.fake_count controller);
   Alcotest.(check int) "LSDB agrees" 0
     (Igp.Lsdb.fake_count (Igp.Network.lsdb net));
-  Alcotest.(check bool) "requirements forgotten" true
-    (Fibbing.Controller.requirements controller (pfx "blue") = None);
+  Alcotest.(check bool) "no lies left for blue" true (lies_for net (pfx "blue") = []);
   (* The congestion has not gone anywhere: the controller must lie again. *)
   Netsim.Sim.run_until sim 25.;
   Alcotest.(check bool) "fresh reaction cycle" true
     (Fibbing.Controller.fake_count controller > 0);
-  Alcotest.(check bool) "fresh requirements" true
-    (Fibbing.Controller.requirements controller (pfx "blue") <> None)
+  Alcotest.(check bool) "fresh lies for blue" true (lies_for net (pfx "blue") <> [])
 
 let test_controller_withdraws_when_monitor_goes_silent () =
   (* The calm detector must treat a silent monitor as calm: if every
@@ -563,7 +580,7 @@ let test_controller_backs_off_when_ineffective () =
   (* A line topology has no alternate path: every reaction is free to
      act but can change nothing, so the backoff must kick in and the
      reaction rate must fall well below the poll rate. *)
-  let g = T.line ~n:3 in
+  let g = Topo.line ~n:3 in
   let net = Igp.Network.create g in
   Igp.Network.announce_prefix net (pfx "sink") ~origin:2 ~cost:0;
   let caps = Netsim.Link.capacities ~default:10. in
@@ -581,8 +598,6 @@ let test_controller_backs_off_when_ineffective () =
   Netsim.Sim.add_flow sim
     (Netsim.Flow.make ~id:0 ~src:0 ~prefix:(pfx "sink") ~demand:20. ());
   Netsim.Sim.run_until sim 60.;
-  Alcotest.(check bool) "backoff engaged" true
-    (Fibbing.Controller.consecutive_failures controller > 0);
   let polls = int_of_float (60. /. 2.) in
   Alcotest.(check bool)
     (Printf.sprintf "reactions (%d) rate-limited well below polls (%d)"
@@ -679,7 +694,7 @@ let test_transient_apply_and_revert_safely () =
   let fib_r3 = Option.get (Igp.Network.fib net ~router:d.r3 (pfx "blue")) in
   Alcotest.(check (list int)) "requirement holds" [ d.b ] (Igp.Fib.next_hops fib_r3);
   (match Fibbing.Transient.revert_safely net plan with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "revert_safely: %s" e);
   Alcotest.(check int) "all lies gone" 0 (List.length (Igp.Network.fakes net));
   let report = Fibbing.Verify.check net ~prefix:(pfx "blue") ~expected:[] ~baseline in
@@ -691,15 +706,17 @@ let test_transient_safe_removal_order_found () =
   (match Fibbing.Transient.apply_safely net plan with
   | Ok () -> ()
   | Error e -> Alcotest.failf "apply_safely: %s" e);
-  match Fibbing.Transient.safe_removal_order net plan with
+  let scratch = Igp.Network.clone net in
+  match Fibbing.Transient.revert_safely net plan with
   | Error e -> Alcotest.failf "no safe removal order: %s" e
   | Ok order ->
     Alcotest.(check int) "all fakes ordered" (List.length plan.fakes)
       (List.length order);
-    (* Replay the removal on a scratch clone, checking safety after
-       every single retraction — each intermediate state carries a
-       suffix of the lie and must neither loop nor blackhole. *)
-    let scratch = Igp.Network.clone net in
+    Alcotest.(check int) "everything retracted" 0
+      (List.length (Igp.Network.fakes net));
+    (* Replay the removal on a clone of the installed state, checking
+       safety after every single retraction — each intermediate state
+       carries a suffix of the lie and must neither loop nor blackhole. *)
     List.iter
       (fun (f : Igp.Lsa.fake) ->
         Igp.Network.retract_fake scratch ~fake_id:f.fake_id;
@@ -708,7 +725,7 @@ let test_transient_safe_removal_order_found () =
         | Error reason ->
           Alcotest.failf "unsafe after retracting %s: %s" f.fake_id reason)
       order;
-    Alcotest.(check int) "everything retracted" 0
+    Alcotest.(check int) "replay retracts everything" 0
       (List.length (Igp.Network.fakes scratch))
 
 let test_transient_removal_rejects_unsafe_start () =
@@ -725,8 +742,10 @@ let test_transient_removal_rejects_unsafe_start () =
   in
   Igp.Network.inject_fake net (cheap ~id:"x1" ~at:d.a ~fwd:d.b);
   Igp.Network.inject_fake net (cheap ~id:"x2" ~at:d.b ~fwd:d.a);
-  match Fibbing.Transient.safe_removal_order net plan with
-  | Error _ -> ()
+  match Fibbing.Transient.revert_safely net plan with
+  | Error _ ->
+    Alcotest.(check int) "the plan stays installed" (A.fake_count plan + 2)
+      (List.length (Igp.Network.fakes net))
   | Ok _ -> Alcotest.fail "expected the broken start state to be rejected"
 
 (* Property: for every compiled single-router even-ECMP plan on random
@@ -760,7 +779,7 @@ let prop_transient_safe_order_on_random =
         in
         if safe = [] then true
         else begin
-          let reqs = R.even ~prefix:(pfx "p") ~router (List.filteri (fun i _ -> i < 3) safe) in
+          let reqs = even ~prefix:(pfx "p") ~router (List.filteri (fun i _ -> i < 3) safe) in
           match A.compile net reqs with
           | Error _ -> true
           | Ok plan ->
@@ -801,24 +820,25 @@ let prop_transient_safe_removal_on_random =
         in
         if safe = [] then true
         else begin
-          let reqs = R.even ~prefix:(pfx "p") ~router (List.filteri (fun i _ -> i < 3) safe) in
+          let reqs = even ~prefix:(pfx "p") ~router (List.filteri (fun i _ -> i < 3) safe) in
           match A.compile net reqs with
           | Error _ -> true
           | Ok plan ->
             (match Fibbing.Transient.apply_safely net plan with
             | Error _ -> true
             | Ok () ->
-              (match Fibbing.Transient.safe_removal_order net plan with
+              let scratch = Igp.Network.clone net in
+              (match Fibbing.Transient.revert_safely net plan with
               | Error e ->
                 QCheck.Test.fail_reportf "no removal order (seed %d): %s" seed e
               | Ok order ->
-                let scratch = Igp.Network.clone net in
                 List.for_all
                   (fun (f : Igp.Lsa.fake) ->
                     Igp.Network.retract_fake scratch ~fake_id:f.fake_id;
                     Igp.Safety.state_safe scratch ~prefix:(pfx "p") = Ok ())
                   order
-                && Igp.Network.fakes scratch = []))
+                && Igp.Network.fakes scratch = []
+                && lies_for net (pfx "p") = []))
         end)
 
 (* ---------- Audit ---------- *)

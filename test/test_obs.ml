@@ -18,25 +18,38 @@ let with_obs f =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Metric reads go through the registry dump, by name, as the exporters
+   read them. *)
+let metric name = List.assoc name (Obs.Metrics.dump ())
+
+let counter_value name =
+  match metric name with Obs.Metrics.Counter n -> n | _ -> Alcotest.fail name
+
+let gauge_value name =
+  match metric name with Obs.Metrics.Gauge v -> v | _ -> Alcotest.fail name
+
+let summary name =
+  match metric name with Obs.Metrics.Histogram s -> s | _ -> Alcotest.fail name
+
 let test_counter_roundtrip () =
   with_obs (fun () ->
       let c = Obs.Metrics.counter "test.counter" in
-      Alcotest.(check int) "starts at zero" 0 (Obs.Metrics.counter_value c);
+      Alcotest.(check int) "starts at zero" 0 (counter_value "test.counter");
       Obs.Metrics.incr c;
       Obs.Metrics.add c 41;
-      Alcotest.(check int) "incr + add" 42 (Obs.Metrics.counter_value c);
+      Alcotest.(check int) "incr + add" 42 (counter_value "test.counter");
       (* Find-or-create returns the same cell. *)
       let c' = Obs.Metrics.counter "test.counter" in
       Obs.Metrics.incr c';
-      Alcotest.(check int) "same cell by name" 43 (Obs.Metrics.counter_value c))
+      Alcotest.(check int) "same cell by name" 43 (counter_value "test.counter"))
 
 let test_gauge_roundtrip () =
   with_obs (fun () ->
       let g = Obs.Metrics.gauge "test.gauge" in
-      checkf "starts at zero" 0. (Obs.Metrics.gauge_value g);
+      checkf "starts at zero" 0. (gauge_value "test.gauge");
       Obs.Metrics.set g 2.5;
       Obs.Metrics.set g 1.25;
-      checkf "last write wins" 1.25 (Obs.Metrics.gauge_value g))
+      checkf "last write wins" 1.25 (gauge_value "test.gauge"))
 
 let test_histogram_roundtrip () =
   with_obs (fun () ->
@@ -44,7 +57,7 @@ let test_histogram_roundtrip () =
         Obs.Metrics.histogram ~buckets:[| 1.; 2.; 4. |] "test.histogram"
       in
       List.iter (Obs.Metrics.observe h) [ 0.5; 1.5; 3.; 100. ];
-      let s = Obs.Metrics.summary h in
+      let s = summary "test.histogram" in
       Alcotest.(check int) "count" 4 s.count;
       checkf "sum" 105. s.sum;
       checkf "min" 0.5 s.min;
@@ -63,9 +76,9 @@ let test_disabled_ops_are_noops () =
   Obs.Metrics.add c 7;
   Obs.Metrics.set g 3.;
   Obs.Metrics.observe h 1.;
-  Alcotest.(check int) "counter untouched" 0 (Obs.Metrics.counter_value c);
-  checkf "gauge untouched" 0. (Obs.Metrics.gauge_value g);
-  Alcotest.(check int) "histogram untouched" 0 (Obs.Metrics.summary h).count
+  Alcotest.(check int) "counter untouched" 0 (counter_value "test.disabled.counter");
+  checkf "gauge untouched" 0. (gauge_value "test.disabled.gauge");
+  Alcotest.(check int) "histogram untouched" 0 (summary "test.disabled.histogram").count
 
 let test_kind_mismatch_rejected () =
   ignore (Obs.Metrics.counter "test.kind");
@@ -80,9 +93,9 @@ let test_reset_keeps_handles () =
       let c = Obs.Metrics.counter "test.reset.counter" in
       Obs.Metrics.add c 5;
       Obs.Metrics.reset ();
-      Alcotest.(check int) "zeroed" 0 (Obs.Metrics.counter_value c);
+      Alcotest.(check int) "zeroed" 0 (counter_value "test.reset.counter");
       Obs.Metrics.incr c;
-      Alcotest.(check int) "handle still live" 1 (Obs.Metrics.counter_value c);
+      Alcotest.(check int) "handle still live" 1 (counter_value "test.reset.counter");
       Alcotest.(check bool) "registration survives in dump" true
         (List.mem_assoc "test.reset.counter" (Obs.Metrics.dump ())))
 
@@ -121,13 +134,17 @@ let prop_percentile_oracle =
       let sorted = Array.of_list (List.sort compare values) in
       let ok =
         List.for_all
-          (fun q ->
+          (fun (q, q_of) ->
             let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
             let oracle = sorted.(rank - 1) in
-            let est = Obs.Metrics.quantile h q in
+            let est = q_of (summary "test.pct") in
             est >= (oracle /. 1.2501) -. 1e-9
             && est <= (oracle *. 1.2501) +. 1e-9)
-          [ 0.5; 0.9; 0.95; 0.99; 1.0 ]
+          Obs.Metrics.
+            [
+              (0.5, fun s -> s.p50); (0.95, fun s -> s.p95); (0.99, fun s -> s.p99);
+              (1.0, fun s -> s.max);
+            ]
       in
       Obs.disable ();
       ok)
@@ -224,12 +241,8 @@ let test_ring_eviction () =
   Alcotest.(check (list int)) "keeps newest, oldest first" [ 3; 4; 5 ]
     (Kit.Ring.to_list r);
   Alcotest.(check int) "dropped count" 2 (Kit.Ring.dropped r);
-  Alcotest.(check int) "length capped" 3 (Kit.Ring.length r);
-  Alcotest.(check int) "capacity" 3 (Kit.Ring.capacity r);
-  Alcotest.(check int) "fold oldest first" 345
-    (Kit.Ring.fold (fun acc x -> (acc * 10) + x) 0 r);
   Kit.Ring.clear r;
-  Alcotest.(check int) "clear empties" 0 (Kit.Ring.length r);
+  Alcotest.(check (list int)) "clear empties" [] (Kit.Ring.to_list r);
   Alcotest.(check int) "clear resets dropped" 0 (Kit.Ring.dropped r)
 
 let test_ring_validates_capacity () =
@@ -364,7 +377,7 @@ let test_parallel_counter_increments () =
       let pool = Kit.Pool.create ~domains:4 () in
       Kit.Pool.iter pool ~n:1000 (fun _ -> Obs.Metrics.incr c);
       Alcotest.(check int) "no lost updates across domains" 1000
-        (Obs.Metrics.counter_value c))
+        (counter_value "test.parallel.counter"))
 
 (* ------------------------------------------------------------------ *)
 (* Prof: GC deltas on spans                                            *)
@@ -421,7 +434,7 @@ let test_prof_alloc_counter () =
       let c = Obs.Metrics.counter "test.prof.alloc" in
       Obs.Prof.with_span "alloc" ~alloc_counter:c (fun () -> churn_minor 500);
       Alcotest.(check bool) "counter accumulates the words" true
-        (Obs.Metrics.counter_value c >= 1000))
+        (counter_value "test.prof.alloc" >= 1000))
 
 (* The disabled-overhead gate, in allocation terms: with everything
    off, a prof span is the wrapped call plus flag checks — no words. *)
@@ -475,8 +488,9 @@ let prop_prof_nested_sums =
 (* Exporters: Chrome trace events and OpenMetrics                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_str k e = Option.bind (Kit.Json.member k e) Kit.Json.to_str
-let json_num k e = Option.bind (Kit.Json.member k e) Kit.Json.to_float
+let member k = function Kit.Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
+let json_str k e = match member k e with Some (Kit.Json.Str s) -> Some s | _ -> None
+let json_num k e = match member k e with Some (Kit.Json.Num x) -> Some x | _ -> None
 
 (* Golden-shape test on the fixed F2 run: parse the document back and
    validate required fields and timestamp ordering (byte-golden would
@@ -490,7 +504,7 @@ let test_chrome_trace_shape () =
   | Error msg -> Alcotest.fail msg
   | Ok j ->
     let events =
-      match Kit.Json.member "traceEvents" j with
+      match member "traceEvents" j with
       | Some (Kit.Json.List l) -> l
       | _ -> Alcotest.fail "traceEvents missing"
     in
@@ -528,9 +542,9 @@ let test_chrome_trace_shape () =
       (List.exists
          (fun e ->
            json_str "ph" e = Some "X"
-           && (match Kit.Json.member "args" e with
+           && (match member "args" e with
               | Some args -> (
-                match Option.bind (Kit.Json.member "alloc_words" args) Kit.Json.to_float with
+                match json_num "alloc_words" args with
                 | Some w -> w >= 0.
                 | None -> false)
               | None -> false))
@@ -644,6 +658,28 @@ let test_history_gate_verdicts () =
   Alcotest.(check bool) "single row passes vacuously" true
     (Obs.History.gate [ hrow "a" "t" base ] = [])
 
+(* Rows keyed like the fib_geant track: only the workload size splits a
+   baseline, so a timing that moves between runs is compared, not taken
+   for a new workload. *)
+let test_history_gate_compares_timed_rows () =
+  let geant prefixes warm_ms =
+    hrow "x" "fib_geant"
+      [ ("prefixes", prefixes); ("warm_ms", warm_ms); ("lie_cycle_ms", 0.03) ]
+  in
+  let v = Obs.History.gate [ geant 2000. 26.; geant 2000. 31. ] in
+  Alcotest.(check (list string)) "timings compared" [ "warm_ms"; "lie_cycle_ms" ]
+    (List.map (fun (v : Obs.History.verdict) -> v.v_counter) v);
+  Alcotest.(check bool) "within the timing band" true (Obs.History.gate_ok v);
+  Alcotest.(check bool) "a regressed deterministic counter fails" false
+    (Obs.History.gate_ok
+       (Obs.History.gate
+          [
+            hrow "a" "fib_trie" [ ("prefixes", 1e4); ("installed", 9000.); ("build_ms", 40.) ];
+            hrow "b" "fib_trie" [ ("prefixes", 1e4); ("installed", 9500.); ("build_ms", 45.) ];
+          ]));
+  Alcotest.(check bool) "a new table size starts a fresh baseline" true
+    (Obs.History.gate [ geant 2000. 26.; geant 4000. 26. ] = [])
+
 let test_history_file_roundtrip () =
   let file = Filename.temp_file "fibbing_hist" ".jsonl" in
   Fun.protect
@@ -749,6 +785,8 @@ let () =
       ( "history",
         [
           Alcotest.test_case "gate verdicts" `Quick test_history_gate_verdicts;
+          Alcotest.test_case "gate compares timed rows" `Quick
+            test_history_gate_compares_timed_rows;
           Alcotest.test_case "file round-trip" `Quick
             test_history_file_roundtrip;
         ] );

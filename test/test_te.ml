@@ -17,7 +17,7 @@ let demo_net () =
 
 let test_mcf_single_path () =
   (* Line 0-1-2, capacity 10: a demand of 5 fits with lambda 2. *)
-  let g = T.line ~n:3 in
+  let g = Topo.line ~n:3 in
   let caps _ = 10. in
   let result =
     Te.Mcf.solve ~epsilon:0.05 g ~capacities:caps
@@ -76,7 +76,7 @@ let test_mcf_beats_single_shortest_path () =
     true (util < 1.0)
 
 let test_mcf_rejects_bad_inputs () =
-  let g = T.line ~n:3 in
+  let g = Topo.line ~n:3 in
   Alcotest.(check bool) "bad demand" true
     (try
        ignore
@@ -104,25 +104,46 @@ let test_mcf_unroutable_commodity () =
 
 (* ---------- Decompose ---------- *)
 
+(* The split fractions [to_requirements] asks of [router]. *)
+let splits_at (reqs : Fibbing.Requirements.t) router =
+  match List.find_opt (fun (rr : Fibbing.Requirements.router_requirement) -> rr.router = router) reqs.routers with
+  | Some rr ->
+    List.map (fun (s : Fibbing.Requirements.split) -> (s.next_hop, s.fraction)) rr.splits
+  | None -> []
+
 let test_decompose_cancel_cycles () =
-  let flows = [ ((0, 1), 3.); ((1, 2), 1.); ((2, 0), 1.); ((1, 3), 2.) ] in
-  (* Cycle 0->1->2->0 carries 1 unit; after cancellation 0->1 keeps 2. *)
-  let cleaned = Te.Decompose.cancel_cycles flows in
-  Alcotest.(check bool) "cycle gone" true
-    (not (List.mem_assoc (2, 0) cleaned) && not (List.mem_assoc (1, 2) cleaned));
-  checkf 1e-9 "reduced" 2. (List.assoc (0, 1) cleaned);
-  checkf 1e-9 "untouched" 2. (List.assoc (1, 3) cleaned)
+  let d, net = demo_net () in
+  (* A-R1-R4-C carries 2; the cycle B->R2->C->R3->B carries 1 and serves
+     no demand. Cancelled, only A needs a lie (towards R1). Kept, R3 would
+     need one too, to send towards B. *)
+  let flows =
+    [
+      ((d.a, d.r1), 2.); ((d.r1, d.r4), 2.); ((d.r4, d.c), 2.);
+      ((d.b, d.r2), 1.); ((d.r2, d.c), 1.); ((d.c, d.r3), 1.); ((d.r3, d.b), 1.);
+    ]
+  in
+  let reqs = Te.Decompose.to_requirements net ~prefix:(pfx "blue") flows in
+  Alcotest.(check (list int)) "cycle gone: a lie at A only" [ d.a ]
+    (List.map (fun (rr : Fibbing.Requirements.router_requirement) -> rr.router) reqs.routers);
+  checkf 1e-9 "A all towards R1" 1. (List.assoc d.r1 (splits_at reqs d.a))
 
 let test_decompose_cancel_no_cycles_is_identity () =
-  let flows = [ ((0, 1), 1.); ((1, 2), 1.) ] in
-  Alcotest.(check bool) "unchanged" true (Te.Decompose.cancel_cycles flows = flows)
+  let d, net = demo_net () in
+  let flows = [ ((d.b, d.r2), 1.); ((d.b, d.r3), 3.); ((d.r2, d.c), 1.); ((d.r3, d.c), 3.) ] in
+  let reqs = Te.Decompose.to_requirements net ~prefix:(pfx "blue") flows in
+  let at_b = splits_at reqs d.b in
+  checkf 1e-9 "R2 keeps 1/4" 0.25 (List.assoc d.r2 at_b);
+  checkf 1e-9 "R3 keeps 3/4" 0.75 (List.assoc d.r3 at_b)
 
 let test_decompose_node_fractions () =
-  let flows = [ ((0, 1), 3.); ((0, 2), 1.) ] in
-  match Te.Decompose.node_fractions flows with
-  | [ (0, fractions) ] ->
-    checkf 1e-9 "3/4" 0.75 (List.assoc 1 fractions);
-    checkf 1e-9 "1/4" 0.25 (List.assoc 2 fractions)
+  let d, net = demo_net () in
+  let flows = [ ((d.a, d.b), 3.); ((d.a, d.r1), 1.) ] in
+  let reqs = Te.Decompose.to_requirements net ~prefix:(pfx "blue") flows in
+  match reqs.routers with
+  | [ rr ] ->
+    Alcotest.(check int) "at A" d.a rr.router;
+    checkf 1e-9 "3/4" 0.75 (List.assoc d.b (splits_at reqs d.a));
+    checkf 1e-9 "1/4" 0.25 (List.assoc d.r1 (splits_at reqs d.a))
   | _ -> Alcotest.fail "one node expected"
 
 let test_decompose_to_requirements_skips_conforming () =
@@ -178,12 +199,13 @@ let test_te_pipeline_end_to_end () =
           { src = d.b; prefix = pfx "blue"; amount = 100. };
         ]
     in
-    match Netsim.Loadmap.max_load loads with
-    | Some (_, maxload) ->
+    match Netsim.Loadmap.loads loads with
+    | [] -> Alcotest.fail "no load"
+    | loaded ->
+      let maxload = List.fold_left (fun acc (_, l) -> max acc l) 0. loaded in
       Alcotest.(check bool)
         (Printf.sprintf "max load %.1f < 120" maxload)
-        true (maxload < 120.)
-    | None -> Alcotest.fail "no load")
+        true (maxload < 120.))
 
 (* ---------- Weightopt ---------- *)
 
@@ -347,7 +369,7 @@ let test_planner_scenarios () =
 
 let test_planner_excludes_partitions () =
   (* A line: every link is a cut link. *)
-  let g = T.line ~n:4 in
+  let g = Topo.line ~n:4 in
   let scenarios = Te.Planner.single_link_failures g in
   Alcotest.(check int) "only no-failure" 1 (List.length scenarios)
 

@@ -3,7 +3,8 @@ let pfx = Igp.Prefix.v
 
 let checkf = Alcotest.(check (float 1e-6))
 
-let config = Video.Client.default_config
+(* The documented default client: 1 Mbps video, 2 s startup and resume. *)
+let config = { Video.Client.bitrate = 131072.; startup_buffer = 2.; resume_buffer = 2. }
 
 (* Constant-rate sample series helper: [rate] bytes/s for [seconds]. *)
 let constant_rate ~rate ~seconds ~dt =
@@ -13,7 +14,7 @@ let constant_rate ~rate ~seconds ~dt =
 
 let test_client_smooth_at_full_rate () =
   let samples = constant_rate ~rate:config.bitrate ~seconds:40. ~dt:0.5 in
-  let r = Video.Client.replay ~duration:30. ~dt:0.5 samples in
+  let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   Alcotest.(check int) "no stalls" 0 r.stall_count;
   checkf "no stall time" 0. r.stall_time;
   Alcotest.(check bool) "smooth" true r.smooth;
@@ -22,20 +23,20 @@ let test_client_smooth_at_full_rate () =
 
 let test_client_stalls_at_half_rate () =
   let samples = constant_rate ~rate:(config.bitrate /. 2.) ~seconds:60. ~dt:0.5 in
-  let r = Video.Client.replay ~duration:30. ~dt:0.5 samples in
+  let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   Alcotest.(check bool) "stalls" true (r.stall_count > 0);
   Alcotest.(check bool) "stall time accrues" true (r.stall_time > 5.);
   Alcotest.(check bool) "not smooth" false r.smooth
 
 let test_client_fast_download_no_stall () =
   let samples = constant_rate ~rate:(config.bitrate *. 4.) ~seconds:20. ~dt:0.5 in
-  let r = Video.Client.replay ~duration:30. ~dt:0.5 samples in
+  let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   Alcotest.(check int) "no stalls" 0 r.stall_count;
   Alcotest.(check bool) "startup fast" true (r.startup_delay <= 1.)
 
 let test_client_zero_rate_never_starts () =
   let samples = constant_rate ~rate:0. ~seconds:20. ~dt:0.5 in
-  let r = Video.Client.replay ~duration:30. ~dt:0.5 samples in
+  let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   checkf "nothing played" 0. r.played;
   Alcotest.(check bool) "not smooth" false r.smooth
 
@@ -46,7 +47,7 @@ let test_client_rate_drop_causes_stall () =
   let bad =
     List.map (fun (t, _) -> (t +. 5., 0.)) (constant_rate ~rate:0. ~seconds:20. ~dt:0.5)
   in
-  let r = Video.Client.replay ~duration:30. ~dt:0.5 (good @ bad) in
+  let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = (good @ bad) } in
   Alcotest.(check bool) "stalled" true (r.stall_count >= 1);
   Alcotest.(check bool) "some content played" true (r.played > 2.)
 
@@ -54,13 +55,13 @@ let test_client_short_video_fully_buffered () =
   (* A 1-second video is shorter than the startup buffer; playback must
      still start once fully buffered. *)
   let samples = constant_rate ~rate:config.bitrate ~seconds:10. ~dt:0.5 in
-  let r = Video.Client.replay ~duration:1. ~dt:0.5 samples in
+  let r = Video.Client.replay ~dt:0.5 { duration = 1.; samples = samples } in
   checkf "played all" 1. r.played;
   Alcotest.(check int) "no stalls" 0 r.stall_count
 
 let test_client_validation () =
   Alcotest.(check bool) "bad dt" true
-    (try ignore (Video.Client.replay ~duration:1. ~dt:0. []); false
+    (try ignore (Video.Client.replay ~dt:0. { duration = 1.; samples = [] }); false
      with Invalid_argument _ -> true)
 
 (* ---------- Workload ---------- *)
@@ -85,7 +86,7 @@ let test_workload_burst_jitter () =
   let spec =
     { Video.Workload.src = 0; prefix = pfx "p"; rate = 10.; video_duration = 60. }
   in
-  let flows = Video.Workload.burst ~jitter:2. prng spec ~first_id:10 ~count:5 ~at:7. in
+  let flows = Video.Workload.crowd ~jitter:2. prng [ spec ] ~first_id:10 ~count:5 ~at:7. in
   Alcotest.(check int) "count" 5 (List.length flows);
   List.iter
     (fun (f : Netsim.Flow.t) ->
@@ -96,12 +97,12 @@ let test_workload_burst_jitter () =
     (List.map (fun (f : Netsim.Flow.t) -> f.id) flows)
 
 let test_workload_poisson () =
+  (* The day workload's background arrivals, with no surge. *)
   let prng = Kit.Prng.create ~seed:3 in
-  let spec =
-    { Video.Workload.src = 0; prefix = pfx "p"; rate = 10.; video_duration = 60. }
-  in
   let flows =
-    Video.Workload.poisson prng spec ~first_id:0 ~rate_per_s:2. ~from:0. ~until:100.
+    Video.Catalog.day prng ~src:0 ~prefix:(pfx "p")
+      ~catalog:(Video.Catalog.catalog ~size:1 ~rate:10. ~duration:60.)
+      ~base_rate_per_s:2. ~horizon:100. ~surges:[] ~first_id:0
   in
   (* Expectation 200 arrivals; loose bounds. *)
   let n = List.length flows in
@@ -148,7 +149,7 @@ let top_rate = abr_config.ladder.(Array.length abr_config.ladder - 1)
 
 let test_abr_rich_throughput_reaches_top () =
   let samples = constant_rate ~rate:(top_rate *. 2.) ~seconds:60. ~dt:0.5 in
-  let r = Video.Abr.replay ~duration:40. ~dt:0.5 samples in
+  let r = Video.Abr.replay ~dt:0.5 { duration = 40.; samples = samples } in
   Alcotest.(check int) "no stalls" 0 r.stall_count;
   Alcotest.(check bool)
     (Printf.sprintf "mostly top rung (%.0fs of %.0fs)" r.time_at_top r.played)
@@ -159,7 +160,7 @@ let test_abr_rich_throughput_reaches_top () =
 let test_abr_poor_throughput_downshifts () =
   (* Enough for the lowest rung only. *)
   let samples = constant_rate ~rate:(abr_config.ladder.(0) *. 1.2) ~seconds:80. ~dt:0.5 in
-  let r = Video.Abr.replay ~duration:40. ~dt:0.5 samples in
+  let r = Video.Abr.replay ~dt:0.5 { duration = 40.; samples = samples } in
   Alcotest.(check bool) "stays near bottom" true
     (r.mean_bitrate < abr_config.ladder.(1));
   Alcotest.(check bool) "few stalls thanks to adaptation" true (r.stall_time < 10.)
@@ -169,11 +170,10 @@ let test_abr_adapts_better_than_fixed_rate () =
      badly; ABR should not. *)
   let rate = abr_config.ladder.(1) *. 1.3 in
   let samples = constant_rate ~rate ~seconds:120. ~dt:0.5 in
-  let abr = Video.Abr.replay ~duration:60. ~dt:0.5 samples in
+  let abr = Video.Abr.replay ~dt:0.5 { duration = 60.; samples = samples } in
   let fixed =
-    Video.Client.replay
-      ~config:{ Video.Client.default_config with bitrate = top_rate }
-      ~duration:60. ~dt:0.5 samples
+    Video.Client.replay ~config:{ config with bitrate = top_rate } ~dt:0.5
+      { duration = 60.; samples }
   in
   Alcotest.(check bool)
     (Printf.sprintf "ABR stalls (%.1fs) < fixed-rate stalls (%.1fs)"
@@ -193,7 +193,7 @@ let test_abr_counts_switches () =
         in
         (t, rate))
   in
-  let r = Video.Abr.replay ~duration:60. ~dt:0.5 samples in
+  let r = Video.Abr.replay ~dt:0.5 { duration = 60.; samples = samples } in
   Alcotest.(check bool)
     (Printf.sprintf "switched %d times" r.switches)
     true (r.switches >= 2)
@@ -204,14 +204,14 @@ let test_abr_validation () =
        ignore
          (Video.Abr.replay
             ~config:{ abr_config with ladder = [| 2.; 1. |] }
-            ~duration:1. ~dt:0.5 []);
+            ~dt:0.5 { duration = 1.; samples = [] });
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "empty ladder rejected" true
     (try
        ignore
-         (Video.Abr.replay ~config:{ abr_config with ladder = [||] } ~duration:1.
-            ~dt:0.5 []);
+         (Video.Abr.replay ~config:{ abr_config with ladder = [||] } ~dt:0.5
+            { duration = 1.; samples = [] });
        false
      with Invalid_argument _ -> true)
 
@@ -222,13 +222,22 @@ let test_catalog_build () =
   Alcotest.(check int) "size" 10 (List.length items);
   Alcotest.(check int) "ranks ascend from 1" 1 (List.hd items).rank
 
+(* A catalog whose item of rank [r] lasts [r] seconds, so a day's flows
+   show which ranks its Zipf(1) choice drew. *)
+let ranked_day ~seed ~size ~arrivals =
+  let catalog =
+    List.init size (fun i ->
+        { Video.Catalog.rank = i + 1; rate = 10.; duration = float_of_int (i + 1) })
+  in
+  Video.Catalog.day (Kit.Prng.create ~seed) ~src:0 ~prefix:(pfx "p") ~catalog
+    ~base_rate_per_s:1. ~horizon:(float_of_int arrivals) ~surges:[] ~first_id:0
+  |> List.map (fun (f : Netsim.Flow.t) -> int_of_float f.duration)
+
 let test_catalog_zipf_skew () =
-  let prng = Kit.Prng.create ~seed:4 in
   let counts = Array.make 20 0 in
-  for _ = 1 to 10000 do
-    let rank = Video.Catalog.zipf_pick prng ~s:1.0 ~size:20 in
-    counts.(rank - 1) <- counts.(rank - 1) + 1
-  done;
+  List.iter
+    (fun rank -> counts.(rank - 1) <- counts.(rank - 1) + 1)
+    (ranked_day ~seed:4 ~size:20 ~arrivals:10000);
   Alcotest.(check bool) "rank 1 beats rank 2" true (counts.(0) > counts.(1));
   Alcotest.(check bool) "rank 2 beats rank 10" true (counts.(1) > counts.(9));
   (* Zipf(1): p(1)/p(10) = 10; allow generous sampling slack. *)
@@ -238,11 +247,9 @@ let test_catalog_zipf_skew () =
     true (ratio > 5.)
 
 let test_catalog_zipf_bounds () =
-  let prng = Kit.Prng.create ~seed:5 in
-  for _ = 1 to 1000 do
-    let rank = Video.Catalog.zipf_pick prng ~s:0.8 ~size:7 in
-    Alcotest.(check bool) "in range" true (rank >= 1 && rank <= 7)
-  done
+  List.iter
+    (fun rank -> Alcotest.(check bool) "in range" true (rank >= 1 && rank <= 7))
+    (ranked_day ~seed:5 ~size:7 ~arrivals:1000)
 
 let test_catalog_day_surge_density () =
   let prng = Kit.Prng.create ~seed:6 in
