@@ -14,8 +14,8 @@ let pfx = Igp.Prefix.v
    BENCH_<track>.json in the cwd; [domains=N] pins the worker-pool
    width; [--history] appends each track's rows to FILE, tagged TAG
    (default "dev"). [gate] compares the newest history row of each
-   track against the rolling median (default file bench/history.jsonl)
-   and exits 1 on a regression. A failed track gate exits 1; an unknown
+   track and workload size against the rolling median (default file
+   bench/history.jsonl) and exits 1 on a regression. A failed track gate exits 1; an unknown
    argument exits 2 with a usage line.
 
    Experiment ids:
@@ -404,18 +404,18 @@ let tabr () =
       let flows = load d in
       Demo.run d ~until:55.;
       let results =
-        List.map (fun flow -> Video.Abr.replay ~dt:d.Demo.dt (Video.Client.trace d.Demo.sim flow)) flows
+        List.map (fun flow -> Video.Client.replay_abr ~dt:d.Demo.dt (Video.Client.trace d.Demo.sim flow)) flows
       in
       let n = float_of_int (List.length results) in
       let mean f = List.fold_left (fun acc r -> acc +. f r) 0. results /. n in
       Format.printf "%-16s %14.0f %8.0f %12.1f %10.1f@."
         (if fibbing then "fibbing ON" else "fibbing OFF")
-        (mean (fun (r : Video.Abr.result) -> r.mean_bitrate))
+        (mean (fun (r : Video.Client.result) -> r.mean_bitrate))
         (List.fold_left
-           (fun acc (r : Video.Abr.result) -> acc +. float_of_int r.stall_count)
+           (fun acc (r : Video.Client.result) -> acc +. float_of_int r.stall_count)
            0. results)
-        (mean (fun (r : Video.Abr.result) -> r.time_at_top))
-        (mean (fun (r : Video.Abr.result) -> float_of_int r.switches)))
+        (mean (fun (r : Video.Client.result) -> r.time_at_top))
+        (mean (fun (r : Video.Client.result) -> float_of_int r.switches)))
     [ true; false ];
   Format.printf
     "@.Fibbing roughly doubles the sustained bitrate for the same crowd:@.\
@@ -1729,13 +1729,13 @@ let gate_main ~file =
     0
   | rows ->
     let verdicts = Obs.History.gate rows in
-    (* A track that compared nothing passes vacuously; say so, so a gate
-       that checked nothing shows in the log. *)
+    (* A track and workload that compared nothing pass vacuously; say
+       so, so a gate that checked nothing shows in the log. *)
     List.iter
-      (fun (r : Obs.History.row) ->
-        if not (List.exists (fun (v : Obs.History.verdict) -> v.v_track = r.track) verdicts)
-        then Printf.eprintf "gate: no comparable baseline for track %s\n" r.track)
-      (List.sort_uniq (fun (a : Obs.History.row) b -> compare a.track b.track) rows);
+      (fun (track, work) ->
+        if not (List.exists (fun (v : Obs.History.verdict) -> (v.v_track, v.v_workload) = (track, work)) verdicts)
+        then Printf.eprintf "gate: no comparable baseline for track %s%s\n" track (if work = "" then "" else " at " ^ work))
+      (List.sort_uniq compare (List.map (fun (r : Obs.History.row) -> (r.track, Obs.History.workload r)) rows));
     if verdicts = [] then begin
       Format.printf "%d rows, no comparable baseline yet — pass@."
         (List.length rows);

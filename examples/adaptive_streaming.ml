@@ -36,15 +36,15 @@ let run ?rate_model ~fibbing () =
 
 let abr_summary d flows =
   let results =
-    List.map (fun flow -> Video.Abr.replay ~dt:d.Demo.dt (Video.Client.trace d.Demo.sim flow)) flows
+    List.map (fun flow -> Video.Client.replay_abr ~dt:d.Demo.dt (Video.Client.trace d.Demo.sim flow)) flows
   in
   let n = float_of_int (List.length results) in
   let mean f = List.fold_left (fun acc r -> acc +. f r) 0. results /. n in
   let total f = List.fold_left (fun acc r -> acc +. f r) 0. results in
-  ( mean (fun (r : Video.Abr.result) -> r.mean_bitrate),
-    total (fun (r : Video.Abr.result) -> float_of_int r.stall_count),
-    mean (fun (r : Video.Abr.result) -> r.time_at_top),
-    mean (fun (r : Video.Abr.result) -> float_of_int r.switches) )
+  ( mean (fun (r : Video.Client.result) -> r.mean_bitrate),
+    total (fun (r : Video.Client.result) -> float_of_int r.stall_count),
+    mean (fun (r : Video.Client.result) -> r.time_at_top),
+    mean (fun (r : Video.Client.result) -> float_of_int r.switches) )
 
 let print_row label d flows =
   let mean_bitrate, stalls, top_time, switches = abr_summary d flows in
@@ -52,12 +52,12 @@ let print_row label d flows =
     top_time switches
 
 let () =
-  let ladder = Video.Abr.default_config.ladder in
+  let ladder = Video.Client.abr_ladder in
   Format.printf
     "ABR clients (1 at t=0, +8 at t=15 via A, +8 at t=35 via B).@.\
      Ladder: %s bytes/s; sessions download at up to %.0f kB/s.@.@."
     (String.concat " / "
-       (Array.to_list (Array.map (fun r -> Printf.sprintf "%.0f" r) ladder)))
+       (List.map (fun r -> Printf.sprintf "%.0f" r) ladder))
     (burst_demand /. 1024.);
   Format.printf "%-24s %14s %8s %12s %10s@." "scenario" "mean bitrate" "stalls"
     "s at top" "switches";

@@ -199,8 +199,11 @@ let verify_candidate net (reqs : Requirements.t) plan ~baseline =
   apply scratch plan;
   Verify.check scratch ~prefix:reqs.prefix ~expected:plan.expected ~baseline
 
-let compile ?(max_entries = Splitting.default_max_entries) ?tag
-    ?(max_repairs = 8) net (reqs : Requirements.t) =
+(* Collateral-repair rounds before [compile] gives up. *)
+let max_repairs = 8
+
+let compile ?(max_entries = Splitting.default_max_entries) ?tag net
+    (reqs : Requirements.t) =
   let g = Igp.Network.graph net in
   let baseline = Igp.Network.fibs net reqs.prefix in
   let collateral_pins report =

@@ -50,12 +50,11 @@ val fake_count : plan -> int
 val compile :
   ?max_entries:int ->
   ?tag:string ->
-  ?max_repairs:int ->
   Igp.Network.t ->
   Requirements.t ->
   (plan, string) result
-(** The cost relaxation above, with verification and collateral repair
-    (default [max_repairs] 8). Fails when a required router cannot reach
+(** The cost relaxation above, with verification and at most 8 rounds
+    of collateral repair. Fails when a required router cannot reach
     the prefix, already has fake routes for it, or has no positive fake
     cost. On [Ok plan], applying [plan] to the network is guaranteed to
     pass [Verify.check]. *)

@@ -16,14 +16,10 @@ type strategy = Local_deflection | Global_optimal
 type config = {
   max_entries : int;
   cooldown : float;
-  min_avail_fraction : float;
   relax_after : float;
-  escalation_depth : int;
   strategy : strategy;
-  log_capacity : int;
   lie_ttl : float;
   max_backoff : float;
-  quarantine_hold : float;
   seat : Graph.node option;
 }
 
@@ -31,16 +27,25 @@ let default_config =
   {
     max_entries = 4;
     cooldown = 4.;
-    min_avail_fraction = 0.05;
     relax_after = 60.;
-    escalation_depth = 4;
     strategy = Local_deflection;
-    log_capacity = 4096;
     lie_ttl = 30.;
     max_backoff = 60.;
-    quarantine_hold = 12.;
     seat = None;
   }
+
+(* Candidates offering less than this share of the total available
+   capacity are dropped. *)
+let min_avail_fraction = 0.05
+
+(* Upstream hops one reaction may walk. *)
+let escalation_depth = 4
+
+(* Actions the log keeps; the oldest are evicted first. *)
+let log_capacity = 4096
+
+(* Seconds a quarantined prefix is held down. *)
+let quarantine_hold = 12.
 
 type reoptimizer =
   Igp.Network.t ->
@@ -82,21 +87,17 @@ type t = {
 }
 
 let create ?(config = default_config) ?reoptimize net =
-  if config.log_capacity <= 0 then
-    invalid_arg "Controller.create: log_capacity must be positive";
   if config.lie_ttl <= 0. then
     invalid_arg "Controller.create: lie_ttl must be positive";
   if config.max_backoff < config.cooldown then
     invalid_arg "Controller.create: max_backoff must be >= cooldown";
-  if config.quarantine_hold < 0. then
-    invalid_arg "Controller.create: quarantine_hold must be >= 0";
   {
     net;
     config;
     reoptimize;
     states = Hashtbl.create 4;
     adopted = Hashtbl.create 4;
-    log = Kit.Ring.create ~capacity:config.log_capacity;
+    log = Kit.Ring.create ~capacity:log_capacity;
     quarantined = Hashtbl.create 4;
     calm_since = None;
     alive = true;
@@ -223,7 +224,7 @@ let quarantine t ~time ~prefix ~reason =
       (fun (f : Igp.Lsa.fake) ->
         if Igp.Prefix.equal f.prefix prefix then retract_if_installed t f)
       (Igp.Network.fakes t.net);
-    Hashtbl.replace t.quarantined prefix (time +. t.config.quarantine_hold);
+    Hashtbl.replace t.quarantined prefix (time +. quarantine_hold);
     t.calm_since <- None;
     Obs.Metrics.incr m_quarantines;
     record t ~time ~prefix (Printf.sprintf "quarantine: %s" reason);
@@ -232,7 +233,7 @@ let quarantine t ~time ~prefix ~reason =
         [
           ("prefix", String (Igp.Prefix.to_string prefix));
           ("reason", String reason);
-          ("hold_until", Float (time +. t.config.quarantine_hold));
+          ("hold_until", Float (time +. quarantine_hold));
         ]
   end
 
@@ -623,7 +624,7 @@ let cooldown_active t ~time prefix =
    its next step. *)
 let rec handle_router t sim ~demands ~time ~prefix ~visited ~depth v =
   let g = Igp.Network.graph t.net in
-  if List.mem v visited || depth > t.config.escalation_depth then ()
+  if List.mem v visited || depth > escalation_depth then ()
   else begin
     match announcers_of t.net prefix with
     | [] -> ()
@@ -638,7 +639,7 @@ let rec handle_router t sim ~demands ~time ~prefix ~visited ~depth v =
       let total_avail = List.fold_left (fun acc (_, a) -> acc +. a) 0. avails in
       let kept =
         List.filter
-          (fun (_, a) -> a > t.config.min_avail_fraction *. total_avail)
+          (fun (_, a) -> a > min_avail_fraction *. total_avail)
           avails
       in
       (* The FIB width bounds how many next hops a lie can install: keep

@@ -13,17 +13,18 @@
       prefix's egress, after subtracting the demand of flows not passing
       through [v] (the paper's controller knows the demands: "the servers
       notify the controller when they have a new client");
-    + split traffic across candidates proportionally to that availability,
-      compile the splits with [Augmentation.compile], and inject the fake
-      LSAs;
+    + drop candidates offering less than 5% of the total availability,
+      split traffic across the rest proportionally to it, compile the
+      splits with [Augmentation.compile], and inject the fake LSAs;
     + when the available capacity at [v] cannot cover the demand, walk
-      one hop upstream (towards the ingress) and repeat — this is what
-      moves the intervention from B (even ECMP, the paper's Fig. 1c fB)
-      to A (1/3–2/3 split, fakes fA) when the second flash crowd hits.
+      one hop upstream (towards the ingress) and repeat, at most 4 hops
+      per reaction — this is what moves the intervention from B (even
+      ECMP, the paper's Fig. 1c fB) to A (1/3–2/3 split, fakes fA) when
+      the second flash crowd hits.
 
     Reactions are rate-limited per prefix by a cooldown, and all installed
     lies are withdrawn after a configurable calm period. Every action is
-    recorded in an event log used by the experiments. *)
+    recorded in a bounded event log used by the experiments. *)
 
 type strategy =
   | Local_deflection
@@ -41,19 +42,10 @@ type config = {
       (** FIB entries a reaction may use per router (default 4: small
           lies first — the demo's interventions use at most 3). *)
   cooldown : float;  (** Seconds between reactions for one prefix (4.). *)
-  min_avail_fraction : float;
-      (** Candidates offering less than this fraction of the total
-          available capacity are dropped (default 0.05). *)
   relax_after : float;
       (** Withdraw all lies after this many seconds with every link below
           the monitor's clear threshold (default 60.). *)
-  escalation_depth : int;
-      (** Maximum upstream hops walked in one reaction (default 4). *)
   strategy : strategy;  (** Default [Local_deflection]. *)
-  log_capacity : int;
-      (** Capacity of the bounded action log (default 4096). Once full,
-          the oldest actions are evicted; the controller never grows
-          without bound over long scenarios. Must be positive. *)
   lie_ttl : float;
       (** Age (seconds, default 30.) stamped on every installed fake and
           refreshed on each control iteration. A dead controller stops
@@ -63,10 +55,6 @@ type config = {
   max_backoff : float;
       (** Cap (seconds, default 60.) on the exponential pause after
           consecutive ineffective reactions. Must be >= [cooldown]. *)
-  quarantine_hold : float;
-      (** Hold-down (seconds, default 12.) after a prefix's lies are
-          quarantined: no new steering for the prefix until it expires.
-          Must be >= 0. *)
   seat : Netgraph.Graph.node option;
       (** Where the controller physically sits (default [None] =
           omniscient). With a seat, reactions only consider links with
@@ -121,11 +109,11 @@ val quarantine :
   t -> time:float -> prefix:Igp.Lsa.prefix -> reason:string -> unit
 (** Withdraw every lie for the prefix — owned (in a transiently safe
     order when one exists, outright otherwise), adopted, and orphaned —
-    and hold the prefix down for [quarantine_hold] seconds: reactions
-    and installs for it are suppressed until the hold expires. Called by
-    the controller's own revalidation when a topology change makes a
-    steering unsafe, and wired to the watchdog's quarantine hook so a
-    guard purge also enters hold-down. No-op while crashed. *)
+    and hold the prefix down for 12 seconds: reactions and installs for
+    it are suppressed until the hold expires. Called by the controller's
+    own revalidation when a topology change makes a steering unsafe, and
+    wired to the watchdog's quarantine hook so a guard purge also enters
+    hold-down. No-op while crashed. *)
 
 val crash : t -> unit
 (** Fault injection: the controller process dies. All in-memory state
@@ -145,8 +133,9 @@ val restart : t -> time:float -> unit
 val alive : t -> bool
 
 val actions : t -> action list
-(** Event log, oldest first. At most [log_capacity] entries are
-    retained — the oldest are dropped once the ring is full. *)
+(** Event log, oldest first. At most 4096 entries are retained — the
+    oldest are dropped once the ring is full, so the controller never
+    grows without bound over long scenarios. *)
 
 val fake_count : t -> int
 (** Fakes currently installed by this controller. *)

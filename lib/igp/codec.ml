@@ -74,8 +74,7 @@ let origin_of = function
   | Lsa.Prefix { origin; _ } -> origin
   | Lsa.Fake f -> f.attachment
 
-let encode ?(age = 0) packet =
-  check_range "age" age 16;
+let encode packet =
   check_range "sequence" packet.sequence 32;
   check_range "origin" (origin_of packet.lsa) 32;
   (match packet.lsa with
@@ -97,7 +96,7 @@ let encode ?(age = 0) packet =
     check_range "forwarding" f.forwarding 32);
   let length = wire_length packet in
   let buf = Bytes.create length in
-  let pos = put_u16 buf 0 age in
+  let pos = put_u16 buf 0 0 in
   let pos = put_u8 buf pos 2 in
   let pos = put_u8 buf pos (type_code packet.lsa) in
   let pos = put_u32 buf pos (origin_of packet.lsa) in

@@ -17,10 +17,11 @@ type packet = {
   sequence : int;  (** 32-bit, as flooded. *)
 }
 
-val encode : ?age:int -> packet -> bytes
-(** Raises [Invalid_argument] if a name exceeds 255 bytes, a cost exceeds
-    its 24-bit field, a node id exceeds 32 bits, or [age]/[sequence] are
-    out of range. *)
+val encode : packet -> bytes
+(** Encodes with age 0, as the originator floods it. Raises
+    [Invalid_argument] if a name exceeds 255 bytes, a cost exceeds its
+    24-bit field, a node id exceeds 32 bits, or [sequence] is out of
+    range. *)
 
 val decode : bytes -> (packet, string) result
 (** Checks length consistency and the checksum. The age field (bytes

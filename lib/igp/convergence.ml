@@ -46,7 +46,7 @@ let describe_verdict g = function
   | Safety.Blackhole router ->
     Printf.sprintf "blackhole at %s" (Graph.name g router)
 
-let analyze ?(timing = default_timing) ~before ~after ~origin ~prefix () =
+let analyze ~before ~after ~origin ~prefix () =
   let g = Network.graph after in
   let fibs net =
     Array.init (Graph.node_count g) (fun router -> Network.fib net ~router prefix)
@@ -55,7 +55,7 @@ let analyze ?(timing = default_timing) ~before ~after ~origin ~prefix () =
   let changed router = old_fib.(router) <> new_fib.(router) in
   let schedule =
     List.filter (fun (router, _) -> changed router)
-      (installation_schedule timing g ~origin)
+      (installation_schedule default_timing g ~origin)
   in
   let mixed = Array.copy old_fib in
   let states = List.length schedule in

@@ -12,18 +12,16 @@ let zero = { messages = 0; rounds = 0 }
 
 let add a b = { messages = a.messages + b.messages; rounds = max a.rounds b.rounds }
 
-type loss = {
-  prng : Kit.Prng.t;
-  drop : float;
-  max_backoff : int;
-  max_retries : int;
-}
+type loss = { prng : Kit.Prng.t; drop : float }
 
-let loss ?(drop = 0.1) ?(max_backoff = 8) ?(max_retries = 16) ~seed () =
+let loss ?(drop = 0.1) ~seed () =
   if drop < 0. || drop >= 1. then invalid_arg "Flooding.loss: drop must be in [0, 1)";
-  if max_backoff < 1 then invalid_arg "Flooding.loss: max_backoff must be >= 1";
-  if max_retries < 1 then invalid_arg "Flooding.loss: max_retries must be >= 1";
-  { prng = Kit.Prng.create ~seed; drop; max_backoff; max_retries }
+  { prng = Kit.Prng.create ~seed; drop }
+
+(* Retransmission backoff cap, in rounds, and attempt budget per
+   adjacency. *)
+let max_backoff = 8
+let max_retries = 16
 
 type jitter = { jitter_prng : Kit.Prng.t; max_delay : int }
 
@@ -41,11 +39,11 @@ let jitter ?(max_delay = 4) ~seed () =
 let transmit l =
   let attempts = ref 1 and delay = ref 0 and backoff = ref 1 in
   while
-    !attempts < l.max_retries && Kit.Prng.float l.prng 1.0 < l.drop
+    !attempts < max_retries && Kit.Prng.float l.prng 1.0 < l.drop
   do
     incr attempts;
     delay := !delay + !backoff;
-    backoff := min (2 * !backoff) l.max_backoff
+    backoff := min (2 * !backoff) max_backoff
   done;
   (!attempts, 1 + !delay)
 

@@ -12,19 +12,15 @@ type cost = {
   rounds : int;  (** Propagation depth from the origin (BFS hops). *)
 }
 
-type loss = {
-  prng : Kit.Prng.t;  (** Drives drop and retry sampling; seeded. *)
-  drop : float;  (** Per-transmission loss probability, in [\[0, 1)]. *)
-  max_backoff : int;
-      (** Cap on the retransmission backoff, in rounds. Attempt [k+1]
-          is sent [min (2^k, max_backoff)] rounds after attempt [k]. *)
-  max_retries : int;
-      (** Attempt budget per adjacency; the last attempt always
-          delivers (retransmit-until-acked, without unbounded tails). *)
-}
+type loss
+(** Lossy flooding: each transmission is lost with probability [drop]
+    and retransmitted with exponential backoff. Attempt [k+1] is sent
+    [min (2^k, 8)] rounds after attempt [k]; the 16th attempt to an
+    adjacency always delivers (retransmit-until-acked, without unbounded
+    tails). *)
 
-val loss : ?drop:float -> ?max_backoff:int -> ?max_retries:int -> seed:int -> unit -> loss
-(** Defaults: 10% drop, backoff capped at 8 rounds, 16 attempts.
+val loss : ?drop:float -> seed:int -> unit -> loss
+(** Default [drop] 0.1; raises [Invalid_argument] outside [\[0, 1)].
     Deterministic per seed. *)
 
 type jitter

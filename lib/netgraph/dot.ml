@@ -1,9 +1,9 @@
 let escape name =
   String.map (fun c -> if c = '-' || c = ' ' || c = '.' then '_' else c) name
 
-let of_graph ?(highlight = []) ?(name = "topology") g =
+let of_graph g =
   let buffer = Buffer.create 256 in
-  Buffer.add_string buffer (Printf.sprintf "graph %s {\n" (escape name));
+  Buffer.add_string buffer "graph topology {\n";
   Buffer.add_string buffer "  node [shape=circle fontsize=11];\n";
   List.iter
     (fun v ->
@@ -11,9 +11,6 @@ let of_graph ?(highlight = []) ?(name = "topology") g =
         (Printf.sprintf "  %s [label=\"%s\"];\n" (escape (Graph.name g v))
            (Graph.name g v)))
     (Graph.nodes g);
-  let highlighted u v =
-    List.mem (u, v) highlight || List.mem (v, u) highlight
-  in
   List.iter
     (fun (u, v, w) ->
       (* Emit each symmetric pair once; an asymmetric edge (different or
@@ -23,9 +20,8 @@ let of_graph ?(highlight = []) ?(name = "topology") g =
       let symmetric = reverse = Some w in
       if (symmetric && u < v) || not symmetric then begin
         let attrs =
-          (Printf.sprintf "label=\"%d\"" w
-          :: (if highlighted u v then [ "color=red"; "penwidth=2.5" ] else []))
-          @ (if symmetric then [] else [ "dir=forward" ])
+          Printf.sprintf "label=\"%d\"" w
+          :: (if symmetric then [] else [ "dir=forward" ])
         in
         Buffer.add_string buffer
           (Printf.sprintf "  %s -- %s [%s];\n"

@@ -1,13 +1,7 @@
 (** Graphviz DOT export, for eyeballing topologies:
     [fibbingctl topo --dot | dot -Tpng -o topo.png]. *)
 
-val of_graph :
-  ?highlight:(Graph.node * Graph.node) list ->
-  ?name:string ->
-  Graph.t ->
-  string
-(** Symmetric edge pairs collapse to one undirected edge labelled with
-    the weight; asymmetric edges are drawn directed with their own
-    labels. [highlight]ed links (either direction) are drawn bold red —
-    used for congested links. [name] is the graph's DOT identifier
-    (default "topology"). *)
+val of_graph : Graph.t -> string
+(** A DOT graph named [topology]. Symmetric edge pairs collapse to one
+    undirected edge labelled with the weight; asymmetric edges are drawn
+    directed with their own labels. *)

@@ -1,18 +1,10 @@
-type t = {
-  initial_fraction : float;
-  increase_per_s : float;
-  decrease_factor : float;
-  rates : (int, float) Hashtbl.t;
-}
+type t = { rates : (int, float) Hashtbl.t }
 
-let create ?(initial_fraction = 0.1) ?(increase_per_s = 0.25)
-    ?(decrease_factor = 0.7) () =
-  if initial_fraction <= 0. || initial_fraction > 1. then
-    invalid_arg "Aimd.create: initial_fraction in (0, 1]";
-  if increase_per_s <= 0. then invalid_arg "Aimd.create: increase_per_s";
-  if decrease_factor <= 0. || decrease_factor >= 1. then
-    invalid_arg "Aimd.create: decrease_factor in (0, 1)";
-  { initial_fraction; increase_per_s; decrease_factor; rates = Hashtbl.create 64 }
+let initial_fraction = 0.1
+let increase_per_s = 0.25
+let decrease_factor = 0.7
+
+let create () = { rates = Hashtbl.create 64 }
 
 let rate t id = Option.value ~default:0. (Hashtbl.find_opt t.rates id)
 
@@ -24,7 +16,7 @@ let update t ~dt ~capacities routes =
     (fun (r : Fairshare.route) ->
       if not (Hashtbl.mem t.rates r.flow.Flow.id) then
         Hashtbl.replace t.rates r.flow.Flow.id
-          (t.initial_fraction *. r.flow.Flow.demand))
+          (initial_fraction *. r.flow.Flow.demand))
     routes;
   (* Offered load per link at current rates. *)
   let load : (Link.t, float) Hashtbl.t = Hashtbl.create 32 in
@@ -47,10 +39,10 @@ let update t ~dt ~capacities routes =
       let id = r.flow.Flow.id in
       let current = rate t id in
       let next =
-        if List.exists congested r.links then current *. t.decrease_factor
+        if List.exists congested r.links then current *. decrease_factor
         else
           min r.flow.Flow.demand
-            (current +. (t.increase_per_s *. r.flow.Flow.demand *. dt))
+            (current +. (increase_per_s *. r.flow.Flow.demand *. dt))
       in
       Hashtbl.replace t.rates id next;
       (id, next))

@@ -11,16 +11,10 @@
 
 type t
 
-val create :
-  ?initial_fraction:float ->
-  ?increase_per_s:float ->
-  ?decrease_factor:float ->
-  unit ->
-  t
-(** A new flow starts at [initial_fraction] of its demand (default 0.1);
-    uncongested flows gain [increase_per_s] of their demand per second
-    (default 0.25); congested flows multiply by [decrease_factor]
-    (default 0.7, in (0, 1)). *)
+val create : unit -> t
+(** A new flow starts at 10% of its demand; uncongested flows gain 25%
+    of their demand per second; congested flows multiply their rate by
+    0.7. *)
 
 val update :
   t -> dt:float -> capacities:Link.capacities -> Fairshare.route list ->

@@ -51,12 +51,13 @@ let to_string g plan =
        (fun e -> Printf.sprintf "%6.2f  %s" e.time (kind_to_string g e.kind))
        plan.events)
 
-let random_plan ?(faults = 4) ?(margin = 4.) ?(allow_controller_death = true)
-    ~seed ~until g =
+(* Seconds before [until] by which every fault has healed. *)
+let margin = 4.
+
+let random_plan ?(faults = 4) ~seed ~until g =
   if faults < 0 then invalid_arg "Faults.random_plan: faults";
   let span = until -. margin -. 1. in
-  if span <= 0. then
-    invalid_arg "Faults.random_plan: until must exceed margin + 1";
+  if span <= 0. then invalid_arg "Faults.random_plan: until must exceed 5";
   let horizon = until -. margin in
   let prng = Kit.Prng.create ~seed in
   let links =
@@ -195,8 +196,8 @@ let random_plan ?(faults = 4) ?(margin = 4.) ?(allow_controller_death = true)
         emit start Controller_crash;
         (* Sometimes the controller never comes back: its lies must then
            age out on their own (the graceful-degradation property). *)
-        if (not allow_controller_death) || Kit.Prng.float prng 1.0 >= 0.3
-        then emit (start +. dur) Controller_restart
+        if Kit.Prng.float prng 1.0 >= 0.3 then
+          emit (start +. dur) Controller_restart
       end
   done;
   let events =

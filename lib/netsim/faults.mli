@@ -49,24 +49,17 @@ type event = { time : float; kind : kind }
 type plan = { seed : int; until : float; events : event list }
 
 val random_plan :
-  ?faults:int ->
-  ?margin:float ->
-  ?allow_controller_death:bool ->
-  seed:int ->
-  until:float ->
-  Netgraph.Graph.t ->
-  plan
-(** Draw [faults] fault episodes (default 4) over [\[0.5, until - margin]]
-    (default margin 4 s). Same seed, same graph: same plan. Guarantees:
-    every link failure, router crash, and partition is healed by
-    [until - margin]; no element suffers two overlapping faults; a
-    crashed router never overlaps a failed incident link or a cut edge.
-    Partition sides are grown by BFS from a random router (at most half
-    the graph); when the crossing edges collide with already-faulted
-    elements the draw degrades to a blackout. The controller crashes at
-    most once and, when [allow_controller_death] (the default), stays
-    dead to the end with probability ~0.3. Raises [Invalid_argument]
-    when [until <= margin + 1]. *)
+  ?faults:int -> seed:int -> until:float -> Netgraph.Graph.t -> plan
+(** Draw [faults] fault episodes (default 4) over [\[0.5, until - 4]].
+    Same seed, same graph: same plan. Guarantees: every link failure,
+    router crash, and partition is healed by [until - 4]; no element
+    suffers two overlapping faults; a crashed router never overlaps a
+    failed incident link or a cut edge. Partition sides are grown by BFS
+    from a random router (at most half the graph); when the crossing
+    edges collide with already-faulted elements the draw degrades to a
+    blackout. The controller crashes at most once and stays dead to the
+    end with probability ~0.3. Raises [Invalid_argument] when
+    [until <= 5]. *)
 
 val inject :
   ?on_controller_crash:(Sim.t -> unit) ->

@@ -32,6 +32,8 @@ let min_window = 1e-6
 let create ?(poll_interval = 2.0) ?(threshold = 0.9) ?(clear_threshold = 0.7)
     ?(alpha = 0.5) capacities =
   if poll_interval <= 0. then invalid_arg "Monitor.create: poll interval";
+  if not (alpha > 0. && alpha <= 1.) then
+    invalid_arg "Monitor.create: alpha must be in (0, 1]";
   if clear_threshold > threshold then
     invalid_arg "Monitor.create: clear_threshold must be <= threshold";
   {

@@ -23,7 +23,8 @@ val create :
   Link.capacities ->
   t
 (** Defaults: poll every 2 s, alarm above 0.9, clear below 0.7, EWMA
-    alpha 0.5. Requires [clear_threshold <= threshold]. *)
+    alpha 0.5. Raises [Invalid_argument] unless [poll_interval > 0],
+    [clear_threshold <= threshold] and [alpha] is in (0, 1]. *)
 
 val observe : t -> time:float -> dt:float -> (Link.t * float) list -> unit
 (** Account [rate * dt] bytes on each link for the interval ending at

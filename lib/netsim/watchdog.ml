@@ -36,28 +36,9 @@ type violation = {
   detail : string;
 }
 
-exception Tripped of violation
-
-type config = {
-  max_fakes : int;
-  max_lie_age : float;
-  require_mortal : bool;
-  utilization_bound : float;
-  guard : bool;
-  fail_fast : bool;
-  history : int;
-}
-
-let default_config =
-  {
-    max_fakes = 64;
-    max_lie_age = Igp.Lsa.max_age;
-    require_mortal = true;
-    utilization_bound = 1.0;
-    guard = true;
-    fail_fast = false;
-    history = 256;
-  }
+(* The lie budget, and the violations the ring keeps. *)
+let max_fakes = 64
+let history = 256
 
 type stats = {
   steps_checked : int;
@@ -68,7 +49,6 @@ type stats = {
 }
 
 type t = {
-  config : config;
   (* Incremental gating: a safety sweep reruns only when the LSDB
      version moved AND the SPF dirty log says some router's answers
      actually changed — steady-state steps skip the O(prefixes * (V+E))
@@ -77,6 +57,10 @@ type t = {
      unchanged) version can skip. *)
   mutable lsdb_version : int;
   mutable spf_cursor : int;
+  (* Set when the post-step check found a prefix unsafe. Its sweep
+     consumed the gate, so without this the next step's guard would see
+     nothing changed and leave the unsafe lies installed. *)
+  mutable unsafe_seen : bool;
   ring : violation Kit.Ring.t;
   mutable n_steps : int;
   mutable n_sweeps : int;
@@ -118,8 +102,7 @@ let report t ~time ~kind ?prefix ~subject detail =
       @
       match prefix with
       | Some p -> [ ("prefix", Obs.Attr.String (Igp.Prefix.to_string p)) ]
-      | None -> []);
-  if t.config.fail_fast then raise (Tripped v)
+      | None -> [])
 
 (* ---- invariants ---- *)
 
@@ -132,26 +115,25 @@ let check_lies t sim ~time =
   let g = Igp.Network.graph net in
   let lsdb = Igp.Network.lsdb net in
   let count = Igp.Lsdb.fake_count lsdb in
-  if count > t.config.max_fakes then
+  if count > max_fakes then
     report t ~time ~kind:Lie_budget ~subject:"lsdb"
-      (Printf.sprintf "%d fakes installed, budget %d" count t.config.max_fakes);
+      (Printf.sprintf "%d fakes installed, budget %d" count max_fakes);
   let slack = Sim.dt sim +. 1e-9 in
   List.iter
     (fun (f : Igp.Lsa.fake) ->
       (match Igp.Lsdb.fake_expiry lsdb ~fake_id:f.fake_id with
       | None ->
-        if t.config.require_mortal then
-          report t ~time ~kind:Stale_lie ~prefix:f.prefix ~subject:f.fake_id
-            "installed without an expiry (immortal lie)"
+        report t ~time ~kind:Stale_lie ~prefix:f.prefix ~subject:f.fake_id
+          "installed without an expiry (immortal lie)"
       | Some expiry ->
         if expiry <= time -. slack then
           report t ~time ~kind:Stale_lie ~prefix:f.prefix ~subject:f.fake_id
             (Printf.sprintf "expiry %.2f passed at %.2f and was not purged"
                expiry time)
-        else if expiry > time +. t.config.max_lie_age +. 1e-9 then
+        else if expiry > time +. Igp.Lsa.max_age +. 1e-9 then
           report t ~time ~kind:Stale_lie ~prefix:f.prefix ~subject:f.fake_id
             (Printf.sprintf "expiry %.2f exceeds max lie age %.1f" expiry
-               t.config.max_lie_age));
+               Igp.Lsa.max_age));
       if not (Graph.has_edge g f.attachment f.forwarding) then
         report t ~time ~kind:Dangling_lie ~prefix:f.prefix ~subject:f.fake_id
           (Printf.sprintf "forwarding adjacency %s -> %s is gone"
@@ -159,20 +141,19 @@ let check_lies t sim ~time =
              (Graph.name g f.forwarding)))
     (Igp.Lsdb.fakes lsdb)
 
-(* Delivered per-link throughput must respect capacity * bound. The
-   allocator guarantees this by construction; the invariant catches a
-   regression in it (or a caller bypassing it). *)
+(* Delivered per-link throughput must respect capacity. The allocator
+   guarantees this by construction; the invariant catches a regression
+   in it (or a caller bypassing it). *)
 let check_utilization t sim ~time =
   let caps = Sim.capacities sim in
   let g = Igp.Network.graph (Sim.network sim) in
   List.iter
     (fun (link, rate) ->
       let cap = Link.capacity caps link in
-      let bound = t.config.utilization_bound *. cap in
-      if rate > (bound *. (1. +. 1e-6)) +. 1e-6 then
+      if rate > (cap *. (1. +. 1e-6)) +. 1e-6 then
         report t ~time ~kind:Link_overload ~subject:(Link.name g link)
-          (Printf.sprintf "delivered %.0f B/s exceeds %.0f B/s (bound %.2f)"
-             rate bound t.config.utilization_bound))
+          (Printf.sprintf "delivered %.0f B/s exceeds capacity %.0f B/s" rate
+             cap))
     (Sim.current_link_rates sim)
 
 (* An unsafe [Igp.Safety] verdict, worded as [Igp.Safety.state_safe]
@@ -244,7 +225,9 @@ let check t sim =
   check_lies t sim ~time;
   check_utilization t sim ~time;
   if routing_dirty t (Sim.network sim) then
-    sweep_safety t sim ~time ~on_unsafe:(report_unsafe t (Sim.network sim))
+    sweep_safety t sim ~time ~on_unsafe:(fun ~time prefix unsafe ->
+        t.unsafe_seen <- true;
+        report_unsafe t (Sim.network sim) ~time prefix unsafe)
   else begin
     t.n_skipped <- t.n_skipped + 1;
     Obs.Metrics.incr m_safety_skipped
@@ -258,9 +241,12 @@ let check t sim =
    live controller's own revalidation (registered earlier on the same
    hook) normally withdraws first; the guard covers dead controllers
    and unowned garbage. A state still unsafe with no lies left to blame
-   is a genuine IGP anomaly and is reported as a violation. *)
+   is a genuine IGP anomaly and is reported as a violation. A state the
+   post-step check found unsafe is swept again here even when nothing
+   changed since: it must not carry traffic for another step. *)
 let guard t sim =
-  if routing_dirty t (Sim.network sim) then begin
+  if routing_dirty t (Sim.network sim) || t.unsafe_seen then begin
+    t.unsafe_seen <- false;
     let net = Sim.network sim in
     let lsdb = Igp.Network.lsdb net in
     sweep_safety t sim ~time:(Sim.time sim) ~on_unsafe:(fun ~time prefix unsafe ->
@@ -300,19 +286,14 @@ let guard t sim =
     ignore (routing_dirty t net)
   end
 
-let arm ?(config = default_config) sim =
-  if config.max_fakes < 0 then invalid_arg "Watchdog.arm: max_fakes";
-  if config.max_lie_age <= 0. then invalid_arg "Watchdog.arm: max_lie_age";
-  if config.utilization_bound <= 0. then
-    invalid_arg "Watchdog.arm: utilization_bound";
-  if config.history <= 0 then invalid_arg "Watchdog.arm: history";
+let arm sim =
   let net = Sim.network sim in
   let t =
     {
-      config;
       lsdb_version = Igp.Lsdb.version (Igp.Network.lsdb net);
       spf_cursor = Igp.Spf_engine.dirty_cursor (Igp.Network.engine net);
-      ring = Kit.Ring.create ~capacity:config.history;
+      unsafe_seen = false;
+      ring = Kit.Ring.create ~capacity:history;
       n_steps = 0;
       n_sweeps = 0;
       n_skipped = 0;
@@ -321,6 +302,6 @@ let arm ?(config = default_config) sim =
       quarantine_hooks = Queue.create ();
     }
   in
-  if config.guard then Sim.on_route_change sim (fun sim -> guard t sim);
+  Sim.on_route_change sim (fun sim -> guard t sim);
   Sim.on_step sim (fun sim -> check t sim);
   t

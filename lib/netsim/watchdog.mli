@@ -10,26 +10,28 @@
     - {b per-prefix safety}: the live forwarding graph of every
       announced prefix is loop-free and blackhole-free
       ({!Igp.Safety.verdict});
-    - {b lie budget}: at most [max_fakes] fakes installed;
+    - {b lie budget}: at most 64 fakes installed;
     - {b lie freshness}: every installed fake carries an expiry
-      (mortal), not further out than [max_lie_age], and not silently
-      past due;
+      (mortal), not further out than {!Igp.Lsa.max_age}, and not
+      silently past due;
     - {b lie anchoring}: every fake's forwarding adjacency still exists;
     - {b utilization bound}: delivered per-link throughput respects
-      [utilization_bound * capacity].
+      capacity.
 
     Checks run at two boundaries. The {e post-step check} (every
     [Sim.on_step]) verifies the state the step actually forwarded with;
     any hit is a violation, emitted as an Obs timeline event and a
-    metrics counter (and raised when [fail_fast]). The {e pre-routing
-    guard} ([Sim.on_route_change], enabled by [guard]) runs when a
-    topology change lands, {e before} flows are routed: a prefix whose
-    state turned unsafe has its fakes purged on the spot (the lie
-    quarantine of last resort — any IGP speaker can MaxAge-flood a
-    poisoned LSA), so the unsafe state never carries traffic. A live
-    controller's own revalidation hook, registered earlier, normally
-    withdraws first; the guard covers dead controllers and unowned
-    lies.
+    metrics counter. The {e pre-routing guard} ([Sim.on_route_change])
+    runs when a topology change lands, {e before} flows are routed: a
+    prefix whose state turned unsafe has its fakes purged on the spot
+    (the lie quarantine of last resort — any IGP speaker can
+    MaxAge-flood a poisoned LSA), so the unsafe state never carries
+    traffic. A state that turned unsafe after the guard ran (a lie
+    injected by a later hook of the same step) is caught by the
+    post-step check and purged by the next step's guard, so it carries
+    traffic for at most that one step. A live controller's own
+    revalidation hook, registered earlier, normally withdraws first;
+    the guard covers dead controllers and unowned lies.
 
     Steady state costs ~nothing: the safety sweep is gated on the LSDB
     version and the SPF engine's dirty-router log, so steps without an
@@ -56,32 +58,11 @@ type violation = {
   detail : string;
 }
 
-exception Tripped of violation
-(** Raised by the post-step check when [fail_fast] is set. *)
-
-type config = {
-  max_fakes : int;  (** Lie budget (default 64). *)
-  max_lie_age : float;
-      (** Upper bound on expiry - now (default {!Igp.Lsa.max_age}). *)
-  require_mortal : bool;
-      (** Flag fakes installed without an expiry (default [true]). *)
-  utilization_bound : float;
-      (** Delivered-rate bound as a fraction of capacity (default 1.0 —
-          the max-min allocator never exceeds capacity). *)
-  guard : bool;
-      (** Arm the pre-routing quarantine guard (default [true]). *)
-  fail_fast : bool;
-      (** Raise {!Tripped} on the first post-step violation (default
-          [false]). *)
-  history : int;  (** Violation ring capacity (default 256). *)
-}
-
 type t
 
-val arm : ?config:config -> Sim.t -> t
-(** Register the watchdog's hooks on the simulation. Raises
-    [Invalid_argument] on a non-positive [max_lie_age],
-    [utilization_bound] or [history], or a negative [max_fakes]. *)
+val arm : Sim.t -> t
+(** Register the watchdog's hooks on the simulation: the guard on
+    [Sim.on_route_change], the post-step check on [Sim.on_step]. *)
 
 val on_quarantine : t -> (prefix:Igp.Lsa.prefix -> reason:string -> unit) -> unit
 (** Called when the pre-routing guard purges a prefix's lies — lets a
@@ -89,7 +70,7 @@ val on_quarantine : t -> (prefix:Igp.Lsa.prefix -> reason:string -> unit) -> uni
     hold-down. *)
 
 val violations : t -> violation list
-(** Recorded violations, oldest first (bounded by [history]). *)
+(** Recorded violations, oldest first (the newest 256). *)
 
 val violation_count : t -> int
 (** Total violations reported (not bounded by the ring). *)

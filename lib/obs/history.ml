@@ -58,12 +58,14 @@ let load ~file =
         docs
   end
 
+(* A counter may grow to [baseline * (1 + rel) + abs]; [abs] is slack
+   for near-zero baselines. *)
 type band = { counter : string; rel : float; abs : float }
 
 (* Deterministic counters get tight bands; GC counts and timings get
    wide ones. Wall time on shared runners moves 2x between identical
    runs, so the table timings only trip on a gross regression. *)
-let default_bands =
+let bands =
   let counter c = { counter = c; rel = 0.02; abs = 64. } in
   let timing c = { counter = c; rel = 2.0; abs = 5.0 } in
   [
@@ -81,6 +83,7 @@ let default_bands =
 
 type verdict = {
   v_track : string;
+  v_workload : string;
   v_counter : string;
   current : float;
   baseline : float;
@@ -104,30 +107,33 @@ let workload_keys =
   [ "prefixes"; "routers"; "links"; "flows"; "groups"; "cycles"; "domains";
     "seeds"; "chaos_seeds" ]
 
-let same_workload a b =
-  let workload r =
-    List.filter (fun (k, _) -> List.mem k workload_keys) r.values
-    |> List.sort compare
-  in
-  workload a = workload b
+let workload r =
+  List.filter (fun (k, _) -> List.mem k workload_keys) r.values
+  |> List.sort compare
+  |> List.map (fun (k, v) -> Printf.sprintf "%s=%.17g" k v)
+  |> String.concat " "
 
-let gate ?(bands = default_bands) ?(window = 5) rows =
-  let tracks =
+(* Rows of one (track, workload) before the newest join its baseline. *)
+let window = 5
+
+let gate rows =
+  let groups =
     List.fold_left
-      (fun acc r -> if List.mem r.track acc then acc else r.track :: acc)
+      (fun acc r ->
+        let key = (r.track, workload r) in
+        if List.mem key acc then acc else key :: acc)
       [] rows
     |> List.rev
   in
   List.concat_map
-    (fun track ->
-      let of_track = List.filter (fun r -> r.track = track) rows in
-      match List.rev of_track with
+    (fun (track, work) ->
+      let of_group =
+        List.filter (fun r -> r.track = track && workload r = work) rows
+      in
+      match List.rev of_group with
       | [] -> []
       | newest :: older_rev ->
-        let baseline_rows =
-          List.filteri (fun i _ -> i < window)
-            (List.filter (same_workload newest) older_rev)
-        in
+        let baseline_rows = List.filteri (fun i _ -> i < window) older_rev in
         if baseline_rows = [] then []
         else
           List.filter_map
@@ -147,6 +153,7 @@ let gate ?(bands = default_bands) ?(window = 5) rows =
                   Some
                     {
                       v_track = track;
+                      v_workload = work;
                       v_counter = b.counter;
                       current;
                       baseline;
@@ -155,16 +162,16 @@ let gate ?(bands = default_bands) ?(window = 5) rows =
                     }
                 end)
             bands)
-    tracks
+    groups
 
 let gate_ok verdicts = List.for_all (fun v -> v.ok) verdicts
 
 let pp_verdicts fmt verdicts =
-  Format.fprintf fmt "%-12s %-20s %14s %14s %14s  %s@." "track" "counter"
-    "current" "baseline" "limit" "verdict";
+  Format.fprintf fmt "%-12s %-24s %-20s %14s %14s %14s  %s@." "track"
+    "workload" "counter" "current" "baseline" "limit" "verdict";
   List.iter
     (fun v ->
-      Format.fprintf fmt "%-12s %-20s %14.6g %14.6g %14.6g  %s@." v.v_track
-        v.v_counter v.current v.baseline v.limit
+      Format.fprintf fmt "%-12s %-24s %-20s %14.6g %14.6g %14.6g  %s@."
+        v.v_track v.v_workload v.v_counter v.current v.baseline v.limit
         (if v.ok then "ok" else "REGRESSION"))
     verdicts

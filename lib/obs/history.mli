@@ -4,8 +4,8 @@
     [bench prof --history FILE --tag SHA] appends one row per track
     (deterministic counters first: allocated words, GC collections,
     workload sizes; wall-time and cores/domains as context);
-    [bench gate] then compares the newest row of each track against
-    the median of the previous rows and fails on any gated counter
+    [bench gate] then compares the newest row of each track and
+    workload against the median of the previous rows and fails on any gated counter
     exceeding its noise band. The gate logic lives here, in the
     library, so tests can drive it on synthetic histories without
     spawning the bench binary. *)
@@ -19,8 +19,8 @@ type row = {
           [domains], [seeds], [chaos_seeds]) must match exactly for a
           row to join the baseline, so a workload-size change starts a
           fresh baseline instead of comparing apples to oranges. Every
-          other key is a measurement: gated when a {!band} names it,
-          otherwise only recorded. *)
+          other key is a measurement: gated when {!gate} has a band
+          for it, otherwise only recorded. *)
 }
 
 val row_to_json : row -> string
@@ -34,14 +34,14 @@ val load : file:string -> row list
 (** Rows in file order; [[]] if the file does not exist. Raises
     [Failure] on a malformed line. *)
 
-type band = {
-  counter : string;
-  rel : float;  (** Allowed relative increase over baseline. *)
-  abs : float;  (** Absolute slack added on top (for near-zero baselines). *)
-}
+val workload : row -> string
+(** The row's workload-size keys as sorted [k=v] pairs, space-separated
+    ([""] when it has none). Rows gate together when their track and
+    workload agree. *)
 
 type verdict = {
   v_track : string;
+  v_workload : string;  (** {!workload} of the compared rows. *)
   v_counter : string;
   current : float;
   baseline : float;  (** Median of the baseline window. *)
@@ -49,12 +49,13 @@ type verdict = {
   ok : bool;
 }
 
-val gate : ?bands:band list -> ?window:int -> row list -> verdict list
-(** For each track (in first-appearance order): the newest row is
-    compared against the median of up to [window] (default 5)
-    immediately-preceding rows with the same workload. Tracks with no
-    comparable history produce no verdicts — the first CI run
-    bootstraps the baseline rather than failing. The default bands are
+val gate : row list -> verdict list
+(** For each track and {!workload} (in first-appearance order): the
+    newest row is compared against the median of up to 5
+    immediately-preceding rows of that track and workload, so a track
+    that records two workload sizes per run gates each. A track and
+    workload with no comparable history produce no verdicts — the first
+    CI run bootstraps the baseline rather than failing. The bands are
     tight (+2% plus a small slack) on the deterministic counters
     [alloc_words], [installed], [approx_bytes] and
     [visited_per_update], +25% and +100% on minor and major

@@ -39,8 +39,7 @@ let relax_after = 10.
 
 let quiet = 40.
 
-let run ?domains ?(faults = 4) ?(allow_controller_death = true)
-    ?(watchdog = true) ~seed ~until () =
+let run ?domains ?(faults = 4) ?(watchdog = true) ~seed ~until () =
   if until < 16. then invalid_arg "Chaos.run: until must be >= 16";
   let demo = Netgraph.Topologies.demo () in
   let g = demo.graph in
@@ -108,9 +107,7 @@ let run ?domains ?(faults = 4) ?(allow_controller_death = true)
   Netsim.Flow.make ~id:probe_id ~src:demo.a ~prefix ~demand:1. ~start_time:0.
     ~duration:(until +. quiet +. 10.) ()
   |> Sim.add_flow sim;
-  let plan =
-    Faults.random_plan ~faults ~allow_controller_death ~seed ~until g
-  in
+  let plan = Faults.random_plan ~faults ~seed ~until g in
   Faults.inject sim plan
     ~on_controller_crash:(fun _ -> Fibbing.Controller.crash controller)
     ~on_controller_restart:(fun sim ->
@@ -164,14 +161,13 @@ let run ?domains ?(faults = 4) ?(allow_controller_death = true)
    executes on 1 domain or 8, in whatever interleaving. The inner
    networks are built with [~domains:1] — the parallelism budget is
    spent across scenarios, not nested inside each SPF batch. *)
-let sweep ?pool ?faults ?allow_controller_death ?watchdog ~seeds ~until () =
+let sweep ?pool ?faults ?watchdog ~seeds ~until () =
   let pool = match pool with Some p -> p | None -> Kit.Pool.create () in
   let seeds = Array.of_list seeds in
   Kit.Pool.map pool ~n:(Array.length seeds) (fun i ->
       let v, cap =
         Obs.capture (fun () ->
-            run ~domains:1 ?faults ?allow_controller_death ?watchdog
-              ~seed:seeds.(i) ~until ())
+            run ~domains:1 ?faults ?watchdog ~seed:seeds.(i) ~until ())
       in
       let timeline =
         if Obs.enabled () then Some (Obs.capture_json cap) else None

@@ -41,7 +41,6 @@ val ok : verdict -> bool
 val run :
   ?domains:int ->
   ?faults:int ->
-  ?allow_controller_death:bool ->
   ?watchdog:bool ->
   seed:int ->
   until:float ->
@@ -61,7 +60,6 @@ val run :
 val sweep :
   ?pool:Kit.Pool.t ->
   ?faults:int ->
-  ?allow_controller_death:bool ->
   ?watchdog:bool ->
   seeds:int list ->
   until:float ->

@@ -60,13 +60,26 @@ let tokens line =
 
 let float_of token =
   match float_of_string_opt token with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "bad number %S" token)
+  | Some f when Float.is_finite f -> Ok f
+  | Some _ | None -> Error (Printf.sprintf "bad number %S" token)
 
 let int_of token =
   match int_of_string_opt token with
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "bad integer %S" token)
+
+(* A number the command can use: [what] names it in the error. *)
+let bounded what ok token =
+  let* f = float_of token in
+  if ok f then Ok f else Error (Printf.sprintf "%s %S out of range" what token)
+
+let positive what = bounded what (fun f -> f > 0.)
+
+let time_of = bounded "time" (fun f -> f >= 0.)
+
+let natural what token =
+  let* n = int_of token in
+  if n >= 0 then Ok n else Error (Printf.sprintf "%s %S out of range" what token)
 
 (* Prefix tokens are validated at parse time: a typo'd CIDR used to
    sail through as an exact-match string and become an unroutable
@@ -104,9 +117,10 @@ let rec options pairs = function
     options pairs rest
   | [ lone ] -> Error (Printf.sprintf "dangling option %S" lone)
 
-let opt_float pairs key ~default =
+(* The value of option [key] read by [parse], or [default]. *)
+let opt pairs key ~default parse =
   match List.assoc_opt key pairs with
-  | Some v -> float_of v
+  | Some v -> parse v
   | None -> Ok default
 
 let parse_command = function
@@ -117,24 +131,27 @@ let parse_command = function
     let* cost =
       match rest with
       | [] -> Ok 0
-      | [ "cost"; c ] -> int_of c
+      | [ "cost"; c ] -> natural "cost" c
       | _ -> Error "expected: prefix NAME at ROUTER [cost N]"
     in
     Ok (Some (Prefix { name; at; cost }))
   | [ "capacity"; "default"; value ] ->
-    let* v = float_of value in
+    let* v = positive "capacity" value in
     Ok (Some (Capacity_default v))
   | [ "capacity"; link; value ] ->
     let* a, b = link_of link in
-    let* v = float_of value in
+    let* v = positive "capacity" value in
     Ok (Some (Capacity (a, b, v)))
   | "monitor" :: rest ->
     let* pairs = options [] rest in
-    let* poll = opt_float pairs "poll" ~default:2.0 in
-    let* threshold = opt_float pairs "threshold" ~default:0.85 in
-    let* clear = opt_float pairs "clear" ~default:0.6 in
-    let* alpha = opt_float pairs "alpha" ~default:0.8 in
-    Ok (Some (Monitor_cfg { poll; threshold; clear; alpha }))
+    let* poll = opt pairs "poll" ~default:2.0 (positive "poll") in
+    let* threshold = opt pairs "threshold" ~default:0.85 float_of in
+    let* clear = opt pairs "clear" ~default:0.6 float_of in
+    let* alpha =
+      opt pairs "alpha" ~default:0.8 (bounded "alpha" (fun a -> a > 0. && a <= 1.))
+    in
+    if clear > threshold then Error "monitor clear must not exceed threshold"
+    else Ok (Some (Monitor_cfg { poll; threshold; clear; alpha }))
   | [ "controller"; "on" ] -> Ok (Some (Controller On))
   | [ "controller"; "off" ] -> Ok (Some (Controller Off))
   | [ "controller"; "global" ] -> Ok (Some (Controller Global))
@@ -145,60 +162,57 @@ let parse_command = function
     Ok (Some (Track (a, b)))
   | "flows" :: count :: "from" :: src :: "to" :: prefix :: "rate" :: rate
     :: "at" :: at :: rest ->
-    let* count = int_of count in
+    let* count = natural "count" count in
     let* prefix = prefix_of prefix in
-    let* rate = float_of rate in
-    let* at = float_of at in
+    let* rate = positive "rate" rate in
+    let* at = time_of at in
     let* pairs = options [] rest in
-    let* duration = opt_float pairs "duration" ~default:300. in
+    let* duration = opt pairs "duration" ~default:300. (positive "duration") in
     Ok (Some (Flows { count; src; prefix; rate; at; duration }))
   | [ "fail"; link; "at"; at ] ->
     let* a, b = link_of link in
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Fail (a, b, at)))
   | [ "restore"; link; "at"; at ] ->
     let* a, b = link_of link in
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Restore (a, b, at)))
   | [ "crash"; router; "at"; at ] ->
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Crash_router (router, at)))
   | [ "recover"; router; "at"; at ] ->
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Recover_router (router, at)))
   | [ "controller"; "crash"; "at"; at ] ->
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Controller_crash at))
   | [ "controller"; "restart"; "at"; at ] ->
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Controller_restart at))
   | [ "blackout"; duration; "at"; at ] ->
-    let* duration = float_of duration in
-    let* at = float_of at in
+    let* duration = positive "duration" duration in
+    let* at = time_of at in
     Ok (Some (Blackout { duration; at }))
   | "flooding" :: "loss" :: drop :: "at" :: at :: rest ->
-    let* drop = float_of drop in
-    let* at = float_of at in
+    let* drop = bounded "drop" (fun p -> p >= 0. && p < 1.) drop in
+    let* at = time_of at in
     let* pairs = options [] rest in
-    let* seed =
-      match List.assoc_opt "seed" pairs with Some s -> int_of s | None -> Ok 7
-    in
+    let* seed = opt pairs "seed" ~default:7 int_of in
     let* duration =
-      match List.assoc_opt "duration" pairs with
-      | Some d -> Result.map Option.some (float_of d)
-      | None -> Ok None
+      opt pairs "duration" ~default:None (fun d ->
+          Result.map Option.some (positive "duration" d))
     in
     Ok (Some (Flooding_loss { drop; seed; duration; at }))
   | [ "steer"; router; "to"; splits; "at"; at ] ->
     let* splits = splits_of splits in
-    let* at = float_of at in
+    let* at = time_of at in
     Ok (Some (Steer { router; splits; at }))
   | [ "run"; until ] ->
-    let* until = float_of until in
+    let* until = time_of until in
     Ok (Some (Run until))
   | [ "report"; "series" ] -> Ok (Some (Report (Series 2.5)))
   | [ "report"; "series"; "step"; step ] ->
-    let* step = float_of step in
+    let* step = positive "step" step in
     Ok (Some (Report (Series step)))
   | [ "report"; "qoe" ] -> Ok (Some (Report Qoe))
   | [ "report"; "actions" ] -> Ok (Some (Report Actions))
@@ -260,18 +274,30 @@ let fresh_state () =
   }
 
 let build_topology spec =
+  (* An integer of at least [min]. *)
+  let int token ~min =
+    match int_of_string_opt token with
+    | Some n when n >= min -> Ok n
+    | Some _ | None -> Error (Printf.sprintf "bad size %S in topology %S" token spec)
+  in
   match String.split_on_char ':' spec with
   | [ "demo" ] -> Ok (Netgraph.Topologies.demo ()).graph
-  | [ "ring"; n ] -> Ok (Netgraph.Topologies.ring ~n:(int_of_string n))
+  | [ "ring"; n ] ->
+    let* n = int n ~min:3 in
+    Ok (Netgraph.Topologies.ring ~n)
   | [ "grid"; r; c ] ->
-    Ok (Netgraph.Topologies.grid ~rows:(int_of_string r) ~cols:(int_of_string c))
+    let* rows = int r ~min:1 in
+    let* cols = int c ~min:1 in
+    Ok (Netgraph.Topologies.grid ~rows ~cols)
   | [ "random"; n; seed ] ->
-    let prng = Kit.Prng.create ~seed:(int_of_string seed) in
-    let n = int_of_string n in
+    let* seed = int seed ~min:min_int in
+    let* n = int n ~min:2 in
+    let prng = Kit.Prng.create ~seed in
     Ok (Netgraph.Topologies.random prng ~n ~extra_edges:n ~max_weight:4)
   | [ "twolevel"; core ] ->
+    let* core = int core ~min:3 in
     let prng = Kit.Prng.create ~seed:1 in
-    Ok (Netgraph.Topologies.two_level prng ~core:(int_of_string core) ~edge_per_core:2)
+    Ok (Netgraph.Topologies.two_level prng ~core ~edge_per_core:2)
   | [ name ] -> (
     match Netgraph.Zoo.find name with
     | Some entry -> Ok entry.graph
@@ -354,8 +380,18 @@ let ensure_sim state =
 let runtime_error state message =
   state.runtime_errors <- message :: state.runtime_errors
 
+(* The simulation, for an event at [at]: it takes events only from its
+   present on. *)
+let sim_at state at =
+  let* sim = ensure_sim state in
+  let now = Netsim.Sim.time sim in
+  if at < now then
+    Error (Printf.sprintf "time %g is before the simulation's present %g" at now)
+  else Ok sim
+
 let execute_command state out command =
   match command with
+  | Topology _ when state.graph <> None -> Error "topology given twice"
   | Topology spec ->
     let* graph = build_topology spec in
     state.graph <- Some graph;
@@ -408,7 +444,7 @@ let execute_command state out command =
       Ok ()
     end
   | Flows { count; src; prefix; rate; at; duration } ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* src = resolve state src in
     let flows =
       List.init count (fun i ->
@@ -420,55 +456,53 @@ let execute_command state out command =
     state.flows <- List.rev_append flows state.flows;
     Ok ()
   | Fail (a, b, at) ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* u = resolve state a in
     let* v = resolve state b in
     Netsim.Sim.fail_link sim ~time:at (u, v);
     Ok ()
   | Restore (a, b, at) ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* u = resolve state a in
     let* v = resolve state b in
     Netsim.Sim.restore_link sim ~time:at (u, v);
     Ok ()
   | Crash_router (r, at) ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* r = resolve state r in
     Netsim.Sim.crash_router sim ~time:at r;
     Ok ()
   | Recover_router (r, at) ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* r = resolve state r in
     Netsim.Sim.recover_router sim ~time:at r;
     Ok ()
   | Controller_crash at ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     Netsim.Sim.schedule sim ~time:at (fun _ ->
         match state.controller with
         | Some c -> Fibbing.Controller.crash c
         | None -> runtime_error state "controller crash: controller is off");
     Ok ()
   | Controller_restart at ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     Netsim.Sim.schedule sim ~time:at (fun sim ->
         match state.controller with
         | Some c -> Fibbing.Controller.restart c ~time:(Netsim.Sim.time sim)
         | None -> runtime_error state "controller restart: controller is off");
     Ok ()
   | Blackout { duration; at } ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     Netsim.Sim.schedule sim ~time:at (fun sim ->
         match Netsim.Sim.monitor sim with
         | Some m -> Netsim.Monitor.mute m ~until:(Netsim.Sim.time sim +. duration)
         | None -> ());
     Ok ()
   | Flooding_loss { drop; seed; duration; at } ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* net = require "network" state.net in
     Netsim.Sim.schedule sim ~time:at (fun _ ->
-        match Igp.Flooding.loss ~drop ~seed () with
-        | loss -> Igp.Network.set_flooding_loss net (Some loss)
-        | exception Invalid_argument e -> runtime_error state e);
+        Igp.Network.set_flooding_loss net (Some (Igp.Flooding.loss ~drop ~seed ())));
     Option.iter
       (fun d ->
         Netsim.Sim.schedule sim ~time:(at +. d) (fun _ ->
@@ -476,7 +510,7 @@ let execute_command state out command =
       duration;
     Ok ()
   | Steer { router; splits; at } ->
-    let* sim = ensure_sim state in
+    let* sim = sim_at state at in
     let* net = require "network" state.net in
     let* router = resolve state router in
     let* resolved =

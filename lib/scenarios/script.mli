@@ -48,6 +48,10 @@ type command
 val run_string : ?out:Format.formatter -> string -> (unit, string) result
 (** Parse and run a whole script, writing [report] output to [out]
     (default the standard formatter). Unknown words, malformed numbers
-    and out-of-order times are reported as ["line N: ..."] errors before
-    anything runs; execution errors (unknown router names, steers that
-    fail to compile, ...) abort with a message. *)
+    and numbers out of their command's range (non-finite values,
+    negative times, non-positive rates, capacities, durations, poll
+    periods and steps, a monitor [clear] above its [threshold] or an
+    [alpha] outside (0, 1], a flooding [drop] outside \[0, 1)) are
+    reported as ["line N: ..."] errors before anything runs; execution
+    errors (unknown router names, events before the simulation's
+    present, steers that fail to compile, ...) abort with a message. *)

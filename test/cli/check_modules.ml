@@ -20,17 +20,26 @@
    Values used only inside their own module belong out of the [.mli];
    values used nowhere belong out of the library.
 
+   Optional arguments. Every [?l:] of such a [val] (at bracket depth 0
+   of its type, so not one of a callback's) counts as passed when some
+   [.ml] outside its own module names the module, or a name that
+   denotes it, and contains [~l] or [?l]. An option no caller sets is a
+   constant in disguise.
+
    Tests are not among the DIRs: code that only they reach is dead
    weight in the library. ALLOW_FILE lists values that stay exported
-   without a caller, one [Module.value # reason] per line ([#] lines
-   are comments); an entry without a reason, or one that names no
-   uncalled value, is an error. Exit 1 naming every unused module,
-   uncalled value and stale allow-list entry, otherwise exit 0; exit 2
-   on a malformed allow-list.
+   without a caller, one [Module.value # reason] per line, and options
+   that stay without a setter, one [Module.value ?l # reason] per line
+   ([#] lines are comments); an entry without a reason, or one that
+   names no uncalled value or unpassed option, is an error. Exit 1
+   naming every unused module, uncalled value, unpassed option and
+   stale allow-list entry, otherwise exit 0; exit 2 on a malformed
+   allow-list.
 
    The check is by name, so it can miss dead code (an unrelated module
    of the same name also counts as a re-export, a local [v] in a file
-   that opens [M] counts as a call) but never flags a live value. *)
+   that opens [M] counts as a call, any [~l] in a file naming [M]
+   counts as passing [l]) but never flags a live value or option. *)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -144,12 +153,34 @@ let stem f = Filename.remove_extension f
 let module_name f = String.capitalize_ascii (Filename.basename (stem f))
 
 (* A value an [.mli] exports: its module, the innermost named
-   sub-signature it sits in (if any), its name and where it is. *)
+   sub-signature it sits in (if any), its name, where it is, and its
+   optional arguments with their lines. *)
 type value = { file : string; line : int; modname : string; sub : string option;
-               name : string }
+               name : string; options : (string * int) list }
 
 let label v =
   String.concat "." ([ v.modname ] @ Option.to_list v.sub @ [ v.name ])
+
+(* The [?l:] labels of the [val] whose name is token [i]: those at
+   bracket depth 0, up to the next signature item. *)
+let options toks i =
+  let n = Array.length toks in
+  let text j = if j < n then toks.(j).text else "" in
+  let rec go j depth acc =
+    if j >= n then List.rev acc
+    else
+      match text j with
+      | "val" | "external" | "type" | "exception" | "module" | "include"
+      | "open" | "class" | "end"
+        when depth = 0 ->
+        List.rev acc
+      | "(" | "[" | "{" -> go (j + 1) (depth + 1) acc
+      | ")" | "]" | "}" -> go (j + 1) (depth - 1) acc
+      | "?" when depth = 0 && text (j + 2) = ":" ->
+        go (j + 3) depth ((text (j + 1), toks.(j + 1).line) :: acc)
+      | _ -> go (j + 1) depth acc
+  in
+  go (i + 1) 0 []
 
 (* The [val]s of one [.mli]. [sig] opens a frame, named when it follows
    [module X :]; [end] closes one. Values inside an unnamed frame
@@ -173,7 +204,10 @@ let values file toks =
     | "end" -> ( match !frames with _ :: rest -> frames := rest | [] -> ())
     | "val" | "external" when List.for_all Option.is_some !frames ->
       let sub = match !frames with sub :: _ -> sub | [] -> None in
-      found := { file; line = toks.(i).line; modname; sub; name = tok (i + 1) } :: !found
+      found :=
+        { file; line = toks.(i).line; modname; sub; name = tok (i + 1);
+          options = options toks (i + 1) }
+        :: !found
     | _ -> ()
   done;
   List.rev !found
@@ -195,12 +229,14 @@ let path_end toks i =
 (* Module-level facts about one scanned file: [aliases] are
    (alias, target) pairs it declares ([module X = P], [include P] making
    the file's own module an alias of P's last component); [opened] are
-   the names it opens; [whole] the names it passes as a module. *)
+   the names it opens; [whole] the names it passes as a module;
+   [labelled] the names that follow a [~] or [?]. *)
 type facts = {
   path : string;
   toks : token array;
   idents : (string, unit) Hashtbl.t;
   qualified : (string * string, unit) Hashtbl.t;
+  labelled : (string, unit) Hashtbl.t;
   opened : string list;
   whole : string list;
   aliases : (string * string) list;
@@ -212,10 +248,13 @@ let facts path =
   let text i = if i >= 0 && i < n then toks.(i).text else "" in
   let idents = Hashtbl.create 256 in
   let qualified = Hashtbl.create 64 in
+  let labelled = Hashtbl.create 64 in
   let opened = ref [] and whole = ref [] and aliases = ref [] in
   for i = 0 to n - 1 do
     let t = text i in
     if t <> "" && is_ident t.[0] then Hashtbl.replace idents t ();
+    if (t = "~" || t = "?") && text (i + 1) <> "" && is_ident (text (i + 1)).[0]
+    then Hashtbl.replace labelled (text (i + 1)) ();
     if is_upper t && text (i + 1) = "." then begin
       let next = text (i + 2) in
       if next = "(" then opened := t :: !opened
@@ -240,7 +279,7 @@ let facts path =
       | _ -> ())
     | _ -> ())
   done;
-  { path; toks; idents; qualified; opened = !opened; whole = !whole;
+  { path; toks; idents; qualified; labelled; opened = !opened; whole = !whole;
     aliases = !aliases }
 
 (* Every name that denotes module [m]: itself and, transitively, each
@@ -257,12 +296,13 @@ let names_of aliases m =
   in
   grow [ m ]
 
+let own v f = stem f = stem v.file
+
 let called aliases files v =
   let names = names_of aliases (Option.value v.sub ~default:v.modname) in
-  let own f = stem f = stem v.file in
   List.exists
     (fun fx ->
-      (not (own fx.path))
+      (not (own v fx.path))
       && List.exists
            (fun m ->
              Hashtbl.mem fx.qualified (m, v.name)
@@ -271,8 +311,18 @@ let called aliases files v =
            names)
     files
 
-(* The allow-list: [(label, line)] for every [Module.value # reason]
-   line. *)
+let passed aliases files v option =
+  let names = names_of aliases (Option.value v.sub ~default:v.modname) in
+  List.exists
+    (fun fx ->
+      (not (own v fx.path))
+      && Filename.check_suffix fx.path ".ml"
+      && Hashtbl.mem fx.labelled option
+      && List.exists (Hashtbl.mem fx.idents) names)
+    files
+
+(* The allow-list: [(label, line)] for every [Module.value # reason] or
+   [Module.value ?l # reason] line. *)
 let read_allow file =
   String.split_on_char '\n' (read_file file)
   |> List.mapi (fun i l -> (i + 1, String.trim l))
@@ -303,24 +353,36 @@ let () =
         (List.filter (fun f -> Filename.check_suffix f ".ml") lib_files)
     in
     let aliases = List.concat_map (fun fx -> fx.aliases) files in
+    (* (file, line, label, complaint) for every uncalled value and every
+       unpassed option of a called one. *)
     let uncalled =
       List.filter (fun f -> Filename.check_suffix f ".mli") lib_files
       |> List.concat_map (fun mli ->
              values mli (List.find (fun fx -> fx.path = mli) files).toks)
-      |> List.filter (fun v -> not (called aliases files v))
+      |> List.concat_map (fun v ->
+             if not (called aliases files v) then
+               [ (v.file, v.line, label v, "has no caller outside its own module") ]
+             else
+               List.filter (fun (o, _) -> not (passed aliases files v o)) v.options
+               |> List.map (fun (o, line) ->
+                      ( v.file, line, label v ^ " ?" ^ o,
+                        "is passed by no caller outside its own module" )))
     in
-    let dead = List.filter (fun v -> not (List.mem_assoc (label v) allow)) uncalled in
+    let dead =
+      List.filter (fun (_, _, l, _) -> not (List.mem_assoc l allow)) uncalled
+    in
     let stale =
-      List.filter (fun (l, _) -> not (List.exists (fun v -> label v = l) uncalled)) allow
+      List.filter
+        (fun (l, _) -> not (List.exists (fun (_, _, l', _) -> l' = l) uncalled))
+        allow
     in
     if unused <> [] then
       prerr_endline
         ("modules used by no file outside their own (only tests reach them): "
         ^ String.concat ", " unused);
     List.iter
-      (fun v ->
-        Printf.eprintf "%s:%d: %s has no caller outside its own module\n" v.file
-          v.line (label v))
+      (fun (file, line, l, complaint) ->
+        Printf.eprintf "%s:%d: %s %s\n" file line l complaint)
       dead;
     List.iter
       (fun (l, i) ->

@@ -11,3 +11,7 @@ val reexported : int
 
 val allowed : int
 (** Uncalled, but on the allow-list. *)
+
+val scale : ?factor:int -> ?unit_name:(?upper:bool -> string -> string) -> int -> int
+(** Called with [~factor] only: [unit_name] is the one option to flag;
+    [upper] is the callback's, not [scale]'s. *)

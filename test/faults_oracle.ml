@@ -2,7 +2,7 @@
    machine and rejects any schedule a real run could not perform (double
    failure, restore of a live link, crash overlapping a failed link or a
    partitioned edge, unhealed element at the end, ...). Partitions must
-   additionally heal by [until - margin] (default margin 4 s, matching
+   additionally heal by [until - margin] (margin 4 s, as in
    [random_plan]) — the quiet tail the reconvergence properties rely on.
    [random_plan] output must always validate. *)
 
@@ -10,7 +10,9 @@ open Netsim.Faults
 
 let norm (u, v) = if u <= v then (u, v) else (v, u)
 
-let validate ?(margin = 4.) plan =
+let margin = 4.
+
+let validate plan =
   let down = Hashtbl.create 8 and crashed = Hashtbl.create 4 in
   (* Partitioned edges heal on their own at a recorded time; they are
      released before judging each event so post-heal faults are legal. *)

@@ -16,6 +16,13 @@ let input seeds =
   QCheck.make ~print:(Printf.sprintf "%S")
     (oneof [ string_size ~gen:char (0 -- 40); oneofl seeds >>= mutate ])
 
+(* [run] returns [Ok] or [Error] and raises nothing. *)
+let total ~name ~count ~run seeds =
+  QCheck.Test.make ~name ~count (input seeds) (fun s ->
+      match run s with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* [parse] returns [Ok] or [Error] and raises nothing, and what it
    accepts survives [print] and a second [parse] unchanged. *)
 let total_and_round_trips ~name ~parse ~print seeds =

@@ -800,8 +800,8 @@ let test_codec_age_field () =
     { Igp.Codec.lsa = Igp.Lsa.Prefix { origin = 1; prefix = pfx "p"; cost = 3 };
       sequence = 7 }
   in
-  let encoded = Igp.Codec.encode ~age:1200 packet in
-  Alcotest.(check int) "age on the wire" 1200 (Bytes.get_uint16_be encoded 0);
+  let encoded = Igp.Codec.encode packet in
+  Alcotest.(check int) "originated at age 0" 0 (Bytes.get_uint16_be encoded 0);
   (* Age is outside the checksum: relays may bump it in place. *)
   Bytes.set_uint16_be encoded 0 1201;
   Alcotest.(check bool) "aged packet still decodes" true

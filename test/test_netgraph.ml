@@ -373,15 +373,18 @@ let test_dot_structure () =
   in
   Alcotest.(check int) "eight edges" 8 count
 
-let test_dot_highlight () =
+let test_dot_asymmetric_edge () =
   let d = Netgraph.Topologies.demo () in
-  let dot = Netgraph.Dot.of_graph ~highlight:[ (d.b, d.r2) ] d.graph in
+  G.set_weight d.graph d.b d.r2 ~weight:9;
+  let dot = Netgraph.Dot.of_graph d.graph in
   let contains needle =
     let n = String.length needle and h = String.length dot in
     let rec scan i = i + n <= h && (String.sub dot i n = needle || scan (i + 1)) in
     scan 0
   in
-  Alcotest.(check bool) "red edge present" true (contains "color=red")
+  Alcotest.(check bool) "one directed half per side" true
+    (contains "B -- R2 [label=\"9\" dir=forward]"
+    && contains "R2 -- B [label=\"1\" dir=forward]")
 
 (* ---------- Zoo ---------- *)
 
@@ -478,7 +481,7 @@ let () =
       ( "dot",
         [
           Alcotest.test_case "structure" `Quick test_dot_structure;
-          Alcotest.test_case "highlight" `Quick test_dot_highlight;
+          Alcotest.test_case "asymmetric edge" `Quick test_dot_asymmetric_edge;
         ] );
       ( "zoo",
         [

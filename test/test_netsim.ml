@@ -560,7 +560,13 @@ let test_monitor_ewma_smoothing () =
   checkf "first estimate is raw" 1.0 (utilization m (0, 1));
   (* Silence decays towards zero. *)
   ignore (Netsim.Monitor.poll m ~time:4.);
-  checkf "decayed" 0.5 (utilization m (0, 1))
+  checkf "decayed" 0.5 (utilization m (0, 1));
+  List.iter
+    (fun alpha ->
+      Alcotest.(check bool) (Printf.sprintf "alpha %g rejected" alpha) true
+        (try ignore (Netsim.Monitor.create ~alpha caps); false
+         with Invalid_argument _ -> true))
+    [ 0.; 7.; Float.nan ]
 
 let test_monitor_poll_cadence () =
   let caps = Link.capacities ~default:10. in
@@ -739,9 +745,10 @@ let test_aimd_ramps_up_to_demand () =
 
 let test_aimd_starts_slow () =
   let caps = Link.capacities ~default:100. in
-  let aimd = Netsim.Aimd.create ~initial_fraction:0.1 () in
+  let aimd = Netsim.Aimd.create () in
   let rates = Netsim.Aimd.update aimd ~dt:0.5 ~capacities:caps (aimd_routes 10. 1) in
-  Alcotest.(check bool) "first step below demand" true (List.assoc 0 rates < 5.)
+  (* 10% of demand, plus one 0.5 s step of +25% of demand per second. *)
+  checkf "first step" 2.25 (List.assoc 0 rates)
 
 let test_aimd_backs_off_under_congestion () =
   let caps = Link.capacities ~default:10. in
@@ -791,11 +798,6 @@ let test_aimd_forget () =
   (* A forgotten flow starts over from its initial rate. *)
   Netsim.Aimd.forget aimd 0;
   checkf "forgotten" start (List.assoc 0 (first ()))
-
-let test_aimd_validation () =
-  Alcotest.(check bool) "bad decrease" true
-    (try ignore (Netsim.Aimd.create ~decrease_factor:1.5 ()); false
-     with Invalid_argument _ -> true)
 
 let test_sim_with_aimd_model () =
   let d, net = demo_net () in
@@ -1253,8 +1255,9 @@ let test_convergence_second_change_mid_window () =
 
 (* ---------- Latency ---------- *)
 
-(* The documented default latency model. *)
-let latency = { Netsim.Latency.ms_per_weight = 5.; service_ms = 0.12; max_queue_ms = 50. }
+(* The documented latency model: ms per IGP weight unit, idle service
+   time, queueing cap. *)
+let ms_per_weight = 5. and service_ms = 0.12 and max_queue_ms = 50.
 
 (* One flow of [demand] from [src] towards blue, after two seconds. *)
 let latency_sim ?(capacity = 100.) ~src demand =
@@ -1273,12 +1276,12 @@ let test_latency_idle_is_propagation () =
       let path = Option.get (Netsim.Sim.flow_path sim 0) in
       let rec expected = function
         | u :: (v :: _ as rest) ->
-          (float_of_int (G.weight_exn d.graph u v) *. latency.ms_per_weight)
-          +. latency.service_ms +. expected rest
+          (float_of_int (G.weight_exn d.graph u v) *. ms_per_weight)
+          +. service_ms +. expected rest
         | _ -> 0.
       in
       checkf "weights scale propagation" (expected path)
-        (Netsim.Latency.mean_flow_delay_ms ~config:latency sim))
+        (Netsim.Latency.mean_flow_delay_ms sim))
     [ (fun (d : T.demo) -> d.a); (fun d -> d.r1) ]
 
 let test_latency_grows_with_utilization () =
@@ -1299,8 +1302,8 @@ let test_latency_saturated_capped () =
   done;
   Netsim.Sim.run_until sim 2.;
   (* A-B-R2-C: three weight-1 links, each saturated by the four flows. *)
-  let capped = 3. *. (latency.ms_per_weight +. latency.max_queue_ms) in
-  let delay = Netsim.Latency.mean_flow_delay_ms ~config:latency sim in
+  let capped = 3. *. (ms_per_weight +. max_queue_ms) in
+  let delay = Netsim.Latency.mean_flow_delay_ms sim in
   Alcotest.(check bool) "capped by buffer" true (delay <= capped +. 1e-9);
   Alcotest.(check bool) "but clearly congested" true (delay >= capped -. 1e-6)
 
@@ -1386,7 +1389,6 @@ let () =
           Alcotest.test_case "backs off" `Quick test_aimd_backs_off_under_congestion;
           Alcotest.test_case "approximately fair" `Quick test_aimd_approx_fair;
           Alcotest.test_case "forget" `Quick test_aimd_forget;
-          Alcotest.test_case "validation" `Quick test_aimd_validation;
           Alcotest.test_case "sim integration" `Quick test_sim_with_aimd_model;
         ] );
       ( "sim",

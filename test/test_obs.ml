@@ -256,33 +256,19 @@ let test_ring_validates_capacity () =
 (* Controller log bounding (satellite: event log in a ring)            *)
 (* ------------------------------------------------------------------ *)
 
-let test_controller_log_capacity_validated () =
-  let d = Scenarios.Demo.make ~fibbing:false () in
-  Alcotest.(check bool) "log_capacity 0 rejected" true
-    (try
-       ignore
-         (Fibbing.Controller.create
-            ~config:
-              { Fibbing.Controller.default_config with log_capacity = 0 }
-            d.Scenarios.Demo.net);
-       false
-     with Invalid_argument _ -> true)
-
 let test_controller_log_bounded () =
-  (* A capacity-1 log retains only the newest action across the F2 run,
-     which triggers two reactions. *)
-  let config =
-    { Fibbing.Controller.default_config with log_capacity = 1 }
-  in
-  let d = Scenarios.Demo.make ~fibbing:true ~controller_config:config () in
-  ignore (Scenarios.Demo.load_fig2_workload d);
-  Scenarios.Demo.run d ~until:45.;
-  match d.Scenarios.Demo.controller with
-  | None -> Alcotest.fail "controller expected"
-  | Some c ->
-    let actions = Fibbing.Controller.actions c in
-    Alcotest.(check int) "only the newest action retained" 1
-      (List.length actions)
+  (* Each restart logs one action: 4097 crash/restart pairs overflow the
+     4096-entry log by one, evicting the oldest. *)
+  let d = Scenarios.Demo.make ~fibbing:false () in
+  let c = Fibbing.Controller.create d.Scenarios.Demo.net in
+  for i = 0 to 4096 do
+    Fibbing.Controller.crash c;
+    Fibbing.Controller.restart c ~time:(float_of_int i)
+  done;
+  let actions = Fibbing.Controller.actions c in
+  Alcotest.(check int) "capacity retained" 4096 (List.length actions);
+  Alcotest.(check (float 0.)) "oldest evicted" 1.
+    (List.hd actions).Fibbing.Controller.time
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: traced F2 demo is deterministic and causally ordered    *)
@@ -652,8 +638,11 @@ let test_history_gate_verdicts () =
           [ ("alloc_words", 9000.); ("wall_ms", 50.); ("flows", 200.) ];
       ]
   in
-  Alcotest.(check bool) "context change re-baselines (no verdicts)" true
-    (Obs.History.gate rescaled = []);
+  Alcotest.(check (list string)) "context change re-baselines"
+    [ "flows=100"; "flows=100" ]
+    (List.map
+       (fun (v : Obs.History.verdict) -> v.v_workload)
+       (Obs.History.gate rescaled));
   (* First-ever row: bootstrap, nothing to compare. *)
   Alcotest.(check bool) "single row passes vacuously" true
     (Obs.History.gate [ hrow "a" "t" base ] = [])
@@ -679,6 +668,26 @@ let test_history_gate_compares_timed_rows () =
           ]));
   Alcotest.(check bool) "a new table size starts a fresh baseline" true
     (Obs.History.gate [ geant 2000. 26.; geant 4000. 26. ] = [])
+
+(* A track that records two workload sizes per run gates each size: the
+   9x regression at 10 000 prefixes must not hide behind a clean newest
+   row at 50 000. *)
+let test_history_gate_per_workload () =
+  let trie prefixes installed =
+    hrow "x" "fib_trie" [ ("prefixes", prefixes); ("installed", installed) ]
+  in
+  let rows =
+    [ trie 1e4 100.; trie 5e4 500.; trie 1e4 100.; trie 5e4 500.;
+      trie 1e4 900.; trie 5e4 500. ]
+  in
+  let v = Obs.History.gate rows in
+  Alcotest.(check bool) "regression at 10 000 caught" true
+    (List.exists
+       (fun (v : Obs.History.verdict) -> v.current = 900. && not v.ok)
+       v);
+  Alcotest.(check (list string)) "one verdict per workload"
+    [ "prefixes=10000"; "prefixes=50000" ]
+    (List.map (fun (v : Obs.History.verdict) -> v.v_workload) v)
 
 let test_history_file_roundtrip () =
   let file = Filename.temp_file "fibbing_hist" ".jsonl" in
@@ -744,8 +753,6 @@ let () =
         ] );
       ( "controller-log",
         [
-          Alcotest.test_case "capacity validated" `Quick
-            test_controller_log_capacity_validated;
           Alcotest.test_case "bounded retention" `Quick
             test_controller_log_bounded;
         ] );
@@ -787,6 +794,8 @@ let () =
           Alcotest.test_case "gate verdicts" `Quick test_history_gate_verdicts;
           Alcotest.test_case "gate compares timed rows" `Quick
             test_history_gate_compares_timed_rows;
+          Alcotest.test_case "gate keys by workload" `Quick
+            test_history_gate_per_workload;
           Alcotest.test_case "file round-trip" `Quick
             test_history_file_roundtrip;
         ] );

@@ -343,9 +343,11 @@ report fibs
   (* After the failure B's route goes via R3. *)
   Alcotest.(check bool) "B via R3" true (contains output "B -> blue (cost 3): R3")
 
+let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore
+
 let test_script_parse_errors () =
   let check_error text fragment =
-    match Scenarios.Script.run_string ~out:(Format.make_formatter (fun _ _ _ -> ()) ignore) text with
+    match Scenarios.Script.run_string ~out:quiet text with
     | Error message ->
       Alcotest.(check bool)
         (Printf.sprintf "%S mentions %S" message fragment)
@@ -363,7 +365,56 @@ let test_script_parse_errors () =
   check_error "topology demo\nprefix 10.0.0.256/16 at C" "10.0.0.256";
   check_error "topology demo\nprefix 10.0.1.0/8 at C" "host bits";
   check_error "topology demo\nflows 1 from A to 10.0.0.0/40 rate 1 at 0"
-    "mask length"
+    "mask length";
+  (* Numbers out of their command's range are rejected at parse time,
+     with the line, instead of raising when the command runs. *)
+  List.iter
+    (fun line -> check_error ("topology demo\nprefix blue at C\n" ^ line ^ "\nrun 1") "line 3")
+    [
+      "monitor poll 0";
+      "monitor threshold 0.5 clear 0.9";
+      "monitor alpha 7";
+      "flows 1 from A to blue rate 0 at 0";
+      "flows 1 from A to blue rate -5 at 0";
+      "flows 1 from A to blue rate nan at 0";
+      "flows 1 from A to blue rate 1 at 0 duration -1";
+      "capacity default 0";
+      "capacity default -1";
+      "capacity A-R1 -3";
+      "flooding loss 0.5 at 1 duration -2";
+    ]
+
+(* Small valid scripts covering every command, each ending in a short
+   run. *)
+let script_seeds =
+  [
+    "topology demo\nprefix blue at C cost 1\ncapacity default 900\n\
+     capacity A-R1 400\nmonitor poll 1 threshold 0.8 clear 0.5 alpha 0.5\n\
+     track A-R1\nflows 3 from A to blue rate 300 at 0 duration 3\n\
+     blackout 1 at 0.5\nrun 2\nreport series step 0.5\nreport qoe\n";
+    "topology demo\nprefix blue at C\ncontroller global\nmodel aimd\n\
+     flows 2 from B to blue rate 100 at 0.5\nfail B-R2 at 1\n\
+     restore B-R2 at 1.5\ncrash R3 at 0.5\nrecover R3 at 1\n\
+     steer B to R2:0.5,R3:0.5 at 1.5\nrun 2\nreport fibs\nreport fakes\n\
+     report loads\nreport latency\nreport audit\n";
+    "topology ring:4\nprefix 10.0.0.0/8 at N0\ncontroller crash at 0.5\n\
+     controller restart at 1\nflooding loss 0.2 at 0.5 duration 1 seed 3\n\
+     flows 1 from N2 to 10.0.0.0/8 rate 5 at 0\nrun 1\nreport actions\n";
+  ]
+
+let test_script_seeds_run () =
+  List.iter
+    (fun text ->
+      Alcotest.(check (result unit string)) "seed runs" (Ok ())
+        (Scenarios.Script.run_string ~out:quiet text))
+    script_seeds
+
+(* The DSL is untrusted input: a one-byte mutation of a valid script
+   must come back as [Ok] or [Error], never as an exception. *)
+let prop_script_total =
+  Fuzz.total ~name:"run_string is total on mutated scripts" ~count:2000
+    ~run:(Scenarios.Script.run_string ~out:quiet)
+    script_seeds
 
 let test_script_execution_errors () =
   (* Unknown router. *)
@@ -464,7 +515,9 @@ let () =
           Alcotest.test_case "model + extra reports" `Quick
             test_script_model_and_extra_reports;
           Alcotest.test_case "qoe report" `Quick test_script_qoe_report;
+          Alcotest.test_case "fuzz seeds run" `Quick test_script_seeds_run;
         ] );
+      ("script-props", [ QCheck_alcotest.to_alcotest prop_script_total ]);
       ( "resilience",
         [
           Alcotest.test_case "controller heals link failure" `Quick

@@ -3,8 +3,8 @@ let pfx = Igp.Prefix.v
 
 let checkf = Alcotest.(check (float 1e-6))
 
-(* The documented default client: 1 Mbps video, 2 s startup and resume. *)
-let config = { Video.Client.bitrate = 131072.; startup_buffer = 2.; resume_buffer = 2. }
+(* The client's documented video bitrate: 1 Mbps, in bytes/s. *)
+let bitrate = 131072.
 
 (* Constant-rate sample series helper: [rate] bytes/s for [seconds]. *)
 let constant_rate ~rate ~seconds ~dt =
@@ -13,7 +13,7 @@ let constant_rate ~rate ~seconds ~dt =
 (* ---------- Client ---------- *)
 
 let test_client_smooth_at_full_rate () =
-  let samples = constant_rate ~rate:config.bitrate ~seconds:40. ~dt:0.5 in
+  let samples = constant_rate ~rate:bitrate ~seconds:40. ~dt:0.5 in
   let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   Alcotest.(check int) "no stalls" 0 r.stall_count;
   checkf "no stall time" 0. r.stall_time;
@@ -22,14 +22,14 @@ let test_client_smooth_at_full_rate () =
   checkf "played everything" 30. r.played
 
 let test_client_stalls_at_half_rate () =
-  let samples = constant_rate ~rate:(config.bitrate /. 2.) ~seconds:60. ~dt:0.5 in
+  let samples = constant_rate ~rate:(bitrate /. 2.) ~seconds:60. ~dt:0.5 in
   let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   Alcotest.(check bool) "stalls" true (r.stall_count > 0);
   Alcotest.(check bool) "stall time accrues" true (r.stall_time > 5.);
   Alcotest.(check bool) "not smooth" false r.smooth
 
 let test_client_fast_download_no_stall () =
-  let samples = constant_rate ~rate:(config.bitrate *. 4.) ~seconds:20. ~dt:0.5 in
+  let samples = constant_rate ~rate:(bitrate *. 4.) ~seconds:20. ~dt:0.5 in
   let r = Video.Client.replay ~dt:0.5 { duration = 30.; samples = samples } in
   Alcotest.(check int) "no stalls" 0 r.stall_count;
   Alcotest.(check bool) "startup fast" true (r.startup_delay <= 1.)
@@ -43,7 +43,7 @@ let test_client_zero_rate_never_starts () =
 let test_client_rate_drop_causes_stall () =
   (* Full rate for 5 s, then starvation: buffer drains and playback
      stalls. *)
-  let good = constant_rate ~rate:(config.bitrate *. 1.5) ~seconds:5. ~dt:0.5 in
+  let good = constant_rate ~rate:(bitrate *. 1.5) ~seconds:5. ~dt:0.5 in
   let bad =
     List.map (fun (t, _) -> (t +. 5., 0.)) (constant_rate ~rate:0. ~seconds:20. ~dt:0.5)
   in
@@ -54,7 +54,7 @@ let test_client_rate_drop_causes_stall () =
 let test_client_short_video_fully_buffered () =
   (* A 1-second video is shorter than the startup buffer; playback must
      still start once fully buffered. *)
-  let samples = constant_rate ~rate:config.bitrate ~seconds:10. ~dt:0.5 in
+  let samples = constant_rate ~rate:bitrate ~seconds:10. ~dt:0.5 in
   let r = Video.Client.replay ~dt:0.5 { duration = 1.; samples = samples } in
   checkf "played all" 1. r.played;
   Alcotest.(check int) "no stalls" 0 r.stall_count
@@ -116,10 +116,11 @@ let test_workload_poisson () =
 (* ---------- Qoe ---------- *)
 
 let smooth_result : Video.Client.result =
-  { startup_delay = 1.; stall_count = 0; stall_time = 0.; played = 30.; smooth = true }
+  { startup_delay = 1.; stall_count = 0; stall_time = 0.; played = 30.; smooth = true;
+    mean_bitrate = 131072.; switches = 0; time_at_top = 30. }
 
 let bad_result : Video.Client.result =
-  { startup_delay = 8.; stall_count = 5; stall_time = 15.; played = 30.; smooth = false }
+  { smooth_result with startup_delay = 8.; stall_count = 5; stall_time = 15.; smooth = false }
 
 let test_qoe_all_smooth () =
   let s = Video.Qoe.summarize [ smooth_result; smooth_result ] in
@@ -141,15 +142,15 @@ let test_qoe_empty_rejected () =
   Alcotest.(check bool) "empty" true
     (try ignore (Video.Qoe.summarize []); false with Invalid_argument _ -> true)
 
-(* ---------- Abr ---------- *)
+(* ---------- Adaptive player ---------- *)
 
-let abr_config = Video.Abr.default_config
+let ladder = Array.of_list Video.Client.abr_ladder
 
-let top_rate = abr_config.ladder.(Array.length abr_config.ladder - 1)
+let top_rate = ladder.(Array.length ladder - 1)
 
 let test_abr_rich_throughput_reaches_top () =
   let samples = constant_rate ~rate:(top_rate *. 2.) ~seconds:60. ~dt:0.5 in
-  let r = Video.Abr.replay ~dt:0.5 { duration = 40.; samples = samples } in
+  let r = Video.Client.replay_abr ~dt:0.5 { duration = 40.; samples = samples } in
   Alcotest.(check int) "no stalls" 0 r.stall_count;
   Alcotest.(check bool)
     (Printf.sprintf "mostly top rung (%.0fs of %.0fs)" r.time_at_top r.played)
@@ -159,22 +160,22 @@ let test_abr_rich_throughput_reaches_top () =
 
 let test_abr_poor_throughput_downshifts () =
   (* Enough for the lowest rung only. *)
-  let samples = constant_rate ~rate:(abr_config.ladder.(0) *. 1.2) ~seconds:80. ~dt:0.5 in
-  let r = Video.Abr.replay ~dt:0.5 { duration = 40.; samples = samples } in
+  let samples = constant_rate ~rate:(ladder.(0) *. 1.2) ~seconds:80. ~dt:0.5 in
+  let r = Video.Client.replay_abr ~dt:0.5 { duration = 40.; samples = samples } in
   Alcotest.(check bool) "stays near bottom" true
-    (r.mean_bitrate < abr_config.ladder.(1));
+    (r.mean_bitrate < ladder.(1));
   Alcotest.(check bool) "few stalls thanks to adaptation" true (r.stall_time < 10.)
 
 let test_abr_adapts_better_than_fixed_rate () =
   (* Throughput affords the middle rung: fixed top-rate playback stalls
-     badly; ABR should not. *)
-  let rate = abr_config.ladder.(1) *. 1.3 in
+     badly; ABR should not. The buffer model depends only on throughput
+     over bitrate, so the fixed-rate client replays the trace scaled by
+     its own bitrate over the top rung's. *)
+  let rate = ladder.(1) *. 1.3 in
   let samples = constant_rate ~rate ~seconds:120. ~dt:0.5 in
-  let abr = Video.Abr.replay ~dt:0.5 { duration = 60.; samples = samples } in
-  let fixed =
-    Video.Client.replay ~config:{ config with bitrate = top_rate } ~dt:0.5
-      { duration = 60.; samples }
-  in
+  let abr = Video.Client.replay_abr ~dt:0.5 { duration = 60.; samples = samples } in
+  let scaled = List.map (fun (t, r) -> (t, r *. bitrate /. top_rate)) samples in
+  let fixed = Video.Client.replay ~dt:0.5 { duration = 60.; samples = scaled } in
   Alcotest.(check bool)
     (Printf.sprintf "ABR stalls (%.1fs) < fixed-rate stalls (%.1fs)"
        abr.stall_time fixed.stall_time)
@@ -189,30 +190,18 @@ let test_abr_counts_switches () =
     List.init 160 (fun i ->
         let t = float_of_int i *. 0.5 in
         let rate =
-          if (i / 30) mod 2 = 0 then top_rate *. 1.5 else abr_config.ladder.(0) *. 1.2
+          if (i / 30) mod 2 = 0 then top_rate *. 1.5 else ladder.(0) *. 1.2
         in
         (t, rate))
   in
-  let r = Video.Abr.replay ~dt:0.5 { duration = 60.; samples = samples } in
+  let r = Video.Client.replay_abr ~dt:0.5 { duration = 60.; samples = samples } in
   Alcotest.(check bool)
     (Printf.sprintf "switched %d times" r.switches)
     true (r.switches >= 2)
 
 let test_abr_validation () =
-  Alcotest.(check bool) "descending ladder rejected" true
-    (try
-       ignore
-         (Video.Abr.replay
-            ~config:{ abr_config with ladder = [| 2.; 1. |] }
-            ~dt:0.5 { duration = 1.; samples = [] });
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "empty ladder rejected" true
-    (try
-       ignore
-         (Video.Abr.replay ~config:{ abr_config with ladder = [||] } ~dt:0.5
-            { duration = 1.; samples = [] });
-       false
+  Alcotest.(check bool) "bad dt" true
+    (try ignore (Video.Client.replay_abr ~dt:0. { duration = 1.; samples = [] }); false
      with Invalid_argument _ -> true)
 
 (* ---------- Catalog ---------- *)
