@@ -3,20 +3,20 @@ let pfx = Igp.Prefix.v
    (see DESIGN.md's experiment index), runs Bechamel timings for the
    computational pieces, and runs the perf tracks.
 
-     dune exec bench/main.exe -- [quick] [json] [domains=N]
-                                 [--history FILE --tag TAG] [TRACK...]
+     dune exec bench/main.exe -- [quick] [json] [--history FILE --tag TAG]
+                                 [TRACK...]
      dune exec bench/main.exe -- gate [--history FILE]
 
    Without a TRACK: every experiment section, the Bechamel timings and
    every perf track. With TRACKs (spf flow par fib watch prof): only
    those tracks. [quick] runs each track at its reduced size and skips
    the Bechamel timings; [json] writes each track's rows to
-   BENCH_<track>.json in the cwd; [domains=N] pins the worker-pool
-   width; [--history] appends each track's rows to FILE, tagged TAG
-   (default "dev"). [gate] compares the newest history row of each
-   track and workload size against the rolling median (default file
-   bench/history.jsonl) and exits 1 on a regression. A failed track gate exits 1; an unknown
-   argument exits 2 with a usage line.
+   BENCH_<track>.json in the cwd; [--history] appends each track's
+   rows to FILE, tagged TAG (default "dev"). [gate] compares the newest
+   history row of each track and workload size against the rolling
+   median (default file bench/history.jsonl) and exits 1 on a
+   regression. A failed track gate exits 1; an unknown argument exits 2
+   with a usage line.
 
    Experiment ids:
      F1A  Fig. 1a  IGP shortest paths
@@ -988,9 +988,9 @@ let best = List.fold_left min infinity
    installs and retracts one fake. The fake attaches near router 0 and
    lies about the prefix of the farthest PoP, so a realistic fraction of
    routers is affected. *)
-let geant_churn ?domains () =
+let geant_churn () =
   let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
-  let net = Igp.Network.create ?domains g in
+  let net = Igp.Network.create g in
   List.iter
     (fun r ->
       Igp.Network.announce_prefix net (pfx (Printf.sprintf "p%02d" r)) ~origin:r
@@ -1055,7 +1055,6 @@ let tspf churns =
            ("routers", num (G.node_count g));
            ("links", num (G.edge_count g / 2));
            ("prefixes", num (List.length prefixes));
-           ("domains", num (Kit.Pool.domain_count (Igp.Spf_engine.pool engine)));
            ("engine_cold_ms", best cold);
            ("engine_churn_ms", best churned);
          ]
@@ -1168,38 +1167,14 @@ let tflow counts =
   in
   (rows, true)
 
-(* TPAR: multicore scale-out — GEANT churn reconvergence (SPF batches
-   sharded) and a chaos seed sweep (one scenario per domain) at 1/2/4/8
-   domains, with the width-1 run as the equivalence oracle. Speedups are
-   whatever the machine gives (BENCH_par.json records its core count);
-   the gate is unconditional — FIBs, chaos verdicts and per-run
-   timelines must be byte-identical at every width. *)
-let tpar (churns, nseeds) =
+(* TPAR: multicore scale-out — a chaos seed sweep (one scenario per
+   domain, the library's one parallel section) at 1/2/4/8 domains, with
+   the width-1 run as the equivalence oracle. Speedups are whatever the
+   machine gives (BENCH_par.json records its core count); the gate is
+   unconditional — chaos verdicts and per-run timelines must be
+   byte-identical at every width. *)
+let tpar nseeds =
   let widths = [ 1; 2; 4; 8 ] in
-  let spf_track d =
-    let g, net, churn = geant_churn ~domains:d () in
-    Igp.Network.warm net;
-    let samples =
-      wall_samples ~repeat:churns ~prepare:churn (fun () -> Igp.Network.warm net)
-    in
-    (* Serialize every FIB after the last (fake-retracted) reconvergence. *)
-    Igp.Network.warm net;
-    let buf = Buffer.create 65536 in
-    List.iter
-      (fun prefix ->
-        Array.iteri
-          (fun router fib ->
-            Buffer.add_string buf
-              (match fib with
-              | None -> Printf.sprintf "%d/%s -\n" router (Igp.Prefix.to_string prefix)
-              | Some fib ->
-                Format.asprintf "%d/%s %a@." router (Igp.Prefix.to_string prefix)
-                  (Igp.Fib.pp ~names:(G.name g))
-                  fib))
-          (Igp.Network.fib_table net prefix))
-      (Igp.Lsdb.prefix_list (Igp.Network.lsdb net));
-    (best samples, Buffer.contents buf)
-  in
   let seeds = List.init nseeds (fun i -> i + 1) in
   let chaos_track d =
     let pool = Kit.Pool.create ~domains:d () in
@@ -1221,37 +1196,29 @@ let tpar (churns, nseeds) =
     Obs.disable ();
     List.map (fun (v, tl) -> (v, Option.value ~default:"" tl)) results
   in
-  let spf = List.map spf_track widths in
   let chaos = List.map chaos_track widths in
-  let same l = List.for_all (fun (_, x) -> x = snd (List.hd l)) l in
-  let spf_ok = same spf and chaos_ok = same chaos in
+  let chaos_ok = List.for_all (fun (_, x) -> x = snd (List.hd chaos)) chaos in
   let tl1 = timeline_sweep 1 in
   let tl_ok = List.for_all (fun d -> timeline_sweep d = tl1) [ 2; 4 ] in
-  let spf1 = fst (List.hd spf) and chaos1 = fst (List.hd chaos) in
+  let chaos1 = fst (List.hd chaos) in
   let rows =
     List.map2
-      (fun d ((spf_ms, _), (chaos_ms, _)) ->
+      (fun d (chaos_ms, _) ->
         row "par"
           [
             ("domains", num d);
-            ("spf_churn_ms", spf_ms);
-            ("spf_speedup", spf1 /. spf_ms);
             ("chaos_seeds", num nseeds);
             ("chaos_sweep_ms", chaos_ms);
             ("chaos_speedup", chaos1 /. chaos_ms);
           ])
-      widths (List.combine spf chaos)
+      widths chaos
   in
   ( rows
     @ [
         row "par_determinism"
-          [
-            ("spf_fibs", flag spf_ok);
-            ("chaos_verdicts", flag chaos_ok);
-            ("chaos_timelines", flag tl_ok);
-          ];
+          [ ("chaos_verdicts", flag chaos_ok); ("chaos_timelines", flag tl_ok) ];
       ],
-    spf_ok && chaos_ok && tl_ok )
+    chaos_ok && tl_ok )
 
 (* TFIB: prefix-scale FIB. A synthetic Zipf-nested prefix table is
    loaded into the compressed trie; we measure build time, aggregation
@@ -1516,19 +1483,13 @@ let prof_row track ~cycles ~context f =
        ("major_collections", num d.Obs.Prof.major_collections);
        ("wall_ms", wall_ms /. per);
        ("cycles", per);
+       (* Every profiled path runs on the calling domain; the constant
+          keeps the rows' workload keys equal to older history rows. *)
        ("domains", 1.);
      ]
     @ context)
 
 let tprof (churn_cycles, groups, fill_cycles, flows) =
-  (* Allocation attribution needs the work on the measuring domain, and
-     history rows must not depend on the CI matrix width, so every net
-     and kernel here runs single-domain; the width in effect before is
-     restored afterwards. *)
-  let width = Kit.Pool.default_domain_count () in
-  Kit.Pool.set_default_domains (Some 1);
-  Fun.protect ~finally:(fun () -> Kit.Pool.set_default_domains (Some width))
-  @@ fun () ->
   (* SPF churn on GEANT: the TSPF churn loop, reconverging each step. *)
   let spf_churn =
     let g, net, churn = geant_churn () in
@@ -1651,9 +1612,9 @@ let tracks =
     Track
       {
         name = "par";
-        title = "Multicore scale-out: SPF churn, chaos sweeps vs domains";
-        quick = (10, 8);
-        full = (30, 64);
+        title = "Multicore scale-out: chaos seed sweeps vs domains";
+        quick = 8;
+        full = 64;
         run = tpar;
       };
     Track
@@ -1675,7 +1636,7 @@ let tracks =
     Track
       {
         name = "prof";
-        title = "Allocation/GC profile of the hot paths (domains pinned to 1)";
+        title = "Allocation/GC profile of the hot paths";
         quick = (10, 10_000, 3, 1_000);
         full = (30, 50_000, 5, 2_000);
         run = tprof;
@@ -1755,8 +1716,7 @@ let gate_main ~file =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [quick] [json] [domains=N] [--history FILE --tag TAG] \
-     [TRACK...]\n\
+    "usage: main.exe [quick] [json] [--history FILE --tag TAG] [TRACK...]\n\
     \       main.exe gate [--history FILE]\n\
      tracks: %s\n"
     (String.concat " " track_names);
@@ -1765,7 +1725,6 @@ let usage () =
 type opts = {
   quick : bool;
   json : bool;
-  domains : int option;
   history : string option;
   tag : string;
   selected : string list;
@@ -1779,13 +1738,7 @@ let rec parse o = function
   | "--tag" :: tag :: rest -> parse { o with tag } rest
   | a :: rest when List.mem a track_names ->
     parse { o with selected = a :: o.selected } rest
-  | a :: rest -> (
-    match String.split_on_char '=' a with
-    | [ "domains"; d ] -> (
-      match int_of_string_opt d with
-      | Some d when d >= 1 -> parse { o with domains = Some d } rest
-      | _ -> usage ())
-    | _ -> usage ())
+  | _ -> usage ()
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
@@ -1794,11 +1747,9 @@ let () =
   | args ->
     let o =
       parse
-        { quick = false; json = false; domains = None; history = None;
-          tag = "dev"; selected = [] }
+        { quick = false; json = false; history = None; tag = "dev"; selected = [] }
         args
     in
-    Option.iter (fun d -> Kit.Pool.set_default_domains (Some d)) o.domains;
     if o.selected = [] then begin
       f1a ();
       f1b ();

@@ -58,17 +58,25 @@ let topology_arg =
   in
   Arg.(value & opt string "demo" & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
 
-(* --domains N: process-wide worker-pool width. Every pool created after
-   this point (SPF engines, sweep pools) defaults to N. *)
+(* --domains N: the chaos sweep's worker-pool width, the only parallel
+   section. Both inputs are validated here, as prefixes are: zero, a
+   negative or a malformed width, on the flag or in FIBBING_DOMAINS, is
+   a usage error. *)
 let domains_arg =
-  let doc =
-    "Worker domains for parallel sections (SPF sharding, scenario sweeps). \
-     Defaults to the FIBBING_DOMAINS environment variable, else the \
-     machine's recommended domain count."
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some d when d >= 1 -> Ok d
+      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let apply_domains d = Kit.Pool.set_default_domains d
+  let doc =
+    "Worker domains for a $(b,--seeds) sweep, one scenario per domain. \
+     Defaults to the machine's recommended domain count."
+  in
+  let env = Cmd.Env.info "FIBBING_DOMAINS" in
+  Arg.(value & opt (some positive) None & info [ "domains" ] ~env ~docv:"N" ~doc)
 
 (* Prefixes are validated at the CLI boundary: a malformed CIDR is a
    usage error with the parser's reason, not an unroutable destination. *)
@@ -545,8 +553,7 @@ let run_cmd =
 (* ---------- flood ---------- *)
 
 let flood_cmd =
-  let run flows until no_agg domains =
-    apply_domains domains;
+  let run flows until no_agg =
     let d = Scenarios.Demo.make ~fibbing:true ~aggregation:(not no_agg) () in
     let prng = Kit.Prng.create ~seed:11 in
     let spec src =
@@ -615,13 +622,12 @@ let flood_cmd =
      classes, not the number of streams."
   in
   Cmd.v (Cmd.info "flood" ~doc)
-    Term.(const run $ flows $ until $ no_agg $ domains_arg)
+    Term.(const run $ flows $ until $ no_agg)
 
 (* ---------- chaos ---------- *)
 
 let chaos_cmd =
   let run seed until faults trace json seeds domains watchdog =
-    apply_domains domains;
     if seeds <= 1 then begin
       Obs.reset ();
       if trace || json then Obs.enable ();
@@ -646,7 +652,8 @@ let chaos_cmd =
       if json then Obs.enable ();
       let seed_list = List.init seeds (fun i -> seed + i) in
       let results =
-        Scenarios.Chaos.sweep ~faults ~watchdog ~seeds:seed_list ~until ()
+        Scenarios.Chaos.sweep ~pool:(Kit.Pool.create ?domains ()) ~faults
+          ~watchdog ~seeds:seed_list ~until ()
       in
       Obs.disable ();
       let failures = ref 0 in

@@ -16,13 +16,12 @@ type t = {
       (* Chaos knob: per-adjacency delivery jitter (LSA delay/reorder). *)
 }
 
-let create ?domains graph =
+let create graph =
   let lsdb = Lsdb.create graph in
-  let pool = Kit.Pool.create ?domains () in
   {
     graph;
     lsdb;
-    engine = Spf_engine.create ~pool lsdb;
+    engine = Spf_engine.create lsdb;
     control = Flooding.zero;
     flooding_loss = None;
     flooding_jitter = None;
@@ -31,13 +30,10 @@ let create ?domains graph =
 let clone t =
   let graph = Graph.copy t.graph in
   let lsdb = Lsdb.clone t.lsdb graph in
-  let pool =
-    Kit.Pool.create ~domains:(Kit.Pool.domain_count (Spf_engine.pool t.engine)) ()
-  in
   {
     graph;
     lsdb;
-    engine = Spf_engine.create ~pool lsdb;
+    engine = Spf_engine.create lsdb;
     control = Flooding.zero;
     flooding_loss = None;
     flooding_jitter = None;

@@ -5,19 +5,15 @@
 
 type t
 
-val create : ?domains:int -> Netgraph.Graph.t -> t
-(** [domains] sizes the SPF engine's worker pool (default
-    [Kit.Pool.default_domain_count ()]). Scenario sweeps that already
-    run one network per domain pass [~domains:1] so the inner engine
-    stays sequential instead of nesting fan-outs. *)
+val create : Netgraph.Graph.t -> t
+(** Routes are computed on the calling domain ({!Spf_engine}). *)
 
 val clone : t -> t
 (** Independent deep copy (graph, announcements, fakes), built in time
     linear in the prefix and fake counts (see {!Lsdb.clone}); used to
     test a candidate augmentation before touching the live network.
     Fake expiries are not copied. Control-cost
-    counters start at zero in the clone; the SPF pool keeps the
-    original's width. *)
+    counters start at zero in the clone. *)
 
 val graph : t -> Netgraph.Graph.t
 
@@ -43,7 +39,7 @@ val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
 
 val fib_table : t -> Lsa.prefix -> Fib.t option array
 (** Per-router FIBs for one prefix, indexed by router id; computes all
-    routers in one (parallel) batch. Prefer this over calling [fib] in a
+    routers in one batch. Prefer this over calling [fib] in a
     loop when every router is needed. *)
 
 val fibs : t -> Lsa.prefix -> (Netgraph.Graph.node * Fib.t) list
@@ -59,7 +55,7 @@ val distance : t -> router:Netgraph.Graph.node -> Lsa.prefix -> int option
 val next_hops : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Netgraph.Graph.node list
 
 val warm : t -> unit
-(** Precompute every router's FIB table (parallel batch); subsequent
+(** Precompute every router's FIB table (one batch); subsequent
     [fib] lookups are pure hash lookups until the LSDB changes. *)
 
 val engine : t -> Spf_engine.t

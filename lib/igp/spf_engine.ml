@@ -1,8 +1,7 @@
 module Graph = Netgraph.Graph
 module Dijkstra = Netgraph.Dijkstra
 
-(* Telemetry (no-ops while Obs is disabled; only touched from the
-   coordinating domain — workers report through the [spf_runs] atomic). *)
+(* Telemetry (no-ops while Obs is disabled). *)
 let m_spf_runs = Obs.Metrics.counter "spf.runs"
 let m_syncs = Obs.Metrics.counter "spf.syncs"
 let m_full_invalidations = Obs.Metrics.counter "spf.full_invalidations"
@@ -45,11 +44,10 @@ type index = { mutable at : int; routes : (Lsa.prefix, origins) Hashtbl.t }
 
 type t = {
   lsdb : Lsdb.t;
-  pool : Kit.Pool.t;
   mutable slots : slot array; (* indexed by router, valid at [synced] *)
   mutable index : index option;
   mutable synced : int;
-  spf_runs : int Atomic.t; (* bumped from worker domains *)
+  mutable spf_runs : int;
   mutable syncs : int;
   mutable full_invalidations : int;
   mutable routers_dirtied : int;
@@ -60,16 +58,14 @@ type t = {
   mutable dirty_log : (int * dirt) list;
 }
 
-let create ?pool lsdb =
-  let pool = match pool with Some p -> p | None -> Kit.Pool.create () in
+let create lsdb =
   let n = Graph.node_count (Lsdb.base_graph lsdb) in
   {
     lsdb;
-    pool;
     slots = Array.make n Dirty;
     index = None;
     synced = Lsdb.version lsdb;
-    spf_runs = Atomic.make 0;
+    spf_runs = 0;
     syncs = 0;
     full_invalidations = 0;
     routers_dirtied = 0;
@@ -90,11 +86,9 @@ let record_dirt t dirt =
        List.filteri (fun i _ -> i < dirty_log_limit) log
      else log)
 
-let pool t = t.pool
-
 let stats t =
   {
-    spf_runs = Atomic.get t.spf_runs;
+    spf_runs = t.spf_runs;
     syncs = t.syncs;
     full_invalidations = t.full_invalidations;
     routers_dirtied = t.routers_dirtied;
@@ -118,8 +112,7 @@ let build_index lsdb =
 (* The index at the current version. Only a generic delta can change
    announcements, so across fake and weight deltas the index is patched:
    each fake delta re-reads its (announced, hence indexed) prefix's
-   fakes. Must run on the coordinating domain, before any fan-out reads
-   the index. *)
+   fakes. *)
 let index t =
   let version = Lsdb.version t.lsdb in
   let idx =
@@ -155,8 +148,7 @@ let write_row tree tbl prefix { announcers; fakes } =
 
 (* Bring router [r]'s slot to [Current]: a stale-rows slot rewrites only
    its listed rows from the cached stage 1; a dirty one runs stage 1
-   (the only Dijkstra) and every row. Touches slot [r] only, so distinct
-   routers may be refilled in parallel. *)
+   (the only Dijkstra) and every row. *)
 let refill t idx r =
   match t.slots.(r) with
   | Current _ -> ()
@@ -164,7 +156,8 @@ let refill t idx r =
     List.iter (fun p -> write_row tree tbl p (Hashtbl.find idx.routes p)) prefixes;
     t.slots.(r) <- Current (tree, tbl)
   | Dirty ->
-    Atomic.incr t.spf_runs;
+    t.spf_runs <- t.spf_runs + 1;
+    Obs.Metrics.incr m_spf_runs;
     let tree = Spf.shortest_paths (Lsdb.base_graph t.lsdb) ~router:r in
     let tbl = Hashtbl.create (max 8 (2 * Hashtbl.length idx.routes)) in
     Hashtbl.iter (write_row tree tbl) idx.routes;
@@ -359,21 +352,21 @@ let check_router t router =
   if router < 0 || router >= Array.length t.slots then
     invalid_arg "Spf_engine: not a real router"
 
+(* One [spf.recompute] span and [recompute_ms] sample around a refill. *)
+let recompute attrs fill =
+  if Obs.enabled () then begin
+    let t0 = Obs.Clock.now () in
+    Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words ~attrs fill;
+    Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
+  end
+  else fill ()
+
 let table_for t router =
   (match t.slots.(router) with
   | Current _ -> ()
-  | slot ->
+  | Stale_rows _ | Dirty ->
     let idx = index t in
-    let fill () = refill t idx router in
-    if Obs.enabled () then begin
-      let t0 = Obs.Clock.now () in
-      Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words
-        ~attrs:[ ("router", Int router); ("dirty", Int 1) ]
-        fill;
-      Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
-    end
-    else fill ();
-    if is_dirty slot then Obs.Metrics.incr m_spf_runs);
+    recompute [ ("router", Int router); ("dirty", Int 1) ] (fun () -> refill t idx router));
   match t.slots.(router) with
   | Current (_, tbl) -> tbl
   | Stale_rows _ | Dirty -> assert false (* refilled just above *)
@@ -397,31 +390,8 @@ let compute_all t =
   | [] -> ()
   | [ r ] -> ignore (table_for t r)
   | rs ->
-    (* Bring the index up to date before fanning out: [index] mutates
-       engine state and must not race. Workers then only read the index
-       and the graph, and write disjoint slots. *)
     let idx = index t in
-    (* Only stage-1 refills are worth a fan-out: rewriting the rows a
-       lie flagged costs microseconds, less than spawning a domain. *)
-    let dirty, stale = List.partition (fun r -> is_dirty t.slots.(r)) rs in
-    let dirty = Array.of_list dirty in
-    let work () =
-      List.iter (refill t idx) stale;
-      Kit.Pool.iter t.pool ~n:(Array.length dirty) (fun i -> refill t idx dirty.(i))
-    in
-    Obs.Metrics.add m_spf_runs (Array.length dirty);
-    if Obs.enabled () then begin
-      let t0 = Obs.Clock.now () in
-      (* No pool-width attribute here: the timeline must be a pure
-         function of the logical run, byte-identical at any width.
-         (Prof attrs only appear under the separate prof switch, which
-         the determinism-gated paths never enable.) *)
-      Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words
-        ~attrs:[ ("dirty", Int (List.length rs)) ]
-        work;
-      Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
-    end
-    else work ()
+    recompute [ ("dirty", Int (List.length rs)) ] (fun () -> List.iter (refill t idx) rs)
 
 let prefix_table t prefix =
   compute_all t;

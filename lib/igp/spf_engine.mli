@@ -1,4 +1,4 @@
-(** Batched, incremental, parallel SPF/FIB engine.
+(** Batched, incremental SPF/FIB engine.
 
     Routes are computed in two stages ({!Spf}): per router, one Dijkstra
     over the physical graph (stage 1), then every prefix's row from its
@@ -23,12 +23,11 @@
     All rules are sound over-approximations: a kept table is bitwise
     what a from-scratch computation would produce. Flagged and dirty
     routers count alike as dirtied ({!stats}, {!dirtied_since}). They
-    are refilled lazily on lookup, or in bulk by [compute_all], which
-    fans the batch across a [Kit.Pool] of domains (per-router refill is
-    embarrassingly parallel).
+    are refilled lazily on lookup, or in bulk by [compute_all], on the
+    calling domain.
 
-    The engine is not itself thread-safe: calls into one engine must come
-    from a single domain (it parallelizes internally). *)
+    The engine is not thread-safe: calls into one engine must come from
+    a single domain. *)
 
 type t
 
@@ -43,11 +42,8 @@ type stats = {
   routers_kept : int;  (** Tables kept whole across all syncs. *)
 }
 
-val create : ?pool:Kit.Pool.t -> Lsdb.t -> t
-(** A fresh engine has no cached tables. [pool] defaults to a pool sized
-    by [Domain.recommended_domain_count]. *)
-
-val pool : t -> Kit.Pool.t
+val create : Lsdb.t -> t
+(** A fresh engine has no cached tables. *)
 
 val sync : t -> unit
 (** Absorb any pending LSDB changes now, dirtying affected routers.
@@ -63,8 +59,8 @@ val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
 val distance : t -> router:Netgraph.Graph.node -> Lsa.prefix -> int option
 
 val compute_all : t -> unit
-(** Bring every router's table up to date, fanning dirty routers across
-    the pool. *)
+(** Bring every router's table up to date, refilling missing routers in
+    ascending order. *)
 
 val prefix_table : t -> Lsa.prefix -> Fib.t option array
 (** Per-router FIBs for one prefix, indexed by router id ([compute_all]

@@ -1,9 +1,9 @@
 (* Domain-based fork/join worker pool.
 
-   Domains are spawned per [iter] call and always joined before it
+   Domains are spawned per [map] call and always joined before it
    returns, so the pool holds no long-lived resources and needs no
-   shutdown protocol. OCaml domain spawn is cheap relative to an SPF
-   batch, and ephemeral domains sidestep the hazards of a persistent
+   shutdown protocol. OCaml domain spawn is cheap relative to a chaos
+   scenario, and ephemeral domains sidestep the hazards of a persistent
    pool (domains outliving the main domain at exit, deadlocks on
    teardown).
 
@@ -22,8 +22,7 @@ type t = { domains : int }
 (* Process-wide default width, consulted by [create] when [?domains]
    is absent: an explicit [set_default_domains] override wins, then the
    FIBBING_DOMAINS environment variable, then the runtime's
-   recommendation. This is what the --domains knobs of fibbingctl and
-   bench/main set, so one flag reshapes every pool in the process. *)
+   recommendation. *)
 let default_override : int option Atomic.t = Atomic.make None
 
 let env_domains () =
@@ -32,7 +31,9 @@ let env_domains () =
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some d when d >= 1 -> Some d
-    | Some _ | None -> None)
+    | Some _ | None ->
+      invalid_arg
+        (Printf.sprintf "FIBBING_DOMAINS=%S: expected a positive integer" s))
 
 let set_default_domains d =
   Atomic.set default_override (Option.map (max 1) d)
@@ -52,8 +53,6 @@ let create ?domains () =
     | None -> default_domain_count ()
   in
   { domains }
-
-let domain_count t = t.domains
 
 (* ~8 claims per participant amortizes the atomic traffic while leaving
    enough chunks for load balancing under uneven per-item cost. *)

@@ -1,7 +1,11 @@
 (** Fork/join worker pool over OCaml 5 domains.
 
+    The library's one parallel section is the chaos seed sweep
+    ([Scenarios.Chaos.sweep]), one scenario per domain; everything else
+    runs on the calling domain.
+
     A pool is a concurrency budget, not a set of live threads: every
-    [iter]/[map] call spawns up to [domains - 1] helper domains, has the
+    [map] call spawns up to [domains - 1] helper domains, has the
     calling domain participate too, and joins all helpers before
     returning. Work items are claimed from a shared atomic cursor in
     chunks (one fetch-and-add per ~[n / (domains * 8)] items), so uneven
@@ -21,37 +25,27 @@ val create : ?domains:int -> unit -> t
     overrides it; values below 1 are clamped to 1 (purely
     sequential). *)
 
-val domain_count : t -> int
-
 val default_domain_count : unit -> int
 (** The width [create] uses when [?domains] is absent: the
     {!set_default_domains} override if set, else the FIBBING_DOMAINS
-    environment variable (ignored unless a positive integer), else
-    [Domain.recommended_domain_count ()]. *)
+    environment variable, else [Domain.recommended_domain_count ()].
+    Raises [Invalid_argument] naming the variable and its value when
+    FIBBING_DOMAINS is set to anything but a positive integer. *)
 
 val set_default_domains : int option -> unit
-(** Process-wide default width override — what the [--domains] knobs of
-    fibbingctl and bench/main install, so one flag reshapes every pool
-    subsequently created without an explicit [?domains]. [Some d] clamps
+(** Process-wide default width override, for every pool subsequently
+    created without an explicit [?domains]. [Some d] clamps
     [d] to at least 1; [None] restores the environment/runtime
     default. Existing pools are unaffected. *)
 
-val iter : t -> n:int -> (int -> unit) -> unit
-(** [iter t ~n f] runs [f i] for every [i] in [0, n), fanned across the
-    pool's domains. Returns once every index has been claimed and all
-    helper domains have been joined.
-
-    Partial progress on exception: if any call to [f] raises, the first
-    captured exception is re-raised on the caller after all helpers are
-    joined. Other participants stop at their next chunk boundary, so an
-    arbitrary subset of the remaining indices — including indices after
-    the raising one — may or may not have been processed. Callers that
-    need all-or-nothing semantics must build into fresh storage and
-    publish only on normal return. *)
-
 val map : t -> n:int -> (int -> 'a) -> 'a array
-(** [map t ~n f] is [iter] collecting results: element [i] of the
-    returned array is [f i], so callers need not hand-roll a result
-    array around [iter]. The same partial-progress contract applies: if
-    any [f i] raises, the array under construction is abandoned and the
-    first exception is re-raised — no partially-filled result escapes. *)
+(** [map t ~n f] runs [f i] for every [i] in [0, n), fanned across the
+    pool's domains, and returns the results in index order. Returns once
+    every index has been claimed and all helper domains have been
+    joined.
+
+    On exception: if any call to [f] raises, the first captured
+    exception is re-raised on the caller after all helpers are joined,
+    and no partially-filled result escapes. Other participants stop at
+    their next chunk boundary, so an arbitrary subset of the remaining
+    indices may or may not have run [f]. *)

@@ -39,12 +39,12 @@ let relax_after = 10.
 
 let quiet = 40.
 
-let run ?domains ?(faults = 4) ?(watchdog = true) ~seed ~until () =
+let run ?(faults = 4) ?(watchdog = true) ~seed ~until () =
   if until < 16. then invalid_arg "Chaos.run: until must be >= 16";
   let demo = Netgraph.Topologies.demo () in
   let g = demo.graph in
   let pristine = Graph.copy g in
-  let net = Igp.Network.create ?domains g in
+  let net = Igp.Network.create g in
   Igp.Network.announce_prefix net prefix ~origin:demo.c ~cost:0;
   let mb = 1024. *. 1024. in
   let caps = Netsim.Link.capacities ~default:(11. *. mb) in
@@ -124,7 +124,7 @@ let run ?domains ?(faults = 4) ?(watchdog = true) ~seed ~until () =
   let fakes_left = Igp.Lsdb.fake_count (Igp.Network.lsdb net) in
   (* Ground truth: a from-scratch, never-faulted network over the same
      topology must agree with every surviving FIB. *)
-  let reference = Igp.Network.create ?domains (Graph.copy pristine) in
+  let reference = Igp.Network.create (Graph.copy pristine) in
   Igp.Network.announce_prefix reference prefix ~origin:demo.c ~cost:0;
   let fibs_match =
     List.for_all
@@ -158,16 +158,13 @@ let run ?domains ?(faults = 4) ?(watchdog = true) ~seed ~until () =
 (* One scenario per domain. Each run is wrapped in [Obs.capture], so its
    sequence numbers restart at 0 and its events stay in domain-private
    buffers: the timeline of run k is byte-identical whether the sweep
-   executes on 1 domain or 8, in whatever interleaving. The inner
-   networks are built with [~domains:1] — the parallelism budget is
-   spent across scenarios, not nested inside each SPF batch. *)
-let sweep ?pool ?faults ?watchdog ~seeds ~until () =
-  let pool = match pool with Some p -> p | None -> Kit.Pool.create () in
+   executes on 1 domain or 8, in whatever interleaving. *)
+let sweep ~pool ?faults ?watchdog ~seeds ~until () =
   let seeds = Array.of_list seeds in
   Kit.Pool.map pool ~n:(Array.length seeds) (fun i ->
       let v, cap =
         Obs.capture (fun () ->
-            run ~domains:1 ?faults ?watchdog ~seed:seeds.(i) ~until ())
+            run ?faults ?watchdog ~seed:seeds.(i) ~until ())
       in
       let timeline =
         if Obs.enabled () then Some (Obs.capture_json cap) else None

@@ -39,7 +39,6 @@ val ok : verdict -> bool
     every step. *)
 
 val run :
-  ?domains:int ->
   ?faults:int ->
   ?watchdog:bool ->
   seed:int ->
@@ -50,23 +49,21 @@ val run :
     [until - 4]; the run continues for a fixed quiescence tail past
     [until]. Requires [until >= 16]. With [Obs] telemetry enabled the
     whole run is traced on the shared timeline ([fibbingctl chaos]).
-    [domains] sizes the run's inner SPF pool (see
-    {!Igp.Network.create}); the verdict does not depend on it.
     [watchdog] (default [true]) arms a {!Netsim.Watchdog} after the
     controller attaches and wires guard purges into the controller's
     quarantine hold-down; the controller sits at R3, so during a
     partition it only reacts to links its side can observe. *)
 
 val sweep :
-  ?pool:Kit.Pool.t ->
+  pool:Kit.Pool.t ->
   ?faults:int ->
   ?watchdog:bool ->
   seeds:int list ->
   until:float ->
   unit ->
   (verdict * string option) list
-(** [run] over every seed, one scenario per domain of [pool] (default: a
-    fresh pool at the process default width), results in [seeds] order.
+(** [run] over every seed, one scenario per domain of [pool], results in
+    [seeds] order. This is the library's only parallel section.
     When telemetry is enabled each run executes inside [Obs.capture] and
     pairs its verdict with its private timeline rendered as JSON lines
     ([None] while disabled) — sequence numbers restart at 0 per run, so

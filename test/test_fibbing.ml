@@ -1245,11 +1245,11 @@ let test_tie_upstream_neighbour () =
   | _ -> Alcotest.fail "no escalation from the tied router"
 
 (* One reaction on the demo's hot B-R2 link, [streams] streams in the
-   same two classes (A's and B's). One domain: [Gc.allocated_bytes]
-   counts the calling domain only, so SPF fan-out would hide words. *)
+   same two classes (A's and B's). [Gc.allocated_bytes] counts the
+   calling domain only, which runs the whole reaction. *)
 let react_allocated_bytes ~streams =
   let d = T.demo () in
-  let net = Igp.Network.create ~domains:1 d.graph in
+  let net = Igp.Network.create d.graph in
   Igp.Network.announce_prefix net (pfx "blue") ~origin:d.c ~cost:0;
   let caps = Netsim.Link.capacities ~default:(11. *. 1024. *. 1024.) in
   Netsim.Link.set_link caps (d.b, d.r2) (2.75 *. 1024. *. 1024.);

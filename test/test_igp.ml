@@ -523,7 +523,7 @@ let test_engine_incremental_keeps_routers () =
 let test_engine_warm_linear_in_prefixes () =
   let warm_bytes n =
     let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
-    let net = Igp.Network.create ~domains:1 g in
+    let net = Igp.Network.create g in
     let prng = Kit.Prng.create ~seed:23 in
     let nodes = Array.of_list (G.nodes g) in
     List.iter
@@ -625,7 +625,7 @@ let prop_engine_matches_scratch =
       let agrees () =
         let view = Spf_oracle.view (Igp.Network.lsdb net) in
         (* p0 through per-router lookups, p1 through the batched
-           (pool-backed) table, so both engine paths are checked. *)
+           table ([compute_all]), so both engine paths are checked. *)
         let table1 = Igp.Network.fib_table net (pfx "p1") in
         List.for_all
           (fun router ->

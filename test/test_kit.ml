@@ -175,15 +175,15 @@ let prop_int_heap_sorts =
 
 (* ---------- Pool ---------- *)
 
-let test_pool_iter_covers_all () =
+let test_pool_map_covers_all () =
   let pool = Kit.Pool.create ~domains:4 () in
-  Alcotest.(check int) "domain count" 4 (Kit.Pool.domain_count pool);
   let n = 1000 in
   let hits = Array.make n 0 in
   (* Disjoint slots: each index is claimed exactly once. *)
-  Kit.Pool.iter pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  let ids = Kit.Pool.map pool ~n (fun i -> hits.(i) <- hits.(i) + 1; i) in
   Alcotest.(check bool) "each index exactly once" true
-    (Array.for_all (fun h -> h = 1) hits)
+    (Array.for_all (fun h -> h = 1) hits);
+  Alcotest.(check (array int)) "results in index order" (Array.init n Fun.id) ids
 
 let test_pool_map_results () =
   let pool = Kit.Pool.create ~domains:3 () in
@@ -193,14 +193,15 @@ let test_pool_map_results () =
 let test_pool_sequential_degenerate () =
   let pool = Kit.Pool.create ~domains:1 () in
   let sum = ref 0 in
-  Kit.Pool.iter pool ~n:100 (fun i -> sum := !sum + i);
+  ignore (Kit.Pool.map pool ~n:100 (fun i -> sum := !sum + i));
   Alcotest.(check int) "sequential sum" 4950 !sum;
-  Kit.Pool.iter pool ~n:0 (fun _ -> Alcotest.fail "no work expected")
+  Alcotest.(check int) "no work, no results" 0
+    (Array.length (Kit.Pool.map pool ~n:0 (fun _ -> Alcotest.fail "no work expected")))
 
 let test_pool_propagates_exception () =
   let pool = Kit.Pool.create ~domains:4 () in
   Alcotest.check_raises "first failure re-raised" (Failure "boom") (fun () ->
-      Kit.Pool.iter pool ~n:64 (fun i -> if i = 13 then failwith "boom"))
+      ignore (Kit.Pool.map pool ~n:64 (fun i -> if i = 13 then failwith "boom")))
 
 let test_pool_uneven_chunks () =
   (* n smaller than, equal to, and not divisible by the claim
@@ -209,7 +210,7 @@ let test_pool_uneven_chunks () =
   List.iter
     (fun n ->
       let hits = Array.make (max n 1) 0 in
-      Kit.Pool.iter pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+      ignore (Kit.Pool.map pool ~n (fun i -> hits.(i) <- hits.(i) + 1));
       Alcotest.(check int)
         (Printf.sprintf "n=%d covered exactly once" n)
         n
@@ -221,12 +222,35 @@ let test_pool_default_domains_override () =
   Alcotest.(check bool) "default is positive" true (initial >= 1);
   Kit.Pool.set_default_domains (Some 3);
   Alcotest.(check int) "override wins" 3 (Kit.Pool.default_domain_count ());
-  let pool = Kit.Pool.create () in
-  Alcotest.(check int) "create picks up override" 3
-    (Kit.Pool.domain_count pool);
+  (* At width 1 no helper is spawned: every index runs on the caller. *)
+  Kit.Pool.set_default_domains (Some 1);
+  let self = Domain.self () in
+  Alcotest.(check bool) "create picks up override" true
+    (Array.for_all (( = ) self) (Kit.Pool.map (Kit.Pool.create ()) ~n:64 (fun _ -> Domain.self ())));
   Kit.Pool.set_default_domains None;
   Alcotest.(check int) "override cleared" initial
     (Kit.Pool.default_domain_count ())
+
+(* A malformed or non-positive FIBBING_DOMAINS is an error naming the
+   variable, not a silent fallback. The variable cannot be unset again,
+   so an unset one is restored to the width it stood for. *)
+let test_pool_env_domains_rejected () =
+  let initial = Kit.Pool.default_domain_count () in
+  let restore =
+    Option.value (Sys.getenv_opt "FIBBING_DOMAINS") ~default:(string_of_int initial)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "FIBBING_DOMAINS" restore)
+    (fun () ->
+      List.iter
+        (fun v ->
+          Unix.putenv "FIBBING_DOMAINS" v;
+          Alcotest.check_raises (Printf.sprintf "FIBBING_DOMAINS=%s" v)
+            (Invalid_argument
+               (Printf.sprintf "FIBBING_DOMAINS=%S: expected a positive integer" v))
+            (fun () -> ignore (Kit.Pool.default_domain_count ())))
+        [ "abc"; "0"; "-3"; "" ]);
+  Alcotest.(check int) "restored" initial (Kit.Pool.default_domain_count ())
 
 (* ---------- Stats ---------- *)
 
@@ -418,7 +442,7 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "iter covers all" `Quick test_pool_iter_covers_all;
+          Alcotest.test_case "map covers all" `Quick test_pool_map_covers_all;
           Alcotest.test_case "map results" `Quick test_pool_map_results;
           Alcotest.test_case "sequential degenerate" `Quick
             test_pool_sequential_degenerate;
@@ -428,6 +452,8 @@ let () =
             test_pool_uneven_chunks;
           Alcotest.test_case "default domains override" `Quick
             test_pool_default_domains_override;
+          Alcotest.test_case "malformed FIBBING_DOMAINS rejected" `Quick
+            test_pool_env_domains_rejected;
         ] );
       qsuite "heap-props" [ prop_heap_sorts; prop_int_heap_sorts ];
       ( "stats",

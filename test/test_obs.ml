@@ -361,7 +361,7 @@ let test_parallel_counter_increments () =
   with_obs (fun () ->
       let c = Obs.Metrics.counter "test.parallel.counter" in
       let pool = Kit.Pool.create ~domains:4 () in
-      Kit.Pool.iter pool ~n:1000 (fun _ -> Obs.Metrics.incr c);
+      ignore (Kit.Pool.map pool ~n:1000 (fun _ -> Obs.Metrics.incr c));
       Alcotest.(check int) "no lost updates across domains" 1000
         (counter_value "test.parallel.counter"))
 
@@ -707,6 +707,53 @@ let test_history_file_roundtrip () =
       Alcotest.(check bool) "rows round-trip exactly" true
         (back = rows @ rows))
 
+let with_history_file contents f =
+  let file = Filename.temp_file "fibbing_hist" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc contents);
+      f file)
+
+let history_lines rows =
+  String.concat "" (List.map (fun r -> Obs.History.row_to_json r ^ "\n") rows)
+
+(* The reader is total: a mangled history file yields rows or the
+   documented [Failure], never another exception. *)
+let prop_history_load_total =
+  Fuzz.total ~name:"History.load returns rows or raises Failure" ~count:1000
+    ~run:(fun s ->
+      with_history_file s (fun file ->
+          match Obs.History.load ~file with
+          | rows -> Ok rows
+          | exception Failure msg -> Error msg))
+    [
+      history_lines [ hrow "aaa" "spf_churn" [ ("alloc_words", 59087.7); ("routers", 22.) ] ];
+      history_lines
+        [ hrow "a" "t" [ ("wall_ms", 5.) ]; hrow "b" "t" [ ("wall_ms", -1.5e-7) ] ];
+      history_lines [ hrow "x\ty" "\"q\"" [] ];
+    ]
+
+let history_rows =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 8) in
+  let key = map (fun k -> if k = "tag" || k = "track" then k ^ "_" else k) str in
+  let value = map (fun v -> if Float.is_finite v then v else 0.) float in
+  let row =
+    map3
+      (fun tag track values -> { Obs.History.tag; track; values })
+      str str
+      (list_size (0 -- 6) (pair key value))
+  in
+  QCheck.make ~print:history_lines (list_size (0 -- 5) row)
+
+let prop_history_round_trip =
+  QCheck.Test.make ~name:"History.append then load round-trips" ~count:500
+    history_rows (fun rows ->
+      with_history_file "" (fun file ->
+          Obs.History.append ~file rows;
+          Obs.History.load ~file = rows))
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
@@ -799,4 +846,5 @@ let () =
           Alcotest.test_case "file round-trip" `Quick
             test_history_file_roundtrip;
         ] );
+      qsuite "history-props" [ prop_history_load_total; prop_history_round_trip ];
     ]
