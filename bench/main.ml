@@ -1489,6 +1489,25 @@ let prof_row track ~cycles ~context f =
      ]
     @ context)
 
+(* Prefix rows the SPF engines write during [f ()], read from the
+   [spf.rows_written] counter with telemetry on, in a private scope so
+   the spans and events it records are dropped. Run it outside the
+   profiled cycles: telemetry allocates. *)
+let rows_written f =
+  let read () =
+    match List.assoc_opt "spf.rows_written" (Obs.Metrics.dump ()) with
+    | Some (Obs.Metrics.Counter n) -> n
+    | Some _ | None -> 0
+  in
+  let n, _ =
+    Obs.capture (fun () ->
+        Obs.enable ();
+        let before = read () in
+        Fun.protect ~finally:Obs.disable f;
+        read () - before)
+  in
+  n
+
 let tprof (churn_cycles, groups, fill_cycles, flows) =
   (* SPF churn on GEANT: the TSPF churn loop, reconverging each step. *)
   let spf_churn =
@@ -1563,17 +1582,34 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
   (* One controller reaction to the crowd's hot links, from the same
      lie-free state each cycle: a fresh controller reacts, then
      withdraws its lies. The controller reads Sim's demand matrix, so
-     these words do not grow with [flows]; a per-stream scan would. *)
+     these words do not grow with [flows]; a per-stream scan would.
+     [rows_written] counts the prefix rows every SPF engine writes in
+     one cycle, the what-if clones' included. *)
   let reacted = ref true in
   let react =
     let d = crowd ~fibbing:false in
-    prof_row "react" ~cycles:5
-      ~context:[ ("flows", num flows) ]
-      (fun () ->
-        let controller = Fibbing.Controller.create d.net in
-        Fibbing.Controller.react controller d.sim [];
-        if Fibbing.Controller.fake_count controller = 0 then reacted := false;
-        Fibbing.Controller.withdraw_all controller)
+    (* Prefixes no stream is aimed at: only a clone that refilled whole
+       tables would write their rows. *)
+    let idle = 64 in
+    for i = 0 to idle - 1 do
+      Igp.Network.announce_prefix d.net
+        (Igp.Prefix.v (Printf.sprintf "idle%d" i))
+        ~origin:(i mod G.node_count (Igp.Network.graph d.net))
+        ~cost:1
+    done;
+    Igp.Network.warm d.net;
+    let cycle () =
+      let controller = Fibbing.Controller.create d.net in
+      Fibbing.Controller.react controller d.sim [];
+      if Fibbing.Controller.fake_count controller = 0 then reacted := false;
+      Fibbing.Controller.withdraw_all controller
+    in
+    let row =
+      prof_row "react" ~cycles:5
+        ~context:[ ("flows", num flows); ("prefixes", num (idle + 1)) ]
+        cycle
+    in
+    { row with values = row.values @ [ ("rows_written", num (rows_written cycle)) ] }
   in
   ([ spf_churn; water_fill; sim_step; react ], !reacted)
 

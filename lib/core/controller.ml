@@ -557,7 +557,6 @@ let install_requirements t ~time ~prefix ~description routers =
          Reject any steering whose end state is not loop-free. *)
       let scratch = Igp.Network.clone t.net in
       Augmentation.apply scratch plan;
-      Igp.Network.warm scratch;
       (match Igp.Safety.state_safe scratch ~prefix with
       | Error reason ->
         rollback (Printf.sprintf "rejected steering (unsafe end state): %s" reason)

@@ -33,7 +33,7 @@ let clone t =
   {
     graph;
     lsdb;
-    engine = Spf_engine.create lsdb;
+    engine = Spf_engine.clone t.engine lsdb;
     control = Flooding.zero;
     flooding_loss = None;
     flooding_jitter = None;

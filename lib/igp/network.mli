@@ -9,11 +9,17 @@ val create : Netgraph.Graph.t -> t
 (** Routes are computed on the calling domain ({!Spf_engine}). *)
 
 val clone : t -> t
-(** Independent deep copy (graph, announcements, fakes), built in time
-    linear in the prefix and fake counts (see {!Lsdb.clone}); used to
-    test a candidate augmentation before touching the live network.
-    Fake expiries are not copied. Control-cost
-    counters start at zero in the clone. *)
+(** A what-if copy, used to test a candidate augmentation before
+    touching the live network. The clone owns a copy of the graph and of
+    the LSDB (announcements and fakes, in time linear in their number;
+    see {!Lsdb.clone}); fake expiries are not copied. Its routes start
+    warm ({!Spf_engine.clone}): the parent's engine is synced, then its
+    stage-1 trees are shared read-only, and routers dirty in the parent
+    stay dirty. The clone computes a prefix's row at a router only when
+    a lookup ([fib], [fib_table], [distance], ...) first asks for it, so
+    a query about one prefix costs one row per router and no Dijkstra.
+    Trees are immutable, so no later mutation of either network reaches
+    the other. Control-cost counters and engine stats start at zero. *)
 
 val graph : t -> Netgraph.Graph.t
 
@@ -26,7 +32,8 @@ val inject_fake : t -> Lsa.fake -> unit
 (** Install a fake LSA and account its flooding cost. *)
 
 val retract_fake : t -> fake_id:string -> unit
-(** Retract (purge) a fake LSA; purges flood like installations. *)
+(** Retract (purge) a fake LSA; purges flood like installations. Raises
+    [Not_found] if no fake with this id is installed. *)
 
 val retract_all_fakes : t -> unit
 
@@ -39,7 +46,7 @@ val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
 
 val fib_table : t -> Lsa.prefix -> Fib.t option array
 (** Per-router FIBs for one prefix, indexed by router id; computes all
-    routers in one batch. Prefer this over calling [fib] in a
+    routers in one batch (in a clone, only this prefix's rows). Prefer this over calling [fib] in a
     loop when every router is needed. *)
 
 val fibs : t -> Lsa.prefix -> (Netgraph.Graph.node * Fib.t) list
@@ -56,7 +63,8 @@ val next_hops : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Netgraph.Graph.
 
 val warm : t -> unit
 (** Precompute every router's FIB table (one batch); subsequent
-    [fib] lookups are pure hash lookups until the LSDB changes. *)
+    [fib] lookups are pure hash lookups until the LSDB changes. A clone
+    computes only every router's stage 1: its rows stay on demand. *)
 
 val engine : t -> Spf_engine.t
 (** The underlying SPF engine (stats, explicit sync). *)

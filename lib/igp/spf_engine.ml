@@ -7,6 +7,7 @@ let m_syncs = Obs.Metrics.counter "spf.syncs"
 let m_full_invalidations = Obs.Metrics.counter "spf.full_invalidations"
 let m_routers_dirtied = Obs.Metrics.counter "spf.routers_dirtied"
 let m_routers_kept = Obs.Metrics.counter "spf.routers_kept"
+let m_rows_written = Obs.Metrics.counter "spf.rows_written"
 let m_recompute_ms = Obs.Metrics.histogram "spf.recompute_ms"
 let m_alloc_words = Obs.Metrics.counter "spf.alloc_words"
 let g_dirty = Obs.Metrics.gauge "spf.dirty_routers"
@@ -17,6 +18,7 @@ type stats = {
   full_invalidations : int;
   routers_dirtied : int;
   routers_kept : int;
+  rows_written : int;
 }
 
 (* One dirty-log event: the set of routers whose cached tables a sync
@@ -28,14 +30,18 @@ type dirt = Full_dirt | Routers_dirt of Graph.node list
 type table = (Lsa.prefix, Fib.t) Hashtbl.t
 
 (* A router's cached state. Only [Current] counts as a kept table; the
-   other two are what the dirty accounting calls dropped, and the next
-   lookup refills them. *)
+   next two are what the dirty accounting calls dropped, and the next
+   lookup refills them. A clone's slots are [On_demand] or [Dirty]. *)
 type slot =
   | Current of Spf.tree * table
   | Stale_rows of Spf.tree * table * Lsa.prefix list
       (* Stage 1 still holds; the listed prefixes' rows must be
          rewritten (fake deltas), every other row is current. *)
   | Dirty (* Stage 1 must rerun (one Dijkstra), then every row. *)
+  | On_demand of Spf.tree * (Lsa.prefix, Fib.t option) Hashtbl.t
+      (* Stage 1 (the tree may be shared with the engine this one was
+         cloned from: trees are immutable) and the rows asked for so
+         far; a prefix absent from the table has not been asked for. *)
 
 type origins = { announcers : (Graph.node * int) list; fakes : Lsa.fake list }
 
@@ -44,6 +50,9 @@ type index = { mutable at : int; routes : (Lsa.prefix, origins) Hashtbl.t }
 
 type t = {
   lsdb : Lsdb.t;
+  on_demand : bool;
+      (* A clone: a refill runs stage 1 only, and each row is computed
+         when a lookup first asks for it. *)
   mutable slots : slot array; (* indexed by router, valid at [synced] *)
   mutable index : index option;
   mutable synced : int;
@@ -52,17 +61,18 @@ type t = {
   mutable full_invalidations : int;
   mutable routers_dirtied : int;
   mutable routers_kept : int;
+  mutable rows_written : int;
   (* Bounded log of invalidation events for [dirtied_since]: newest
      first, generations are consecutive. *)
   mutable dirty_gen : int;
   mutable dirty_log : (int * dirt) list;
 }
 
-let create lsdb =
-  let n = Graph.node_count (Lsdb.base_graph lsdb) in
+let make lsdb ~on_demand slots =
   {
     lsdb;
-    slots = Array.make n Dirty;
+    on_demand;
+    slots;
     index = None;
     synced = Lsdb.version lsdb;
     spf_runs = 0;
@@ -70,9 +80,13 @@ let create lsdb =
     full_invalidations = 0;
     routers_dirtied = 0;
     routers_kept = 0;
+    rows_written = 0;
     dirty_gen = 0;
     dirty_log = [];
   }
+
+let create lsdb =
+  make lsdb ~on_demand:false (Array.make (Graph.node_count (Lsdb.base_graph lsdb)) Dirty)
 
 (* Enough depth that a simulation step's worth of churn never overflows;
    a cursor older than the tail reports [None] (full fallback). *)
@@ -93,6 +107,7 @@ let stats t =
     full_invalidations = t.full_invalidations;
     routers_dirtied = t.routers_dirtied;
     routers_kept = t.routers_kept;
+    rows_written = t.rows_written;
   }
 
 let build_index lsdb =
@@ -141,27 +156,36 @@ let index t =
   t.index <- Some idx;
   idx
 
-let write_row tree tbl prefix { announcers; fakes } =
-  match Spf.prefix_fib tree prefix ~announcers ~fakes with
+let prefix_row t tree prefix { announcers; fakes } =
+  t.rows_written <- t.rows_written + 1;
+  Obs.Metrics.incr m_rows_written;
+  Spf.prefix_fib tree prefix ~announcers ~fakes
+
+let write_row t tree tbl prefix origins =
+  match prefix_row t tree prefix origins with
   | Some fib -> Hashtbl.replace tbl prefix fib
   | None -> Hashtbl.remove tbl prefix
 
-(* Bring router [r]'s slot to [Current]: a stale-rows slot rewrites only
-   its listed rows from the cached stage 1; a dirty one runs stage 1
-   (the only Dijkstra) and every row. *)
+(* Bring router [r]'s slot to [Current] (or, in a clone, [On_demand]):
+   a stale-rows slot rewrites only its listed rows from the cached stage
+   1; a dirty one runs stage 1 (the only Dijkstra), then every row, or
+   none in a clone. *)
 let refill t idx r =
   match t.slots.(r) with
-  | Current _ -> ()
+  | Current _ | On_demand _ -> ()
   | Stale_rows (tree, tbl, prefixes) ->
-    List.iter (fun p -> write_row tree tbl p (Hashtbl.find idx.routes p)) prefixes;
+    List.iter (fun p -> write_row t tree tbl p (Hashtbl.find idx.routes p)) prefixes;
     t.slots.(r) <- Current (tree, tbl)
   | Dirty ->
     t.spf_runs <- t.spf_runs + 1;
     Obs.Metrics.incr m_spf_runs;
     let tree = Spf.shortest_paths (Lsdb.base_graph t.lsdb) ~router:r in
-    let tbl = Hashtbl.create (max 8 (2 * Hashtbl.length idx.routes)) in
-    Hashtbl.iter (write_row tree tbl) idx.routes;
-    t.slots.(r) <- Current (tree, tbl)
+    if t.on_demand then t.slots.(r) <- On_demand (tree, Hashtbl.create 8)
+    else begin
+      let tbl = Hashtbl.create (max 8 (2 * Hashtbl.length idx.routes)) in
+      Hashtbl.iter (write_row t tree tbl) idx.routes;
+      t.slots.(r) <- Current (tree, tbl)
+    end
 
 let drop_all t = Array.fill t.slots 0 (Array.length t.slots) Dirty
 
@@ -191,7 +215,9 @@ let invalidate_all t =
    distance. That makes the sequential test sound for arbitrary
    install/retract interleavings, including supersessions (logged as
    retract + install). A flagged router keeps its stage 1 and all other
-   rows; only the flagged rows are rewritten on refill. *)
+   rows; only the flagged rows are rewritten on refill. A clone drops
+   the prefix's rows at every router: recomputing one row costs less
+   than the test. *)
 let apply_fake_delta t ~attachment ~cost ~prefix =
   let flags tree tbl =
     match Spf.distance tree attachment with
@@ -209,7 +235,8 @@ let apply_fake_delta t ~attachment ~cost ~prefix =
         if flags tree tbl then t.slots.(r) <- Stale_rows (tree, tbl, [ prefix ])
       | Stale_rows (tree, tbl, prefixes) ->
         if (not (List.mem prefix prefixes)) && flags tree tbl then
-          t.slots.(r) <- Stale_rows (tree, tbl, prefix :: prefixes))
+          t.slots.(r) <- Stale_rows (tree, tbl, prefix :: prefixes)
+      | On_demand (_, rows) -> Hashtbl.remove rows prefix)
     t.slots
 
 (* Weight change on directed edge (u, v), evaluated on the post-change
@@ -243,7 +270,7 @@ let apply_weight_delta t ~u ~v ~old_weight ~new_weight =
       (fun r slot ->
         match slot with
         | Dirty -> ()
-        | Current _ | Stale_rows _ -> (
+        | Current _ | Stale_rows _ | On_demand _ -> (
           match Dijkstra.distance from_u r with
           | None -> () (* r can't reach u, so it can't use the edge *)
           | Some d_ru ->
@@ -274,8 +301,14 @@ let apply_deltas t deltas =
       true
     | _ -> false
 
-let is_current = function Current _ -> true | Stale_rows _ | Dirty -> false
-let is_dirty = function Dirty -> true | Current _ | Stale_rows _ -> false
+let is_current = function Current _ -> true | Stale_rows _ | Dirty | On_demand _ -> false
+let is_dirty = function Dirty -> true | Current _ | Stale_rows _ | On_demand _ -> false
+let needs_refill = function Stale_rows _ | Dirty -> true | Current _ | On_demand _ -> false
+
+let precise t =
+  match Lsdb.deltas_since t.lsdb ~since:t.synced with
+  | None -> false
+  | Some deltas -> apply_deltas t deltas
 
 let sync t =
   let current = Lsdb.version t.lsdb in
@@ -288,17 +321,20 @@ let sync t =
       count_full_invalidation t;
       record_dirt t Full_dirt
     end
-    else if not (Array.for_all is_dirty t.slots) then begin
+    else if Array.for_all is_dirty t.slots then ()
+    else if t.on_demand then begin
+      (* A clone counts no kept, dirtied or dropped tables and emits no
+         timeline event; its dirt log reports every sync as a full
+         change. *)
+      if not (precise t) then drop_all t;
+      record_dirt t Full_dirt
+    end
+    else begin
       (* The counters and the timeline see [Current] slots only: a slot
          already waiting for a refill is neither kept nor dirtied again. *)
       let was_current = Array.map is_current t.slots in
       let before = Array.fold_left (fun k c -> if c then k + 1 else k) 0 was_current in
-      let precise =
-        match Lsdb.deltas_since t.lsdb ~since:t.synced with
-        | None -> false
-        | Some deltas -> apply_deltas t deltas
-      in
-      if not precise then begin
+      if not (precise t) then begin
         drop_all t;
         if before > 0 then count_full_invalidation t
       end;
@@ -361,20 +397,32 @@ let recompute attrs fill =
   end
   else fill ()
 
-let table_for t router =
-  (match t.slots.(router) with
-  | Current _ -> ()
-  | Stale_rows _ | Dirty ->
+let ensure t router =
+  if needs_refill t.slots.(router) then begin
     let idx = index t in
-    recompute [ ("router", Int router); ("dirty", Int 1) ] (fun () -> refill t idx router));
+    recompute [ ("router", Int router); ("dirty", Int 1) ] (fun () -> refill t idx router)
+  end
+
+(* The router's row for [prefix]; its slot must be refilled. *)
+let row t router prefix =
   match t.slots.(router) with
-  | Current (_, tbl) -> tbl
-  | Stale_rows _ | Dirty -> assert false (* refilled just above *)
+  | Current (_, tbl) -> Hashtbl.find_opt tbl prefix
+  | On_demand (tree, rows) -> (
+    match Hashtbl.find_opt rows prefix with
+    | Some row -> row
+    | None ->
+      let row =
+        Option.bind (Hashtbl.find_opt (index t).routes prefix) (prefix_row t tree prefix)
+      in
+      Hashtbl.replace rows prefix row;
+      row)
+  | Stale_rows _ | Dirty -> assert false
 
 let fib t ~router prefix =
   sync t;
   check_router t router;
-  Hashtbl.find_opt (table_for t router) prefix
+  ensure t router;
+  row t router prefix
 
 let distance t ~router prefix =
   Option.map (fun (f : Fib.t) -> f.distance) (fib t ~router prefix)
@@ -384,19 +432,25 @@ let compute_all t =
   let n = Array.length t.slots in
   let missing = ref [] in
   for r = n - 1 downto 0 do
-    if not (is_current t.slots.(r)) then missing := r :: !missing
+    if needs_refill t.slots.(r) then missing := r :: !missing
   done;
   match !missing with
   | [] -> ()
-  | [ r ] -> ignore (table_for t r)
+  | [ r ] -> ensure t r
   | rs ->
     let idx = index t in
     recompute [ ("dirty", Int (List.length rs)) ] (fun () -> List.iter (refill t idx) rs)
 
 let prefix_table t prefix =
   compute_all t;
-  Array.map
-    (function
-      | Current (_, tbl) -> Hashtbl.find_opt tbl prefix
-      | Stale_rows _ | Dirty -> assert false (* compute_all refilled every slot *))
-    t.slots
+  Array.init (Array.length t.slots) (fun r -> row t r prefix)
+
+let clone parent lsdb =
+  sync parent;
+  make lsdb ~on_demand:true
+    (Array.map
+       (function
+         | Current (tree, _) | Stale_rows (tree, _, _) | On_demand (tree, _) ->
+           On_demand (tree, Hashtbl.create 8)
+         | Dirty -> Dirty)
+       parent.slots)

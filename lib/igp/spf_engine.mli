@@ -26,6 +26,16 @@
     are refilled lazily on lookup, or in bulk by [compute_all], on the
     calling domain.
 
+    A what-if engine ({!clone}) starts warm and stays row-lazy. It
+    shares the parent's stage-1 trees read-only (trees are immutable,
+    and lies never change stage 1), keeps no whole tables, and computes
+    a prefix's row at a router only when a lookup first asks for it. A
+    fake delta drops that prefix's rows at every router; a single weight
+    change dirties routers by the rule above; anything else drops every
+    tree. A dirty router reruns stage 1 only. So a clone that reads one
+    prefix's table after a lie writes one row per router and runs no
+    Dijkstra.
+
     The engine is not thread-safe: calls into one engine must come from
     a single domain. *)
 
@@ -40,10 +50,23 @@ type stats = {
   routers_dirtied : int;
       (** Tables flagged or dropped across all syncs. *)
   routers_kept : int;  (** Tables kept whole across all syncs. *)
+  rows_written : int;
+      (** Prefix rows computed (stage 2): whole-table refills, rewrites
+          of flagged rows and a clone's per-prefix rows alike. *)
 }
 
 val create : Lsdb.t -> t
 (** A fresh engine has no cached tables. *)
+
+val clone : t -> Lsdb.t -> t
+(** [clone parent lsdb] is a row-lazy engine over [lsdb], which must
+    hold what the parent's LSDB holds, over a copy of its graph
+    ({!Lsdb.clone}). It syncs [parent] first, then shares every tree the
+    parent holds; routers dirty in the parent stay dirty. Nothing the
+    clone does writes to [parent], and later changes to [parent] do not
+    reach it. Its counters start at zero; it counts no kept, dirtied or
+    dropped tables, emits no [spf sync] timeline event, and
+    {!dirtied_since} answers [None] across any of its syncs. *)
 
 val sync : t -> unit
 (** Absorb any pending LSDB changes now, dirtying affected routers.
@@ -53,18 +76,19 @@ val sync : t -> unit
 
 val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
 (** The router's FIB for one prefix; refills (and caches) the router's
-    whole table on a miss. [None] if the prefix is unknown or
+    whole table on a miss, or in a clone only this row. [None] if the prefix is unknown or
     unreachable. Raises [Invalid_argument] for non-real routers. *)
 
 val distance : t -> router:Netgraph.Graph.node -> Lsa.prefix -> int option
 
 val compute_all : t -> unit
 (** Bring every router's table up to date, refilling missing routers in
-    ascending order. *)
+    ascending order; in a clone, every router's stage 1 only. *)
 
 val prefix_table : t -> Lsa.prefix -> Fib.t option array
 (** Per-router FIBs for one prefix, indexed by router id ([compute_all]
-    is implied). The returned array is fresh; mutating it is harmless. *)
+    is implied; a clone computes only this prefix's rows). The returned
+    array is fresh; mutating it is harmless. *)
 
 val invalidate_all : t -> unit
 (** Drop every cached table (e.g. to measure cold-start cost). *)

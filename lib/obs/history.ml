@@ -74,6 +74,7 @@ let bands =
     { counter = "major_collections"; rel = 1.0; abs = 2. };
     counter "installed";
     counter "approx_bytes";
+    counter "rows_written";
     { counter = "visited_per_update"; rel = 0.02; abs = 1. };
     { counter = "wall_ms"; rel = 0.5; abs = 1.0 };
     timing "build_ms";

@@ -15,7 +15,7 @@ type controller_mode = On | Off | Global
 type model = Fairshare | Aimd_model
 
 type command =
-  | Topology of string
+  | Topology of Graph.t
   | Prefix of { name : Igp.Lsa.prefix; at : string; cost : int }
   | Capacity_default of float
   | Capacity of string * string * float
@@ -48,6 +48,12 @@ type command =
 
 let ( let* ) = Result.bind
 
+(* Size limits, checked at parse time (documented in script.mli). *)
+let max_routers = 1_000
+let max_time = 86_400.
+let max_flows = 100_000
+let min_series_step = 0.1
+
 let strip_comment line =
   match String.index_opt line '#' with
   | Some i -> String.sub line 0 i
@@ -75,7 +81,10 @@ let bounded what ok token =
 
 let positive what = bounded what (fun f -> f > 0.)
 
-let time_of = bounded "time" (fun f -> f >= 0.)
+let time_of token =
+  let* t = bounded "time" (fun f -> f >= 0.) token in
+  if t <= max_time then Ok t
+  else Error (Printf.sprintf "time %S is above max_time = %g s" token max_time)
 
 let natural what token =
   let* n = int_of token in
@@ -123,9 +132,50 @@ let opt pairs key ~default parse =
   | Some v -> parse v
   | None -> Ok default
 
+(* The graph is built at parse time: the limit bounds its size. *)
+let topology_of spec =
+  (* An integer of at least [min]. *)
+  let int token ~min =
+    match int_of_string_opt token with
+    | Some n when n >= min -> Ok n
+    | Some _ | None -> Error (Printf.sprintf "bad size %S in topology %S" token spec)
+  in
+  (* [fits] compares each factor of the router count with a quotient of
+     the limit, so that no product overflows. *)
+  let limited fits build =
+    if fits then Ok (build ())
+    else
+      Error (Printf.sprintf "topology %S has more than max_routers = %d routers" spec max_routers)
+  in
+  match String.split_on_char ':' spec with
+  | [ "demo" ] -> Ok (Netgraph.Topologies.demo ()).graph
+  | [ "ring"; n ] ->
+    let* n = int n ~min:3 in
+    limited (n <= max_routers) (fun () -> Netgraph.Topologies.ring ~n)
+  | [ "grid"; r; c ] ->
+    let* rows = int r ~min:1 in
+    let* cols = int c ~min:1 in
+    limited (rows <= max_routers / cols) (fun () -> Netgraph.Topologies.grid ~rows ~cols)
+  | [ "random"; n; seed ] ->
+    let* seed = int seed ~min:min_int in
+    let* n = int n ~min:2 in
+    limited (n <= max_routers) (fun () ->
+        Netgraph.Topologies.random (Kit.Prng.create ~seed) ~n ~extra_edges:n ~max_weight:4)
+  | [ "twolevel"; core ] ->
+    let* core = int core ~min:3 in
+    limited (core <= max_routers / 3) (fun () ->
+        Netgraph.Topologies.two_level (Kit.Prng.create ~seed:1) ~core ~edge_per_core:2)
+  | [ name ] -> (
+    match Netgraph.Zoo.find name with
+    | Some entry -> Ok entry.graph
+    | None -> Error (Printf.sprintf "unknown topology %S" spec))
+  | _ -> Error (Printf.sprintf "unknown topology %S" spec)
+
 let parse_command = function
   | [] -> Ok None
-  | [ "topology"; spec ] -> Ok (Some (Topology spec))
+  | [ "topology"; spec ] ->
+    let* graph = topology_of spec in
+    Ok (Some (Topology graph))
   | "prefix" :: name :: "at" :: at :: rest ->
     let* name = prefix_of name in
     let* cost =
@@ -211,9 +261,11 @@ let parse_command = function
     let* until = time_of until in
     Ok (Some (Run until))
   | [ "report"; "series" ] -> Ok (Some (Report (Series 2.5)))
-  | [ "report"; "series"; "step"; step ] ->
-    let* step = positive "step" step in
-    Ok (Some (Report (Series step)))
+  | [ "report"; "series"; "step"; token ] ->
+    let* step = positive "step" token in
+    if step < min_series_step then
+      Error (Printf.sprintf "step %S is below min_series_step = %g s" token min_series_step)
+    else Ok (Some (Report (Series step)))
   | [ "report"; "qoe" ] -> Ok (Some (Report Qoe))
   | [ "report"; "actions" ] -> Ok (Some (Report Actions))
   | [ "report"; "fibs" ] -> Ok (Some (Report Fibs))
@@ -225,15 +277,21 @@ let parse_command = function
 
 let parse text =
   let lines = String.split_on_char '\n' text in
-  let rec walk number acc = function
+  (* [streams]: the flows lines' counts so far, at most [max_flows]. *)
+  let rec walk number streams acc = function
     | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      (match parse_command (tokens line) with
-      | Ok None -> walk (number + 1) acc rest
-      | Ok (Some command) -> walk (number + 1) (command :: acc) rest
-      | Error message -> Error (Printf.sprintf "line %d: %s" number message))
+    | line :: rest -> (
+      let error message = Error (Printf.sprintf "line %d: %s" number message) in
+      match parse_command (tokens line) with
+      | Ok None -> walk (number + 1) streams acc rest
+      | Ok (Some (Flows { count; _ })) when count > max_flows - streams ->
+        error (Printf.sprintf "more than max_flows = %d streams in all" max_flows)
+      | Ok (Some (Flows { count; _ } as command)) ->
+        walk (number + 1) (streams + count) (command :: acc) rest
+      | Ok (Some command) -> walk (number + 1) streams (command :: acc) rest
+      | Error message -> error message)
   in
-  walk 1 [] lines
+  walk 1 0 [] lines
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -272,37 +330,6 @@ let fresh_state () =
     runtime_errors = [];
     dt = 0.5;
   }
-
-let build_topology spec =
-  (* An integer of at least [min]. *)
-  let int token ~min =
-    match int_of_string_opt token with
-    | Some n when n >= min -> Ok n
-    | Some _ | None -> Error (Printf.sprintf "bad size %S in topology %S" token spec)
-  in
-  match String.split_on_char ':' spec with
-  | [ "demo" ] -> Ok (Netgraph.Topologies.demo ()).graph
-  | [ "ring"; n ] ->
-    let* n = int n ~min:3 in
-    Ok (Netgraph.Topologies.ring ~n)
-  | [ "grid"; r; c ] ->
-    let* rows = int r ~min:1 in
-    let* cols = int c ~min:1 in
-    Ok (Netgraph.Topologies.grid ~rows ~cols)
-  | [ "random"; n; seed ] ->
-    let* seed = int seed ~min:min_int in
-    let* n = int n ~min:2 in
-    let prng = Kit.Prng.create ~seed in
-    Ok (Netgraph.Topologies.random prng ~n ~extra_edges:n ~max_weight:4)
-  | [ "twolevel"; core ] ->
-    let* core = int core ~min:3 in
-    let prng = Kit.Prng.create ~seed:1 in
-    Ok (Netgraph.Topologies.two_level prng ~core ~edge_per_core:2)
-  | [ name ] -> (
-    match Netgraph.Zoo.find name with
-    | Some entry -> Ok entry.graph
-    | None -> Error (Printf.sprintf "unknown topology %S" spec))
-  | _ -> Error (Printf.sprintf "unknown topology %S" spec)
 
 let require what = function
   | Some v -> Ok v
@@ -392,8 +419,7 @@ let sim_at state at =
 let execute_command state out command =
   match command with
   | Topology _ when state.graph <> None -> Error "topology given twice"
-  | Topology spec ->
-    let* graph = build_topology spec in
+  | Topology graph ->
     state.graph <- Some graph;
     state.net <- Some (Igp.Network.create graph);
     Ok ()

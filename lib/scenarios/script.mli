@@ -40,6 +40,18 @@
     [flooding loss P at T [duration D] [seed S]] (lossy LSA flooding
     with per-hop drop probability P).
 
+    Sizes are bounded, so that no script can exhaust memory or run for
+    days. Each limit is a named constant in [Script], checked at parse
+    time; an error names the limit it exceeds:
+    - [max_routers = 1000]: routers of a generated topology ([ring:N],
+      [grid:R:C], [random:N:SEED], and [twolevel:CORES], which has three
+      routers per core);
+    - [max_time = 86400] (one simulated day): every time, [run]'s
+      included;
+    - [max_flows = 100000]: streams over all [flows] lines;
+    - [min_series_step = 0.1]: the [report series] step, the resolution
+      its time column prints.
+
     Lines are parsed eagerly (all errors carry their line number);
     execution is deterministic. *)
 
@@ -51,7 +63,8 @@ val run_string : ?out:Format.formatter -> string -> (unit, string) result
     and numbers out of their command's range (non-finite values,
     negative times, non-positive rates, capacities, durations, poll
     periods and steps, a monitor [clear] above its [threshold] or an
-    [alpha] outside (0, 1], a flooding [drop] outside \[0, 1)) are
+    [alpha] outside (0, 1], a flooding [drop] outside \[0, 1), sizes
+    above the limits, unknown topologies) are
     reported as ["line N: ..."] errors before anything runs; execution
     errors (unknown router names, events before the simulation's
     present, steers that fail to compile, ...) abort with a message. *)

@@ -77,7 +77,6 @@ let prepare ?(epsilon = 0.1) ?(max_entries = 16) net ~demands ~capacity
         Graph.remove_edge g u v;
         Graph.remove_edge g v u;
         Igp.Lsdb.touch ~origin:u (Igp.Network.lsdb what_if));
-      Igp.Network.warm what_if;
       let igp_utilization = utilization what_if demands ~capacity in
       let g = Igp.Network.graph what_if in
       let commodities =

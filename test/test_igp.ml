@@ -650,6 +650,167 @@ let prop_engine_matches_scratch =
       in
       agrees () && go ops)
 
+(* A cold network rebuilt from [net]'s graph, announcements and fakes:
+   the oracle every what-if clone must agree with. *)
+let replay net =
+  let cold = Igp.Network.create (G.copy (Igp.Network.graph net)) in
+  List.iter
+    (fun (p, origin, cost) -> Igp.Network.announce_prefix cold p ~origin ~cost)
+    (Igp.Lsdb.prefixes (Igp.Network.lsdb net));
+  List.iter (Igp.Network.inject_fake cold) (Igp.Network.fakes net);
+  cold
+
+(* Warm clones share their parent's stage-1 trees and compute rows on
+   demand. Random mutation sequences run on a parent and on clones of it
+   (clones of clones too), often cloning while the mutated network's
+   deltas are still unsynced. After a mutation, the mutated network
+   answers exactly what its cold replay answers (checked on two steps
+   in three, so unchecked state meets later deltas), and every other
+   network answers exactly what it answered before. *)
+let prop_clone_matches_replay =
+  QCheck.Test.make ~name:"warm clone = cold replay" ~count:300
+    QCheck.(pair (int_range 0 1000000) (int_range 1 14))
+    (fun (seed, steps) ->
+      let prng = Kit.Prng.create ~seed in
+      let zoo = Netgraph.Zoo.all () in
+      let entry = List.nth zoo (Kit.Prng.int prng (List.length zoo)) in
+      let parent = Igp.Network.create (G.copy entry.Netgraph.Zoo.graph) in
+      let n = G.node_count (Igp.Network.graph parent) in
+      (* p2 is announced only by a later step: until then every row of
+         it is the unknown-prefix [None]. *)
+      let prefixes = [ pfx "p0"; pfx "p1"; pfx "p2" ] in
+      let announce net p =
+        Igp.Network.announce_prefix net p ~origin:(Kit.Prng.int prng n)
+          ~cost:(Kit.Prng.int prng 3)
+      in
+      List.iter (fun p -> announce parent p; announce parent p) [ pfx "p0"; pfx "p1" ];
+      (* p0 through per-router lookups, the others through whole tables. *)
+      let answers net =
+        List.map
+          (fun p ->
+            if Igp.Prefix.equal p (pfx "p0") then
+              Array.init n (fun router -> Igp.Network.fib net ~router p)
+            else Igp.Network.fib_table net p)
+          prefixes
+      in
+      let pick l = List.nth l (Kit.Prng.int prng (List.length l)) in
+      let install net =
+        let g = Igp.Network.graph net in
+        let announced = Igp.Lsdb.prefix_list (Igp.Network.lsdb net) in
+        let attachment = Kit.Prng.int prng n in
+        match G.succ g attachment with
+        | [] -> ()
+        | succ ->
+          Igp.Network.inject_fake net
+            {
+              fake_id = Printf.sprintf "f%d" (Kit.Prng.int prng 5);
+              attachment;
+              attachment_cost = 1 + Kit.Prng.int prng 3;
+              prefix = pick announced;
+              announced_cost = Kit.Prng.int prng 6;
+              forwarding = fst (pick succ);
+            }
+      in
+      let mutate net =
+        let g = Igp.Network.graph net in
+        match Kit.Prng.int prng 10 with
+        | 0 -> announce net (pick prefixes)
+        | 1 | 2 | 3 -> install net
+        | 4 | 5 -> (
+          match Igp.Network.fakes net with
+          | [] -> install net
+          | fakes -> Igp.Network.retract_fake net ~fake_id:(pick fakes).Igp.Lsa.fake_id)
+        | 6 | 7 | 8 -> (
+          match G.edges g with
+          | [] -> ()
+          | edges ->
+            let u, v, _ = pick edges in
+            Igp.Network.set_weight net u v ~weight:(1 + Kit.Prng.int prng 8))
+        | _ -> (
+          (* A link failure, as the planner models it: graph surgery and
+             a generic touch. Links carrying a fake stay, so that the
+             replay can install every fake. *)
+          let carries u v (f : Igp.Lsa.fake) =
+            (f.attachment = u && f.forwarding = v) || (f.attachment = v && f.forwarding = u)
+          in
+          match
+            List.filter
+              (fun (u, v, _) -> not (List.exists (carries u v) (Igp.Network.fakes net)))
+              (G.edges g)
+          with
+          | [] -> ()
+          | edges ->
+            let u, v, _ = pick edges in
+            G.remove_edge g u v;
+            G.remove_edge g v u;
+            Igp.Lsdb.touch ~origin:u (Igp.Network.lsdb net))
+      in
+      let matches_replay net = answers net = answers (replay net) in
+      let rec go k nets =
+        if k = 0 then List.for_all matches_replay nets
+        else
+          match Kit.Prng.int prng 6 with
+          | 0 when List.length nets < 4 ->
+            (* Clone any network, its deltas possibly unsynced. *)
+            go (k - 1) (nets @ [ Igp.Network.clone (pick nets) ])
+          | 1 ->
+            (* Read one row unchecked: a clone then holds a partial
+               row cache when the next delta arrives. *)
+            ignore
+              (Igp.Network.fib (pick nets) ~router:(Kit.Prng.int prng n) (pick prefixes));
+            go (k - 1) nets
+          | _ ->
+            let target = pick nets in
+            let others = List.filter (fun net -> net != target) nets in
+            let before = List.map answers others in
+            mutate target;
+            List.map answers others = before
+            && (Kit.Prng.int prng 3 = 0 || matches_replay target)
+            && go (k - 1) nets
+      in
+      go steps [ parent ])
+
+(* A what-if clone of a warm network reads one prefix for the price of
+   one row per router: no Dijkstra, and none of the other prefixes'
+   rows. *)
+let test_clone_reads_one_prefix () =
+  let g = (Netgraph.Zoo.geant ()).Netgraph.Zoo.graph in
+  let routers = G.node_count g in
+  let net = Igp.Network.create g in
+  let prng = Kit.Prng.create ~seed:17 in
+  let nodes = Array.of_list (G.nodes g) in
+  let prefixes = Igp.Prefix.synthesize prng ~n:522 in
+  List.iter
+    (fun p -> Igp.Network.announce_prefix net p ~origin:(Kit.Prng.pick prng nodes) ~cost:0)
+    prefixes;
+  Igp.Network.warm net;
+  let parent = Igp.Spf_engine.stats (Igp.Network.engine net) in
+  let clone = Igp.Network.clone net in
+  let p = List.nth prefixes 100 in
+  let attachment = nodes.(3) in
+  Igp.Network.inject_fake clone
+    {
+      fake_id = "f";
+      attachment;
+      attachment_cost = 1;
+      prefix = p;
+      announced_cost = 0;
+      forwarding = fst (List.hd (G.succ g attachment));
+    };
+  let table = Igp.Network.fib_table clone p in
+  let s = Igp.Spf_engine.stats (Igp.Network.engine clone) in
+  Alcotest.(check int) "22 routers" 22 routers;
+  Alcotest.(check int) "no Dijkstra in the clone" 0 s.spf_runs;
+  Alcotest.(check int) "one row per router" routers s.rows_written;
+  let via_fake = function
+    | Some (f : Igp.Fib.t) -> List.exists (fun (e : Igp.Fib.entry) -> e.via_fakes <> []) f.entries
+    | None -> false
+  in
+  Alcotest.(check bool) "the lie took effect" true (Array.exists via_fake table);
+  Alcotest.(check bool) "= cold replay" true (table = Igp.Network.fib_table (replay clone) p);
+  Alcotest.(check int) "parent untouched" parent.rows_written
+    (Igp.Spf_engine.stats (Igp.Network.engine net)).rows_written
+
 (* ---------- Convergence ---------- *)
 
 let test_convergence_schedule_ordering () =
@@ -1373,6 +1534,7 @@ let () =
             test_engine_incremental_keeps_routers;
           Alcotest.test_case "warm linear in prefixes" `Quick
             test_engine_warm_linear_in_prefixes;
+          Alcotest.test_case "clone reads one prefix" `Quick test_clone_reads_one_prefix;
         ] );
       ( "convergence",
         [
@@ -1413,6 +1575,7 @@ let () =
           prop_equal_cost_fake_is_surgical;
           prop_fakes_never_increase_distance;
           prop_engine_matches_scratch;
+          prop_clone_matches_replay;
           prop_trie_matches_flat;
         ];
     ]

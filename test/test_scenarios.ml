@@ -384,6 +384,36 @@ let test_script_parse_errors () =
       "flooding loss 0.5 at 1 duration -2";
     ]
 
+(* Every size the DSL takes is bounded at parse time, by a limit the
+   error names: none of these may start to build or run. *)
+let test_script_size_limits () =
+  let rejected text limit =
+    match Scenarios.Script.run_string ~out:quiet text with
+    | Error message ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %s" message limit) true
+        (contains message limit)
+    | Ok () -> Alcotest.failf "expected %S to exceed %s" text limit
+  in
+  rejected "topology ring:100000000" "max_routers";
+  rejected "topology ring:1001" "max_routers";
+  rejected "topology grid:1000:2" "max_routers";
+  rejected "topology grid:4611686018427387903:4611686018427387903" "max_routers";
+  rejected "topology random:5000:1" "max_routers";
+  rejected "topology twolevel:334" "max_routers";
+  rejected "topology demo\nprefix blue at C\nrun 1e9" "max_time";
+  rejected "topology demo\nprefix blue at C\nfail B-R2 at 90000\nrun 1" "max_time";
+  rejected "topology demo\nprefix blue at C\nflows 100001 from A to blue rate 1 at 0\nrun 1"
+    "max_flows";
+  rejected
+    "topology demo\nprefix blue at C\nflows 60000 from A to blue rate 1 at 0\n\
+     flows 60000 from B to blue rate 1 at 0\nrun 1"
+    "max_flows";
+  rejected "topology demo\nprefix blue at C\nrun 1\nreport series step 0.01" "min_series_step";
+  (* At the limits themselves, scripts parse (and small ones run). *)
+  Alcotest.(check (result unit string)) "limits are inclusive" (Ok ())
+    (Scenarios.Script.run_string ~out:quiet
+       "topology twolevel:333\nprefix p at C0\nrun 0.5\nreport series step 0.1")
+
 (* Small valid scripts covering every command, each ending in a short
    run. *)
 let script_seeds =
@@ -411,10 +441,13 @@ let test_script_seeds_run () =
 
 (* The DSL is untrusted input: a one-byte mutation of a valid script
    must come back as [Ok] or [Error], never as an exception. *)
+(* Also fuzzed: a script over [max_routers]. Its one-byte mutations
+   either stay over a limit or shrink to a small ring. *)
 let prop_script_total =
   Fuzz.total ~name:"run_string is total on mutated scripts" ~count:2000
     ~run:(Scenarios.Script.run_string ~out:quiet)
-    script_seeds
+    (script_seeds
+    @ [ "topology ring:5000\nprefix 10.0.0.0/8 at N0\nflows 1 from N2 to 10.0.0.0/8 rate 5 at 0\nrun 1\n" ])
 
 let test_script_execution_errors () =
   (* Unknown router. *)
@@ -512,6 +545,7 @@ let () =
           Alcotest.test_case "fail command" `Quick test_script_fail_command;
           Alcotest.test_case "parse errors" `Quick test_script_parse_errors;
           Alcotest.test_case "execution errors" `Quick test_script_execution_errors;
+          Alcotest.test_case "size limits" `Quick test_script_size_limits;
           Alcotest.test_case "model + extra reports" `Quick
             test_script_model_and_extra_reports;
           Alcotest.test_case "qoe report" `Quick test_script_qoe_report;
