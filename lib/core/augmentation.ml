@@ -183,16 +183,6 @@ let candidate ~max_entries ?tag ~pin net (reqs : Requirements.t) =
 
 let apply net plan = List.iter (Igp.Network.inject_fake net) plan.fakes
 
-let revert net plan =
-  let installed =
-    List.map (fun (f : Igp.Lsa.fake) -> f.fake_id) (Igp.Network.fakes net)
-  in
-  List.iter
-    (fun (f : Igp.Lsa.fake) ->
-      if List.mem f.fake_id installed then
-        Igp.Network.retract_fake net ~fake_id:f.fake_id)
-    plan.fakes
-
 (* Apply the candidate to a clone and check the whole network. *)
 let verify_candidate net (reqs : Requirements.t) plan ~baseline =
   let scratch = Igp.Network.clone net in

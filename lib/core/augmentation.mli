@@ -61,6 +61,3 @@ val compile :
 
 val apply : Igp.Network.t -> plan -> unit
 (** Inject every fake of the plan. *)
-
-val revert : Igp.Network.t -> plan -> unit
-(** Retract the plan's fakes (those still installed). *)

@@ -57,24 +57,28 @@ type reoptimizer =
 
 type action = { time : float; description : string; fakes_installed : int }
 
-type prefix_state = {
-  mutable reqs : Requirements.t;
-  mutable plan : Augmentation.plan;
-  mutable last_action : float;
-}
+(* What the controller does about one prefix: exactly one of the three,
+   never two at once. *)
+type steering =
+  | Computed of {
+      reqs : Requirements.t;
+      plan : Augmentation.plan;
+      mutable last_action : float; (* the cooldown's stamp *)
+    }
+  (* Lies found in the LSDB at restart and taken over (refreshed,
+     counted, withdrawn on calm) without a reconstructed plan. *)
+  | Adopted of Igp.Lsa.fake list
+  (* Hold-down until this time after a quarantine: no new steering. *)
+  | Held of float
 
 type t = {
   net : Igp.Network.t;
   config : config;
   reoptimize : reoptimizer option;
-  states : (Igp.Lsa.prefix, prefix_state) Hashtbl.t;
-  (* Lies found in the LSDB at restart and taken over (refreshed,
-     counted, withdrawn on calm) without a reconstructed plan. *)
-  adopted : (Igp.Lsa.prefix, Igp.Lsa.fake list) Hashtbl.t;
+  (* The lies this controller owns, per prefix: what it refreshes,
+     counts and withdraws. *)
+  steering : (Igp.Lsa.prefix, steering) Hashtbl.t;
   log : action Kit.Ring.t; (* bounded, oldest evicted first *)
-  (* Hold-down: prefixes whose lies were quarantined, with the time the
-     hold expires. No new steering for a held prefix. *)
-  quarantined : (Igp.Lsa.prefix, float) Hashtbl.t;
   mutable calm_since : float option;
   mutable alive : bool;
   (* Exponential backoff for reactions that keep changing nothing. *)
@@ -95,10 +99,8 @@ let create ?(config = default_config) ?reoptimize net =
     net;
     config;
     reoptimize;
-    states = Hashtbl.create 4;
-    adopted = Hashtbl.create 4;
+    steering = Hashtbl.create 4;
     log = Kit.Ring.create ~capacity:log_capacity;
-    quarantined = Hashtbl.create 4;
     calm_since = None;
     alive = true;
     failures = 0;
@@ -106,28 +108,16 @@ let create ?(config = default_config) ?reoptimize net =
     reachable_count = -1;
   }
 
+(* The lies a steering owns. *)
+let fakes_of = function
+  | Computed { plan; _ } -> plan.Augmentation.fakes
+  | Adopted fakes -> fakes
+  | Held _ -> []
+
 let fake_count t =
-  Hashtbl.fold (fun _ s acc -> acc + Augmentation.fake_count s.plan) t.states 0
-  + Hashtbl.fold (fun _ fakes acc -> acc + List.length fakes) t.adopted 0
+  Hashtbl.fold (fun _ s acc -> acc + List.length (fakes_of s)) t.steering 0
 
 let alive t = t.alive
-
-(* Every fake this controller is responsible for keeping alive. *)
-let owned_ids t =
-  let ids = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ s ->
-      List.iter
-        (fun (f : Igp.Lsa.fake) -> Hashtbl.replace ids f.fake_id ())
-        s.plan.Augmentation.fakes)
-    t.states;
-  Hashtbl.iter
-    (fun _ fakes ->
-      List.iter
-        (fun (f : Igp.Lsa.fake) -> Hashtbl.replace ids f.fake_id ())
-        fakes)
-    t.adopted;
-  ids
 
 let stamp t ~time (f : Igp.Lsa.fake) =
   Igp.Lsdb.set_fake_expiry
@@ -135,42 +125,50 @@ let stamp t ~time (f : Igp.Lsa.fake) =
     ~fake_id:f.fake_id ~now:time ~ttl:t.config.lie_ttl
 
 let refresh_lies t ~time =
-  let owned = owned_ids t in
-  Igp.Lsdb.refresh_fakes
-    (Igp.Network.lsdb t.net)
-    ~now:time ~ttl:t.config.lie_ttl
-    ~owned:(fun (f : Igp.Lsa.fake) -> Hashtbl.mem owned f.fake_id)
+  Hashtbl.iter (fun _ s -> List.iter (stamp t ~time) (fakes_of s)) t.steering
+
+(* Append to the action log and publish the live-lie gauge and a
+   timeline event. *)
+let log t ~time ~counter ~fakes_installed ~kind attrs description =
+  Kit.Ring.push t.log { time; description; fakes_installed };
+  Obs.Metrics.incr counter;
+  if Obs.enabled () then begin
+    Obs.Metrics.set g_fakes_live (float_of_int (fake_count t));
+    Obs.Timeline.record ~time ~source:"controller" ~kind attrs
+  end
 
 let record t ~time ~prefix description =
   let fakes_installed =
-    match Hashtbl.find_opt t.states prefix with
-    | Some s -> Augmentation.fake_count s.plan
-    | None -> 0
+    match Hashtbl.find_opt t.steering prefix with
+    | Some (Computed { plan; _ }) -> Augmentation.fake_count plan
+    | Some (Adopted _ | Held _) | None -> 0
   in
-  Kit.Ring.push t.log { time; description; fakes_installed };
-  Obs.Metrics.incr m_reactions;
-  if Obs.enabled () then begin
-    Obs.Metrics.set g_fakes_live (float_of_int (fake_count t));
-    Obs.Timeline.record ~time ~source:"controller" ~kind:"action"
-      [
-        ("prefix", String (Igp.Prefix.to_string prefix));
-        ("description", String description);
-        ("fakes", Int fakes_installed);
-      ]
-  end
+  log t ~time ~counter:m_reactions ~fakes_installed ~kind:"action"
+    [
+      ("prefix", String (Igp.Prefix.to_string prefix));
+      ("description", String description);
+      ("fakes", Int fakes_installed);
+    ]
+    description
 
 let actions t = Kit.Ring.to_list t.log
 
-
-let retract_if_installed t (f : Igp.Lsa.fake) =
-  if Igp.Lsdb.installed (Igp.Network.lsdb t.net) f.fake_id then
-    Igp.Network.retract_fake t.net ~fake_id:f.fake_id
+let retract_installed net fakes =
+  List.iter
+    (fun (f : Igp.Lsa.fake) ->
+      if Igp.Lsdb.installed (Igp.Network.lsdb net) f.fake_id then
+        Igp.Network.retract_fake net ~fake_id:f.fake_id)
+    fakes
 
 let withdraw_all t =
-  Hashtbl.iter (fun _ s -> Augmentation.revert t.net s.plan) t.states;
-  Hashtbl.iter (fun _ fakes -> List.iter (retract_if_installed t) fakes) t.adopted;
-  Hashtbl.reset t.states;
-  Hashtbl.reset t.adopted
+  Hashtbl.filter_map_inplace
+    (fun _ s ->
+      match s with
+      | Held _ -> Some s
+      | Computed _ | Adopted _ ->
+        retract_installed t.net (fakes_of s);
+        None)
+    t.steering
 
 let announcers_of net prefix =
   List.filter_map
@@ -181,10 +179,10 @@ let announcer_of net prefix =
   match announcers_of net prefix with [] -> None | origin :: _ -> Some origin
 
 let quarantine_active t ~time prefix =
-  match Hashtbl.find_opt t.quarantined prefix with
-  | Some until when time < until -> true
-  | Some _ -> Hashtbl.remove t.quarantined prefix; false
-  | None -> false
+  match Hashtbl.find_opt t.steering prefix with
+  | Some (Held until) when time < until -> true
+  | Some (Held _) -> Hashtbl.remove t.steering prefix; false
+  | Some (Computed _ | Adopted _) | None -> false
 
 (* A violation was attributed to this prefix's lies (by our own
    revalidation or by the watchdog): withdraw them all and hold the
@@ -192,8 +190,8 @@ let quarantine_active t ~time prefix =
 let quarantine t ~time ~prefix ~reason =
   if t.alive then begin
     let lsdb = Igp.Network.lsdb t.net in
-    (match Hashtbl.find_opt t.states prefix with
-    | Some s ->
+    (match Hashtbl.find_opt t.steering prefix with
+    | Some (Computed { plan; _ }) ->
       (* Withdraw in a transiently safe order when one exists. A state
          that is already unsafe often admits none (and a watchdog purge
          may have left the plan partially installed, which the order
@@ -202,29 +200,20 @@ let quarantine t ~time ~prefix ~reason =
       let complete =
         List.for_all
           (fun (f : Igp.Lsa.fake) -> Igp.Lsdb.installed lsdb f.fake_id)
-          s.plan.Augmentation.fakes
+          plan.fakes
       in
       let safely =
-        if complete then Transient.revert_safely t.net s.plan
+        if complete then Transient.revert_safely t.net plan
         else Error "plan partially installed"
       in
       (match safely with
       | Ok _ -> ()
-      | Error _ -> Augmentation.revert t.net s.plan);
-      Hashtbl.remove t.states prefix
-    | None -> ());
-    (match Hashtbl.find_opt t.adopted prefix with
-    | Some fakes ->
-      List.iter (retract_if_installed t) fakes;
-      Hashtbl.remove t.adopted prefix
-    | None -> ());
-    (* Orphans from a predecessor controller go too: a quarantine must
-       leave the prefix lie-free. *)
-    List.iter
-      (fun (f : Igp.Lsa.fake) ->
-        if Igp.Prefix.equal f.prefix prefix then retract_if_installed t f)
-      (Igp.Network.fakes t.net);
-    Hashtbl.replace t.quarantined prefix (time +. quarantine_hold);
+      | Error _ -> retract_installed t.net plan.fakes)
+    | Some (Adopted _ | Held _) | None -> ());
+    (* Adopted lies and orphans from a predecessor controller go too: a
+       quarantine must leave the prefix lie-free. *)
+    ignore (Igp.Network.retract_prefix_fakes t.net prefix);
+    Hashtbl.replace t.steering prefix (Held (time +. quarantine_hold));
     t.calm_since <- None;
     Obs.Metrics.incr m_quarantines;
     record t ~time ~prefix (Printf.sprintf "quarantine: %s" reason);
@@ -244,11 +233,14 @@ let quarantine t ~time ~prefix ~reason =
 let revalidate t sim =
   if t.alive then begin
     let time = Sim.time sim in
-    let prefixes = Hashtbl.create 4 in
-    Hashtbl.iter (fun p _ -> Hashtbl.replace prefixes p ()) t.states;
-    Hashtbl.iter (fun p _ -> Hashtbl.replace prefixes p ()) t.adopted;
-    Hashtbl.iter
-      (fun prefix () ->
+    let steered =
+      Hashtbl.fold
+        (fun p s acc ->
+          match s with Computed _ | Adopted _ -> p :: acc | Held _ -> acc)
+        t.steering []
+    in
+    List.iter
+      (fun prefix ->
         match Igp.Safety.state_safe t.net ~prefix with
         | Ok () -> ()
         | Error reason ->
@@ -256,7 +248,7 @@ let revalidate t sim =
             ~reason:
               (Printf.sprintf "topology change made steering unsafe: %s"
                  reason))
-      prefixes
+      (List.rev steered)
   end
 
 let crash t =
@@ -266,9 +258,7 @@ let crash t =
        no longer refreshed, age out there (Sim expires them) — the
        paper's fail-safe. The action log is an observer artifact and is
        deliberately kept for post-mortems. *)
-    Hashtbl.reset t.states;
-    Hashtbl.reset t.adopted;
-    Hashtbl.reset t.quarantined;
+    Hashtbl.reset t.steering;
     t.calm_since <- None;
     t.failures <- 0;
     t.backoff_until <- neg_infinity;
@@ -300,8 +290,12 @@ let restart t ~time =
           && Graph.has_edge g f.attachment f.forwarding
         in
         if valid then begin
-          Hashtbl.replace t.adopted f.prefix
-            (f :: Option.value ~default:[] (Hashtbl.find_opt t.adopted f.prefix));
+          let others =
+            match Hashtbl.find_opt t.steering f.prefix with
+            | Some (Adopted fakes) -> fakes
+            | Some (Computed _ | Held _) | None -> []
+          in
+          Hashtbl.replace t.steering f.prefix (Adopted (f :: others));
           stamp t ~time f;
           incr adopted
         end
@@ -310,20 +304,11 @@ let restart t ~time =
           incr withdrawn
         end)
       (Igp.Network.fakes t.net);
-    Kit.Ring.push t.log
-      {
-        time;
-        description =
-          Printf.sprintf "restart: %d lies adopted, %d withdrawn" !adopted
-            !withdrawn;
-        fakes_installed = fake_count t;
-      };
-    Obs.Metrics.incr m_reactions;
-    if Obs.enabled () then begin
-      Obs.Metrics.set g_fakes_live (float_of_int (fake_count t));
-      Obs.Timeline.record ~time ~source:"controller" ~kind:"restart"
-        [ ("adopted", Int !adopted); ("withdrawn", Int !withdrawn) ]
-    end
+    log t ~time ~counter:m_reactions ~fakes_installed:(fake_count t)
+      ~kind:"restart"
+      [ ("adopted", Int !adopted); ("withdrawn", Int !withdrawn) ]
+      (Printf.sprintf "restart: %d lies adopted, %d withdrawn" !adopted
+         !withdrawn)
   end
 
 (* Routers reachable from the controller's seat over the live topology.
@@ -355,53 +340,47 @@ let resync t ~time ~reason =
   let g = Igp.Network.graph t.net in
   let lsdb = Igp.Network.lsdb t.net in
   let kept = ref 0 and withdrawn = ref 0 in
-  let adopted =
-    Hashtbl.fold (fun p fakes acc -> (p, fakes) :: acc) t.adopted []
-  in
+  let steered = Hashtbl.fold (fun p s acc -> (p, s) :: acc) t.steering [] in
   List.iter
-    (fun (prefix, fakes) ->
-      let valid, invalid =
-        List.partition
-          (fun (f : Igp.Lsa.fake) ->
-            Igp.Lsdb.installed lsdb f.fake_id
-            && announcers_of t.net f.prefix <> []
-            && Graph.has_edge g f.attachment f.forwarding)
-          fakes
-      in
-      List.iter (retract_if_installed t) invalid;
-      withdrawn := !withdrawn + List.length invalid;
-      kept := !kept + List.length valid;
-      if valid = [] then Hashtbl.remove t.adopted prefix
-      else Hashtbl.replace t.adopted prefix valid)
-    adopted;
+    (fun (prefix, s) ->
+      match s with
+      | Adopted fakes ->
+        let valid, invalid =
+          List.partition
+            (fun (f : Igp.Lsa.fake) ->
+              Igp.Lsdb.installed lsdb f.fake_id
+              && announcers_of t.net f.prefix <> []
+              && Graph.has_edge g f.attachment f.forwarding)
+            fakes
+        in
+        retract_installed t.net invalid;
+        withdrawn := !withdrawn + List.length invalid;
+        kept := !kept + List.length valid;
+        if valid = [] then Hashtbl.remove t.steering prefix
+        else Hashtbl.replace t.steering prefix (Adopted valid)
+      | Computed _ | Held _ -> ())
+    steered;
   List.iter
-    (fun prefix ->
-      match Igp.Safety.state_safe t.net ~prefix with
-      | Ok () -> ()
-      | Error why ->
-        quarantine t ~time ~prefix
-          ~reason:(Printf.sprintf "resync found unsafe steering: %s" why))
-    (Hashtbl.fold (fun p _ acc -> p :: acc) t.states []);
+    (fun (prefix, s) ->
+      match s with
+      | Computed _ -> (
+        match Igp.Safety.state_safe t.net ~prefix with
+        | Ok () -> ()
+        | Error why ->
+          quarantine t ~time ~prefix
+            ~reason:(Printf.sprintf "resync found unsafe steering: %s" why))
+      | Adopted _ | Held _ -> ())
+    steered;
   t.failures <- 0;
   t.backoff_until <- neg_infinity;
-  Obs.Metrics.incr m_resyncs;
-  Kit.Ring.push t.log
-    {
-      time;
-      description =
-        Printf.sprintf "resync (%s): %d adopted lies kept, %d withdrawn"
-          reason !kept !withdrawn;
-      fakes_installed = fake_count t;
-    };
-  if Obs.enabled () then begin
-    Obs.Metrics.set g_fakes_live (float_of_int (fake_count t));
-    Obs.Timeline.record ~time ~source:"controller" ~kind:"resync"
-      [
-        ("reason", String reason);
-        ("kept", Int !kept);
-        ("withdrawn", Int !withdrawn);
-      ]
-  end
+  log t ~time ~counter:m_resyncs ~fakes_installed:(fake_count t) ~kind:"resync"
+    [
+      ("reason", String reason);
+      ("kept", Int !kept);
+      ("withdrawn", Int !withdrawn);
+    ]
+    (Printf.sprintf "resync (%s): %d adopted lies kept, %d withdrawn" reason
+       !kept !withdrawn)
 
 (* Capacity available to [v]'s traffic through candidate next hop [n]:
    the residual max-flow from n to the prefix's egress(es) once all
@@ -478,77 +457,72 @@ let same_requirements ~max_entries a b =
 let install_requirements t ~time ~prefix ~description routers =
   if quarantine_active t ~time prefix then false
   else begin
-  let previous = Hashtbl.find_opt t.states prefix in
+  (* Past the hold-down check, the prior steering is computed or
+     adopted, never held. *)
+  let prior = Hashtbl.find_opt t.steering prefix in
   let unchanged =
-    match previous with
-    | Some s ->
+    match prior with
+    | Some (Computed s) ->
       same_requirements ~max_entries:t.config.max_entries s.reqs.routers routers
-    | None -> false
+    | Some (Adopted _ | Held _) | None -> false
   in
   if unchanged then false
   else begin
     let reqs = { Requirements.prefix; routers } in
-    (* Lies adopted at restart for this prefix are superseded by any
-       freshly computed steering; pull them first (and put them back on
-       rollback) so their ids cannot collide with the new plan's. *)
-    let adopted_here =
-      Option.value ~default:[] (Hashtbl.find_opt t.adopted prefix)
-    in
     let rollback message =
       (* The previous steering may no longer be installable — a link it
          forwards over can have failed since. Reinstall what still fits
          the topology and drop the rest; never die mid-reaction. *)
-      let reinstalled =
-        Option.bind previous (fun s ->
-            s.last_action <- time;
-            match Augmentation.apply t.net s.plan with
-            | () -> Some s
-            | exception Invalid_argument _ ->
-              Augmentation.revert t.net s.plan;
-              Hashtbl.remove t.states prefix;
-              None)
-      in
-      let readopted =
-        List.filter
-          (fun (f : Igp.Lsa.fake) ->
-            match Igp.Network.inject_fake t.net f with
-            | () -> true
-            | exception Invalid_argument _ -> false)
-          adopted_here
+      let restored =
+        match prior with
+        | Some (Computed s as kept) -> (
+          s.last_action <- time;
+          match Augmentation.apply t.net s.plan with
+          | () -> Some (kept, s.plan.fakes)
+          | exception Invalid_argument _ ->
+            retract_installed t.net s.plan.fakes;
+            None)
+        | Some (Adopted fakes) -> (
+          let readopted =
+            List.filter
+              (fun (f : Igp.Lsa.fake) ->
+                match Igp.Network.inject_fake t.net f with
+                | () -> true
+                | exception Invalid_argument _ -> false)
+              fakes
+          in
+          match readopted with
+          | [] -> None
+          | _ -> Some (Adopted readopted, readopted))
+        | Some (Held _) | None -> None
       in
       (* A topology change since those lies went in can also make them
          loop: keep them only under the same end-state gate a fresh
          steering must pass, else withdraw and forget them. *)
-      let verdict =
-        if reinstalled = None && readopted = [] then Ok ()
-        else Igp.Safety.state_safe t.net ~prefix
-      in
       let message =
-        match verdict with
-        | Ok () ->
-          Option.iter
-            (fun s -> List.iter (stamp t ~time) s.plan.Augmentation.fakes)
-            reinstalled;
-          List.iter (stamp t ~time) readopted;
-          if readopted <> [] then Hashtbl.replace t.adopted prefix readopted;
+        match restored with
+        | None ->
+          Hashtbl.remove t.steering prefix;
           message
-        | Error reason ->
-          Option.iter
-            (fun s ->
-              Augmentation.revert t.net s.plan;
-              Hashtbl.remove t.states prefix)
-            reinstalled;
-          List.iter (retract_if_installed t) readopted;
-          Printf.sprintf "%s; withdrew previous steering (unsafe): %s" message
-            reason
+        | Some (kept, fakes) -> (
+          match Igp.Safety.state_safe t.net ~prefix with
+          | Ok () ->
+            List.iter (stamp t ~time) fakes;
+            Hashtbl.replace t.steering prefix kept;
+            message
+          | Error reason ->
+            retract_installed t.net fakes;
+            Hashtbl.remove t.steering prefix;
+            Printf.sprintf "%s; withdrew previous steering (unsafe): %s" message
+              reason)
       in
       record t ~time ~prefix message;
       false
     in
-    (* Recompile from a clean slate: retract our previous lies first. *)
-    Option.iter (fun s -> Augmentation.revert t.net s.plan) previous;
-    List.iter (retract_if_installed t) adopted_here;
-    Hashtbl.remove t.adopted prefix;
+    (* Recompile from a clean slate: retract our previous lies first.
+       Adopted ones go too, so their ids cannot collide with the new
+       plan's; a rollback puts them back. *)
+    Option.iter (fun s -> retract_installed t.net (fakes_of s)) prior;
     match Augmentation.compile ~max_entries:t.config.max_entries t.net reqs with
     | Ok plan ->
       (* Safety gate: requirements merged across reactions were each
@@ -567,7 +541,8 @@ let install_requirements t ~time ~prefix ~description routers =
         (match Transient.apply_safely t.net plan with
         | Ok () -> ()
         | Error _ -> Augmentation.apply t.net plan);
-        Hashtbl.replace t.states prefix { reqs; plan; last_action = time };
+        Hashtbl.replace t.steering prefix
+          (Computed { reqs; plan; last_action = time });
         (* Lies are born mortal: without this first stamp, a controller
            crash right after installing would leave them orphaned
            forever. *)
@@ -584,22 +559,22 @@ let install t ~time ~prefix ~router splits =
   let merged =
     { Requirements.router; splits }
     ::
-    (match Hashtbl.find_opt t.states prefix with
-    | None -> []
-    | Some s ->
+    (match Hashtbl.find_opt t.steering prefix with
+    | Some (Computed s) ->
       List.filter
         (fun (rr : Requirements.router_requirement) -> rr.router <> router)
-        s.reqs.routers)
+        s.reqs.routers
+    | Some (Adopted _ | Held _) | None -> [])
   in
   let unchanged_at_router =
-    match Hashtbl.find_opt t.states prefix with
-    | Some s ->
+    match Hashtbl.find_opt t.steering prefix with
+    | Some (Computed s) ->
       (match Requirements.find s.reqs router with
       | Some rr ->
         same_requirements ~max_entries:t.config.max_entries [ rr ]
           [ { Requirements.router; splits } ]
       | None -> false)
-    | None -> false
+    | Some (Adopted _ | Held _) | None -> false
   in
   if unchanged_at_router then false
   else
@@ -613,9 +588,16 @@ let install t ~time ~prefix ~router splits =
            splits)
       merged
 
+(* Whether a steering still suppresses reactions at [time]: a computed
+   plan for its cooldown, a hold-down until it expires. *)
+let suppressing t ~time = function
+  | Computed s -> time -. s.last_action < t.config.cooldown
+  | Held until -> time < until
+  | Adopted _ -> false
+
 let cooldown_active t ~time prefix =
-  match Hashtbl.find_opt t.states prefix with
-  | Some s -> time -. s.last_action < t.config.cooldown
+  match Hashtbl.find_opt t.steering prefix with
+  | Some s -> suppressing t ~time s
   | None -> false
 
 (* [demands] is the reaction's one read of the traffic matrix: paths
@@ -697,9 +679,9 @@ let handle_global t sim ~demands ~time ~prefix =
       if demands <> [] then begin
         (* Compute the target routing against a lie-free clone. *)
         let scratch = Igp.Network.clone t.net in
-        (match Hashtbl.find_opt t.states prefix with
-        | Some s -> Augmentation.revert scratch s.plan
-        | None -> ());
+        (match Hashtbl.find_opt t.steering prefix with
+        | Some (Computed s) -> retract_installed scratch s.plan.fakes
+        | Some (Adopted _ | Held _) | None -> ());
         let capacities link = Netsim.Link.capacity (Sim.capacities sim) link in
         let routers = reoptimize scratch ~prefix ~capacities ~demands ~egress in
         if routers <> [] then
@@ -767,15 +749,9 @@ let react t sim _alarms =
     | true, Some since ->
       if time -. since >= t.config.relax_after && fake_count t > 0 then begin
         withdraw_all t;
-        Kit.Ring.push t.log
-          { time; description = "calm period over: all lies withdrawn";
-            fakes_installed = 0 };
-        Obs.Metrics.incr m_reactions;
-        if Obs.enabled () then begin
-          Obs.Metrics.set g_fakes_live 0.;
-          Obs.Timeline.record ~time ~source:"controller" ~kind:"withdraw"
-            [ ("reason", String "calm period over") ]
-        end;
+        log t ~time ~counter:m_reactions ~fakes_installed:0 ~kind:"withdraw"
+          [ ("reason", String "calm period over") ]
+          "calm period over: all lies withdrawn";
         t.calm_since <- None
       end);
     (* React to the currently hottest link above threshold (not only to
@@ -806,12 +782,7 @@ let react t sim _alarms =
          the pause up to [max_backoff] — a flapping input must not make
          the controller churn at poll rate forever. *)
       let in_cooldown =
-        Hashtbl.fold
-          (fun _ s acc -> acc || time -. s.last_action < t.config.cooldown)
-          t.states false
-        || Hashtbl.fold
-             (fun _ until acc -> acc || time < until)
-             t.quarantined false
+        Hashtbl.fold (fun _ s acc -> acc || suppressing t ~time s) t.steering false
       in
       if Igp.Lsdb.version lsdb <> version_before then t.failures <- 0
       else if not in_cooldown then begin

@@ -81,7 +81,12 @@ val default_config : config
 type action = {
   time : float;
   description : string;
-  fakes_installed : int;  (** Fakes now installed for the prefix. *)
+  fakes_installed : int;
+      (** For an entry about one prefix: the fakes of its {e computed}
+          plan, 0 when it has none (after a quarantine, say). Lies
+          adopted at restart read 0 here; {!fake_count} counts them. A
+          restart or resync entry carries {!fake_count}; a calm
+          withdrawal, 0. *)
 }
 
 type t
@@ -103,7 +108,9 @@ val react : t -> Netsim.Sim.t -> Netsim.Monitor.alarm list -> unit
     tests). *)
 
 val withdraw_all : t -> unit
-(** Retract every fake installed (or adopted) by this controller. *)
+(** Retract every fake installed (or adopted) by this controller.
+    Quarantine holds survive: a held prefix stays barred until its hold
+    expires. *)
 
 val quarantine :
   t -> time:float -> prefix:Igp.Lsa.prefix -> reason:string -> unit

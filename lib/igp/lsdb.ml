@@ -185,12 +185,6 @@ let set_fake_expiry t ~fake_id ~now ~ttl =
 
 let fake_expiry t ~fake_id = Hashtbl.find_opt t.expiries fake_id
 
-let refresh_fakes t ~now ~ttl ~owned =
-  List.iter
-    (fun (f : Lsa.fake) ->
-      if owned f then set_fake_expiry t ~fake_id:f.fake_id ~now ~ttl)
-    t.fake_list
-
 let expire_fakes t ~now =
   let expired =
     List.filter

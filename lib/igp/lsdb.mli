@@ -85,17 +85,13 @@ val installed : t -> string -> bool
     to {!Lsa.max_age}. *)
 
 val set_fake_expiry : t -> fake_id:string -> now:float -> ttl:float -> unit
-(** Stamp (or refresh) one fake's expiry to [now + min ttl Lsa.max_age].
-    No-op if the fake is not installed. Raises [Invalid_argument] on a
+(** Stamp (or refresh) one fake's expiry to [now + min ttl Lsa.max_age]
+    — the periodic keep-alive a live controller sends for each lie it
+    owns. No-op if the fake is not installed. Raises [Invalid_argument] on a
     non-positive [ttl]. *)
 
 val fake_expiry : t -> fake_id:string -> float option
 (** Absolute expiry time, [None] if the fake never expires. *)
-
-val refresh_fakes :
-  t -> now:float -> ttl:float -> owned:(Lsa.fake -> bool) -> unit
-(** Re-stamp the expiry of every installed fake selected by [owned] —
-    the periodic keep-alive a live controller sends. *)
 
 val expire_fakes : t -> now:float -> Lsa.fake list
 (** Retract every fake whose expiry has passed and return them (oldest

@@ -72,6 +72,15 @@ let retract_all_fakes t =
   List.iter (fun (f : Lsa.fake) -> retract_fake t ~fake_id:f.fake_id)
     (Lsdb.fakes t.lsdb)
 
+let retract_prefix_fakes t prefix =
+  let fakes =
+    List.filter
+      (fun (f : Lsa.fake) -> Prefix.equal f.prefix prefix)
+      (Lsdb.fakes t.lsdb)
+  in
+  List.iter (fun (f : Lsa.fake) -> retract_fake t ~fake_id:f.fake_id) fakes;
+  fakes
+
 let fakes t = Lsdb.fakes t.lsdb
 
 let fib t ~router prefix = Spf_engine.fib t.engine ~router prefix

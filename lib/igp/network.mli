@@ -37,6 +37,10 @@ val retract_fake : t -> fake_id:string -> unit
 
 val retract_all_fakes : t -> unit
 
+val retract_prefix_fakes : t -> Lsa.prefix -> Lsa.fake list
+(** Retract every fake LSA for the prefix and return them, in LSDB
+    (installation) order; [[]] when there was none. *)
+
 val fakes : t -> Lsa.fake list
 
 val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option

@@ -248,22 +248,13 @@ let guard t sim =
   if routing_dirty t (Sim.network sim) || t.unsafe_seen then begin
     t.unsafe_seen <- false;
     let net = Sim.network sim in
-    let lsdb = Igp.Network.lsdb net in
     sweep_safety t sim ~time:(Sim.time sim) ~on_unsafe:(fun ~time prefix unsafe ->
-        let blamed =
-          List.filter
-            (fun (f : Igp.Lsa.fake) -> Igp.Prefix.equal f.prefix prefix)
-            (Igp.Lsdb.fakes lsdb)
-        in
-        if blamed = [] then report_unsafe t net ~time prefix unsafe
-        else begin
+        match Igp.Network.retract_prefix_fakes net prefix with
+        | [] -> report_unsafe t net ~time prefix unsafe
+        | blamed ->
           let problem =
             Igp.Safety.describe (Igp.Network.graph net) ~prefix unsafe
           in
-          List.iter
-            (fun (f : Igp.Lsa.fake) ->
-              Igp.Network.retract_fake net ~fake_id:f.fake_id)
-            blamed;
           t.n_quarantines <- t.n_quarantines + 1;
           Obs.Metrics.incr m_quarantines;
           if Obs.enabled () then
@@ -279,8 +270,7 @@ let guard t sim =
           (* The purge must have restored safety; if not, report. *)
           match Igp.Safety.verdict net ~prefix with
           | Igp.Safety.Safe -> ()
-          | still -> report_unsafe t net ~time prefix still
-        end);
+          | still -> report_unsafe t net ~time prefix still);
     (* The purges themselves bumped the version; absorb them so the
        post-step check does not re-sweep an already-vetted state. *)
     ignore (routing_dirty t net)

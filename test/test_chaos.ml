@@ -52,17 +52,16 @@ let test_lsdb_refresh_extends_life () =
   let lsdb = Igp.Network.lsdb net in
   Igp.Network.inject_fake net (fake ~id:"f1" ~at:d.b ~cost:2 ~fwd:d.r3);
   Igp.Lsdb.set_fake_expiry lsdb ~fake_id:"f1" ~now:0. ~ttl:5.;
-  Igp.Lsdb.refresh_fakes lsdb ~now:4. ~ttl:5. ~owned:(fun _ -> true);
-  Alcotest.(check (list string)) "refresh pushed expiry out" []
+  Igp.Lsdb.set_fake_expiry lsdb ~fake_id:"f1" ~now:4. ~ttl:5.;
+  Alcotest.(check (list string)) "re-stamp pushed expiry out" []
     (List.map
        (fun (f : Igp.Lsa.fake) -> f.fake_id)
        (Igp.Lsdb.expire_fakes lsdb ~now:6.));
-  (* A selective refresh leaves unowned fakes to die. *)
+  (* Re-stamping one fake leaves the others to die. *)
   Igp.Network.inject_fake net (fake ~id:"f2" ~at:d.a ~cost:3 ~fwd:d.r1);
   Igp.Lsdb.set_fake_expiry lsdb ~fake_id:"f2" ~now:4. ~ttl:5.;
-  Igp.Lsdb.refresh_fakes lsdb ~now:8. ~ttl:5.
-    ~owned:(fun f -> f.fake_id = "f1");
-  Alcotest.(check (list string)) "unowned fake expired" [ "f2" ]
+  Igp.Lsdb.set_fake_expiry lsdb ~fake_id:"f1" ~now:8. ~ttl:5.;
+  Alcotest.(check (list string)) "fake nobody re-stamped expired" [ "f2" ]
     (List.map
        (fun (f : Igp.Lsa.fake) -> f.fake_id)
        (Igp.Lsdb.expire_fakes lsdb ~now:9.5))
@@ -706,6 +705,168 @@ let test_crash_restart_idempotent () =
   Fibbing.Controller.restart controller ~time:2.;
   Alcotest.(check bool) "alive" true (Fibbing.Controller.alive controller)
 
+(* ---------- The controller's lie lifecycle ---------- *)
+
+type lifecycle_op =
+  | Steps of int * bool (* steps of dt, with the surge on or off *)
+  | Crash
+  | Restart
+  | Quarantine
+  | Withdraw_all
+  | Fail_link (* a link some installed fake forwards over *)
+  | Restore_link (* the link failed last *)
+
+let pp_lifecycle_op = function
+  | Steps (n, surge) ->
+    Printf.sprintf "steps %d%s" n (if surge then " surge" else "")
+  | Crash -> "crash"
+  | Restart -> "restart"
+  | Quarantine -> "quarantine"
+  | Withdraw_all -> "withdraw_all"
+  | Fail_link -> "fail_link"
+  | Restore_link -> "restore_link"
+
+let lifecycle_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map2 (fun n surge -> Steps (n, surge)) (int_range 1 8) bool);
+        (1, return Crash);
+        (1, return Restart);
+        (1, return Quarantine);
+        (1, return Withdraw_all);
+        (1, return Fail_link);
+        (1, return Restore_link);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_lifecycle_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 20) op)
+
+(* Random lifecycles of one controller, watchdog armed: the owned-lie
+   table stays in step with the LSDB whatever the order of surges,
+   crashes, restarts, quarantines, withdrawals and failures of links
+   lies forward over. Invariants are checked after every sim step and
+   every operation. *)
+let prop_lie_lifecycle =
+  let lie_ttl = 6. and poll_interval = 2. (* [controller_sim]'s monitor *) in
+  QCheck.Test.make ~name:"controller lie lifecycle" ~count:200 lifecycle_ops
+    (fun ops ->
+      let config =
+        { Fibbing.Controller.default_config with lie_ttl; relax_after = 8. }
+      in
+      let d, net, sim, controller = controller_sim ~config () in
+      let wd = Netsim.Watchdog.arm sim in
+      Netsim.Watchdog.on_quarantine wd (fun ~prefix ~reason ->
+          Fibbing.Controller.quarantine controller
+            ~time:(Netsim.Sim.time sim) ~prefix ~reason);
+      let lsdb = Igp.Network.lsdb net in
+      let blue = pfx "blue" in
+      let errors = ref [] in
+      let fail fmt =
+        Printf.ksprintf
+          (fun m ->
+            errors :=
+              Printf.sprintf "t=%.1f: %s" (Netsim.Sim.time sim) m :: !errors)
+          fmt
+      in
+      (* End of the hold-down our own [quarantine] call started; a crash
+         forgets holds by design. *)
+      let held_until = ref neg_infinity in
+      let check () =
+        let now = Netsim.Sim.time sim in
+        if now < !held_until then
+          List.iter
+            (fun (f : Igp.Lsa.fake) ->
+              if Igp.Prefix.equal f.prefix blue then
+                fail "blue fake %s installed during the hold-down" f.fake_id)
+            (Igp.Lsdb.fakes lsdb);
+        (* A live controller owns every lie and re-stamps it each poll:
+           no expiry lies beyond one TTL, or before the next refresh
+           could be missed. *)
+        if Fibbing.Controller.alive controller then
+          List.iter
+            (fun (f : Igp.Lsa.fake) ->
+              match Igp.Lsdb.fake_expiry lsdb ~fake_id:f.fake_id with
+              | Some at when at > now +. lie_ttl +. 1e-9 ->
+                fail "fake %s expires at %.1f, beyond one TTL" f.fake_id at
+              | Some at when at < now +. lie_ttl -. poll_interval -. 1e-9 ->
+                fail "fake %s expires at %.1f, not refreshed" f.fake_id at
+              | Some _ -> ()
+              | None -> fail "fake %s never expires" f.fake_id)
+            (Igp.Lsdb.fakes lsdb)
+      in
+      Netsim.Sim.on_step sim (fun _ -> check ());
+      let next_flow = ref 0 in
+      let failed = ref [] in
+      let run op =
+        let now = Netsim.Sim.time sim in
+        match op with
+        | Steps (n, surge) ->
+          let duration = float_of_int n *. 0.5 in
+          if surge then
+            for _ = 0 to 30 do
+              Netsim.Sim.add_flow sim
+                (Netsim.Flow.make ~id:!next_flow ~src:d.a ~prefix:blue
+                   ~demand:stream ~start_time:now ~duration ());
+              incr next_flow
+            done;
+          Netsim.Sim.run_until sim (now +. duration)
+        | Crash ->
+          Fibbing.Controller.crash controller;
+          held_until := neg_infinity
+        | Restart ->
+          (* A no-op while alive; a revival adopts or withdraws every
+             surviving lie. *)
+          let revived = not (Fibbing.Controller.alive controller) in
+          Fibbing.Controller.restart controller ~time:now;
+          let owned = Fibbing.Controller.fake_count controller
+          and installed = Igp.Lsdb.fake_count lsdb in
+          if revived && owned <> installed then
+            fail "restart owns %d lies, the LSDB holds %d" owned installed
+        | Quarantine ->
+          Fibbing.Controller.quarantine controller ~time:now ~prefix:blue
+            ~reason:"test";
+          if Fibbing.Controller.alive controller then
+            held_until := now +. 12.
+        | Withdraw_all ->
+          Fibbing.Controller.withdraw_all controller;
+          if Fibbing.Controller.fake_count controller <> 0 then
+            fail "withdraw_all left %d owned lies"
+              (Fibbing.Controller.fake_count controller);
+          if
+            Fibbing.Controller.alive controller
+            && Igp.Lsdb.fake_count lsdb <> 0
+          then fail "withdraw_all left %d lies" (Igp.Lsdb.fake_count lsdb)
+        | Fail_link -> (
+          match Igp.Lsdb.fakes lsdb with
+          | [] -> ()
+          | (f : Igp.Lsa.fake) :: _ ->
+            let link = (f.attachment, f.forwarding) in
+            Netsim.Sim.fail_link sim ~time:now link;
+            failed := link :: !failed;
+            Netsim.Sim.run_until sim (now +. 0.5))
+        | Restore_link -> (
+          match !failed with
+          | [] -> ()
+          | link :: rest ->
+            Netsim.Sim.restore_link sim ~time:now link;
+            failed := rest;
+            Netsim.Sim.run_until sim (now +. 0.5))
+      in
+      (* Start from a steered network: a surge long enough to make the
+         controller lie. *)
+      List.iter
+        (fun op ->
+          run op;
+          check ())
+        (Steps (20, true) :: ops);
+      match !errors with
+      | [] -> true
+      | errs -> QCheck.Test.fail_reportf "%s" (String.concat "\n" (List.rev errs)))
+
 (* ---------- Scenario DSL fault hooks ---------- *)
 
 let run_script text =
@@ -817,7 +978,8 @@ let () =
             test_restart_withdraws_dangling_lies;
           Alcotest.test_case "crash/restart idempotent" `Quick
             test_crash_restart_idempotent;
-        ] );
+        ]
+        @ qsuite [ prop_lie_lifecycle ] );
       ( "chaos",
         [
           Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
