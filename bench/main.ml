@@ -1354,6 +1354,26 @@ let tfib (scales, geant_prefixes, lies) =
   ( List.concat_map (fun (rows, _, _) -> rows) results @ [ geant ],
     List.for_all (fun (_, _, ok) -> ok) results && independent )
 
+(* How much a metric grows during [f ()] (a counter's count, a
+   histogram's sum), read with telemetry on, in a private scope so the
+   spans and events it records are dropped. Run it outside profiled
+   cycles: telemetry allocates. *)
+let metric_delta name f =
+  let read () =
+    match List.assoc_opt name (Obs.Metrics.dump ()) with
+    | Some (Obs.Metrics.Counter n) -> num n
+    | Some (Obs.Metrics.Histogram h) -> h.sum
+    | Some (Obs.Metrics.Gauge _) | None -> 0.
+  in
+  let n, _ =
+    Obs.capture (fun () ->
+        Obs.enable ();
+        let before = read () in
+        Fun.protect ~finally:Obs.disable f;
+        read () -. before)
+  in
+  n
+
 (* TWATCH: cost and non-interference of the runtime safety watchdog.
    The gate is deterministic (work counters, not wall clock): on a calm
    steady-state run the incremental gating must keep the full safety
@@ -1454,7 +1474,63 @@ let twatch nseeds =
         ],
       identical && violations = 0 )
   in
-  ([ steady; fig2; chaos ], steady_ok && fig2_ok && chaos_ok)
+  (* A lie on one prefix among 522 (GEANT, one prefix per router plus
+     500 synthesized ones, one flow): the sweeps it triggers must check
+     that prefix alone, since a lie changes no other prefix's rows. A
+     first lie cycle takes the first sweep after arming, which checks
+     every prefix; a second cycle installs the lie, retracts it a few
+     steps later and is measured. Gate: each of its sweeps checks
+     exactly one prefix, so a return to full sweeps fails. *)
+  let lie, lie_ok =
+    let g, net, _ = geant_churn () in
+    let prng = Kit.Prng.create ~seed:5 in
+    List.iteri
+      (fun i p -> Igp.Network.announce_prefix net p ~origin:(i mod G.node_count g) ~cost:1)
+      (Igp.Prefix.synthesize prng ~n:500);
+    let prefixes = List.length (Igp.Lsdb.prefix_list (Igp.Network.lsdb net)) in
+    let target = pfx (Printf.sprintf "p%02d" (G.node_count g - 1)) in
+    let sim = Netsim.Sim.create ~dt:0.5 net (Netsim.Link.capacities ~default:1e6) in
+    let wd = Netsim.Watchdog.arm sim in
+    Netsim.Sim.add_flow sim (Netsim.Flow.make ~id:0 ~src:0 ~prefix:target ~demand:10. ());
+    Netsim.Sim.run_until sim 1.;
+    (* Router 0's lie ties its own best route and forwards along that
+       route's next hop: rows change, the forwarding stays safe. *)
+    let fake : Igp.Lsa.fake =
+      {
+        fake_id = "watch";
+        attachment = 0;
+        attachment_cost = 1;
+        prefix = target;
+        announced_cost = Option.get (Igp.Network.distance net ~router:0 target) - 1;
+        forwarding = List.hd (Igp.Network.next_hops net ~router:0 target);
+      }
+    in
+    let cycle () =
+      let now = Netsim.Sim.time sim in
+      Netsim.Sim.schedule sim ~time:(now +. 1.) (fun sim ->
+          Igp.Network.inject_fake net fake;
+          Igp.Lsdb.set_fake_expiry (Igp.Network.lsdb net) ~fake_id:fake.fake_id
+            ~now:(Netsim.Sim.time sim) ~ttl:30.);
+      Netsim.Sim.schedule sim ~time:(now +. 3.) (fun _ ->
+          Igp.Network.retract_fake net ~fake_id:fake.fake_id);
+      Netsim.Sim.run_until sim (now +. 5.)
+    in
+    cycle ();
+    let before = Netsim.Watchdog.stats wd in
+    let checked = metric_delta "watchdog.prefixes_checked" cycle in
+    let s = Netsim.Watchdog.stats wd in
+    let sweeps = s.safety_sweeps - before.safety_sweeps in
+    ( row "watch_lie"
+        [
+          ("prefixes", num prefixes);
+          ("sweeps", num sweeps);
+          ("prefixes_checked", checked);
+          ("violations", num s.violations);
+        ],
+      sweeps > 0 && checked = num sweeps && s.violations = 0 )
+  in
+  ( [ steady; fig2; chaos; lie ],
+    steady_ok && fig2_ok && chaos_ok && lie_ok )
 
 (* TPROF: allocation/GC profiles of the hot paths. Its rows are
    what CI appends to the bench history for the regression gate. *)
@@ -1489,24 +1565,6 @@ let prof_row track ~cycles ~context f =
      ]
     @ context)
 
-(* Prefix rows the SPF engines write during [f ()], read from the
-   [spf.rows_written] counter with telemetry on, in a private scope so
-   the spans and events it records are dropped. Run it outside the
-   profiled cycles: telemetry allocates. *)
-let rows_written f =
-  let read () =
-    match List.assoc_opt "spf.rows_written" (Obs.Metrics.dump ()) with
-    | Some (Obs.Metrics.Counter n) -> n
-    | Some _ | None -> 0
-  in
-  let n, _ =
-    Obs.capture (fun () ->
-        Obs.enable ();
-        let before = read () in
-        Fun.protect ~finally:Obs.disable f;
-        read () - before)
-  in
-  n
 
 let tprof (churn_cycles, groups, fill_cycles, flows) =
   (* SPF churn on GEANT: the TSPF churn loop, reconverging each step. *)
@@ -1609,7 +1667,7 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
         ~context:[ ("flows", num flows); ("prefixes", num (idle + 1)) ]
         cycle
     in
-    { row with values = row.values @ [ ("rows_written", num (rows_written cycle)) ] }
+    { row with values = row.values @ [ ("rows_written", metric_delta "spf.rows_written" cycle) ] }
   in
   ([ spf_churn; water_fill; sim_step; react ], !reacted)
 

@@ -21,11 +21,13 @@ type stats = {
   rows_written : int;
 }
 
-(* One dirty-log event: the set of routers whose cached tables a sync
-   (or an explicit invalidation) dropped. [Full_dirt] means "assume
-   everything" — the slots array was rebuilt, so even router identity
-   is suspect. *)
-type dirt = Full_dirt | Routers_dirt of Graph.node list
+(* What one sync (or an explicit invalidation) changed. [Full_dirt]
+   means "assume everything": the slots array was rebuilt, so even
+   router identity is suspect. *)
+type dirt =
+  | Full_dirt
+  | Routers_dirt of Graph.node list (* stage 1 reruns: every row *)
+  | Rows_dirt of Lsa.prefix * Graph.node list (* this prefix's row only *)
 
 type table = (Lsa.prefix, Fib.t) Hashtbl.t
 
@@ -62,8 +64,10 @@ type t = {
   mutable routers_dirtied : int;
   mutable routers_kept : int;
   mutable rows_written : int;
-  (* Bounded log of invalidation events for [dirtied_since]: newest
-     first, generations are consecutive. *)
+  (* Bounded log for [dirtied_since], newest first: each entry carries
+     the generation of the sync that logged it (one generation per sync
+     that changed something, possibly several entries). Only the last
+     [dirty_log_limit] generations are kept. *)
   mutable dirty_gen : int;
   mutable dirty_log : (int * dirt) list;
 }
@@ -94,11 +98,13 @@ let dirty_log_limit = 64
 
 let record_dirt t dirt =
   t.dirty_gen <- t.dirty_gen + 1;
-  let log = (t.dirty_gen, dirt) :: t.dirty_log in
-  t.dirty_log <-
-    (if List.length log > dirty_log_limit then
-       List.filteri (fun i _ -> i < dirty_log_limit) log
-     else log)
+  let oldest = t.dirty_gen - dirty_log_limit in
+  let kept =
+    if List.exists (fun (g, _) -> g <= oldest) t.dirty_log then
+      List.filter (fun (g, _) -> g > oldest) t.dirty_log
+    else t.dirty_log
+  in
+  t.dirty_log <- List.fold_left (fun log d -> (t.dirty_gen, d) :: log) kept dirt
 
 let stats t =
   {
@@ -196,7 +202,7 @@ let count_full_invalidation t =
 let invalidate_all t =
   drop_all t;
   count_full_invalidation t;
-  record_dirt t Full_dirt;
+  record_dirt t [ Full_dirt ];
   t.synced <- Lsdb.version t.lsdb
 
 (* Fake install/retract at attachment [a] for [prefix], reaching it at
@@ -217,8 +223,12 @@ let invalidate_all t =
    retract + install). A flagged router keeps its stage 1 and all other
    rows; only the flagged rows are rewritten on refill. A clone drops
    the prefix's rows at every router: recomputing one row costs less
-   than the test. *)
-let apply_fake_delta t ~attachment ~cost ~prefix =
+   than the test.
+
+   Every newly flagged row is added to [log], also on a router that is
+   already [Stale_rows] for other prefixes: a reader that looked the
+   router up earlier holds its old answer for this prefix too. *)
+let apply_fake_delta t log ~attachment ~cost ~prefix =
   let flags tree tbl =
     match Spf.distance tree attachment with
     | None -> false (* attachment unreachable: the fake can't matter *)
@@ -227,17 +237,24 @@ let apply_fake_delta t ~attachment ~cost ~prefix =
       | None -> true (* was unreachable; an install could route it *)
       | Some (fib : Fib.t) -> d_ra + cost <= fib.distance)
   in
+  let flagged = ref [] in
   Array.iteri
     (fun r slot ->
       match slot with
       | Dirty -> ()
       | Current (tree, tbl) ->
-        if flags tree tbl then t.slots.(r) <- Stale_rows (tree, tbl, [ prefix ])
+        if flags tree tbl then begin
+          t.slots.(r) <- Stale_rows (tree, tbl, [ prefix ]);
+          flagged := r :: !flagged
+        end
       | Stale_rows (tree, tbl, prefixes) ->
-        if (not (List.mem prefix prefixes)) && flags tree tbl then
-          t.slots.(r) <- Stale_rows (tree, tbl, prefix :: prefixes)
+        if (not (List.mem prefix prefixes)) && flags tree tbl then begin
+          t.slots.(r) <- Stale_rows (tree, tbl, prefix :: prefixes);
+          flagged := r :: !flagged
+        end
       | On_demand (_, rows) -> Hashtbl.remove rows prefix)
-    t.slots
+    t.slots;
+  if !flagged <> [] then log := Rows_dirt (prefix, !flagged) :: !log
 
 (* Weight change on directed edge (u, v), evaluated on the post-change
    graph: router [r] is affected iff the edge lies on one of its old or
@@ -260,12 +277,13 @@ let apply_fake_delta t ~attachment ~cost ~prefix =
    Only single-delta batches use this rule: two weight changes evaluated
    against the final graph can mask each other, so mixed or multi-delta
    batches fall back to full invalidation. *)
-let apply_weight_delta t ~u ~v ~old_weight ~new_weight =
+let apply_weight_delta t log ~u ~v ~old_weight ~new_weight =
   if old_weight <> new_weight then begin
     let rev = Graph.reverse (Lsdb.base_graph t.lsdb) in
     let from_u = Dijkstra.run rev ~source:u in
     let from_v = Dijkstra.run rev ~source:v in
     let bound = min old_weight new_weight in
+    let dropped = ref [] in
     Array.iteri
       (fun r slot ->
         match slot with
@@ -279,17 +297,24 @@ let apply_weight_delta t ~u ~v ~old_weight ~new_weight =
               | None -> true
               | Some d_rv -> d_ru + bound <= d_rv
             in
-            if dirty then t.slots.(r) <- Dirty))
-      t.slots
+            if dirty then begin
+              (match slot with
+              | Current _ | Stale_rows _ -> dropped := r :: !dropped
+              | Dirty | On_demand _ -> ());
+              t.slots.(r) <- Dirty
+            end))
+      t.slots;
+    if !dropped <> [] then log := Routers_dirt !dropped :: !log
   end
 
-(* [false] when the batch has no precise rule and every slot must go. *)
-let apply_deltas t deltas =
+(* [false] when the batch has no precise rule and every slot must go;
+   such a batch changes no slot. *)
+let apply_deltas t log deltas =
   if List.for_all (function Lsdb.Fake_delta _ -> true | _ -> false) deltas then begin
     List.iter
       (function
         | Lsdb.Fake_delta { attachment; cost; prefix } ->
-          apply_fake_delta t ~attachment ~cost ~prefix
+          apply_fake_delta t log ~attachment ~cost ~prefix
         | Lsdb.Weight_delta _ | Lsdb.Generic_delta -> assert false)
       deltas;
     true
@@ -297,18 +322,34 @@ let apply_deltas t deltas =
   else
     match deltas with
     | [ Lsdb.Weight_delta { u; v; old_weight; new_weight } ] ->
-      apply_weight_delta t ~u ~v ~old_weight ~new_weight;
+      apply_weight_delta t log ~u ~v ~old_weight ~new_weight;
       true
     | _ -> false
 
-let is_current = function Current _ -> true | Stale_rows _ | Dirty | On_demand _ -> false
 let is_dirty = function Dirty -> true | Current _ | Stale_rows _ | On_demand _ -> false
 let needs_refill = function Stale_rows _ | Dirty -> true | Current _ | On_demand _ -> false
 
-let precise t =
+let precise t log =
   match Lsdb.deltas_since t.lsdb ~since:t.synced with
   | None -> false
-  | Some deltas -> apply_deltas t deltas
+  | Some deltas -> apply_deltas t log deltas
+
+(* The fallback of a batch with no precise rule: every router that held
+   a tree loses it. *)
+let drop_all_logged t log =
+  let dropped = ref [] in
+  Array.iteri
+    (fun r -> function
+      | Current _ | Stale_rows _ -> dropped := r :: !dropped
+      | Dirty | On_demand _ -> ())
+    t.slots;
+  drop_all t;
+  if !dropped <> [] then log := Routers_dirt !dropped :: !log
+
+let count_current slots =
+  let k = ref 0 in
+  Array.iter (function Current _ -> incr k | Stale_rows _ | Dirty | On_demand _ -> ()) slots;
+  !k
 
 let sync t =
   let current = Lsdb.version t.lsdb in
@@ -319,33 +360,29 @@ let sync t =
     if Array.length t.slots <> n then begin
       t.slots <- Array.make n Dirty;
       count_full_invalidation t;
-      record_dirt t Full_dirt
+      record_dirt t [ Full_dirt ]
     end
     else if Array.for_all is_dirty t.slots then ()
     else if t.on_demand then begin
       (* A clone counts no kept, dirtied or dropped tables and emits no
          timeline event; its dirt log reports every sync as a full
          change. *)
-      if not (precise t) then drop_all t;
-      record_dirt t Full_dirt
+      if not (precise t (ref [])) then drop_all t;
+      record_dirt t [ Full_dirt ]
     end
     else begin
       (* The counters and the timeline see [Current] slots only: a slot
-         already waiting for a refill is neither kept nor dirtied again. *)
-      let was_current = Array.map is_current t.slots in
-      let before = Array.fold_left (fun k c -> if c then k + 1 else k) 0 was_current in
-      if not (precise t) then begin
-        drop_all t;
+         already waiting for a refill is neither kept nor dirtied again.
+         The dirt log also sees rows and trees such a slot loses. *)
+      let before = count_current t.slots in
+      let log = ref [] in
+      if not (precise t log) then begin
+        drop_all_logged t log;
         if before > 0 then count_full_invalidation t
       end;
+      if !log <> [] then record_dirt t !log;
       if before > 0 then begin
-        let dirtied = ref [] in
-        Array.iteri
-          (fun r was ->
-            if was && not (is_current t.slots.(r)) then dirtied := r :: !dirtied)
-          was_current;
-        if !dirtied <> [] then record_dirt t (Routers_dirt !dirtied);
-        let after = before - List.length !dirtied in
+        let after = count_current t.slots in
         t.routers_kept <- t.routers_kept + after;
         t.routers_dirtied <- t.routers_dirtied + (before - after);
         Obs.Metrics.add m_routers_kept after;
@@ -367,22 +404,10 @@ let dirty_cursor t =
 let dirtied_since t ~cursor =
   sync t;
   if cursor >= t.dirty_gen then Some []
-  else begin
-    let events = List.filter (fun (g, _) -> g > cursor) t.dirty_log in
-    (* Generations are consecutive and the log is truncated from the
-       tail, so a shortfall means the log no longer reaches the cursor. *)
-    if List.length events <> t.dirty_gen - cursor then None
-    else
-      try
-        Some
-          (List.concat_map
-             (function
-               | _, Full_dirt -> raise Exit
-               | _, Routers_dirt rs -> rs)
-             events
-          |> List.sort_uniq compare)
-      with Exit -> None
-  end
+  else if cursor < t.dirty_gen - dirty_log_limit then None
+  else
+    let dirt = List.filter_map (fun (g, d) -> if g > cursor then Some d else None) t.dirty_log in
+    if List.mem Full_dirt dirt then None else Some dirt
 
 let check_router t router =
   if router < 0 || router >= Array.length t.slots then

@@ -22,7 +22,8 @@
 
     All rules are sound over-approximations: a kept table is bitwise
     what a from-scratch computation would produce. Flagged and dirty
-    routers count alike as dirtied ({!stats}, {!dirtied_since}). They
+    routers count alike as dirtied ({!stats}); the dirty log
+    ({!dirtied_since}) tells them apart, per row. They
     are refilled lazily on lookup, or in bulk by [compute_all], on the
     calling domain.
 
@@ -93,23 +94,44 @@ val prefix_table : t -> Lsa.prefix -> Fib.t option array
 val invalidate_all : t -> unit
 (** Drop every cached table (e.g. to measure cold-start cost). *)
 
+type dirt =
+  | Full_dirt  (** Anything may have changed, router identity included. *)
+  | Routers_dirt of Netgraph.Graph.node list
+      (** These routers rerun stage 1: any of their rows may change. *)
+  | Rows_dirt of Lsa.prefix * Netgraph.Graph.node list
+      (** Only this prefix's row may change at these routers. *)
+
 val dirty_cursor : t -> int
 (** Opaque position in the engine's invalidation log, taken after
     absorbing pending LSDB changes. Pass it to [dirtied_since] later to
-    learn which routers' tables were dropped in between. *)
+    learn which rows may have changed in between. *)
 
-val dirtied_since : t -> cursor:int -> Netgraph.Graph.node list option
-(** [dirtied_since t ~cursor] syncs, then returns the sorted union of
-    routers whose cached tables were invalidated by any sync (or
-    explicit invalidation) after [cursor] was taken; [None] when a full
-    invalidation occurred or the bounded log no longer reaches back to
-    the cursor (callers must then assume everything changed).
+val dirtied_since : t -> cursor:int -> dirt list option
+(** [dirtied_since t ~cursor] syncs, then returns the dirt of every sync
+    (or explicit invalidation) after [cursor] was taken: [Routers_dirt]
+    and [Rows_dirt] entries, never [Full_dirt], in no particular order
+    and possibly repeating a router. [None] when a full invalidation
+    occurred or the bounded log no longer reaches back to the cursor
+    (callers must then assume everything changed). A clone answers
+    [None] across any of its syncs.
 
-    Soundness for route caches: a consumer that derived state from [fib]
-    lookups forced those routers' tables valid; any later change to what
-    such a router answers goes through a [Some -> None] invalidation at
-    some sync, and every such drop is logged. Hence a router absent from
-    the returned set answers exactly as it did at cursor time. *)
+    Soundness for route caches: a [fib] lookup answered at cursor time
+    brought its router's table up to date, and every later change to a
+    row of an up-to-date router is logged: a fake delta logs
+    [Rows_dirt] for each row it flags, a weight change or a batch with
+    no precise rule logs [Routers_dirt] for each router it drops. So a
+    (router, prefix) pair that no returned entry covers answers exactly
+    as it did at cursor time.
+
+    A row flagged on a router that already waits for other rows
+    ([Stale_rows]) is logged too, though the router's table is already
+    out of date. A reader may have looked the router up before the
+    earlier lie and still hold its answer for this prefix; and the
+    same stale router can meet two lies in two separate syncs, as when
+    a what-if clone syncs its parent between two lies of one controller
+    reaction. The router-level counters ({!stats}) and the [spf sync]
+    timeline event still count a router once, when it stops being up
+    to date. *)
 
 val stats : t -> stats
 (** Cumulative counters since [create]. *)

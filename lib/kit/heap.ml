@@ -18,52 +18,57 @@ let grow t value =
     t.values <- values'
   end
 
-let swap t i j =
-  let p = t.priorities.(i) in
-  t.priorities.(i) <- t.priorities.(j);
-  t.priorities.(j) <- p;
-  let v = t.values.(i) in
-  t.values.(i) <- t.values.(j);
-  t.values.(j) <- v
+(* Both sifts move a hole instead of swapping: the moving entry is held
+   aside and written once, at its final slot. [sift_up] moves a new
+   entry up from slot [i]; [sift_down] moves the entry just past the end
+   (the last one, after a pop shortened the heap) down from the root.
+   The comparisons are the swap-based ones (the moving entry against a
+   parent, or the smaller child against it, strictly), so the pop order,
+   ties included, is the same. *)
+let sift_up t i priority value =
+  let i = ref i in
+  while !i > 0 && priority < t.priorities.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    t.priorities.(!i) <- t.priorities.(parent);
+    t.values.(!i) <- t.values.(parent);
+    i := parent
+  done;
+  t.priorities.(!i) <- priority;
+  t.values.(!i) <- value
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.priorities.(i) < t.priorities.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+let sift_down t =
+  let priority = t.priorities.(t.length) and value = t.values.(t.length) in
+  let i = ref 0 and moving = ref true in
+  while !moving do
+    let left = (2 * !i) + 1 in
+    let right = left + 1 in
+    let smallest = ref !i and least = ref priority in
+    if left < t.length && t.priorities.(left) < !least then begin
+      smallest := left;
+      least := t.priorities.(left)
+    end;
+    if right < t.length && t.priorities.(right) < !least then smallest := right;
+    if !smallest = !i then moving := false
+    else begin
+      t.priorities.(!i) <- t.priorities.(!smallest);
+      t.values.(!i) <- t.values.(!smallest);
+      i := !smallest
     end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.length && t.priorities.(left) < t.priorities.(!smallest) then
-    smallest := left;
-  if right < t.length && t.priorities.(right) < t.priorities.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+  done;
+  t.priorities.(!i) <- priority;
+  t.values.(!i) <- value
 
 let push t ~priority value =
   grow t value;
-  t.priorities.(t.length) <- priority;
-  t.values.(t.length) <- value;
   t.length <- t.length + 1;
-  sift_up t (t.length - 1)
+  sift_up t (t.length - 1) priority value
 
 let pop t =
   if t.length = 0 then None
   else begin
     let priority = t.priorities.(0) and value = t.values.(0) in
     t.length <- t.length - 1;
-    if t.length > 0 then begin
-      t.priorities.(0) <- t.priorities.(t.length);
-      t.values.(0) <- t.values.(t.length);
-      sift_down t 0
-    end;
+    if t.length > 0 then sift_down t;
     Some (priority, value)
   end
 
@@ -101,52 +106,51 @@ module Int = struct
       t.values <- values'
     end
 
-  let swap t i j =
-    let p = t.priorities.(i) in
-    t.priorities.(i) <- t.priorities.(j);
-    t.priorities.(j) <- p;
-    let v = t.values.(i) in
-    t.values.(i) <- t.values.(j);
-    t.values.(j) <- v
+  (* The same hole-moving sifts as above. *)
+  let sift_up t i priority value =
+    let i = ref i in
+    while !i > 0 && priority < t.priorities.((!i - 1) / 2) do
+      let parent = (!i - 1) / 2 in
+      t.priorities.(!i) <- t.priorities.(parent);
+      t.values.(!i) <- t.values.(parent);
+      i := parent
+    done;
+    t.priorities.(!i) <- priority;
+    t.values.(!i) <- value
 
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if t.priorities.(i) < t.priorities.(parent) then begin
-        swap t i parent;
-        sift_up t parent
+  let sift_down t =
+    let priority = t.priorities.(t.length) and value = t.values.(t.length) in
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let left = (2 * !i) + 1 in
+      let right = left + 1 in
+      let smallest = ref !i and least = ref priority in
+      if left < t.length && t.priorities.(left) < !least then begin
+        smallest := left;
+        least := t.priorities.(left)
+      end;
+      if right < t.length && t.priorities.(right) < !least then smallest := right;
+      if !smallest = !i then moving := false
+      else begin
+        t.priorities.(!i) <- t.priorities.(!smallest);
+        t.values.(!i) <- t.values.(!smallest);
+        i := !smallest
       end
-    end
-
-  let rec sift_down t i =
-    let left = (2 * i) + 1 and right = (2 * i) + 2 in
-    let smallest = ref i in
-    if left < t.length && t.priorities.(left) < t.priorities.(!smallest) then
-      smallest := left;
-    if right < t.length && t.priorities.(right) < t.priorities.(!smallest) then
-      smallest := right;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
+    done;
+    t.priorities.(!i) <- priority;
+    t.values.(!i) <- value
 
   let push t ~priority value =
     grow t;
-    t.priorities.(t.length) <- priority;
-    t.values.(t.length) <- value;
     t.length <- t.length + 1;
-    sift_up t (t.length - 1)
+    sift_up t (t.length - 1) priority value
 
   let pop t =
     if t.length = 0 then None
     else begin
       let priority = t.priorities.(0) and value = t.values.(0) in
       t.length <- t.length - 1;
-      if t.length > 0 then begin
-        t.priorities.(0) <- t.priorities.(t.length);
-        t.values.(0) <- t.values.(t.length);
-        sift_down t 0
-      end;
+      if t.length > 0 then sift_down t;
       Some (priority, value)
     end
 end

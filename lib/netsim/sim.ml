@@ -539,22 +539,49 @@ let demand_matrix t =
 
 let rewalk_all t = Hashtbl.iter (fun _ flow -> place_flow t flow) t.active
 
-(* Re-walk only flows whose cached path crosses a dirtied router —
-   plus every currently-unroutable flow, which may have regained a
-   path. Flows whose path avoids all dirtied routers kept their exact
-   FIB answers (see [Spf_engine.dirtied_since]), so their hashed walk
-   would reproduce the cached path verbatim. *)
-let rewalk_dirty t dirty_routers =
-  if dirty_routers <> [] || Hashtbl.length t.unroutable_set > 0 then begin
+(* Re-walk only the flows whose cached answers may have changed: a
+   flow whose path crosses a router that reran stage 1, or a router
+   whose row for the flow's own prefix was flagged by a lie, plus every
+   currently-unroutable flow, which may have regained a path. Every
+   other flow's routers answer its prefix exactly as before (see
+   [Spf_engine.dirtied_since]), so its hashed walk would reproduce the
+   cached path verbatim. A lie flags one prefix's rows, so the flows of
+   other prefixes through the same routers keep their paths. *)
+let rewalk_dirty t dirt =
+  if dirt <> [] || Hashtbl.length t.unroutable_set > 0 then begin
+    (* Router -> [[]] when every row may change, else the prefixes
+       whose rows may. *)
     let dirty = Hashtbl.create 16 in
-    List.iter (fun r -> Hashtbl.replace dirty r ()) dirty_routers;
+    let every_row rs = List.iter (fun r -> Hashtbl.replace dirty r []) rs in
+    List.iter
+      (function
+        | Igp.Spf_engine.Full_dirt -> every_row (Igp.Network.routers t.net)
+        | Routers_dirt rs -> every_row rs
+        | Rows_dirt (p, rs) ->
+          List.iter
+            (fun r ->
+              match Hashtbl.find_opt dirty r with
+              | Some [] -> ()
+              | Some ps -> Hashtbl.replace dirty r (p :: ps)
+              | None -> Hashtbl.replace dirty r [ p ])
+            rs)
+      dirt;
+    let crosses id r =
+      match Hashtbl.find_opt dirty r with
+      | None -> false
+      | Some [] -> true
+      | Some ps -> (
+        match Hashtbl.find_opt t.active id with
+        | Some flow -> List.exists (Igp.Prefix.equal flow.Flow.prefix) ps
+        | None -> false)
+    in
     let todo = ref [] in
     Hashtbl.iter
       (fun id path ->
         let touched =
           match path with
           | None -> true
-          | Some p -> List.exists (Hashtbl.mem dirty) p
+          | Some p -> List.exists (crosses id) p
         in
         if touched then todo := id :: !todo)
       t.paths;
@@ -568,8 +595,8 @@ let rewalk_dirty t dirty_routers =
 
 (* Bring routing up to date: begin/advance/end convergence transitions,
    re-walk affected flows (all of them during a transition, where every
-   router's view is time-dependent; only the ones crossing dirtied
-   routers otherwise), then route newly started flows. *)
+   router's view is time-dependent; only those whose rows may have
+   changed otherwise), then route newly started flows. *)
 let recompute_routes t =
   let engine = Igp.Network.engine t.net in
   let lsdb_version = Igp.Lsdb.version (Igp.Network.lsdb t.net) in
@@ -617,7 +644,14 @@ let recompute_routes t =
     List.iter (place_flow t) (List.rev starts);
     t.pending_starts <- [];
     t.spf_cursor <- Igp.Spf_engine.dirty_cursor engine);
-  if t.transition = None then snapshot_fibs t
+  (* Only a convergence model reads the snapshot, at the next change.
+     Without one, every router is still brought up to date while a flow
+     is active, so a step's SPF refills, and their [spf.recompute]
+     spans, fall inside the step that caused them rather than in
+     whatever reads routes next. *)
+  match t.convergence with
+  | Some _ -> if t.transition = None then snapshot_fibs t
+  | None -> if Hashtbl.length t.active > 0 then Igp.Network.warm t.net
 
 (* ---- allocation ---- *)
 

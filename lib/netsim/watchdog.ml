@@ -61,6 +61,18 @@ type t = {
      consumed the gate, so without this the next step's guard would see
      nothing changed and leave the unsafe lies installed. *)
   mutable unsafe_seen : bool;
+  (* A sweep checks every prefix only when it must: on router-wide or
+     full dirt, when [unsafe_seen] is set, and on the first change after
+     [arm] ([swept] still false: rows the engine had not computed yet
+     left no trace in its log). Otherwise it checks the prefixes whose
+     rows the log names, plus those in [failing]: the prefixes whose
+     last check was unsafe or malformed. Any other prefix has the FIB
+     table it had at its last check, which found it safe and well
+     formed, so a full sweep would report nothing for it: the partial
+     sweep reports the same violations and quarantines, in the same
+     order. *)
+  mutable swept : bool;
+  mutable failing : Igp.Lsa.prefix list;
   ring : violation Kit.Ring.t;
   mutable n_steps : int;
   mutable n_sweeps : int;
@@ -167,29 +179,52 @@ let report_unsafe t net ~time prefix verdict =
   report t ~time ~kind ~prefix ~subject:(Igp.Prefix.to_string prefix)
     (Igp.Safety.describe (Igp.Network.graph net) ~prefix verdict)
 
+(* Which prefixes a sweep must check. *)
+type scope = Unchanged | Every_prefix | Prefixes of Igp.Lsa.prefix list
+
 (* Has routing actually changed since the watchdog last looked? Version
    unchanged: certainly not. Version moved: ask the SPF dirty log; an
-   empty dirty set means every router still answers exactly as before
-   (e.g. a pure metadata bump). *)
-let routing_dirty t net =
+   empty log means every router still answers exactly as before (e.g. a
+   pure metadata bump), and a log of lies alone names the prefixes
+   whose rows they flagged. *)
+let routing_change t net =
   let lsdb = Igp.Network.lsdb net in
   let version = Igp.Lsdb.version lsdb in
-  if version = t.lsdb_version then false
+  if version = t.lsdb_version then Unchanged
   else begin
     t.lsdb_version <- version;
     let engine = Igp.Network.engine net in
-    let dirty =
+    let scope =
       match Igp.Spf_engine.dirtied_since engine ~cursor:t.spf_cursor with
-      | Some [] -> false
-      | Some _ | None -> true
+      | _ when not t.swept -> Every_prefix
+      | Some [] -> Unchanged
+      | None -> Every_prefix
+      | Some dirt -> (
+        try
+          Prefixes
+            (List.map
+               (function
+                 | Igp.Spf_engine.Rows_dirt (p, _) -> p
+                 | Full_dirt | Routers_dirt _ -> raise Exit)
+               dirt)
+        with Exit -> Every_prefix)
     in
     t.spf_cursor <- Igp.Spf_engine.dirty_cursor engine;
-    dirty
+    scope
   end
 
-let sweep_safety t sim ~time ~on_unsafe =
+(* Check the prefixes in [scope], in [Lsdb.prefix_list] order.
+   [on_unsafe] handles an unsafe verdict and says whether the prefix is
+   still unsafe afterwards. *)
+let sweep_safety t sim ~time ~scope ~on_unsafe =
   let net = Sim.network sim in
-  let prefixes = Igp.Lsdb.prefix_list (Igp.Network.lsdb net) in
+  let covered =
+    match scope with
+    | Prefixes rows -> fun prefix -> List.mem prefix rows || List.mem prefix t.failing
+    | Every_prefix | Unchanged -> fun _ -> true
+  in
+  let prefixes = List.filter covered (Igp.Lsdb.prefix_list (Igp.Network.lsdb net)) in
+  t.swept <- true;
   t.n_sweeps <- t.n_sweeps + 1;
   Obs.Metrics.incr m_safety_sweeps;
   Obs.Metrics.observe h_prefixes_checked (float_of_int (List.length prefixes));
@@ -197,6 +232,7 @@ let sweep_safety t sim ~time ~on_unsafe =
     (fun prefix ->
       (* Structural invariant first: [Safety] and the allocator both
          assume canonical entries with positive multiplicities. *)
+      let malformed = ref false in
       Array.iter
         (function
           | None -> ()
@@ -204,13 +240,18 @@ let sweep_safety t sim ~time ~on_unsafe =
             match Igp.Fib.invariant fib with
             | Ok () -> ()
             | Error reason ->
+              malformed := true;
               report t ~time ~kind:Malformed_fib ~prefix
                 ~subject:(Graph.name (Igp.Network.graph net) fib.router)
                 reason))
         (Igp.Network.fib_table net prefix);
-      match Igp.Safety.verdict net ~prefix with
-      | Igp.Safety.Safe -> ()
-      | unsafe -> on_unsafe ~time prefix unsafe)
+      let unsafe =
+        match Igp.Safety.verdict net ~prefix with
+        | Igp.Safety.Safe -> false
+        | unsafe -> on_unsafe ~time prefix unsafe
+      in
+      let others = List.filter (fun p -> not (Igp.Prefix.equal p prefix)) t.failing in
+      t.failing <- (if !malformed || unsafe then prefix :: others else others))
     prefixes
 
 (* ---- the two checkpoints ---- *)
@@ -224,14 +265,15 @@ let check t sim =
   Obs.Metrics.incr m_steps;
   check_lies t sim ~time;
   check_utilization t sim ~time;
-  if routing_dirty t (Sim.network sim) then
-    sweep_safety t sim ~time ~on_unsafe:(fun ~time prefix unsafe ->
-        t.unsafe_seen <- true;
-        report_unsafe t (Sim.network sim) ~time prefix unsafe)
-  else begin
+  match routing_change t (Sim.network sim) with
+  | Unchanged ->
     t.n_skipped <- t.n_skipped + 1;
     Obs.Metrics.incr m_safety_skipped
-  end
+  | scope ->
+    sweep_safety t sim ~time ~scope ~on_unsafe:(fun ~time prefix unsafe ->
+        t.unsafe_seen <- true;
+        report_unsafe t (Sim.network sim) ~time prefix unsafe;
+        true)
 
 (* Pre-routing guard: when a topology change invalidates an installed
    lie set (a failure elsewhere can make a previously verified lie
@@ -245,12 +287,17 @@ let check t sim =
    post-step check found unsafe is swept again here even when nothing
    changed since: it must not carry traffic for another step. *)
 let guard t sim =
-  if routing_dirty t (Sim.network sim) || t.unsafe_seen then begin
+  let net = Sim.network sim in
+  match routing_change t net with
+  | Unchanged when not t.unsafe_seen -> ()
+  | scope ->
+    let scope = if t.unsafe_seen then Every_prefix else scope in
     t.unsafe_seen <- false;
-    let net = Sim.network sim in
-    sweep_safety t sim ~time:(Sim.time sim) ~on_unsafe:(fun ~time prefix unsafe ->
+    sweep_safety t sim ~time:(Sim.time sim) ~scope ~on_unsafe:(fun ~time prefix unsafe ->
         match Igp.Network.retract_prefix_fakes net prefix with
-        | [] -> report_unsafe t net ~time prefix unsafe
+        | [] ->
+          report_unsafe t net ~time prefix unsafe;
+          true
         | blamed ->
           let problem =
             Igp.Safety.describe (Igp.Network.graph net) ~prefix unsafe
@@ -269,12 +316,13 @@ let guard t sim =
             t.quarantine_hooks;
           (* The purge must have restored safety; if not, report. *)
           match Igp.Safety.verdict net ~prefix with
-          | Igp.Safety.Safe -> ()
-          | still -> report_unsafe t net ~time prefix still);
+          | Igp.Safety.Safe -> false
+          | still ->
+            report_unsafe t net ~time prefix still;
+            true);
     (* The purges themselves bumped the version; absorb them so the
        post-step check does not re-sweep an already-vetted state. *)
-    ignore (routing_dirty t net)
-  end
+    ignore (routing_change t net)
 
 let arm sim =
   let net = Sim.network sim in
@@ -283,6 +331,8 @@ let arm sim =
       lsdb_version = Igp.Lsdb.version (Igp.Network.lsdb net);
       spf_cursor = Igp.Spf_engine.dirty_cursor (Igp.Network.engine net);
       unsafe_seen = false;
+      swept = false;
+      failing = [];
       ring = Kit.Ring.create ~capacity:history;
       n_steps = 0;
       n_sweeps = 0;

@@ -34,9 +34,16 @@
     the guard covers dead controllers and unowned lies.
 
     Steady state costs ~nothing: the safety sweep is gated on the LSDB
-    version and the SPF engine's dirty-router log, so steps without an
+    version and the SPF engine's dirty log, so steps without an
     effective routing change skip it entirely (the cheap O(#fakes) and
-    O(#loaded links) scans still run). *)
+    O(#loaded links) scans still run). A sweep checks the prefixes whose
+    rows the log names and those whose last check was unsafe or
+    malformed; it checks every prefix on router-wide or full dirt, on
+    the first change after {!arm}, and when the post-step check left an
+    unsafe state for the guard. It reports exactly the violations and
+    quarantines a sweep of every prefix would, in the same order: an
+    unchecked prefix still has the FIB table its last, clean check
+    saw. *)
 
 type kind =
   | Forwarding_loop
@@ -80,7 +87,7 @@ val quarantine_count : t -> int
 
 type stats = {
   steps_checked : int;
-  safety_sweeps : int;  (** Full per-prefix safety walks actually run. *)
+  safety_sweeps : int;  (** Per-prefix safety walks actually run. *)
   safety_skipped : int;  (** Post-step checks that skipped the sweep. *)
   violations : int;
   quarantines : int;

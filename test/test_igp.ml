@@ -770,6 +770,123 @@ let prop_clone_matches_replay =
       in
       go steps [ parent ])
 
+(* The dirty log is sound at row granularity. Random sequences of fake
+   installs, retracts and supersessions, single weight changes, link
+   failures and announcements run on one network; after each, the
+   changes are synced by a lookup at one router, by an explicit sync, by
+   a what-if clone (which syncs its parent), or not yet. Lookups of one
+   router leave the others flagged, so a later lie often reaches a router
+   that already waits for other rows. Cursors are taken at random points,
+   each with the answers of random (router, prefix) pairs looked up then.
+   At the end, every recorded pair the cursor's dirt does not cover must
+   answer what it answered at cursor time. *)
+let prop_dirty_log_sound =
+  QCheck.Test.make ~name:"dirtied_since covers every changed row" ~count:400
+    QCheck.(pair (int_range 0 1000000) (int_range 1 16))
+    (fun (seed, steps) ->
+      let prng = Kit.Prng.create ~seed in
+      let zoo = Netgraph.Zoo.all () in
+      let g = G.copy (List.nth zoo (Kit.Prng.int prng (List.length zoo))).Netgraph.Zoo.graph in
+      let n = G.node_count g in
+      let net = Igp.Network.create g in
+      let engine = Igp.Network.engine net in
+      let prefixes = [ pfx "p0"; pfx "p1"; pfx "p2" ] in
+      let pick l = List.nth l (Kit.Prng.int prng (List.length l)) in
+      let announce p =
+        Igp.Network.announce_prefix net p ~origin:(Kit.Prng.int prng n)
+          ~cost:(Kit.Prng.int prng 3)
+      in
+      List.iter announce prefixes;
+      let install () =
+        let attachment = Kit.Prng.int prng n in
+        match G.succ g attachment with
+        | [] -> ()
+        | succ ->
+          Igp.Network.inject_fake net
+            {
+              fake_id = Printf.sprintf "f%d" (Kit.Prng.int prng 4);
+              attachment;
+              attachment_cost = 1 + Kit.Prng.int prng 3;
+              prefix = pick prefixes;
+              announced_cost = Kit.Prng.int prng 4;
+              forwarding = fst (pick succ);
+            }
+      in
+      let mutate () =
+        match Kit.Prng.int prng 10 with
+        | 0 | 1 | 2 | 3 -> install ()
+        | 4 | 5 -> (
+          match Igp.Network.fakes net with
+          | [] -> install ()
+          | fakes -> Igp.Network.retract_fake net ~fake_id:(pick fakes).Igp.Lsa.fake_id)
+        | 6 | 7 -> (
+          match G.edges g with
+          | [] -> ()
+          | edges ->
+            let u, v, _ = pick edges in
+            Igp.Network.set_weight net u v ~weight:(1 + Kit.Prng.int prng 8))
+        | 8 -> announce (pick prefixes)
+        | _ -> (
+          match G.edges g with
+          | [] -> ()
+          | edges ->
+            let u, v, _ = pick edges in
+            G.remove_edge g u v;
+            G.remove_edge g v u;
+            Igp.Lsdb.touch ~origin:u (Igp.Network.lsdb net))
+      in
+      let settle () =
+        match Kit.Prng.int prng 4 with
+        | 0 -> ignore (Igp.Network.fib net ~router:(Kit.Prng.int prng n) (pick prefixes))
+        | 1 -> Igp.Spf_engine.sync engine
+        | 2 -> ignore (Igp.Network.clone net)
+        | _ -> ()
+      in
+      let take () =
+        let cursor = Igp.Spf_engine.dirty_cursor engine in
+        let recorded =
+          List.concat_map
+            (fun router ->
+              List.filter_map
+                (fun p ->
+                  if Kit.Prng.int prng 3 = 0 then
+                    Some ((router, p), Igp.Network.fib net ~router p)
+                  else None)
+                prefixes)
+            (G.nodes g)
+        in
+        (cursor, recorded)
+      in
+      let rec go k cursors =
+        if k = 0 then cursors
+        else begin
+          mutate ();
+          settle ();
+          go (k - 1) (if Kit.Prng.int prng 3 = 0 then take () :: cursors else cursors)
+        end
+      in
+      let cursors = go steps [ take () ] in
+      (* Every cursor's dirt, read before any check's lookup refills. *)
+      let dirt = List.map (fun (cursor, _) -> Igp.Spf_engine.dirtied_since engine ~cursor) cursors in
+      let covers dirt (router, p) =
+        List.exists
+          (function
+            | Igp.Spf_engine.Full_dirt -> true
+            | Routers_dirt rs -> List.mem router rs
+            | Rows_dirt (q, rs) -> Igp.Prefix.equal p q && List.mem router rs)
+          dirt
+      in
+      List.for_all2
+        (fun (_, recorded) dirt ->
+          match dirt with
+          | None -> true
+          | Some dirt ->
+            List.for_all
+              (fun (((router, p) as pair), answer) ->
+                covers dirt pair || Igp.Network.fib net ~router p = answer)
+              recorded)
+        cursors dirt)
+
 (* A what-if clone of a warm network reads one prefix for the price of
    one row per router: no Dijkstra, and none of the other prefixes'
    rows. *)
@@ -1576,6 +1693,7 @@ let () =
           prop_fakes_never_increase_distance;
           prop_engine_matches_scratch;
           prop_clone_matches_replay;
+          prop_dirty_log_sound;
           prop_trie_matches_flat;
         ];
     ]

@@ -124,6 +124,46 @@ let prop_heap_sorts =
       let popped = drain [] in
       popped = List.sort compare priorities)
 
+(* Random push/pop/peek interleavings over four priorities, so most
+   entries tie: the heap must answer every operation exactly as the
+   swap-based heap it replaced ([Heap_oracle]), values included, which
+   pins the order among equal priorities. *)
+let heap_ops = QCheck.(list (pair (int_range 0 2) (int_range 0 3)))
+
+let prop_heap_matches_swap_heap =
+  QCheck.Test.make ~name:"heap = swap-based heap, ties included" ~count:300 heap_ops
+    (fun ops ->
+      let h = Kit.Heap.create () and oracle = Heap_oracle.create () in
+      List.for_all
+        (fun (i, (op, p)) ->
+          match op with
+          | 0 ->
+            let priority = float_of_int p in
+            Kit.Heap.push h ~priority i;
+            Heap_oracle.push oracle ~priority i;
+            true
+          | 1 -> Kit.Heap.pop h = Heap_oracle.pop oracle
+          | _ -> Kit.Heap.peek h = Heap_oracle.peek oracle)
+        (List.mapi (fun i op -> (i, op)) ops))
+
+(* The same for [Heap.Int], against the float oracle over the same small
+   integers (their float comparisons are the integer ones). *)
+let prop_int_heap_matches_swap_heap =
+  QCheck.Test.make ~name:"int heap = swap-based heap, ties included" ~count:300 heap_ops
+    (fun ops ->
+      let h = Kit.Heap.Int.create () and oracle = Heap_oracle.create () in
+      List.for_all
+        (fun (i, (op, p)) ->
+          if op = 0 then begin
+            Kit.Heap.Int.push h ~priority:p i;
+            Heap_oracle.push oracle ~priority:(float_of_int p) i;
+            true
+          end
+          else
+            Kit.Heap.Int.pop h
+            = Option.map (fun (p, v) -> (int_of_float p, v)) (Heap_oracle.pop oracle))
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* ---------- Heap.Int ---------- *)
 
 let test_int_heap_ordering () =
@@ -455,7 +495,13 @@ let () =
           Alcotest.test_case "malformed FIBBING_DOMAINS rejected" `Quick
             test_pool_env_domains_rejected;
         ] );
-      qsuite "heap-props" [ prop_heap_sorts; prop_int_heap_sorts ];
+      qsuite "heap-props"
+        [
+          prop_heap_sorts;
+          prop_int_heap_sorts;
+          prop_heap_matches_swap_heap;
+          prop_int_heap_matches_swap_heap;
+        ];
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;

@@ -1318,6 +1318,139 @@ let test_latency_flow_and_mean () =
        (Netsim.Sim.create ~dt:1. (snd (demo_net ())) (Link.capacities ~default:1.))
     = 0.)
 
+(* ---------- route and safety oracle ---------- *)
+
+(* A cold network rebuilt from [net]'s graph, announcements and fakes. *)
+let replay net =
+  let cold = Igp.Network.create (G.copy (Igp.Network.graph net)) in
+  List.iter
+    (fun (p, origin, cost) -> Igp.Network.announce_prefix cold p ~origin ~cost)
+    (Igp.Lsdb.prefixes (Igp.Network.lsdb net));
+  List.iter (Igp.Network.inject_fake cold) (Igp.Network.fakes net);
+  cold
+
+(* Scripted random scenarios on a zoo topology with three prefixes:
+   lies on random prefixes (some in mirrored pairs, which loop), retracts
+   and supersessions, link failures and restores, flows starting and
+   stopping. Lies land both before routing (scheduled actions, which the
+   watchdog's guard sees) and after it (a step hook, which only the
+   post-step check sees). Two from-scratch oracles run on a cold replay
+   of the network, so they never touch the live SPF engine's caches:
+   - at the end of every step's routing, every active flow's path is the
+     hashed walk over the replay's FIBs;
+   - after every step, every prefix the replay finds unsafe has been
+     reported by the watchdog (a violation or a quarantine) since it
+     last was safe. *)
+let prop_sim_matches_oracle =
+  QCheck.Test.make ~name:"sim routes and watchdog reports = from-scratch oracle" ~count:80
+    QCheck.(int_range 0 1000000)
+    (fun seed ->
+      let prng = Kit.Prng.create ~seed in
+      let pick l = List.nth l (Kit.Prng.int prng (List.length l)) in
+      let zoo = Netgraph.Zoo.all () in
+      let g = G.copy (pick zoo).Netgraph.Zoo.graph in
+      let n = G.node_count g in
+      let net = Igp.Network.create g in
+      let prefixes = [ pfx "p0"; pfx "p1"; pfx "p2" ] in
+      List.iter
+        (fun p -> Igp.Network.announce_prefix net p ~origin:(Kit.Prng.int prng n) ~cost:0)
+        prefixes;
+      let sim = Netsim.Sim.create ~dt:0.5 net (Link.capacities ~default:1e6) in
+      let routes_ok = ref true in
+      Netsim.Sim.on_step sim (fun sim ->
+          let cold = replay net in
+          List.iter
+            (fun (f : Flow.t) ->
+              if Netsim.Sim.flow_path sim f.id <> route cold ~flow_id:f.id ~src:f.src f.prefix
+              then routes_ok := false)
+            (Netsim.Sim.active_flows sim));
+      let lie ~id ~at ~fwd ~prefix ~cost : Igp.Lsa.fake =
+        { fake_id = id; attachment = at; attachment_cost = 1; prefix; announced_cost = cost; forwarding = fwd }
+      in
+      let install (f : Igp.Lsa.fake) =
+        Igp.Network.inject_fake net f;
+        Igp.Lsdb.set_fake_expiry (Igp.Network.lsdb net) ~fake_id:f.fake_id
+          ~now:(Netsim.Sim.time sim) ~ttl:30.
+      in
+      let meddle () =
+        let prefix = pick prefixes in
+        let at = Kit.Prng.int prng n in
+        match G.succ g at with
+        | [] -> ()
+        | succ -> (
+          let fwd = fst (pick succ) in
+          let id = Printf.sprintf "l%d" (Kit.Prng.int prng 6) in
+          match Kit.Prng.int prng 4 with
+          | 0 ->
+            (* A mirrored pair at announced cost 0: a two-router loop. *)
+            install (lie ~id ~at ~fwd ~prefix ~cost:0);
+            install (lie ~id:(id ^ "m") ~at:fwd ~fwd:at ~prefix ~cost:0)
+          | 1 -> (
+            match Igp.Network.fakes net with
+            | [] -> ()
+            | fakes -> Igp.Network.retract_fake net ~fake_id:(pick fakes).fake_id)
+          | _ -> install (lie ~id ~at ~fwd ~prefix ~cost:(Kit.Prng.int prng 4)))
+      in
+      Netsim.Sim.on_step sim (fun _ -> if Kit.Prng.int prng 4 = 0 then meddle ());
+      let wd = Netsim.Watchdog.arm sim in
+      let reported = Hashtbl.create 4 in
+      Netsim.Watchdog.on_quarantine wd (fun ~prefix ~reason:_ -> Hashtbl.replace reported prefix ());
+      let steps = 30 in
+      let horizon = float_of_int steps *. 0.5 in
+      for id = 0 to 5 + Kit.Prng.int prng 6 do
+        Netsim.Sim.add_flow sim
+          (Flow.make ~id ~src:(Kit.Prng.int prng n) ~prefix:(pick prefixes) ~demand:10.
+             ~start_time:(0.5 *. float_of_int (Kit.Prng.int prng 10))
+             ~duration:(1. +. float_of_int (Kit.Prng.int prng 12))
+             ())
+      done;
+      for _ = 1 to 2 + Kit.Prng.int prng 4 do
+        let time = 0.5 *. float_of_int (Kit.Prng.int prng steps) in
+        match Kit.Prng.int prng 3 with
+        | 0 -> Netsim.Sim.schedule sim ~time (fun _ -> meddle ())
+        | _ -> (
+          match G.edges g with
+          | [] -> ()
+          | edges ->
+            let u, v, _ = pick edges in
+            Netsim.Sim.fail_link sim ~time (u, v);
+            Netsim.Sim.restore_link sim ~time:(Float.min horizon (time +. 2.)) (u, v))
+      done;
+      let unsafe_streak = Hashtbl.create 4 in
+      let rec go k =
+        k = 0
+        || begin
+             let seen = Netsim.Watchdog.violation_count wd in
+             Netsim.Sim.run_until sim (Netsim.Sim.time sim +. 0.5);
+             let fresh = Netsim.Watchdog.violation_count wd - seen in
+             let recent = Netsim.Watchdog.violations wd in
+             List.iteri
+               (fun i (v : Netsim.Watchdog.violation) ->
+                 match (v.kind, v.prefix) with
+                 | (Forwarding_loop | Blackhole), Some p when i >= List.length recent - fresh ->
+                   Hashtbl.replace reported p ()
+                 | _ -> ())
+               recent;
+             let cold = replay net in
+             let safe_ok =
+               List.for_all
+                 (fun p ->
+                   match Igp.Safety.verdict cold ~prefix:p with
+                   | Igp.Safety.Safe ->
+                     Hashtbl.remove unsafe_streak p;
+                     true
+                   | Loop _ | Blackhole _ ->
+                     let ok = Hashtbl.mem unsafe_streak p || Hashtbl.mem reported p in
+                     if ok then Hashtbl.replace unsafe_streak p ();
+                     ok)
+                 prefixes
+             in
+             Hashtbl.reset reported;
+             safe_ok && !routes_ok && go (k - 1)
+           end
+      in
+      go steps)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1382,6 +1515,7 @@ let () =
           Alcotest.test_case "hysteresis band" `Quick test_monitor_hysteresis_band;
         ] );
       qsuite "monitor-props" [ prop_monitor_utilization_bounded ];
+      qsuite "sim-oracle" [ prop_sim_matches_oracle ];
       ( "aimd",
         [
           Alcotest.test_case "ramps to demand" `Quick test_aimd_ramps_up_to_demand;
