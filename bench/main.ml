@@ -1549,14 +1549,13 @@ let prof_measure ~cycles f =
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   (Obs.Prof.delta ~before ~after:(Obs.Prof.snapshot ()), wall_ms)
 
-let prof_row track ~cycles ~context f =
-  let d, wall_ms = prof_measure ~cycles f in
+let prof_values track ~cycles ~context (d : Obs.Prof.snap) wall_ms =
   let per = num cycles in
   row track
     ([
        ("alloc_words", Obs.Prof.allocated_words d /. per);
-       ("minor_collections", num d.Obs.Prof.minor_collections);
-       ("major_collections", num d.Obs.Prof.major_collections);
+       ("minor_collections", num d.minor_collections);
+       ("major_collections", num d.major_collections);
        ("wall_ms", wall_ms /. per);
        ("cycles", per);
        (* Every profiled path runs on the calling domain; the constant
@@ -1564,6 +1563,47 @@ let prof_row track ~cycles ~context f =
        ("domains", 1.);
      ]
     @ context)
+
+let prof_row track ~cycles ~context f =
+  let d, wall_ms = prof_measure ~cycles f in
+  prof_values track ~cycles ~context d wall_ms
+
+(* [prof_row] over one phase of a cycle: [setup] and [teardown] run
+   unmeasured around each measured call of [f], whose GC deltas are
+   summed. *)
+let prof_phase_row track ~cycles ~context ~setup ~teardown f =
+  Gc.full_major ();
+  let total =
+    ref
+      {
+        Obs.Prof.minor_words = 0.;
+        promoted_words = 0.;
+        major_words = 0.;
+        minor_collections = 0;
+        major_collections = 0;
+        compactions = 0;
+      }
+  in
+  let wall_ms = ref 0. in
+  for _ = 1 to cycles do
+    setup ();
+    let before = Obs.Prof.snapshot () in
+    let (), ms = time_ms f in
+    let d = Obs.Prof.delta ~before ~after:(Obs.Prof.snapshot ()) in
+    teardown ();
+    let t = !total in
+    total :=
+      {
+        minor_words = t.minor_words +. d.minor_words;
+        promoted_words = t.promoted_words +. d.promoted_words;
+        major_words = t.major_words +. d.major_words;
+        minor_collections = t.minor_collections + d.minor_collections;
+        major_collections = t.major_collections + d.major_collections;
+        compactions = t.compactions + d.compactions;
+      };
+    wall_ms := !wall_ms +. ms
+  done;
+  prof_values track ~cycles ~context !total !wall_ms
 
 
 let tprof (churn_cycles, groups, fill_cycles, flows) =
@@ -1669,7 +1709,49 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
     in
     { row with values = row.values @ [ ("rows_written", metric_delta "spf.rows_written" cycle) ] }
   in
-  ([ spf_churn; water_fill; sim_step; react ], !reacted)
+  (* The step that adopts one lie over the crowd: A's fake ties its
+     route via B with one via R1, so A's streams re-hash over two next
+     hops. Each cycle starts from the same lie-free state: the lie is
+     installed before the measured step, and retracted after it with a
+     step that re-hashes back, both unmeasured. [rehashed] counts the
+     flows the adopting step re-walks; the track's gate fails if it
+     re-walks none. *)
+  let sim_adopt, adopted =
+    let d = crowd ~fibbing:false in
+    let a = d.topology.a in
+    let fake : Igp.Lsa.fake =
+      {
+        fake_id = "adopt";
+        attachment = a;
+        attachment_cost = 1;
+        prefix = Demo.prefix;
+        announced_cost = Option.get (Igp.Network.distance d.net ~router:a Demo.prefix) - 1;
+        forwarding = d.topology.r1;
+      }
+    in
+    let step () = Demo.run d ~until:(Netsim.Sim.time d.sim +. d.Demo.dt) in
+    let lie () = Igp.Network.inject_fake d.net fake in
+    let unlie () =
+      Igp.Network.retract_fake d.net ~fake_id:fake.fake_id;
+      step ()
+    in
+    (* warm *)
+    lie ();
+    step ();
+    unlie ();
+    let row =
+      prof_phase_row "sim_adopt" ~cycles:10 ~context:[ ("flows", num flows) ] ~setup:lie
+        ~teardown:unlie step
+    in
+    let rehashed =
+      metric_delta "sim.rehashed_flows" (fun () ->
+          lie ();
+          step ())
+    in
+    unlie ();
+    ({ row with values = row.values @ [ ("rehashed", rehashed) ] }, rehashed > 0.)
+  in
+  ([ spf_churn; water_fill; sim_step; react; sim_adopt ], !reacted && adopted)
 
 (* ------------------------------------------------------------------ *)
 (* The track registry and the driver. *)

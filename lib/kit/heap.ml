@@ -74,6 +74,16 @@ let pop t =
 
 let peek t = if t.length = 0 then None else Some (t.priorities.(0), t.values.(0))
 
+(* [pop] without its option and tuple: the entry leaves the heap before
+   [f] sees it, so [f] may push. *)
+let drain t ~upto f =
+  while t.length > 0 && t.priorities.(0) <= upto do
+    let value = t.values.(0) in
+    t.length <- t.length - 1;
+    if t.length > 0 then sift_down t;
+    f value
+  done
+
 (* Monomorphic int-priority / int-payload variant. Same lazy-deletion
    contract as the polymorphic heap, but priorities and values live in
    unboxed int arrays: no float boxing, no polymorphic compare. This is

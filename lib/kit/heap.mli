@@ -16,6 +16,12 @@ val pop : 'a t -> (float * 'a) option
 
 val peek : 'a t -> (float * 'a) option
 
+val drain : 'a t -> upto:float -> ('a -> unit) -> unit
+(** Pop every entry with priority [<= upto], in {!pop} order, calling
+    the function on each value as it leaves the heap; entries the
+    function pushes are drained too when their priority is due. Allocates
+    nothing itself. *)
+
 (** Monomorphic binary min-heap with unboxed [int] priorities and [int]
     payloads — the Dijkstra workhorse.
 

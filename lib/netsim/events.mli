@@ -7,6 +7,7 @@ val create : unit -> 'a t
 val schedule : 'a t -> time:float -> 'a -> unit
 (** Times may be scheduled in any order; negative times are rejected. *)
 
-val pop_until : 'a t -> time:float -> (float * 'a) list
-(** Remove and return every event with timestamp [<= time], in
-    chronological order. *)
+val drain : 'a t -> time:float -> ('a -> unit) -> unit
+(** Remove every event with timestamp [<= time], in chronological order,
+    and call the function on each as it is removed. Allocates nothing
+    itself. *)

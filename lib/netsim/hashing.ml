@@ -7,19 +7,37 @@ let mix flow_id router =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   to_int (shift_right_logical (logxor z (shift_right_logical z 31)) 3)
 
-let select ~flow_id ~router (fib : Igp.Fib.t) =
-  let weights = Igp.Fib.weights fib in
-  let total = List.fold_left (fun acc (_, m) -> acc + m) 0 weights in
-  if total = 0 then None
-  else begin
-    let bucket = mix flow_id router mod total in
-    let rec pick remaining = function
-      | [] -> None
-      | (next_hop, mult) :: rest ->
-        if remaining < mult then Some next_hop else pick (remaining - mult) rest
-    in
-    pick bucket weights
-  end
+let rec canonical last = function
+  | [] -> true
+  | (e : Igp.Fib.entry) :: rest -> e.next_hop > last && canonical e.next_hop rest
+
+let rec total acc = function
+  | [] -> acc
+  | (e : Igp.Fib.entry) :: rest -> total (acc + e.multiplicity) rest
+
+(* The flow's bucket over canonical entries, or [-1] when there is none. *)
+let pick ~flow_id ~router entries =
+  let rec go remaining = function
+    | [] -> -1
+    | (e : Igp.Fib.entry) :: rest ->
+      if remaining < e.multiplicity then e.next_hop else go (remaining - e.multiplicity) rest
+  in
+  match total 0 entries with 0 -> -1 | total -> go (mix flow_id router mod total) entries
+
+(* The chosen next hop, or [-1]. A canonical FIB (every SPF-built one:
+   strictly sorted next hops) is its own [Fib.weights], so the bucket is
+   found on its entries without building that list; only a hand-built
+   denormalized FIB pays for the merge. *)
+let next_hop ~flow_id ~router (fib : Igp.Fib.t) =
+  if canonical min_int fib.entries then pick ~flow_id ~router fib.entries
+  else
+    pick ~flow_id ~router
+      (List.map
+         (fun (next_hop, multiplicity) -> { Igp.Fib.next_hop; multiplicity; via_fakes = [] })
+         (Igp.Fib.weights fib))
+
+let select ~flow_id ~router fib =
+  match next_hop ~flow_id ~router fib with -1 -> None | hop -> Some hop
 
 let route_with ~fib ~max_hops ~flow_id ~src =
   let rec walk current hops acc =
@@ -30,10 +48,26 @@ let route_with ~fib ~max_hops ~flow_id ~src =
       | Some f ->
         if f.Igp.Fib.local then Some (List.rev (current :: acc))
         else begin
-          match select ~flow_id ~router:current f with
-          | None -> None
-          | Some next -> walk next (hops + 1) (current :: acc)
+          match next_hop ~flow_id ~router:current f with
+          | -1 -> None
+          | next -> walk next (hops + 1) (current :: acc)
         end
     end
   in
   walk src 0 []
+
+let follows ~fib ~max_hops ~flow_id path =
+  let rec walk current hops rest =
+    hops <= max_hops
+    &&
+    match fib current with
+    | None -> false
+    | Some f -> (
+      match rest with
+      | [] -> f.Igp.Fib.local
+      | next :: rest ->
+        (not f.Igp.Fib.local)
+        && next_hop ~flow_id ~router:current f = next
+        && walk next (hops + 1) rest)
+  in
+  match path with [] -> false | src :: rest -> walk src 0 rest

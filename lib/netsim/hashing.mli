@@ -11,7 +11,9 @@
 val select :
   flow_id:int -> router:Netgraph.Graph.node -> Igp.Fib.t -> Netgraph.Graph.node option
 (** The next hop this router forwards this flow to; [None] when the FIB
-    is local or has no entries. *)
+    is local or has no entries. The pick is the bucket of the flow's hash
+    over the FIB's canonical {!Igp.Fib.weights}; on a canonical FIB (every
+    SPF-built one) it reads the entries in place and allocates nothing. *)
 
 val route_with :
   fib:(Netgraph.Graph.node -> Igp.Fib.t option) ->
@@ -23,3 +25,14 @@ val route_with :
     prefix-specialized) FIB view — e.g. the mixed old/new view during a
     reconvergence. [None] on unreachability or when more than [max_hops]
     hops are taken (a forwarding loop). *)
+
+val follows :
+  fib:(Netgraph.Graph.node -> Igp.Fib.t option) ->
+  max_hops:int ->
+  flow_id:int ->
+  Netgraph.Graph.node list ->
+  bool
+(** [follows ~fib ~max_hops ~flow_id path] is
+    [route_with ~fib ~max_hops ~flow_id ~src:(List.hd path) = Some path],
+    decided hop by hop without building a list: the check a re-hash makes
+    on a flow's cached path before it routes the flow again. *)

@@ -2,6 +2,7 @@ type event = Start of Flow.t | Stop of int
 
 let m_steps = Obs.Metrics.counter "sim.steps"
 let m_step_alloc = Obs.Metrics.counter "sim.step_alloc_words"
+let m_rehashed = Obs.Metrics.counter "sim.rehashed_flows"
 
 type rate_model = Max_min_fair | Aimd of Aimd.t
 
@@ -41,7 +42,17 @@ type flow_class = {
   mutable first : int;
   mutable first_stale : bool;
   mutable rate : float; (* per-member rate of the last completed step *)
+  (* Set while [rewalk_dirty] picks the flows to re-place: the class's
+     path crosses a row the pass found dirty for its prefix. *)
+  mutable rehash : bool;
 }
+
+(* Where a flow's routing stands. A flow is [Unplaced] from its start
+   until the routing pass of that step places it; a [Classed] flow's
+   path is its class's [ck_path]. *)
+type placement = Unplaced | Unroutable | Classed of flow_class
+
+type flow_state = { flow : Flow.t; mutable placement : placement }
 
 type t = {
   net : Igp.Network.t;
@@ -57,7 +68,11 @@ type t = {
      ties in registration order. *)
   pending_actions : (int * (t -> unit)) Kit.Heap.t;
   mutable action_seq : int;
-  active : (int, Flow.t) Hashtbl.t;
+  (* One record per active flow, inserted at its start: a start, a stop
+     or a placement is one lookup. Its iteration order is the order the
+     re-walks place flows in, which sets the order classes enter
+     [classes] and so the order of every per-link float sum over them. *)
+  flows : (int, flow_state) Hashtbl.t;
   known_ids : (int, unit) Hashtbl.t;
   poll_hooks : (t -> Monitor.alarm list -> unit) Queue.t;
   step_hooks : (t -> unit) Queue.t;
@@ -66,13 +81,16 @@ type t = {
      [route_change_version] tracks the last version they saw. *)
   route_change_hooks : (t -> unit) Queue.t;
   mutable route_change_version : int;
-  (* Routing state: per-flow cached hashed path ([None] = unroutable)
-     and the flow classes built over those paths. *)
-  paths : (int, Netgraph.Graph.node list option) Hashtbl.t;
+  (* The flow classes built over the flows' hashed paths, and the
+     [Unroutable] flows, indexed so [demand_matrix] costs no scan of
+     every flow; a flow enters or leaves the index only when it loses or
+     regains a path. *)
   classes : (class_key, flow_class) Hashtbl.t;
-  class_of : (int, flow_class) Hashtbl.t;
-  unroutable_set : (int, unit) Hashtbl.t;
-  mutable pending_starts : Flow.t list; (* reversed arrival order *)
+  unroutable : (int, flow_state) Hashtbl.t;
+  mutable pending_starts : flow_state list; (* reversed arrival order *)
+  (* Per prefix, the rows the current routing pass has read, by router
+     ([None] = not read yet); emptied at the start of every pass. *)
+  rows : (Igp.Lsa.prefix, Igp.Fib.t option option array) Hashtbl.t;
   mutable routes_lsdb_version : int;
   mutable spf_cursor : int;
   (* Convergence modelling (optional). *)
@@ -112,17 +130,16 @@ let create ?(dt = 0.5) ?monitor ?(rate_model = Max_min_fair) ?convergence
     queue = Events.create ();
     pending_actions = Kit.Heap.create ();
     action_seq = 0;
-    active = Hashtbl.create 256;
+    flows = Hashtbl.create 256;
     known_ids = Hashtbl.create 256;
     poll_hooks = Queue.create ();
     step_hooks = Queue.create ();
     route_change_hooks = Queue.create ();
     route_change_version = Igp.Lsdb.version (Igp.Network.lsdb net);
-    paths = Hashtbl.create 256;
     classes = Hashtbl.create 64;
-    class_of = Hashtbl.create 256;
-    unroutable_set = Hashtbl.create 16;
+    unroutable = Hashtbl.create 16;
     pending_starts = [];
+    rows = Hashtbl.create 16;
     routes_lsdb_version = -1;
     spf_cursor = 0;
     link_rates = [];
@@ -329,24 +346,27 @@ let link_series t link =
 let track_link t link = ignore (link_series t link)
 
 let active_flows t =
-  Hashtbl.fold (fun _ f acc -> f :: acc) t.active []
+  Hashtbl.fold (fun _ st acc -> st.flow :: acc) t.flows []
   |> List.sort (fun (a : Flow.t) b -> compare a.id b.id)
 
-let flow_rate t id =
-  match Hashtbl.find_opt t.class_of id with Some c -> c.rate | None -> 0.
+let class_of t id =
+  match Hashtbl.find_opt t.flows id with
+  | Some { placement = Classed c; _ } -> Some c
+  | Some { placement = Unplaced | Unroutable; _ } | None -> None
+
+let flow_rate t id = match class_of t id with Some c -> c.rate | None -> 0.
 
 let current_link_rates t = t.link_rates
 
 let unroutable_flows t =
-  Hashtbl.fold (fun id () acc -> id :: acc) t.unroutable_set []
-  |> List.sort compare
+  Hashtbl.fold (fun id _ acc -> id :: acc) t.unroutable [] |> List.sort compare
 
-let flow_path t id = Option.join (Hashtbl.find_opt t.paths id)
+let flow_path t id = Option.map (fun c -> c.key.ck_path) (class_of t id)
 
 let flow_classes t = Hashtbl.length t.classes
 
 let active_prefixes t =
-  Hashtbl.fold (fun _ f acc -> f.Flow.prefix :: acc) t.active []
+  Hashtbl.fold (fun _ st acc -> st.flow.Flow.prefix :: acc) t.flows []
   |> List.sort_uniq compare
 
 (* The FIB a router is currently forwarding with: during a transition,
@@ -423,7 +443,8 @@ let links_of_path path =
   in
   go [] path
 
-let join_class t (flow : Flow.t) path =
+let join_class t st path =
+  let flow = st.flow in
   let key =
     {
       ck_src = flow.src;
@@ -446,6 +467,7 @@ let join_class t (flow : Flow.t) path =
           first = flow.id;
           first_stale = false;
           rate = 0.;
+          rehash = false;
         }
       in
       Hashtbl.replace t.classes key c;
@@ -454,46 +476,75 @@ let join_class t (flow : Flow.t) path =
   if flow.id < c.first then c.first <- flow.id;
   c.weight <- c.weight + 1;
   Hashtbl.replace c.members flow.id ();
-  Hashtbl.replace t.class_of flow.id c
+  st.placement <- Classed c
 
-let leave_class t id =
-  match Hashtbl.find_opt t.class_of id with
-  | None -> ()
-  | Some c ->
+(* Take a flow out of its class, or out of the unroutable index. *)
+let unplace t st =
+  let id = st.flow.id in
+  match st.placement with
+  | Classed c ->
     Hashtbl.remove c.members id;
     c.weight <- c.weight - 1;
     if id = c.first then c.first_stale <- true;
-    Hashtbl.remove t.class_of id;
     if c.weight = 0 then Hashtbl.remove t.classes c.key
+  | Unroutable -> Hashtbl.remove t.unroutable id
+  | Unplaced -> ()
 
-let route_flow t (flow : Flow.t) =
-  let max_hops = Netgraph.Graph.node_count (Igp.Network.graph t.net) in
-  Hashing.route_with
-    ~fib:(fun router -> effective_fib t router flow.prefix)
-    ~max_hops ~flow_id:flow.id ~src:flow.src
+(* The rows of [prefix] the current pass reads, by router. A row is read
+   through [effective_fib] the first time the pass asks for it, so a
+   router the SPF engine must refill is refilled — with its
+   [spf.recompute] span — on the same read as it would be uncached. The
+   cache is only valid within one pass: the next may follow an LSDB
+   change, a transition's switch or a later instant. *)
+let row_reader t prefix =
+  let row =
+    match Hashtbl.find_opt t.rows prefix with
+    | Some row -> row
+    | None ->
+      let row = Array.make (Netgraph.Graph.node_count (Igp.Network.graph t.net)) None in
+      Hashtbl.replace t.rows prefix row;
+      row
+  in
+  fun router ->
+    match row.(router) with
+    | Some fib -> fib
+    | None ->
+      let fib = effective_fib t router prefix in
+      row.(router) <- Some fib;
+      fib
 
 (* (Re)derive one flow's hashed path and update its class membership;
-   a flow whose path did not change keeps its class untouched. *)
-let place_flow t (flow : Flow.t) =
-  let id = flow.id in
-  let path = route_flow t flow in
-  let unchanged =
-    match Hashtbl.find_opt t.paths id with Some old -> old = path | None -> false
+   a flow whose walk reproduces its class's path keeps its class
+   untouched, and that check builds no list. *)
+let place_flow t st =
+  let flow = st.flow in
+  let fib = row_reader t flow.prefix in
+  let max_hops = Netgraph.Graph.node_count (Igp.Network.graph t.net) in
+  let kept =
+    match st.placement with
+    | Classed c -> Hashing.follows ~fib ~max_hops ~flow_id:flow.id c.key.ck_path
+    | Unroutable | Unplaced -> false
   in
-  if not unchanged then begin
-    if Hashtbl.mem t.class_of id then leave_class t id
-    else Hashtbl.remove t.unroutable_set id;
-    Hashtbl.replace t.paths id path;
-    match path with
-    | Some p -> join_class t flow p
-    | None -> Hashtbl.replace t.unroutable_set id ()
-  end
+  if not kept then
+    match (Hashing.route_with ~fib ~max_hops ~flow_id:flow.id ~src:flow.src, st.placement) with
+    | None, Unroutable -> ()
+    | Some path, _ ->
+      unplace t st;
+      join_class t st path
+    | None, (Classed _ | Unplaced) ->
+      unplace t st;
+      st.placement <- Unroutable;
+      Hashtbl.replace t.unroutable flow.id st
 
 let remove_flow t id =
-  Hashtbl.remove t.active id;
-  Hashtbl.remove t.paths id;
-  if Hashtbl.mem t.class_of id then leave_class t id
-  else Hashtbl.remove t.unroutable_set id
+  match Hashtbl.find_opt t.flows id with
+  | None -> ()
+  | Some st ->
+    Hashtbl.remove t.flows id;
+    (match st.placement with
+    | Unplaced -> t.pending_starts <- List.filter (fun s -> s != st) t.pending_starts
+    | Classed _ | Unroutable -> ());
+    unplace t st
 
 (* ---- demand matrix ---- *)
 
@@ -507,13 +558,12 @@ type demand = {
 (* One entry per class and one per unroutable flow, in ascending order
    of smallest member id: a consumer summing per key meets its keys in
    the order an id-sorted walk over the streams would (see sim.mli).
-   Between steps every active flow is placed — in a class or in
-   [unroutable_set] — since [recompute_routes] places each start. *)
+   Between steps every active flow is placed — in a class or
+   unroutable — since [recompute_routes] places each start. *)
 let demand_matrix t =
-  let unroutable id () acc =
-    let f : Flow.t = Hashtbl.find t.active id in
-    (id, { src = f.src; prefix = f.prefix; path = None; amount = f.demand })
-    :: acc
+  let unroutable id st acc =
+    let f = st.flow in
+    (id, { src = f.src; prefix = f.prefix; path = None; amount = f.demand }) :: acc
   in
   let classed =
     Hashtbl.fold
@@ -533,26 +583,32 @@ let demand_matrix t =
         :: acc)
       t.classes []
   in
-  Hashtbl.fold unroutable t.unroutable_set classed
+  Hashtbl.fold unroutable t.unroutable classed
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd
 
-let rewalk_all t = Hashtbl.iter (fun _ flow -> place_flow t flow) t.active
+let rewalk_all t =
+  Obs.Metrics.add m_rehashed (Hashtbl.length t.flows);
+  Hashtbl.iter (fun _ st -> place_flow t st) t.flows
 
-(* Re-walk only the flows whose cached answers may have changed: a
-   flow whose path crosses a router that reran stage 1, or a router
-   whose row for the flow's own prefix was flagged by a lie, plus every
-   currently-unroutable flow, which may have regained a path. Every
-   other flow's routers answer its prefix exactly as before (see
-   [Spf_engine.dirtied_since]), so its hashed walk would reproduce the
-   cached path verbatim. A lie flags one prefix's rows, so the flows of
-   other prefixes through the same routers keep their paths. *)
+(* Re-walk only the flows whose cached answers may have changed: the
+   members of a class whose path crosses a router that reran stage 1, or
+   a router whose row for the class's prefix was flagged by a lie, plus
+   every currently-unroutable flow, which may have regained a path.
+   Every member of a class shares its prefix and path, so the class is
+   judged once for all of them. Every other flow's routers answer its
+   prefix exactly as before (see [Spf_engine.dirtied_since]), so its
+   hashed walk would reproduce the cached path verbatim. A lie flags one
+   prefix's rows, so the classes of other prefixes through the same
+   routers keep their paths. The flows are placed in reverse [flows]
+   order: [classes], and the float sums over it, depend on the order
+   members move between classes. *)
 let rewalk_dirty t dirt =
-  if dirt <> [] || Hashtbl.length t.unroutable_set > 0 then begin
-    (* Router -> [[]] when every row may change, else the prefixes
-       whose rows may. *)
-    let dirty = Hashtbl.create 16 in
-    let every_row rs = List.iter (fun r -> Hashtbl.replace dirty r []) rs in
+  if dirt <> [] || Hashtbl.length t.unroutable > 0 then begin
+    (* By router: [Some []] when every row may change, [Some ps] when
+       the rows of [ps] may, [None] when none may. *)
+    let dirty = Array.make (Netgraph.Graph.node_count (Igp.Network.graph t.net)) None in
+    let every_row rs = List.iter (fun r -> dirty.(r) <- Some []) rs in
     List.iter
       (function
         | Igp.Spf_engine.Full_dirt -> every_row (Igp.Network.routers t.net)
@@ -560,37 +616,42 @@ let rewalk_dirty t dirt =
         | Rows_dirt (p, rs) ->
           List.iter
             (fun r ->
-              match Hashtbl.find_opt dirty r with
+              match dirty.(r) with
               | Some [] -> ()
-              | Some ps -> Hashtbl.replace dirty r (p :: ps)
-              | None -> Hashtbl.replace dirty r [ p ])
+              | Some ps -> dirty.(r) <- Some (p :: ps)
+              | None -> dirty.(r) <- Some [ p ])
             rs)
       dirt;
-    let crosses id r =
-      match Hashtbl.find_opt dirty r with
+    let crosses prefix r =
+      match dirty.(r) with
       | None -> false
       | Some [] -> true
-      | Some ps -> (
-        match Hashtbl.find_opt t.active id with
-        | Some flow -> List.exists (Igp.Prefix.equal flow.Flow.prefix) ps
-        | None -> false)
+      | Some ps -> List.exists (Igp.Prefix.equal prefix) ps
     in
-    let todo = ref [] in
-    Hashtbl.iter
-      (fun id path ->
-        let touched =
-          match path with
-          | None -> true
-          | Some p -> List.exists (crosses id) p
-        in
-        if touched then todo := id :: !todo)
-      t.paths;
-    List.iter
-      (fun id ->
-        match Hashtbl.find_opt t.active id with
-        | Some flow -> place_flow t flow
-        | None -> ())
-      !todo
+    let judged =
+      Hashtbl.fold
+        (fun _ c acc ->
+          if List.exists (crosses c.key.ck_prefix) c.key.ck_path then begin
+            c.rehash <- true;
+            c :: acc
+          end
+          else acc)
+        t.classes []
+    in
+    if judged <> [] || Hashtbl.length t.unroutable > 0 then begin
+      let todo =
+        Hashtbl.fold
+          (fun _ st acc ->
+            match st.placement with
+            | Classed c when c.rehash -> st :: acc
+            | Unroutable -> st :: acc
+            | Classed _ | Unplaced -> acc)
+          t.flows []
+      in
+      List.iter (fun c -> c.rehash <- false) judged;
+      Obs.Metrics.add m_rehashed (List.length todo);
+      List.iter (place_flow t) todo
+    end
   end
 
 (* Bring routing up to date: begin/advance/end convergence transitions,
@@ -598,6 +659,7 @@ let rewalk_dirty t dirt =
    router's view is time-dependent; only those whose rows may have
    changed otherwise), then route newly started flows. *)
 let recompute_routes t =
+  if Hashtbl.length t.rows > 0 then Hashtbl.reset t.rows;
   let engine = Igp.Network.engine t.net in
   let lsdb_version = Igp.Lsdb.version (Igp.Network.lsdb t.net) in
   let lsdb_changed = lsdb_version <> t.routes_lsdb_version in
@@ -651,7 +713,7 @@ let recompute_routes t =
      whatever reads routes next. *)
   match t.convergence with
   | Some _ -> if t.transition = None then snapshot_fibs t
-  | None -> if Hashtbl.length t.active > 0 then Igp.Network.warm t.net
+  | None -> if Hashtbl.length t.flows > 0 then Igp.Network.warm t.net
 
 (* ---- allocation ---- *)
 
@@ -668,10 +730,11 @@ let allocate_aimd t aimd =
      AIMD), so each class maps 1:1 to a flow and its route. *)
   let routes =
     Hashtbl.fold
-      (fun id c acc ->
-        let flow = Hashtbl.find t.active id in
-        ({ Fairshare.flow; links = c.c_links }, c) :: acc)
-      t.class_of []
+      (fun _ st acc ->
+        match st.placement with
+        | Classed c -> ({ Fairshare.flow = st.flow; links = c.c_links }, c) :: acc
+        | Unroutable | Unplaced -> acc)
+      t.flows []
   in
   let fair_routes = List.map fst routes in
   let offered = Aimd.update aimd ~dt:t.dt ~capacities:t.caps fair_routes in
@@ -761,8 +824,7 @@ let step_body t =
     end
   end;
   (* 1. Activate and retire flows due at the start of this step. *)
-  List.iter
-    (fun (_, event) ->
+  Events.drain t.queue ~time:step_start (fun event ->
       match event with
       | Start flow ->
         (* Resolve the flow's destination against the announced prefixes
@@ -778,8 +840,9 @@ let step_body t =
             { flow with Flow.prefix = governing }
           | Some _ | None -> flow
         in
-        Hashtbl.replace t.active flow.Flow.id flow;
-        t.pending_starts <- flow :: t.pending_starts;
+        let st = { flow; placement = Unplaced } in
+        Hashtbl.replace t.flows flow.Flow.id st;
+        t.pending_starts <- st :: t.pending_starts;
         if Obs.enabled () then
           Obs.Timeline.record ~time:step_start ~source:"sim" ~kind:"flow_start"
             [
@@ -789,15 +852,12 @@ let step_body t =
             ]
       | Stop id ->
         remove_flow t id;
-        t.pending_starts <-
-          List.filter (fun (f : Flow.t) -> f.id <> id) t.pending_starts;
         if Obs.enabled () then
           Obs.Timeline.record ~time:step_start ~source:"sim" ~kind:"flow_stop"
             [ ("flow", Int id) ];
         (match t.rate_model with
         | Aimd aimd -> Aimd.forget aimd id
-        | Max_min_fair -> ()))
-    (Events.pop_until t.queue ~time:step_start);
+        | Max_min_fair -> ()));
   (* 2–3. Route and allocate. *)
   recompute_routes t;
   (match t.rate_model with
@@ -819,11 +879,10 @@ let step_body t =
   (* 4. Record histories for this interval, stamped at its start. *)
   if t.flow_history then begin
     Hashtbl.iter
-      (fun id c -> Kit.Timeseries.add (flow_series t id) ~time:step_start c.rate)
-      t.class_of;
-    Hashtbl.iter
-      (fun id () -> Kit.Timeseries.add (flow_series t id) ~time:step_start 0.)
-      t.unroutable_set
+      (fun id st ->
+        let rate = match st.placement with Classed c -> c.rate | Unroutable | Unplaced -> 0. in
+        Kit.Timeseries.add (flow_series t id) ~time:step_start rate)
+      t.flows
   end;
   (* Every link with an existing history gets this step's rate (0. when
      idle); links carrying traffic for the first time open a history.

@@ -75,6 +75,7 @@ let bands =
     counter "installed";
     counter "approx_bytes";
     counter "rows_written";
+    counter "rehashed";
     { counter = "visited_per_update"; rel = 0.02; abs = 1. };
     { counter = "wall_ms"; rel = 0.5; abs = 1.0 };
     timing "build_ms";

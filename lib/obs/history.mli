@@ -57,8 +57,8 @@ val gate : row list -> verdict list
     workload with no comparable history produce no verdicts — the first
     CI run bootstraps the baseline rather than failing. The bands are
     tight (+2% plus a small slack) on the deterministic counters
-    [alloc_words], [installed], [approx_bytes], [rows_written] and
-    [visited_per_update], +25% and +100% on minor and major
+    [alloc_words], [installed], [approx_bytes], [rows_written],
+    [rehashed] and [visited_per_update], +25% and +100% on minor and major
     collections, +50% + 1 ms on [wall_ms], and +200% + 5 ms on the
     table timings [build_ms], [warm_ms] and [lie_cycle_ms] (wall time
     on shared runners moves 2x between identical runs, so these only

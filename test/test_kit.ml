@@ -146,6 +146,37 @@ let prop_heap_matches_swap_heap =
           | _ -> Kit.Heap.peek h = Heap_oracle.peek oracle)
         (List.mapi (fun i op -> (i, op)) ops))
 
+(* Random push/drain interleavings over four priorities: every drain
+   yields exactly the values repeated [peek]/[pop] on the swap-based
+   heap yields up to the same bound, ties included. *)
+let prop_heap_drain_matches_swap_heap =
+  QCheck.Test.make ~name:"drain = repeated peek/pop on swap-based heap" ~count:300
+    QCheck.(list (pair bool (int_range 0 3)))
+    (fun ops ->
+      let h = Kit.Heap.create () and oracle = Heap_oracle.create () in
+      List.for_all
+        (fun (i, (push, p)) ->
+          let bound = float_of_int p in
+          if push then begin
+            Kit.Heap.push h ~priority:bound i;
+            Heap_oracle.push oracle ~priority:bound i;
+            true
+          end
+          else begin
+            let drained = ref [] in
+            Kit.Heap.drain h ~upto:bound (fun v -> drained := v :: !drained);
+            let rec expected acc =
+              match Heap_oracle.peek oracle with
+              | Some (priority, _) when priority <= bound -> (
+                match Heap_oracle.pop oracle with
+                | Some (_, v) -> expected (v :: acc)
+                | None -> acc)
+              | Some _ | None -> acc
+            in
+            !drained = expected []
+          end)
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* The same for [Heap.Int], against the float oracle over the same small
    integers (their float comparisons are the integer ones). *)
 let prop_int_heap_matches_swap_heap =
@@ -500,6 +531,7 @@ let () =
           prop_heap_sorts;
           prop_int_heap_sorts;
           prop_heap_matches_swap_heap;
+          prop_heap_drain_matches_swap_heap;
           prop_int_heap_matches_swap_heap;
         ];
       ( "stats",

@@ -223,6 +223,95 @@ let test_hashing_route_detects_loop () =
   Alcotest.(check bool) "loop detected" true
     (route net ~flow_id:3 ~src:d.a (pfx "blue") = None)
 
+(* The pick [Hashing.select] made before it read canonical entries in
+   place: the flow's splitmix64 bucket over [Fib.weights]. *)
+let weights_select ~flow_id ~router fib =
+  let mix flow_id router =
+    let open Int64 in
+    let z = add (mul (of_int flow_id) 0x9E3779B97F4A7C15L) (of_int (router * 0x85EB)) in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    to_int (shift_right_logical (logxor z (shift_right_logical z 31)) 3)
+  in
+  let weights = Igp.Fib.weights fib in
+  let total = List.fold_left (fun acc (_, m) -> acc + m) 0 weights in
+  if total = 0 then None
+  else
+    let rec pick remaining = function
+      | [] -> None
+      | (hop, mult) :: rest -> if remaining < mult then Some hop else pick (remaining - mult) rest
+    in
+    pick (mix flow_id router mod total) weights
+
+(* A hand-built FIB: [raw] entries as drawn (any order, repeated next
+   hops, multiplicities up to 4) or, when [canonical], merged and sorted
+   as SPF builds them. A [local] FIB has no entries and ends a walk. *)
+let gen_fib =
+  QCheck.Gen.(
+    map3
+      (fun raw canonical local ->
+        let entries =
+          List.map
+            (fun (next_hop, multiplicity) ->
+              { Igp.Fib.next_hop; multiplicity; via_fakes = [] })
+            raw
+        in
+        let fib =
+          { Igp.Fib.router = 0; prefix = pfx "p"; distance = 1; local; entries = [] }
+        in
+        let entries =
+          if canonical then
+            List.map
+              (fun (next_hop, multiplicity) -> { Igp.Fib.next_hop; multiplicity; via_fakes = [] })
+              (Igp.Fib.weights { fib with entries })
+          else entries
+        in
+        if local then { fib with local } else { fib with entries })
+      (list_size (int_range 0 5) (pair (int_range 0 5) (int_range 1 4)))
+      bool (frequency [ (5, return false); (1, return true) ]))
+
+let prop_select_matches_weights_pick =
+  QCheck.Test.make ~name:"select = Fib.weights pick on any FIB" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) gen_fib))
+    (fun fibs ->
+      List.for_all
+        (fun fib ->
+          List.for_all
+            (fun router ->
+              List.for_all
+                (fun flow_id ->
+                  Netsim.Hashing.select ~flow_id ~router fib
+                  = weights_select ~flow_id ~router fib)
+                (List.init 64 Fun.id))
+            (List.init 8 Fun.id))
+        fibs)
+
+(* On a random forwarding view over six routers (some loop, some
+   blackhole), [follows] accepts exactly the path [route_with] walks:
+   the walked path itself, and no truncation or one-hop alteration. *)
+let prop_follows_matches_route_with =
+  QCheck.Test.make ~name:"follows path = (route_with = Some path)" ~count:300
+    (QCheck.make QCheck.Gen.(pair (array_size (return 6) (opt gen_fib)) (int_range 0 1000)))
+    (fun (view, flow_id) ->
+      let fib r = view.(r) and max_hops = 6 in
+      List.for_all
+        (fun src ->
+          match Netsim.Hashing.route_with ~fib ~max_hops ~flow_id ~src with
+          | None -> true
+          | Some path ->
+            let n = List.length path in
+            let truncated = List.filteri (fun i _ -> i < n - 1) path in
+            let altered = List.mapi (fun i r -> if i = n - 1 then (r + 1) mod 6 else r) path in
+            Netsim.Hashing.follows ~fib ~max_hops ~flow_id path
+            && List.for_all
+                 (fun p ->
+                   Netsim.Hashing.follows ~fib ~max_hops ~flow_id p
+                   = (p <> []
+                     && Netsim.Hashing.route_with ~fib ~max_hops ~flow_id ~src:(List.hd p)
+                        = Some p))
+                 [ truncated; altered; path @ [ List.hd path ] ])
+        (List.init 6 Fun.id))
+
 (* ---------- Fairshare ---------- *)
 
 let mkflow id demand = Flow.make ~id ~src:0 ~prefix:(pfx "p") ~demand ()
@@ -511,12 +600,14 @@ let test_events_ordering () =
   Netsim.Events.schedule q ~time:3. "c";
   Netsim.Events.schedule q ~time:1. "a";
   Netsim.Events.schedule q ~time:2. "b";
-  Alcotest.(check (list string)) "nothing due" []
-    (List.map snd (Netsim.Events.pop_until q ~time:0.5));
-  let popped = Netsim.Events.pop_until q ~time:2. in
-  Alcotest.(check (list string)) "first two" [ "a"; "b" ] (List.map snd popped);
-  Alcotest.(check (list string)) "one left" [ "c" ]
-    (List.map snd (Netsim.Events.pop_until q ~time:infinity))
+  let drain ~time =
+    let seen = ref [] in
+    Netsim.Events.drain q ~time (fun e -> seen := e :: !seen);
+    List.rev !seen
+  in
+  Alcotest.(check (list string)) "nothing due" [] (drain ~time:0.5);
+  Alcotest.(check (list string)) "first two" [ "a"; "b" ] (drain ~time:2.);
+  Alcotest.(check (list string)) "one left" [ "c" ] (drain ~time:infinity)
 
 let test_events_negative_time () =
   let q = Netsim.Events.create () in
@@ -1329,13 +1420,81 @@ let replay net =
   List.iter (Igp.Network.inject_fake cold) (Igp.Network.fakes net);
   cold
 
-(* Scripted random scenarios on a zoo topology with three prefixes:
+(* A scripted random scenario on a zoo topology with three prefixes:
    lies on random prefixes (some in mirrored pairs, which loop), retracts
    and supersessions, link failures and restores, flows starting and
    stopping. Lies land both before routing (scheduled actions, which the
    watchdog's guard sees) and after it (a step hook, which only the
-   post-step check sees). Two from-scratch oracles run on a cold replay
-   of the network, so they never touch the live SPF engine's caches:
+   post-step check sees). [on_created] runs right after the simulator is
+   built, so its step hooks run before the meddling one. *)
+let oracle_steps = 30
+
+let oracle_scenario ~on_created seed =
+  let prng = Kit.Prng.create ~seed in
+  let pick l = List.nth l (Kit.Prng.int prng (List.length l)) in
+  let zoo = Netgraph.Zoo.all () in
+  let g = G.copy (pick zoo).Netgraph.Zoo.graph in
+  let n = G.node_count g in
+  let net = Igp.Network.create g in
+  let prefixes = [ pfx "p0"; pfx "p1"; pfx "p2" ] in
+  List.iter
+    (fun p -> Igp.Network.announce_prefix net p ~origin:(Kit.Prng.int prng n) ~cost:0)
+    prefixes;
+  let sim = Netsim.Sim.create ~dt:0.5 net (Link.capacities ~default:1e6) in
+  on_created sim;
+  let lie ~id ~at ~fwd ~prefix ~cost : Igp.Lsa.fake =
+    { fake_id = id; attachment = at; attachment_cost = 1; prefix; announced_cost = cost; forwarding = fwd }
+  in
+  let install (f : Igp.Lsa.fake) =
+    Igp.Network.inject_fake net f;
+    Igp.Lsdb.set_fake_expiry (Igp.Network.lsdb net) ~fake_id:f.fake_id
+      ~now:(Netsim.Sim.time sim) ~ttl:30.
+  in
+  let meddle () =
+    let prefix = pick prefixes in
+    let at = Kit.Prng.int prng n in
+    match G.succ g at with
+    | [] -> ()
+    | succ -> (
+      let fwd = fst (pick succ) in
+      let id = Printf.sprintf "l%d" (Kit.Prng.int prng 6) in
+      match Kit.Prng.int prng 4 with
+      | 0 ->
+        (* A mirrored pair at announced cost 0: a two-router loop. *)
+        install (lie ~id ~at ~fwd ~prefix ~cost:0);
+        install (lie ~id:(id ^ "m") ~at:fwd ~fwd:at ~prefix ~cost:0)
+      | 1 -> (
+        match Igp.Network.fakes net with
+        | [] -> ()
+        | fakes -> Igp.Network.retract_fake net ~fake_id:(pick fakes).fake_id)
+      | _ -> install (lie ~id ~at ~fwd ~prefix ~cost:(Kit.Prng.int prng 4)))
+  in
+  Netsim.Sim.on_step sim (fun _ -> if Kit.Prng.int prng 4 = 0 then meddle ());
+  let wd = Netsim.Watchdog.arm sim in
+  let horizon = float_of_int oracle_steps *. 0.5 in
+  for id = 0 to 5 + Kit.Prng.int prng 6 do
+    Netsim.Sim.add_flow sim
+      (Flow.make ~id ~src:(Kit.Prng.int prng n) ~prefix:(pick prefixes) ~demand:10.
+         ~start_time:(0.5 *. float_of_int (Kit.Prng.int prng 10))
+         ~duration:(1. +. float_of_int (Kit.Prng.int prng 12))
+         ())
+  done;
+  for _ = 1 to 2 + Kit.Prng.int prng 4 do
+    let time = 0.5 *. float_of_int (Kit.Prng.int prng oracle_steps) in
+    match Kit.Prng.int prng 3 with
+    | 0 -> Netsim.Sim.schedule sim ~time (fun _ -> meddle ())
+    | _ -> (
+      match G.edges g with
+      | [] -> ()
+      | edges ->
+        let u, v, _ = pick edges in
+        Netsim.Sim.fail_link sim ~time (u, v);
+        Netsim.Sim.restore_link sim ~time:(Float.min horizon (time +. 2.)) (u, v))
+  done;
+  (sim, net, prefixes, wd)
+
+(* Two from-scratch oracles run on a cold replay of the network, so they
+   never touch the live SPF engine's caches:
    - at the end of every step's routing, every active flow's path is the
      hashed walk over the replay's FIBs;
    - after every step, every prefix the replay finds unsafe has been
@@ -1345,77 +1504,20 @@ let prop_sim_matches_oracle =
   QCheck.Test.make ~name:"sim routes and watchdog reports = from-scratch oracle" ~count:80
     QCheck.(int_range 0 1000000)
     (fun seed ->
-      let prng = Kit.Prng.create ~seed in
-      let pick l = List.nth l (Kit.Prng.int prng (List.length l)) in
-      let zoo = Netgraph.Zoo.all () in
-      let g = G.copy (pick zoo).Netgraph.Zoo.graph in
-      let n = G.node_count g in
-      let net = Igp.Network.create g in
-      let prefixes = [ pfx "p0"; pfx "p1"; pfx "p2" ] in
-      List.iter
-        (fun p -> Igp.Network.announce_prefix net p ~origin:(Kit.Prng.int prng n) ~cost:0)
-        prefixes;
-      let sim = Netsim.Sim.create ~dt:0.5 net (Link.capacities ~default:1e6) in
       let routes_ok = ref true in
-      Netsim.Sim.on_step sim (fun sim ->
-          let cold = replay net in
-          List.iter
-            (fun (f : Flow.t) ->
-              if Netsim.Sim.flow_path sim f.id <> route cold ~flow_id:f.id ~src:f.src f.prefix
-              then routes_ok := false)
-            (Netsim.Sim.active_flows sim));
-      let lie ~id ~at ~fwd ~prefix ~cost : Igp.Lsa.fake =
-        { fake_id = id; attachment = at; attachment_cost = 1; prefix; announced_cost = cost; forwarding = fwd }
+      let sim, net, prefixes, wd =
+        oracle_scenario seed ~on_created:(fun sim ->
+            Netsim.Sim.on_step sim (fun sim ->
+                let net = Netsim.Sim.network sim in
+                let cold = replay net in
+                List.iter
+                  (fun (f : Flow.t) ->
+                    if Netsim.Sim.flow_path sim f.id <> route cold ~flow_id:f.id ~src:f.src f.prefix
+                    then routes_ok := false)
+                  (Netsim.Sim.active_flows sim)))
       in
-      let install (f : Igp.Lsa.fake) =
-        Igp.Network.inject_fake net f;
-        Igp.Lsdb.set_fake_expiry (Igp.Network.lsdb net) ~fake_id:f.fake_id
-          ~now:(Netsim.Sim.time sim) ~ttl:30.
-      in
-      let meddle () =
-        let prefix = pick prefixes in
-        let at = Kit.Prng.int prng n in
-        match G.succ g at with
-        | [] -> ()
-        | succ -> (
-          let fwd = fst (pick succ) in
-          let id = Printf.sprintf "l%d" (Kit.Prng.int prng 6) in
-          match Kit.Prng.int prng 4 with
-          | 0 ->
-            (* A mirrored pair at announced cost 0: a two-router loop. *)
-            install (lie ~id ~at ~fwd ~prefix ~cost:0);
-            install (lie ~id:(id ^ "m") ~at:fwd ~fwd:at ~prefix ~cost:0)
-          | 1 -> (
-            match Igp.Network.fakes net with
-            | [] -> ()
-            | fakes -> Igp.Network.retract_fake net ~fake_id:(pick fakes).fake_id)
-          | _ -> install (lie ~id ~at ~fwd ~prefix ~cost:(Kit.Prng.int prng 4)))
-      in
-      Netsim.Sim.on_step sim (fun _ -> if Kit.Prng.int prng 4 = 0 then meddle ());
-      let wd = Netsim.Watchdog.arm sim in
       let reported = Hashtbl.create 4 in
       Netsim.Watchdog.on_quarantine wd (fun ~prefix ~reason:_ -> Hashtbl.replace reported prefix ());
-      let steps = 30 in
-      let horizon = float_of_int steps *. 0.5 in
-      for id = 0 to 5 + Kit.Prng.int prng 6 do
-        Netsim.Sim.add_flow sim
-          (Flow.make ~id ~src:(Kit.Prng.int prng n) ~prefix:(pick prefixes) ~demand:10.
-             ~start_time:(0.5 *. float_of_int (Kit.Prng.int prng 10))
-             ~duration:(1. +. float_of_int (Kit.Prng.int prng 12))
-             ())
-      done;
-      for _ = 1 to 2 + Kit.Prng.int prng 4 do
-        let time = 0.5 *. float_of_int (Kit.Prng.int prng steps) in
-        match Kit.Prng.int prng 3 with
-        | 0 -> Netsim.Sim.schedule sim ~time (fun _ -> meddle ())
-        | _ -> (
-          match G.edges g with
-          | [] -> ()
-          | edges ->
-            let u, v, _ = pick edges in
-            Netsim.Sim.fail_link sim ~time (u, v);
-            Netsim.Sim.restore_link sim ~time:(Float.min horizon (time +. 2.)) (u, v))
-      done;
       let unsafe_streak = Hashtbl.create 4 in
       let rec go k =
         k = 0
@@ -1449,7 +1551,69 @@ let prop_sim_matches_oracle =
              safe_ok && !routes_ok && go (k - 1)
            end
       in
-      go steps)
+      go oracle_steps)
+
+(* Between steps, the flow classes are what grouping the active flows by
+   (source, prefix, demand, public path) rebuilds: [demand_matrix] has
+   one entry per group with amount = members × demand plus one per
+   unroutable flow, in order of smallest member id; [flow_classes]
+   counts the groups, so no class is empty; the unroutable flows are
+   exactly those without a path; and a class's members share its
+   rate. *)
+let classes_match_rebuild sim =
+  let flows = Netsim.Sim.active_flows sim in
+  let groups = Hashtbl.create 8 and entries = ref [] in
+  List.iter
+    (fun (f : Flow.t) ->
+      match Netsim.Sim.flow_path sim f.id with
+      | None ->
+        entries :=
+          (f.id, { Netsim.Sim.src = f.src; prefix = f.prefix; path = None; amount = f.demand })
+          :: !entries
+      | Some path -> (
+        let key = (f.src, f.prefix, f.demand, path) in
+        match Hashtbl.find_opt groups key with
+        | Some (first, members) -> Hashtbl.replace groups key (first, f.id :: members)
+        | None -> Hashtbl.replace groups key (f.id, [ f.id ])))
+    flows;
+  Hashtbl.iter
+    (fun (src, prefix, demand, path) (first, members) ->
+      entries :=
+        ( first,
+          {
+            Netsim.Sim.src;
+            prefix;
+            path = Some path;
+            amount = float_of_int (List.length members) *. demand;
+          } )
+        :: !entries)
+    groups;
+  let rebuilt = List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) !entries) in
+  let shared_rate (_, members) =
+    let rate = Netsim.Sim.flow_rate sim (List.hd members) in
+    List.for_all (fun id -> Netsim.Sim.flow_rate sim id = rate) members
+  in
+  Netsim.Sim.demand_matrix sim = rebuilt
+  && Netsim.Sim.flow_classes sim = Hashtbl.length groups
+  && Netsim.Sim.unroutable_flows sim
+     = List.filter_map
+         (fun (f : Flow.t) -> if Netsim.Sim.flow_path sim f.id = None then Some f.id else None)
+         flows
+  && Hashtbl.fold (fun _ g ok -> ok && shared_rate g) groups true
+
+let prop_sim_class_bookkeeping =
+  QCheck.Test.make ~name:"flow classes = rebuild from per-flow paths" ~count:80
+    QCheck.(int_range 0 1000000)
+    (fun seed ->
+      let sim, _, _, _ = oracle_scenario seed ~on_created:ignore in
+      let rec go k =
+        k = 0
+        || begin
+             Netsim.Sim.run_until sim (Netsim.Sim.time sim +. 0.5);
+             classes_match_rebuild sim && go (k - 1)
+           end
+      in
+      go oracle_steps)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1515,7 +1679,8 @@ let () =
           Alcotest.test_case "hysteresis band" `Quick test_monitor_hysteresis_band;
         ] );
       qsuite "monitor-props" [ prop_monitor_utilization_bounded ];
-      qsuite "sim-oracle" [ prop_sim_matches_oracle ];
+      qsuite "hashing-props" [ prop_select_matches_weights_pick; prop_follows_matches_route_with ];
+      qsuite "sim-oracle" [ prop_sim_matches_oracle; prop_sim_class_bookkeeping ];
       ( "aimd",
         [
           Alcotest.test_case "ramps to demand" `Quick test_aimd_ramps_up_to_demand;
