@@ -1751,7 +1751,44 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
     unlie ();
     ({ row with values = row.values @ [ ("rehashed", rehashed) ] }, rehashed > 0.)
   in
-  ([ spf_churn; water_fill; sim_step; react; sim_adopt ], !reacted && adopted)
+  (* The simulator's event queue under a crowd-shaped batch: [batch]
+     streams start jittered over 1 s and stop 10 s later, all scheduled
+     at once as [Sim.add_flow] does, then drained in 0.5 s steps as
+     [Sim.step] drains them. The payloads are ints, so [alloc_words] is
+     the queue's own; [words_per_event] divides it by the events, and
+     the track's gate fails unless every event drains, in time order. *)
+  let sim_events, in_order =
+    let batch = 50 * flows and dt = 0.5 in
+    let prng = Kit.Prng.create ~seed:5 in
+    let starts = Array.init batch (fun _ -> Kit.Prng.float prng 1.) in
+    (* Event [i < batch] starts stream [i], event [batch + i] stops it.
+       The times are boxed once, here, as a flow record boxes them. *)
+    let times = Array.append starts (Array.map (fun s -> s +. 10.) starts) in
+    let events = Array.mapi (fun e time -> (time, e)) times in
+    let ok = ref true in
+    let cycle () =
+      let q = Netsim.Events.create () in
+      Array.iter (fun (time, e) -> Netsim.Events.schedule q ~time e) events;
+      let drained = ref 0 and previous = ref (-1) in
+      let check e =
+        if !previous >= 0 && times.(e) < times.(!previous) then ok := false;
+        previous := e;
+        incr drained
+      in
+      let rec step time =
+        Netsim.Events.drain q ~time check;
+        if time < 12. then step (time +. dt)
+      in
+      step 0.;
+      if !drained <> Array.length events then ok := false
+    in
+    let row = prof_row "sim_events" ~cycles:5 ~context:[ ("flows", num batch) ] cycle in
+    let words = List.assoc "alloc_words" row.values in
+    ( { row with values = row.values @ [ ("words_per_event", words /. num (Array.length events)) ] },
+      !ok )
+  in
+  ( [ spf_churn; water_fill; sim_step; react; sim_adopt; sim_events ],
+    !reacted && adopted && in_order )
 
 (* ------------------------------------------------------------------ *)
 (* The track registry and the driver. *)

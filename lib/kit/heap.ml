@@ -4,14 +4,21 @@ type 'a t = {
   mutable length : int;
 }
 
+(* What the slots past the end hold: never a pushed value, so a popped
+   value is not kept reachable by a slot the heap no longer uses. It is
+   an immediate, so [values] is never a flat float array and every read
+   and write of it stays the generic, tag-checked one whatever ['a] is;
+   it is never read back as an ['a]. *)
+let vacant () : 'a = Obj.magic 0
+
 let create () = { priorities = [||]; values = [||]; length = 0 }
 
-let grow t value =
+let grow t =
   let capacity = Array.length t.priorities in
   if t.length = capacity then begin
     let capacity' = max 16 (2 * capacity) in
     let priorities' = Array.make capacity' 0. in
-    let values' = Array.make capacity' value in
+    let values' = Array.make capacity' (vacant ()) in
     Array.blit t.priorities 0 priorities' 0 t.length;
     Array.blit t.values 0 values' 0 t.length;
     t.priorities <- priorities';
@@ -59,7 +66,7 @@ let sift_down t =
   t.values.(!i) <- value
 
 let push t ~priority value =
-  grow t value;
+  grow t;
   t.length <- t.length + 1;
   sift_up t (t.length - 1) priority value
 
@@ -69,20 +76,11 @@ let pop t =
     let priority = t.priorities.(0) and value = t.values.(0) in
     t.length <- t.length - 1;
     if t.length > 0 then sift_down t;
+    t.values.(t.length) <- vacant ();
     Some (priority, value)
   end
 
 let peek t = if t.length = 0 then None else Some (t.priorities.(0), t.values.(0))
-
-(* [pop] without its option and tuple: the entry leaves the heap before
-   [f] sees it, so [f] may push. *)
-let drain t ~upto f =
-  while t.length > 0 && t.priorities.(0) <= upto do
-    let value = t.values.(0) in
-    t.length <- t.length - 1;
-    if t.length > 0 then sift_down t;
-    f value
-  done
 
 (* Monomorphic int-priority / int-payload variant. Same lazy-deletion
    contract as the polymorphic heap, but priorities and values live in

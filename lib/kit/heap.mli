@@ -1,8 +1,9 @@
 (** Mutable binary min-heap keyed by float priorities.
 
-    Used by Dijkstra ([Netgraph.Dijkstra]) and the discrete event queue
-    ([Netsim.Events]). Duplicate insertions of the same element are
-    allowed; stale entries are the caller's concern (lazy deletion). *)
+    Used by the water-filling kernel ([Netsim.Fairshare]) and the
+    min-cost-flow solver ([Te.Mcf]). Duplicate insertions of the same
+    element are allowed; stale entries are the caller's concern (lazy
+    deletion). *)
 
 type 'a t
 
@@ -12,15 +13,10 @@ val push : 'a t -> priority:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority entry, if any. Ties are broken
-    arbitrarily but deterministically. *)
+    arbitrarily but deterministically. The heap keeps no reference to a
+    popped value. *)
 
 val peek : 'a t -> (float * 'a) option
-
-val drain : 'a t -> upto:float -> ('a -> unit) -> unit
-(** Pop every entry with priority [<= upto], in {!pop} order, calling
-    the function on each value as it leaves the heap; entries the
-    function pushes are drained too when their priority is due. Allocates
-    nothing itself. *)
 
 (** Monomorphic binary min-heap with unboxed [int] priorities and [int]
     payloads — the Dijkstra workhorse.

@@ -64,10 +64,8 @@ type t = {
   flow_history : bool;
   mutable time : float;
   queue : event Events.t;
-  (* Scheduled actions in a heap keyed by time; [seq] breaks equal-time
-     ties in registration order. *)
-  pending_actions : (int * (t -> unit)) Kit.Heap.t;
-  mutable action_seq : int;
+  (* Scheduled actions; equal times run in registration order. *)
+  pending_actions : (t -> unit) Events.t;
   (* One record per active flow, inserted at its start: a start, a stop
      or a placement is one lookup. Its iteration order is the order the
      re-walks place flows in, which sets the order classes enter
@@ -128,8 +126,7 @@ let create ?(dt = 0.5) ?monitor ?(rate_model = Max_min_fair) ?convergence
     fib_snapshot = Hashtbl.create 64;
     time = 0.;
     queue = Events.create ();
-    pending_actions = Kit.Heap.create ();
-    action_seq = 0;
+    pending_actions = Events.create ();
     flows = Hashtbl.create 256;
     known_ids = Hashtbl.create 256;
     poll_hooks = Queue.create ();
@@ -171,8 +168,7 @@ let add_flow t flow =
 
 let schedule t ~time action =
   if time < t.time then invalid_arg "Sim.schedule: time in the past";
-  t.action_seq <- t.action_seq + 1;
-  Kit.Heap.push t.pending_actions ~priority:time (t.action_seq, action)
+  Events.schedule t.pending_actions ~time action
 
 let router_crashed t r = Hashtbl.mem t.crashed r
 
@@ -540,10 +536,9 @@ let remove_flow t id =
   match Hashtbl.find_opt t.flows id with
   | None -> ()
   | Some st ->
+    (* An [Unplaced] flow stays in [pending_starts]; the placement loop
+       skips it once it is out of [flows]. *)
     Hashtbl.remove t.flows id;
-    (match st.placement with
-    | Unplaced -> t.pending_starts <- List.filter (fun s -> s != st) t.pending_starts
-    | Classed _ | Unroutable -> ());
     unplace t st
 
 (* ---- demand matrix ---- *)
@@ -703,7 +698,9 @@ let recompute_routes t =
   (match t.pending_starts with
   | [] -> ()
   | starts ->
-    List.iter (place_flow t) (List.rev starts);
+    List.iter
+      (fun st -> if Hashtbl.mem t.flows st.flow.id then place_flow t st)
+      (List.rev starts);
     t.pending_starts <- [];
     t.spf_cursor <- Igp.Spf_engine.dirty_cursor engine);
   (* Only a convergence model reads the snapshot, at the next change.
@@ -790,25 +787,9 @@ let step_body t =
           ])
       expired;
   (* 0. Run scheduled actions due now (failures, manual injections),
-     ordered by time then registration order for equal timestamps. The
-     common step has nothing due — one heap peek, no allocation. *)
-  (match Kit.Heap.peek t.pending_actions with
-  | Some (time, _) when time <= step_start +. 1e-9 ->
-    let due = ref [] in
-    let rec drain () =
-      match Kit.Heap.peek t.pending_actions with
-      | Some (time, (seq, action)) when time <= step_start +. 1e-9 ->
-        ignore (Kit.Heap.pop t.pending_actions);
-        due := (time, seq, action) :: !due;
-        drain ()
-      | Some _ | None -> ()
-    in
-    drain ();
-    let due =
-      List.sort (fun (ta, sa, _) (tb, sb, _) -> compare (ta, sa) (tb, sb)) !due
-    in
-    List.iter (fun (_, _, action) -> action t) due
-  | Some _ | None -> ());
+     ordered by time then registration order for equal timestamps. An
+     action scheduled by one of them waits for the next step. *)
+  Events.drain t.pending_actions ~time:(step_start +. 1e-9) (fun action -> action t);
   (* 0b. Route-change hooks: the control plane reacts to LSDB changes
      (faults, expiries, manual injections) {e before} flows are routed
      against the new state — a Fibbing controller participates in the

@@ -76,7 +76,8 @@ val schedule : t -> time:float -> (t -> unit) -> unit
     injection) to run at the start of the step covering [time]. Actions
     touching the LSDB take routing effect within the same step. Actions
     run in time order; equal timestamps preserve registration order.
-    Insertion is O(log n) (a heap, not a per-insert re-sort). *)
+    An action that schedules another for the current step runs it at the
+    next step. Scheduling is O(1) amortized ({!Events.schedule}). *)
 
 val fail_link : t -> time:float -> Link.t -> unit
 (** Schedule a bidirectional link failure: both directions are removed

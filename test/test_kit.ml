@@ -110,6 +110,35 @@ let test_heap_duplicates () =
   Alcotest.(check (list string)) "all present" [ "a"; "b"; "c" ]
     (List.sort compare popped)
 
+(* A popped value is left to the GC: no slot of the heap still refers to
+   it, neither the one the pop vacated nor those past the end that the
+   heap's growth filled. 20 pushes grow the heap twice. *)
+let test_heap_pop_releases_value () =
+  let n = 20 and popped = 5 in
+  let h = Kit.Heap.create () and weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Kit.Heap.push h ~priority:(float_of_int i) v
+  done;
+  let pop () = ignore (Sys.opaque_identity (Kit.Heap.pop h)) in
+  for _ = 1 to popped do
+    pop ()
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "value %d held" i) (i >= popped) (Weak.check weak i)
+  done;
+  for _ = popped + 1 to n do
+    pop ()
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "value %d released" i) false (Weak.check weak i)
+  done;
+  Kit.Heap.push h ~priority:0. (ref 0);
+  Alcotest.(check bool) "usable after emptying" true (Kit.Heap.pop h <> None)
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in priority order" ~count:200
     QCheck.(list (float_bound_inclusive 1000.))
@@ -144,37 +173,6 @@ let prop_heap_matches_swap_heap =
             true
           | 1 -> Kit.Heap.pop h = Heap_oracle.pop oracle
           | _ -> Kit.Heap.peek h = Heap_oracle.peek oracle)
-        (List.mapi (fun i op -> (i, op)) ops))
-
-(* Random push/drain interleavings over four priorities: every drain
-   yields exactly the values repeated [peek]/[pop] on the swap-based
-   heap yields up to the same bound, ties included. *)
-let prop_heap_drain_matches_swap_heap =
-  QCheck.Test.make ~name:"drain = repeated peek/pop on swap-based heap" ~count:300
-    QCheck.(list (pair bool (int_range 0 3)))
-    (fun ops ->
-      let h = Kit.Heap.create () and oracle = Heap_oracle.create () in
-      List.for_all
-        (fun (i, (push, p)) ->
-          let bound = float_of_int p in
-          if push then begin
-            Kit.Heap.push h ~priority:bound i;
-            Heap_oracle.push oracle ~priority:bound i;
-            true
-          end
-          else begin
-            let drained = ref [] in
-            Kit.Heap.drain h ~upto:bound (fun v -> drained := v :: !drained);
-            let rec expected acc =
-              match Heap_oracle.peek oracle with
-              | Some (priority, _) when priority <= bound -> (
-                match Heap_oracle.pop oracle with
-                | Some (_, v) -> expected (v :: acc)
-                | None -> acc)
-              | Some _ | None -> acc
-            in
-            !drained = expected []
-          end)
         (List.mapi (fun i op -> (i, op)) ops))
 
 (* The same for [Heap.Int], against the float oracle over the same small
@@ -504,6 +502,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "peek" `Quick test_heap_peek_does_not_remove;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
+          Alcotest.test_case "pop releases value" `Quick test_heap_pop_releases_value;
         ] );
       ( "heap-int",
         [
@@ -531,7 +530,6 @@ let () =
           prop_heap_sorts;
           prop_int_heap_sorts;
           prop_heap_matches_swap_heap;
-          prop_heap_drain_matches_swap_heap;
           prop_int_heap_matches_swap_heap;
         ];
       ( "stats",

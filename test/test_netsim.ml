@@ -614,6 +614,90 @@ let test_events_negative_time () =
   Alcotest.check_raises "negative" (Invalid_argument "Events.schedule: negative time")
     (fun () -> Netsim.Events.schedule q ~time:(-1.) "x")
 
+(* Random interleavings of [schedule] and [drain] against a reference
+   list stable-sorted by time. Times come from a few values, so ties are
+   common, [0.] and [-0.] (equal times) included; the values with long
+   mantissas make the radix sort run its low-byte passes, and batches
+   past 32 events take the radix path rather than the insertion sort.
+   An event may schedule another from inside the drain, which must wait
+   for the next drain. At the end, every drained event must be
+   collectable and every pending one still held. *)
+let event_times = [| 0.; -0.; 0.1; 1. /. 3.; 1.; 2.5; 4e-310; 7.; infinity |]
+let drain_bounds = [| -0.; 0.; 0.2; 1.; 2.5; 7.; infinity |]
+
+type events_op = Schedule of (int * int option) list | Drain of int
+
+type queued = { id : int; spawn : int option }
+
+let events_ops =
+  let open QCheck.Gen in
+  let time = int_bound (Array.length event_times - 1) in
+  let spawn = frequency [ (3, return None); (1, map Option.some time) ] in
+  let op =
+    frequency
+      [
+        (2, map (fun l -> Schedule l) (list_size (int_bound 80) (pair time spawn)));
+        (1, map (fun b -> Drain b) (int_bound (Array.length drain_bounds - 1)));
+      ]
+  in
+  let print = function
+    | Schedule l ->
+      Printf.sprintf "schedule [%s]"
+        (String.concat "; "
+           (List.map
+              (fun (t, s) ->
+                Printf.sprintf "%g%s" event_times.(t)
+                  (match s with Some s -> Printf.sprintf "->%g" event_times.(s) | None -> ""))
+              l))
+    | Drain b -> Printf.sprintf "drain %g" drain_bounds.(b)
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_bound 30) op)
+
+let prop_events_contract =
+  QCheck.Test.make ~name:"drain = stable sort by time; drained events collectable" ~count:300
+    events_ops (fun ops ->
+      let q = Netsim.Events.create () in
+      let weak = Weak.create 8192 and next = ref 0 in
+      (* Pending (time, id) in scheduling order, and the drained ids. *)
+      let model = ref [] and drained = ref [] in
+      let schedule (t, spawn) =
+        let id = !next in
+        incr next;
+        let time = event_times.(t) in
+        let e = { id; spawn } in
+        Weak.set weak id (Some e);
+        Netsim.Events.schedule q ~time e;
+        model := !model @ [ (time, id) ]
+      in
+      let drain bound =
+        let due, rest = List.partition (fun (time, _) -> time <= bound) !model in
+        let by_time (a, _) (b, _) = if a < b then -1 else if a > b then 1 else 0 in
+        let expected = List.map snd (List.stable_sort by_time due) in
+        model := rest;
+        let got = ref [] in
+        Netsim.Events.drain q ~time:bound (fun e ->
+            got := e.id :: !got;
+            Option.iter (fun t -> schedule (t, None)) e.spawn);
+        drained := List.rev_append expected !drained;
+        List.rev !got = expected
+      in
+      let ordered =
+        List.for_all
+          (function
+            | Schedule l ->
+              List.iter schedule l;
+              true
+            | Drain b -> drain drain_bounds.(b))
+          ops
+      in
+      Gc.full_major ();
+      let released = List.for_all (fun id -> not (Weak.check weak id)) !drained in
+      let held = List.for_all (fun (_, id) -> Weak.check weak id) !model in
+      let rest_ordered = drain infinity in
+      Gc.full_major ();
+      ordered && released && held && rest_ordered
+      && List.for_all (fun id -> not (Weak.check weak id)) !drained)
+
 (* ---------- Monitor ---------- *)
 
 let test_monitor_alarm_cycle () =
@@ -763,6 +847,50 @@ let test_sim_flow_arrival_departure () =
   Netsim.Sim.run_until sim 6.;
   Alcotest.(check int) "departed" 0 (List.length (Netsim.Sim.active_flows sim));
   checkf "rate zero after departure" 0. (Netsim.Sim.flow_rate sim 0)
+
+(* A flow whose stop falls in the step it starts in is never placed:
+   mixed into a crowd, no such flow may show in any step's active flows,
+   demand matrix or unroutable flows. Half of them aim at a prefix no
+   router announces, so they would be unroutable if they were placed;
+   the others come from R4, where no normal flow starts. *)
+let test_sim_sub_dt_flows_never_placed () =
+  let d, net = demo_net () in
+  let caps = Link.capacities ~default:100. in
+  let sim = Netsim.Sim.create ~dt:0.5 net caps in
+  let short = Hashtbl.create 64 in
+  for i = 0 to 399 do
+    let step = float_of_int (i mod 8) *. 0.5 in
+    if i mod 4 = 3 then begin
+      Hashtbl.replace short i ();
+      let prefix = if i mod 8 = 3 then pfx "nowhere" else pfx "blue" in
+      Netsim.Sim.add_flow sim
+        (Flow.make ~id:i ~src:d.r4 ~prefix ~demand:1. ~start_time:(step +. 0.1)
+           ~duration:0.2 ())
+    end
+    else
+      Netsim.Sim.add_flow sim
+        (Flow.make ~id:i ~src:(if i mod 2 = 0 then d.a else d.b) ~prefix:(pfx "blue")
+           ~demand:1. ~start_time:(step +. 0.1) ~duration:(1. +. float_of_int (i mod 5)) ())
+  done;
+  let normal_seen = ref 0 in
+  while Netsim.Sim.time sim < 10. do
+    Netsim.Sim.run_until sim (Netsim.Sim.time sim +. 0.5);
+    let active = Netsim.Sim.active_flows sim in
+    List.iter
+      (fun (f : Flow.t) ->
+        if Hashtbl.mem short f.id then Alcotest.failf "flow %d active" f.id)
+      active;
+    normal_seen := max !normal_seen (List.length active);
+    List.iter
+      (fun id -> if Hashtbl.mem short id then Alcotest.failf "flow %d unroutable" id)
+      (Netsim.Sim.unroutable_flows sim);
+    List.iter
+      (fun (e : Netsim.Sim.demand) ->
+        if e.src = d.r4 || e.path = None then Alcotest.fail "sub-dt flow in the demand matrix")
+      (Netsim.Sim.demand_matrix sim)
+  done;
+  Alcotest.(check bool) "normal flows were active" true (!normal_seen > 100);
+  Alcotest.(check int) "all gone" 0 (List.length (Netsim.Sim.active_flows sim))
 
 let test_sim_reroutes_on_fake_injection () =
   let d, net = demo_net () in
@@ -1670,6 +1798,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_events_ordering;
           Alcotest.test_case "negative time" `Quick test_events_negative_time;
         ] );
+      qsuite "events-props" [ prop_events_contract ];
       ( "monitor",
         [
           Alcotest.test_case "alarm cycle" `Quick test_monitor_alarm_cycle;
@@ -1695,6 +1824,8 @@ let () =
           Alcotest.test_case "single flow" `Quick test_sim_single_flow_full_rate;
           Alcotest.test_case "congestion throttles" `Quick test_sim_congestion_throttles;
           Alcotest.test_case "arrival/departure" `Quick test_sim_flow_arrival_departure;
+          Alcotest.test_case "sub-dt flows never placed" `Quick
+            test_sim_sub_dt_flows_never_placed;
           Alcotest.test_case "reroute on fake" `Quick test_sim_reroutes_on_fake_injection;
           Alcotest.test_case "monitor hook" `Quick test_sim_monitor_hook_fires;
           Alcotest.test_case "duplicate flow" `Quick test_sim_rejects_duplicate_flow;
