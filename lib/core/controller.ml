@@ -57,17 +57,16 @@ type reoptimizer =
 
 type action = { time : float; description : string; fakes_installed : int }
 
-(* What the controller does about one prefix: exactly one of the three,
-   never two at once. *)
+(* What the controller decided about one prefix. The lies themselves
+   live only in the LSDB: a live controller owns every one of them. *)
 type steering =
   | Computed of {
       reqs : Requirements.t;
+      (* The recipe of the prefix's lies, kept for a safe-order
+         withdrawal; forgotten once one of them has left the LSDB. *)
       plan : Augmentation.plan;
       mutable last_action : float; (* the cooldown's stamp *)
     }
-  (* Lies found in the LSDB at restart and taken over (refreshed,
-     counted, withdrawn on calm) without a reconstructed plan. *)
-  | Adopted of Igp.Lsa.fake list
   (* Hold-down until this time after a quarantine: no new steering. *)
   | Held of float
 
@@ -75,8 +74,6 @@ type t = {
   net : Igp.Network.t;
   config : config;
   reoptimize : reoptimizer option;
-  (* The lies this controller owns, per prefix: what it refreshes,
-     counts and withdraws. *)
   steering : (Igp.Lsa.prefix, steering) Hashtbl.t;
   log : action Kit.Ring.t; (* bounded, oldest evicted first *)
   mutable calm_since : float option;
@@ -108,14 +105,8 @@ let create ?(config = default_config) ?reoptimize net =
     reachable_count = -1;
   }
 
-(* The lies a steering owns. *)
-let fakes_of = function
-  | Computed { plan; _ } -> plan.Augmentation.fakes
-  | Adopted fakes -> fakes
-  | Held _ -> []
-
 let fake_count t =
-  Hashtbl.fold (fun _ s acc -> acc + List.length (fakes_of s)) t.steering 0
+  if t.alive then Igp.Lsdb.fake_count (Igp.Network.lsdb t.net) else 0
 
 let alive t = t.alive
 
@@ -124,8 +115,7 @@ let stamp t ~time (f : Igp.Lsa.fake) =
     (Igp.Network.lsdb t.net)
     ~fake_id:f.fake_id ~now:time ~ttl:t.config.lie_ttl
 
-let refresh_lies t ~time =
-  Hashtbl.iter (fun _ s -> List.iter (stamp t ~time) (fakes_of s)) t.steering
+let refresh_lies t ~time = List.iter (stamp t ~time) (Igp.Network.fakes t.net)
 
 (* Append to the action log and publish the live-lie gauge and a
    timeline event. *)
@@ -141,7 +131,7 @@ let record t ~time ~prefix description =
   let fakes_installed =
     match Hashtbl.find_opt t.steering prefix with
     | Some (Computed { plan; _ }) -> Augmentation.fake_count plan
-    | Some (Adopted _ | Held _) | None -> 0
+    | Some (Held _) | None -> 0
   in
   log t ~time ~counter:m_reactions ~fakes_installed ~kind:"action"
     [
@@ -153,22 +143,13 @@ let record t ~time ~prefix description =
 
 let actions t = Kit.Ring.to_list t.log
 
-let retract_installed net fakes =
-  List.iter
-    (fun (f : Igp.Lsa.fake) ->
-      if Igp.Lsdb.installed (Igp.Network.lsdb net) f.fake_id then
-        Igp.Network.retract_fake net ~fake_id:f.fake_id)
-    fakes
-
 let withdraw_all t =
-  Hashtbl.filter_map_inplace
-    (fun _ s ->
-      match s with
-      | Held _ -> Some s
-      | Computed _ | Adopted _ ->
-        retract_installed t.net (fakes_of s);
-        None)
-    t.steering
+  if t.alive then begin
+    Igp.Network.retract_all_fakes t.net;
+    Hashtbl.filter_map_inplace
+      (fun _ s -> match s with Held _ -> Some s | Computed _ -> None)
+      t.steering
+  end
 
 let announcers_of net prefix =
   List.filter_map
@@ -182,36 +163,26 @@ let quarantine_active t ~time prefix =
   match Hashtbl.find_opt t.steering prefix with
   | Some (Held until) when time < until -> true
   | Some (Held _) -> Hashtbl.remove t.steering prefix; false
-  | Some (Computed _ | Adopted _) | None -> false
+  | Some (Computed _) | None -> false
+
+let installed t (f : Igp.Lsa.fake) =
+  Igp.Lsdb.installed (Igp.Network.lsdb t.net) f.fake_id
 
 (* A violation was attributed to this prefix's lies (by our own
    revalidation or by the watchdog): withdraw them all and hold the
    prefix down — no new steering until a clean window has passed. *)
 let quarantine t ~time ~prefix ~reason =
   if t.alive then begin
-    let lsdb = Igp.Network.lsdb t.net in
+    (* Withdraw a computed plan in a transiently safe order when one
+       exists. A state that is already unsafe often admits none (and a
+       watchdog purge may have left the plan partially installed, which
+       the order search cannot replay) — then retract outright, as for
+       lies without a plan: better a transient gap than a persistent
+       loop. *)
     (match Hashtbl.find_opt t.steering prefix with
-    | Some (Computed { plan; _ }) ->
-      (* Withdraw in a transiently safe order when one exists. A state
-         that is already unsafe often admits none (and a watchdog purge
-         may have left the plan partially installed, which the order
-         search cannot replay) — then retract outright: better a
-         transient gap than a persistent loop. *)
-      let complete =
-        List.for_all
-          (fun (f : Igp.Lsa.fake) -> Igp.Lsdb.installed lsdb f.fake_id)
-          plan.fakes
-      in
-      let safely =
-        if complete then Transient.revert_safely t.net plan
-        else Error "plan partially installed"
-      in
-      (match safely with
-      | Ok _ -> ()
-      | Error _ -> retract_installed t.net plan.fakes)
-    | Some (Adopted _ | Held _) | None -> ());
-    (* Adopted lies and orphans from a predecessor controller go too: a
-       quarantine must leave the prefix lie-free. *)
+    | Some (Computed { plan; _ }) when List.for_all (installed t) plan.fakes ->
+      ignore (Transient.revert_safely t.net plan)
+    | Some (Computed _ | Held _) | None -> ());
     ignore (Igp.Network.retract_prefix_fakes t.net prefix);
     Hashtbl.replace t.steering prefix (Held (time +. quarantine_hold));
     t.calm_since <- None;
@@ -227,17 +198,29 @@ let quarantine t ~time ~prefix ~reason =
   end
 
 (* Re-check every prefix we steer against the live network. Registered
-   on [Sim.on_route_change], so it runs when a topology change lands —
-   before any flow is routed over it: a lie set the change turned unsafe
-   is withdrawn within the same convergence. *)
+   on [Sim.on_route_change], so it runs on every LSDB change, before any
+   flow is routed over it: a lie set the change turned unsafe is
+   withdrawn within the same convergence. A plan one of whose lies has
+   left the LSDB (flushed, expired or purged) is forgotten first: its
+   surviving lies count as adopted, and the next reaction compiles
+   afresh. *)
 let revalidate t sim =
   if t.alive then begin
     let time = Sim.time sim in
+    Hashtbl.filter_map_inplace
+      (fun _ s ->
+        match s with
+        | Computed { plan; _ } when not (List.for_all (installed t) plan.fakes)
+          ->
+          None
+        | Computed _ | Held _ -> Some s)
+      t.steering;
     let steered =
-      Hashtbl.fold
-        (fun p s acc ->
-          match s with Computed _ | Adopted _ -> p :: acc | Held _ -> acc)
-        t.steering []
+      List.fold_left
+        (fun acc (f : Igp.Lsa.fake) ->
+          if List.exists (Igp.Prefix.equal f.prefix) acc then acc
+          else f.prefix :: acc)
+        [] (Igp.Network.fakes t.net)
     in
     List.iter
       (fun prefix ->
@@ -270,6 +253,29 @@ let crash t =
     end
   end
 
+(* The adopt-or-withdraw judgement over lies found in the LSDB without a
+   plan: one whose prefix is still announced and whose forwarding link
+   still exists is adopted — stamped now, and from then on refreshed,
+   counted and withdrawn on calm like any other; any other is withdrawn
+   on the spot. Never blindly reinstall: the steering behind the lies
+   may be stale. Returns the adopted and withdrawn counts. *)
+let adopt_or_withdraw t ~time fakes =
+  let g = Igp.Network.graph t.net in
+  List.fold_left
+    (fun (adopted, withdrawn) (f : Igp.Lsa.fake) ->
+      if
+        announcers_of t.net f.prefix <> []
+        && Graph.has_edge g f.attachment f.forwarding
+      then begin
+        stamp t ~time f;
+        (adopted + 1, withdrawn)
+      end
+      else begin
+        Igp.Network.retract_fake t.net ~fake_id:f.fake_id;
+        (adopted, withdrawn + 1)
+      end)
+    (0, 0) fakes
+
 let restart t ~time =
   if not t.alive then begin
     t.alive <- true;
@@ -277,38 +283,15 @@ let restart t ~time =
     t.failures <- 0;
     t.backoff_until <- neg_infinity;
     t.reachable_count <- -1;
-    (* Resync from the network, not from memory: every surviving fake is
-       either adopted (still meaningful: its prefix is announced and its
-       forwarding link exists) and refreshed from now on, or withdrawn.
-       Never blindly reinstall — the pre-crash steering may be stale. *)
-    let g = Igp.Network.graph t.net in
-    let adopted = ref 0 and withdrawn = ref 0 in
-    List.iter
-      (fun (f : Igp.Lsa.fake) ->
-        let valid =
-          announcers_of t.net f.prefix <> []
-          && Graph.has_edge g f.attachment f.forwarding
-        in
-        if valid then begin
-          let others =
-            match Hashtbl.find_opt t.steering f.prefix with
-            | Some (Adopted fakes) -> fakes
-            | Some (Computed _ | Held _) | None -> []
-          in
-          Hashtbl.replace t.steering f.prefix (Adopted (f :: others));
-          stamp t ~time f;
-          incr adopted
-        end
-        else begin
-          Igp.Network.retract_fake t.net ~fake_id:f.fake_id;
-          incr withdrawn
-        end)
-      (Igp.Network.fakes t.net);
+    (* Resync from the network, not from memory: every surviving lie. *)
+    let adopted, withdrawn =
+      adopt_or_withdraw t ~time (Igp.Network.fakes t.net)
+    in
     log t ~time ~counter:m_reactions ~fakes_installed:(fake_count t)
       ~kind:"restart"
-      [ ("adopted", Int !adopted); ("withdrawn", Int !withdrawn) ]
-      (Printf.sprintf "restart: %d lies adopted, %d withdrawn" !adopted
-         !withdrawn)
+      [ ("adopted", Int adopted); ("withdrawn", Int withdrawn) ]
+      (Printf.sprintf "restart: %d lies adopted, %d withdrawn" adopted
+         withdrawn)
   end
 
 (* Routers reachable from the controller's seat over the live topology.
@@ -332,55 +315,46 @@ let reachable_set t seat =
   done;
   seen
 
+let planned t prefix =
+  match Hashtbl.find_opt t.steering prefix with
+  | Some (Computed _) -> true
+  | Some (Held _) | None -> false
+
 (* Reachability grew (a partition healed): re-run the adopt-or-withdraw
-   judgement on every adopted lie, re-check every owned steering, and
-   clear the backoff so the controller re-engages promptly. Mirrors the
-   resync [restart] performs, but with memory intact. *)
+   judgement on every lie without a plan, re-check every computed
+   steering, and clear the backoff so the controller re-engages
+   promptly. Mirrors the resync [restart] performs, but with memory
+   intact. *)
 let resync t ~time ~reason =
-  let g = Igp.Network.graph t.net in
-  let lsdb = Igp.Network.lsdb t.net in
-  let kept = ref 0 and withdrawn = ref 0 in
-  let steered = Hashtbl.fold (fun p s acc -> (p, s) :: acc) t.steering [] in
+  let kept, withdrawn =
+    adopt_or_withdraw t ~time
+      (List.filter
+         (fun (f : Igp.Lsa.fake) -> not (planned t f.prefix))
+         (Igp.Network.fakes t.net))
+  in
+  let plans =
+    Hashtbl.fold
+      (fun p s acc -> match s with Computed _ -> p :: acc | Held _ -> acc)
+      t.steering []
+  in
   List.iter
-    (fun (prefix, s) ->
-      match s with
-      | Adopted fakes ->
-        let valid, invalid =
-          List.partition
-            (fun (f : Igp.Lsa.fake) ->
-              Igp.Lsdb.installed lsdb f.fake_id
-              && announcers_of t.net f.prefix <> []
-              && Graph.has_edge g f.attachment f.forwarding)
-            fakes
-        in
-        retract_installed t.net invalid;
-        withdrawn := !withdrawn + List.length invalid;
-        kept := !kept + List.length valid;
-        if valid = [] then Hashtbl.remove t.steering prefix
-        else Hashtbl.replace t.steering prefix (Adopted valid)
-      | Computed _ | Held _ -> ())
-    steered;
-  List.iter
-    (fun (prefix, s) ->
-      match s with
-      | Computed _ -> (
-        match Igp.Safety.state_safe t.net ~prefix with
-        | Ok () -> ()
-        | Error why ->
-          quarantine t ~time ~prefix
-            ~reason:(Printf.sprintf "resync found unsafe steering: %s" why))
-      | Adopted _ | Held _ -> ())
-    steered;
+    (fun prefix ->
+      match Igp.Safety.state_safe t.net ~prefix with
+      | Ok () -> ()
+      | Error why ->
+        quarantine t ~time ~prefix
+          ~reason:(Printf.sprintf "resync found unsafe steering: %s" why))
+    plans;
   t.failures <- 0;
   t.backoff_until <- neg_infinity;
   log t ~time ~counter:m_resyncs ~fakes_installed:(fake_count t) ~kind:"resync"
     [
       ("reason", String reason);
-      ("kept", Int !kept);
-      ("withdrawn", Int !withdrawn);
+      ("kept", Int kept);
+      ("withdrawn", Int withdrawn);
     ]
     (Printf.sprintf "resync (%s): %d adopted lies kept, %d withdrawn" reason
-       !kept !withdrawn)
+       kept withdrawn)
 
 (* Capacity available to [v]'s traffic through candidate next hop [n]:
    the residual max-flow from n to the prefix's egress(es) once all
@@ -457,72 +431,57 @@ let same_requirements ~max_entries a b =
 let install_requirements t ~time ~prefix ~description routers =
   if quarantine_active t ~time prefix then false
   else begin
-  (* Past the hold-down check, the prior steering is computed or
-     adopted, never held. *)
+  (* Past the hold-down check, the prefix has a computed plan or none. *)
   let prior = Hashtbl.find_opt t.steering prefix in
   let unchanged =
     match prior with
     | Some (Computed s) ->
       same_requirements ~max_entries:t.config.max_entries s.reqs.routers routers
-    | Some (Adopted _ | Held _) | None -> false
+    | Some (Held _) | None -> false
   in
   if unchanged then false
   else begin
     let reqs = { Requirements.prefix; routers } in
+    (* Recompile from a clean slate: retract the prefix's lies first, so
+       their ids cannot collide with the new plan's; a rollback puts them
+       back. *)
+    let previous = Igp.Network.retract_prefix_fakes t.net prefix in
     let rollback message =
-      (* The previous steering may no longer be installable — a link it
-         forwards over can have failed since. Reinstall what still fits
-         the topology and drop the rest; never die mid-reaction. *)
+      (* Reinstall the previous lies that still fit the topology: a link
+         one forwards over can have failed since. Never die mid-reaction.
+         A plan survives only whole; otherwise what is back counts as
+         adopted. *)
       let restored =
-        match prior with
-        | Some (Computed s as kept) -> (
-          s.last_action <- time;
-          match Augmentation.apply t.net s.plan with
-          | () -> Some (kept, s.plan.fakes)
-          | exception Invalid_argument _ ->
-            retract_installed t.net s.plan.fakes;
-            None)
-        | Some (Adopted fakes) -> (
-          let readopted =
-            List.filter
-              (fun (f : Igp.Lsa.fake) ->
-                match Igp.Network.inject_fake t.net f with
-                | () -> true
-                | exception Invalid_argument _ -> false)
-              fakes
-          in
-          match readopted with
-          | [] -> None
-          | _ -> Some (Adopted readopted, readopted))
-        | Some (Held _) | None -> None
+        List.filter
+          (fun (f : Igp.Lsa.fake) ->
+            match Igp.Network.inject_fake t.net f with
+            | () -> true
+            | exception Invalid_argument _ -> false)
+          previous
       in
+      (match prior with
+      | Some (Computed s) when List.compare_lengths restored previous = 0 ->
+        s.last_action <- time
+      | Some (Computed _ | Held _) | None -> Hashtbl.remove t.steering prefix);
       (* A topology change since those lies went in can also make them
          loop: keep them only under the same end-state gate a fresh
          steering must pass, else withdraw and forget them. *)
       let message =
-        match restored with
-        | None ->
-          Hashtbl.remove t.steering prefix;
-          message
-        | Some (kept, fakes) -> (
+        if restored = [] then message
+        else
           match Igp.Safety.state_safe t.net ~prefix with
           | Ok () ->
-            List.iter (stamp t ~time) fakes;
-            Hashtbl.replace t.steering prefix kept;
+            List.iter (stamp t ~time) restored;
             message
           | Error reason ->
-            retract_installed t.net fakes;
+            ignore (Igp.Network.retract_prefix_fakes t.net prefix);
             Hashtbl.remove t.steering prefix;
-            Printf.sprintf "%s; withdrew previous steering (unsafe): %s" message
-              reason)
+            Printf.sprintf "%s; withdrew previous steering (unsafe): %s"
+              message reason
       in
       record t ~time ~prefix message;
       false
     in
-    (* Recompile from a clean slate: retract our previous lies first.
-       Adopted ones go too, so their ids cannot collide with the new
-       plan's; a rollback puts them back. *)
-    Option.iter (fun s -> retract_installed t.net (fakes_of s)) prior;
     match Augmentation.compile ~max_entries:t.config.max_entries t.net reqs with
     | Ok plan ->
       (* Safety gate: requirements merged across reactions were each
@@ -564,7 +523,7 @@ let install t ~time ~prefix ~router splits =
       List.filter
         (fun (rr : Requirements.router_requirement) -> rr.router <> router)
         s.reqs.routers
-    | Some (Adopted _ | Held _) | None -> [])
+    | Some (Held _) | None -> [])
   in
   let unchanged_at_router =
     match Hashtbl.find_opt t.steering prefix with
@@ -574,7 +533,7 @@ let install t ~time ~prefix ~router splits =
         same_requirements ~max_entries:t.config.max_entries [ rr ]
           [ { Requirements.router; splits } ]
       | None -> false)
-    | Some (Adopted _ | Held _) | None -> false
+    | Some (Held _) | None -> false
   in
   if unchanged_at_router then false
   else
@@ -593,7 +552,6 @@ let install t ~time ~prefix ~router splits =
 let suppressing t ~time = function
   | Computed s -> time -. s.last_action < t.config.cooldown
   | Held until -> time < until
-  | Adopted _ -> false
 
 let cooldown_active t ~time prefix =
   match Hashtbl.find_opt t.steering prefix with
@@ -679,9 +637,7 @@ let handle_global t sim ~demands ~time ~prefix =
       if demands <> [] then begin
         (* Compute the target routing against a lie-free clone. *)
         let scratch = Igp.Network.clone t.net in
-        (match Hashtbl.find_opt t.steering prefix with
-        | Some (Computed s) -> retract_installed scratch s.plan.fakes
-        | Some (Adopted _ | Held _) | None -> ());
+        ignore (Igp.Network.retract_prefix_fakes scratch prefix);
         let capacities link = Netsim.Link.capacity (Sim.capacities sim) link in
         let routers = reoptimize scratch ~prefix ~capacities ~demands ~egress in
         if routers <> [] then

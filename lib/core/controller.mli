@@ -24,7 +24,17 @@
 
     Reactions are rate-limited per prefix by a cooldown, and all installed
     lies are withdrawn after a configurable calm period. Every action is
-    recorded in a bounded event log used by the experiments. *)
+    recorded in a bounded event log used by the experiments.
+
+    The LSDB is the one record of which lies exist. While it is alive,
+    the controller owns every fake LSA in its network's LSDB — the lies
+    it compiled, the ones it adopted at a restart or a resync, and any
+    injected by hand: it refreshes, counts and withdraws them all. Its
+    memory holds decisions only (per prefix: the requirements and the
+    plan that compiled them, or a hold-down); a plan one of whose lies
+    has left the LSDB (flushed with a failed link, expired, purged) is
+    forgotten, its surviving lies count as adopted, and the next
+    reaction compiles afresh. *)
 
 type strategy =
   | Local_deflection
@@ -108,15 +118,15 @@ val react : t -> Netsim.Sim.t -> Netsim.Monitor.alarm list -> unit
     tests). *)
 
 val withdraw_all : t -> unit
-(** Retract every fake installed (or adopted) by this controller.
-    Quarantine holds survive: a held prefix stays barred until its hold
-    expires. *)
+(** Retract every fake in the LSDB (a live controller owns them all) and
+    forget every computed plan. Quarantine holds survive: a held prefix
+    stays barred until its hold expires. No-op while crashed. *)
 
 val quarantine :
   t -> time:float -> prefix:Igp.Lsa.prefix -> reason:string -> unit
-(** Withdraw every lie for the prefix — owned (in a transiently safe
-    order when one exists, outright otherwise), adopted, and orphaned —
-    and hold the prefix down for 12 seconds: reactions and installs for
+(** Withdraw every lie for the prefix in the LSDB — those of its
+    computed plan in a transiently safe order when one exists, the rest
+    outright — and hold the prefix down for 12 seconds: reactions and installs for
     it are suppressed until the hold expires. Called by the controller's
     own revalidation when a topology change makes a steering unsafe, and
     wired to the watchdog's quarantine hook so a guard purge also enters
@@ -124,17 +134,19 @@ val quarantine :
 
 val crash : t -> unit
 (** Fault injection: the controller process dies. All in-memory state
-    (requirements, plans, adoption records, backoff) is lost; the lies
-    it installed survive in the LSDB but are no longer refreshed, so
-    they age out and the network falls back to pure-IGP routing.
+    (requirements, plans, hold-downs, backoff) is lost; the lies survive
+    in the LSDB but are no longer refreshed, so they age out and the
+    network falls back to pure-IGP routing.
     [react] is a no-op while crashed. Idempotent. *)
 
 val restart : t -> time:float -> unit
 (** Fault injection: the controller comes back with empty memory and
-    resyncs from the network itself — every surviving fake LSA is either
-    {e adopted} (its prefix is still announced and its forwarding link
-    still exists: the controller takes over refreshing it, counts it,
-    and withdraws it on calm) or {e withdrawn} on the spot. It never
+    resyncs from the network itself — every fake LSA in the LSDB is
+    either {e adopted} (its prefix is still announced and its forwarding
+    link still exists: it is stamped now and, like every lie in the
+    LSDB, refreshed, counted and withdrawn on calm) or {e withdrawn} on
+    the spot. The same judgement runs at a resync after a partition
+    heals, over the lies of prefixes without a computed plan. It never
     blindly reinstalls pre-crash state. No-op if alive. *)
 
 val alive : t -> bool
@@ -145,4 +157,5 @@ val actions : t -> action list
     grows without bound over long scenarios. *)
 
 val fake_count : t -> int
-(** Fakes currently installed by this controller. *)
+(** Fakes this controller owns: {!Igp.Lsdb.fake_count} of its network
+    while alive, 0 while crashed. *)

@@ -8,9 +8,12 @@ type t = {
 }
 
 let make ~id ~src ~prefix ~demand ?(start_time = 0.) ?(duration = infinity) () =
-  if demand <= 0. then invalid_arg "Flow.make: demand must be positive";
-  if start_time < 0. then invalid_arg "Flow.make: negative start time";
-  if duration <= 0. then invalid_arg "Flow.make: duration must be positive";
+  (* Each check is written so that NaN fails it. *)
+  if not (demand > 0.) then invalid_arg "Flow.make: demand must be positive";
+  if not (start_time >= 0.) then
+    invalid_arg "Flow.make: start time must be non-negative";
+  if not (duration > 0.) then
+    invalid_arg "Flow.make: duration must be positive";
   { id; src; prefix; demand; start_time; duration }
 
 let end_time t = t.start_time +. t.duration

@@ -24,6 +24,7 @@ val make :
   unit ->
   t
 (** Defaults: [start_time = 0.], [duration = infinity]. Raises
-    [Invalid_argument] on non-positive demand or negative times. *)
+    [Invalid_argument] on a non-positive or NaN demand or duration, and
+    on a negative or NaN start time. *)
 
 val end_time : t -> float

@@ -161,10 +161,11 @@ let add_flow t flow =
     invalid_arg "Sim.add_flow: duplicate flow id";
   if flow.Flow.start_time < t.time then
     invalid_arg "Sim.add_flow: start time in the past";
-  Hashtbl.replace t.known_ids flow.Flow.id ();
   Events.schedule t.queue ~time:flow.Flow.start_time (Start flow);
   if Flow.end_time flow < infinity then
-    Events.schedule t.queue ~time:(Flow.end_time flow) (Stop flow.Flow.id)
+    Events.schedule t.queue ~time:(Flow.end_time flow) (Stop flow.Flow.id);
+  (* Only now: a flow [Events.schedule] rejected leaves its id free. *)
+  Hashtbl.replace t.known_ids flow.Flow.id ()
 
 let schedule t ~time action =
   if time < t.time then invalid_arg "Sim.schedule: time in the past";

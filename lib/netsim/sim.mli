@@ -69,7 +69,8 @@ val dt : t -> float
 val add_flow : t -> Flow.t -> unit
 (** Schedule a flow; its [start_time]/[duration] govern activation.
     Raises [Invalid_argument] if the id is already known or the start
-    time is in the simulated past. *)
+    time is in the simulated past (or NaN); an add that raises records
+    nothing, so its id stays free. *)
 
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Schedule an arbitrary action (e.g. a link failure, a manual fake

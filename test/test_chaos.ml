@@ -696,6 +696,73 @@ let test_restart_withdraws_dangling_lies () =
   Alcotest.(check int) "nothing adopted" 0
     (Fibbing.Controller.fake_count controller)
 
+let test_flushed_lie_drops_its_plan () =
+  (* Both crowds on: the plan lies at A (twice, towards R1) and at B
+     (towards R3). Failing B-R3 flushes B's lie behind the controller's
+     back; the lies at A survive, stay refreshed, and the next reaction
+     compiles afresh instead of merging the half-gone plan. *)
+  let lie_ttl = 6. and poll_interval = 2. (* [controller_sim]'s monitor *) in
+  let config =
+    { Fibbing.Controller.default_config with lie_ttl; relax_after = 1e6 }
+  in
+  let d, net, sim, controller = controller_sim ~config () in
+  surge d sim;
+  for i = 31 to 61 do
+    Netsim.Sim.add_flow sim
+      (Netsim.Flow.make ~id:i ~src:d.b ~prefix:(pfx "blue") ~demand:stream
+         ~start_time:15. ())
+  done;
+  Netsim.Sim.run_until sim 30.;
+  let lsdb = Igp.Network.lsdb net in
+  let at_b, at_a =
+    List.partition
+      (fun (f : Igp.Lsa.fake) -> f.attachment = d.b)
+      (Igp.Lsdb.fakes lsdb)
+  in
+  let lie_b =
+    match at_b with
+    | [ f ] when f.forwarding = d.r3 -> f
+    | _ -> Alcotest.fail "expected one lie at B, towards R3"
+  in
+  Alcotest.(check bool) "lies at A too" true (at_a <> []);
+  let logged = List.length (Fibbing.Controller.actions controller) in
+  Netsim.Sim.fail_link sim ~time:30. (lie_b.attachment, lie_b.forwarding);
+  (* Every surviving lie expires within [now + ttl - poll, now + ttl]. *)
+  let stale = ref [] in
+  Netsim.Sim.on_step sim (fun sim ->
+      let now = Netsim.Sim.time sim in
+      List.iter
+        (fun (f : Igp.Lsa.fake) ->
+          match Igp.Lsdb.fake_expiry lsdb ~fake_id:f.fake_id with
+          | Some at
+            when at <= now +. lie_ttl +. 1e-9
+                 && at >= now +. lie_ttl -. poll_interval -. 1e-9 ->
+            ()
+          | Some _ | None ->
+            stale := Printf.sprintf "%s at t=%.1f" f.fake_id now :: !stale)
+        (Igp.Lsdb.fakes lsdb));
+  Netsim.Sim.run_until sim 31.;
+  Alcotest.(check bool) "B's lie flushed" false
+    (Igp.Lsdb.installed lsdb lie_b.fake_id);
+  Alcotest.(check int) "survivors owned" (Igp.Lsdb.fake_count lsdb)
+    (Fibbing.Controller.fake_count controller);
+  Alcotest.(check bool) "survivors still installed" true
+    (List.for_all
+       (fun (f : Igp.Lsa.fake) -> Igp.Lsdb.installed lsdb f.fake_id)
+       at_a);
+  Netsim.Sim.run_until sim 40.;
+  Alcotest.(check (list string)) "survivors stay refreshed" [] (List.rev !stale);
+  match
+    List.filteri (fun i _ -> i >= logged) (Fibbing.Controller.actions controller)
+  with
+  | [] -> Alcotest.fail "no reaction after the failure"
+  | (next : Fibbing.Controller.action) :: _ ->
+    Alcotest.(check bool)
+      (Printf.sprintf "next reaction steers (%s)" next.description)
+      true
+      (String.length next.description >= 6
+      && String.sub next.description 0 6 = "steer ")
+
 let test_crash_restart_idempotent () =
   let _, net = demo_net () in
   let controller = Fibbing.Controller.create net in
@@ -783,10 +850,15 @@ let prop_lie_lifecycle =
               if Igp.Prefix.equal f.prefix blue then
                 fail "blue fake %s installed during the hold-down" f.fake_id)
             (Igp.Lsdb.fakes lsdb);
-        (* A live controller owns every lie and re-stamps it each poll:
-           no expiry lies beyond one TTL, or before the next refresh
-           could be missed. *)
-        if Fibbing.Controller.alive controller then
+        (* A live controller owns every lie in the LSDB and re-stamps
+           it each poll: no expiry lies beyond one TTL, or before the
+           next refresh could be missed. *)
+        if Fibbing.Controller.alive controller then begin
+          let owned = Fibbing.Controller.fake_count controller
+          and installed = Igp.Lsdb.fake_count lsdb in
+          if owned <> installed then
+            fail "the controller owns %d lies, the LSDB holds %d" owned
+              installed;
           List.iter
             (fun (f : Igp.Lsa.fake) ->
               match Igp.Lsdb.fake_expiry lsdb ~fake_id:f.fake_id with
@@ -797,6 +869,7 @@ let prop_lie_lifecycle =
               | Some _ -> ()
               | None -> fail "fake %s never expires" f.fake_id)
             (Igp.Lsdb.fakes lsdb)
+        end
       in
       Netsim.Sim.on_step sim (fun _ -> check ());
       let next_flow = ref 0 in
@@ -820,12 +893,7 @@ let prop_lie_lifecycle =
         | Restart ->
           (* A no-op while alive; a revival adopts or withdraws every
              surviving lie. *)
-          let revived = not (Fibbing.Controller.alive controller) in
-          Fibbing.Controller.restart controller ~time:now;
-          let owned = Fibbing.Controller.fake_count controller
-          and installed = Igp.Lsdb.fake_count lsdb in
-          if revived && owned <> installed then
-            fail "restart owns %d lies, the LSDB holds %d" owned installed
+          Fibbing.Controller.restart controller ~time:now
         | Quarantine ->
           Fibbing.Controller.quarantine controller ~time:now ~prefix:blue
             ~reason:"test";
@@ -976,6 +1044,8 @@ let () =
             test_restart_adopts_surviving_lies;
           Alcotest.test_case "restart withdraws dangling" `Quick
             test_restart_withdraws_dangling_lies;
+          Alcotest.test_case "flushed lie drops its plan" `Quick
+            test_flushed_lie_drops_its_plan;
           Alcotest.test_case "crash/restart idempotent" `Quick
             test_crash_restart_idempotent;
         ]

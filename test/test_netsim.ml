@@ -80,6 +80,22 @@ let test_flow_validation () =
     (try ignore (Flow.make ~id:1 ~src:0 ~prefix:(pfx "p") ~demand:0. ()); false
      with Invalid_argument _ -> true)
 
+let rejected make = try ignore (make ()); false with Invalid_argument _ -> true
+
+let test_flow_rejects_nan_demand () =
+  Alcotest.(check bool) "NaN demand" true
+    (rejected (Flow.make ~id:1 ~src:0 ~prefix:(pfx "p") ~demand:Float.nan))
+
+let test_flow_rejects_nan_start () =
+  Alcotest.(check bool) "NaN start time" true
+    (rejected
+       (Flow.make ~id:1 ~src:0 ~prefix:(pfx "p") ~demand:1. ~start_time:Float.nan))
+
+let test_flow_rejects_nan_duration () =
+  Alcotest.(check bool) "NaN duration" true
+    (rejected
+       (Flow.make ~id:1 ~src:0 ~prefix:(pfx "p") ~demand:1. ~duration:Float.nan))
+
 (* ---------- Loadmap: the paper's Fig. 1b / 1d tables ---------- *)
 
 let test_loadmap_fig1b () =
@@ -930,6 +946,20 @@ let test_sim_rejects_duplicate_flow () =
        false
      with Invalid_argument _ -> true)
 
+let test_sim_rejected_add_frees_id () =
+  (* A flow record built around [Flow.make]'s checks carries a NaN
+     start; the queue rejects it, and its id must stay free. *)
+  let d, net = demo_net () in
+  let sim = Netsim.Sim.create net (Link.capacities ~default:10.) in
+  let flow = Flow.make ~id:0 ~src:d.a ~prefix:(pfx "blue") ~demand:1. () in
+  Alcotest.(check bool) "NaN start rejected" true
+    (rejected (fun () ->
+         Netsim.Sim.add_flow sim { flow with Flow.start_time = Float.nan }));
+  Netsim.Sim.add_flow sim flow;
+  Netsim.Sim.run_until sim 1.;
+  Alcotest.(check (list int)) "re-added flow active" [ 0 ]
+    (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim))
+
 let test_sim_unroutable_flow_reported () =
   let g = G.create () in
   let a = G.add_node g ~name:"a" in
@@ -1757,6 +1787,9 @@ let () =
         [
           Alcotest.test_case "lifecycle" `Quick test_flow_lifecycle;
           Alcotest.test_case "validation" `Quick test_flow_validation;
+          Alcotest.test_case "NaN demand" `Quick test_flow_rejects_nan_demand;
+          Alcotest.test_case "NaN start time" `Quick test_flow_rejects_nan_start;
+          Alcotest.test_case "NaN duration" `Quick test_flow_rejects_nan_duration;
         ] );
       ( "loadmap",
         [
@@ -1829,6 +1862,8 @@ let () =
           Alcotest.test_case "reroute on fake" `Quick test_sim_reroutes_on_fake_injection;
           Alcotest.test_case "monitor hook" `Quick test_sim_monitor_hook_fires;
           Alcotest.test_case "duplicate flow" `Quick test_sim_rejects_duplicate_flow;
+          Alcotest.test_case "rejected add frees id" `Quick
+            test_sim_rejected_add_frees_id;
           Alcotest.test_case "unroutable flow" `Quick test_sim_unroutable_flow_reported;
           Alcotest.test_case "equal-time schedule FIFO" `Quick
             test_sim_schedule_equal_times_fifo;
