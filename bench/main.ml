@@ -1787,7 +1787,37 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
     ( { row with values = row.values @ [ ("words_per_event", words /. num (Array.length events)) ] },
       !ok )
   in
-  ( [ spf_churn; water_fill; sim_step; react; sim_adopt; sim_events ],
+  (* A flow's life in the simulator under a crowd-shaped batch on the
+     demo: [batch] streams from A and B start jittered over 1 s and stop
+     10 s later, and each measured cycle steps a fresh simulator until
+     every one has stopped. Adding the flows (their one record and their
+     two events) is unmeasured set-up, so [words_per_flow] is what a
+     start, its placement and its stop allocate, with the drains' sorts
+     and the steps' own work spread over the flows. *)
+  let sim_churn =
+    let batch = 50 * flows in
+    let d = Demo.make ~fibbing:false () in
+    let spec src =
+      { Video.Workload.src; prefix = Demo.prefix; rate = Demo.stream_rate; video_duration = 10. }
+    in
+    let crowd =
+      Video.Workload.crowd (Kit.Prng.create ~seed:7)
+        [ spec d.topology.a; spec d.topology.b ]
+        ~first_id:0 ~count:batch ~at:0.
+    in
+    let sim = ref d.sim in
+    let setup () =
+      sim := Netsim.Sim.create ~dt:0.5 ~flow_history:false d.net d.caps;
+      List.iter (Netsim.Sim.add_flow !sim) crowd
+    in
+    let row =
+      prof_phase_row "sim_churn" ~cycles:3 ~context:[ ("flows", num batch) ] ~setup
+        ~teardown:ignore (fun () -> Netsim.Sim.run_until !sim 12.)
+    in
+    let words = List.assoc "alloc_words" row.values in
+    { row with values = row.values @ [ ("words_per_flow", words /. num batch) ] }
+  in
+  ( [ spf_churn; water_fill; sim_step; react; sim_adopt; sim_events; sim_churn ],
     !reacted && adopted && in_order )
 
 (* ------------------------------------------------------------------ *)

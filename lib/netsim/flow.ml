@@ -7,13 +7,15 @@ type t = {
   duration : float;
 }
 
-let make ~id ~src ~prefix ~demand ?(start_time = 0.) ?(duration = infinity) () =
+let validate t =
   (* Each check is written so that NaN fails it. *)
-  if not (demand > 0.) then invalid_arg "Flow.make: demand must be positive";
-  if not (start_time >= 0.) then
-    invalid_arg "Flow.make: start time must be non-negative";
-  if not (duration > 0.) then
-    invalid_arg "Flow.make: duration must be positive";
-  { id; src; prefix; demand; start_time; duration }
+  if not (t.demand > 0.) then invalid_arg "Flow: demand must be positive";
+  if not (t.start_time >= 0.) then invalid_arg "Flow: start time must be non-negative";
+  if not (t.duration > 0.) then invalid_arg "Flow: duration must be positive"
+
+let make ~id ~src ~prefix ~demand ?(start_time = 0.) ?(duration = infinity) () =
+  let t = { id; src; prefix; demand; start_time; duration } in
+  validate t;
+  t
 
 let end_time t = t.start_time +. t.duration

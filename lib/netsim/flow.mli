@@ -23,8 +23,12 @@ val make :
   ?duration:float ->
   unit ->
   t
-(** Defaults: [start_time = 0.], [duration = infinity]. Raises
-    [Invalid_argument] on a non-positive or NaN demand or duration, and
-    on a negative or NaN start time. *)
+(** Defaults: [start_time = 0.], [duration = infinity]. Raises as
+    {!validate} does. *)
+
+val validate : t -> unit
+(** Raises [Invalid_argument] on a non-positive or NaN demand or
+    duration, and on a negative or NaN start time. [make] runs it, and
+    so does [Sim.add_flow], since a record update bypasses [make]. *)
 
 val end_time : t -> float

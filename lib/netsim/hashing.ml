@@ -39,35 +39,36 @@ let next_hop ~flow_id ~router (fib : Igp.Fib.t) =
 let select ~flow_id ~router fib =
   match next_hop ~flow_id ~router fib with -1 -> None | hop -> Some hop
 
-let route_with ~fib ~max_hops ~flow_id ~src =
-  let rec walk current hops acc =
-    if hops > max_hops then None (* forwarding loop *)
-    else begin
-      match fib current with
-      | None -> None
-      | Some f ->
-        if f.Igp.Fib.local then Some (List.rev (current :: acc))
-        else begin
-          match next_hop ~flow_id ~router:current f with
-          | -1 -> None
-          | next -> walk next (hops + 1) (current :: acc)
-        end
-    end
-  in
-  walk src 0 []
+(* The walks recurse at top level, so a call allocates no closure. *)
+let rec walk_from fib max_hops flow_id path current hops =
+  if hops > max_hops then -1 (* forwarding loop *)
+  else begin
+    match fib current with
+    | None -> -1
+    | Some f ->
+      path.(hops) <- current;
+      if f.Igp.Fib.local then hops + 1
+      else begin
+        match next_hop ~flow_id ~router:current f with
+        | -1 -> -1
+        | next -> walk_from fib max_hops flow_id path next (hops + 1)
+      end
+  end
+
+let walk ~fib ~max_hops ~flow_id ~src path = walk_from fib max_hops flow_id path src 0
+
+let rec follows_from fib max_hops flow_id current hops rest =
+  hops <= max_hops
+  &&
+  match fib current with
+  | None -> false
+  | Some f -> (
+    match rest with
+    | [] -> f.Igp.Fib.local
+    | next :: rest ->
+      (not f.Igp.Fib.local)
+      && next_hop ~flow_id ~router:current f = next
+      && follows_from fib max_hops flow_id next (hops + 1) rest)
 
 let follows ~fib ~max_hops ~flow_id path =
-  let rec walk current hops rest =
-    hops <= max_hops
-    &&
-    match fib current with
-    | None -> false
-    | Some f -> (
-      match rest with
-      | [] -> f.Igp.Fib.local
-      | next :: rest ->
-        (not f.Igp.Fib.local)
-        && next_hop ~flow_id ~router:current f = next
-        && walk next (hops + 1) rest)
-  in
-  match path with [] -> false | src :: rest -> walk src 0 rest
+  match path with [] -> false | src :: rest -> follows_from fib max_hops flow_id src 0 rest

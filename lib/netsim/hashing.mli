@@ -15,16 +15,20 @@ val select :
     over the FIB's canonical {!Igp.Fib.weights}; on a canonical FIB (every
     SPF-built one) it reads the entries in place and allocates nothing. *)
 
-val route_with :
+val walk :
   fib:(Netgraph.Graph.node -> Igp.Fib.t option) ->
   max_hops:int ->
   flow_id:int ->
   src:Netgraph.Graph.node ->
-  Netgraph.Graph.node list option
-(** Chain per-router hash decisions over an arbitrary (already
-    prefix-specialized) FIB view — e.g. the mixed old/new view during a
-    reconvergence. [None] on unreachability or when more than [max_hops]
-    hops are taken (a forwarding loop). *)
+  int array ->
+  int
+(** [walk ~fib ~max_hops ~flow_id ~src path] chains per-router hash
+    decisions over an arbitrary (already prefix-specialized) FIB view —
+    e.g. the mixed old/new view during a reconvergence. It writes the
+    routers of the flow's path into [path] from index 0 and returns
+    their number, allocating nothing; it returns [-1] on
+    unreachability or when more than [max_hops] hops are taken (a
+    forwarding loop). [path] must hold [max_hops + 1] routers. *)
 
 val follows :
   fib:(Netgraph.Graph.node -> Igp.Fib.t option) ->
@@ -32,7 +36,7 @@ val follows :
   flow_id:int ->
   Netgraph.Graph.node list ->
   bool
-(** [follows ~fib ~max_hops ~flow_id path] is
-    [route_with ~fib ~max_hops ~flow_id ~src:(List.hd path) = Some path],
-    decided hop by hop without building a list: the check a re-hash makes
-    on a flow's cached path before it routes the flow again. *)
+(** [follows ~fib ~max_hops ~flow_id path] holds when {!walk} from
+    [List.hd path] writes exactly [path], decided hop by hop: the check
+    a re-hash makes on a flow's cached path before it routes the flow
+    again. *)

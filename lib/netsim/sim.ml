@@ -1,8 +1,5 @@
-type event = Start of Flow.t | Stop of int
-
 let m_steps = Obs.Metrics.counter "sim.steps"
 let m_step_alloc = Obs.Metrics.counter "sim.step_alloc_words"
-let m_rehashed = Obs.Metrics.counter "sim.rehashed_flows"
 
 type rate_model = Max_min_fair | Aimd of Aimd.t
 
@@ -19,59 +16,21 @@ type transition = {
   ends_at : float;
 }
 
-(* Flows sharing (src, prefix, demand, hashed path) are fluid-identical:
-   max-min fairness gives them the same rate, so they collapse into one
-   weighted [Fairshare] group and each member's rate is the group's
-   per-member level. [solo] pins a class to a single flow (AIMD keeps
-   per-flow state; [~aggregation:false] forces it for A/B tests). *)
-type class_key = {
-  ck_src : Netgraph.Graph.node;
-  ck_prefix : Igp.Lsa.prefix;
-  ck_demand : float;
-  ck_path : Netgraph.Graph.node list;
-  ck_solo : int; (* -1 when aggregating, else the member's flow id *)
-}
-
-type flow_class = {
-  key : class_key;
-  c_links : Link.t list; (* distinct directed links of the path *)
-  members : (int, unit) Hashtbl.t;
-  mutable weight : int;
-  (* Smallest member id, the class's place in [demand_matrix]; stale
-     after that member leaves, until the next [demand_matrix] rescans. *)
-  mutable first : int;
-  mutable first_stale : bool;
-  mutable rate : float; (* per-member rate of the last completed step *)
-  (* Set while [rewalk_dirty] picks the flows to re-place: the class's
-     path crosses a row the pass found dirty for its prefix. *)
-  mutable rehash : bool;
-}
-
-(* Where a flow's routing stands. A flow is [Unplaced] from its start
-   until the routing pass of that step places it; a [Classed] flow's
-   path is its class's [ck_path]. *)
-type placement = Unplaced | Unroutable | Classed of flow_class
-
-type flow_state = { flow : Flow.t; mutable placement : placement }
-
 type t = {
   net : Igp.Network.t;
   caps : Link.capacities;
   dt : float;
   monitor : Monitor.t option;
   rate_model : rate_model;
-  aggregate : bool;
   flow_history : bool;
   mutable time : float;
-  queue : event Events.t;
+  (* Each flow's life, scheduled at its start and at its stop. *)
+  queue : Placement.life Events.t;
   (* Scheduled actions; equal times run in registration order. *)
   pending_actions : (t -> unit) Events.t;
-  (* One record per active flow, inserted at its start: a start, a stop
-     or a placement is one lookup. Its iteration order is the order the
-     re-walks place flows in, which sets the order classes enter
-     [classes] and so the order of every per-link float sum over them. *)
-  flows : (int, flow_state) Hashtbl.t;
-  known_ids : (int, unit) Hashtbl.t;
+  placement : Placement.t;
+  (* Every id ever added: an id is never reused. *)
+  known_ids : Kit.Int_set.t;
   poll_hooks : (t -> Monitor.alarm list -> unit) Queue.t;
   step_hooks : (t -> unit) Queue.t;
   (* Pre-routing hooks: fired after fake expiry and scheduled actions,
@@ -79,16 +38,6 @@ type t = {
      [route_change_version] tracks the last version they saw. *)
   route_change_hooks : (t -> unit) Queue.t;
   mutable route_change_version : int;
-  (* The flow classes built over the flows' hashed paths, and the
-     [Unroutable] flows, indexed so [demand_matrix] costs no scan of
-     every flow; a flow enters or leaves the index only when it loses or
-     regains a path. *)
-  classes : (class_key, flow_class) Hashtbl.t;
-  unroutable : (int, flow_state) Hashtbl.t;
-  mutable pending_starts : flow_state list; (* reversed arrival order *)
-  (* Per prefix, the rows the current routing pass has read, by router
-     ([None] = not read yet); emptied at the start of every pass. *)
-  rows : (Igp.Lsa.prefix, Igp.Fib.t option option array) Hashtbl.t;
   mutable routes_lsdb_version : int;
   mutable spf_cursor : int;
   (* Convergence modelling (optional). *)
@@ -119,7 +68,6 @@ let create ?(dt = 0.5) ?monitor ?(rate_model = Max_min_fair) ?convergence
     dt;
     monitor;
     rate_model;
-    aggregate;
     flow_history;
     convergence;
     transition = None;
@@ -127,16 +75,12 @@ let create ?(dt = 0.5) ?monitor ?(rate_model = Max_min_fair) ?convergence
     time = 0.;
     queue = Events.create ();
     pending_actions = Events.create ();
-    flows = Hashtbl.create 256;
-    known_ids = Hashtbl.create 256;
+    placement = Placement.create ~aggregate net;
+    known_ids = Kit.Int_set.create ();
     poll_hooks = Queue.create ();
     step_hooks = Queue.create ();
     route_change_hooks = Queue.create ();
     route_change_version = Igp.Lsdb.version (Igp.Network.lsdb net);
-    classes = Hashtbl.create 64;
-    unroutable = Hashtbl.create 16;
-    pending_starts = [];
-    rows = Hashtbl.create 16;
     routes_lsdb_version = -1;
     spf_cursor = 0;
     link_rates = [];
@@ -157,15 +101,16 @@ let time t = t.time
 let dt t = t.dt
 
 let add_flow t flow =
-  if Hashtbl.mem t.known_ids flow.Flow.id then
+  Flow.validate flow;
+  if Kit.Int_set.mem t.known_ids flow.Flow.id then
     invalid_arg "Sim.add_flow: duplicate flow id";
   if flow.Flow.start_time < t.time then
     invalid_arg "Sim.add_flow: start time in the past";
-  Events.schedule t.queue ~time:flow.Flow.start_time (Start flow);
-  if Flow.end_time flow < infinity then
-    Events.schedule t.queue ~time:(Flow.end_time flow) (Stop flow.Flow.id);
+  let life = Placement.life flow in
+  Events.schedule t.queue ~time:flow.Flow.start_time life;
+  if Flow.end_time flow < infinity then Events.schedule t.queue ~time:(Flow.end_time flow) life;
   (* Only now: a flow [Events.schedule] rejected leaves its id free. *)
-  Hashtbl.replace t.known_ids flow.Flow.id ()
+  Kit.Int_set.add t.known_ids flow.Flow.id
 
 let schedule t ~time action =
   if time < t.time then invalid_arg "Sim.schedule: time in the past";
@@ -342,29 +287,28 @@ let link_series t link =
 
 let track_link t link = ignore (link_series t link)
 
-let active_flows t =
-  Hashtbl.fold (fun _ st acc -> st.flow :: acc) t.flows []
-  |> List.sort (fun (a : Flow.t) b -> compare a.id b.id)
+let active_flows t = Placement.flows t.placement
 
-let class_of t id =
-  match Hashtbl.find_opt t.flows id with
-  | Some { placement = Classed c; _ } -> Some c
-  | Some { placement = Unplaced | Unroutable; _ } | None -> None
-
-let flow_rate t id = match class_of t id with Some c -> c.rate | None -> 0.
+let flow_rate t id = Placement.flow_rate t.placement id
 
 let current_link_rates t = t.link_rates
 
-let unroutable_flows t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.unroutable [] |> List.sort compare
+let unroutable_flows t = Placement.unroutable_flows t.placement
 
-let flow_path t id = Option.map (fun c -> c.key.ck_path) (class_of t id)
+let flow_path t id = Placement.flow_path t.placement id
 
-let flow_classes t = Hashtbl.length t.classes
+let flow_classes t = Placement.class_count t.placement
 
-let active_prefixes t =
-  Hashtbl.fold (fun _ st acc -> st.flow.Flow.prefix :: acc) t.flows []
-  |> List.sort_uniq compare
+let active_prefixes t = Placement.prefixes t.placement
+
+type demand = Placement.demand = {
+  src : Netgraph.Graph.node;
+  prefix : Igp.Lsa.prefix;
+  path : Netgraph.Graph.node list option;
+  amount : float;
+}
+
+let demand_matrix t = Placement.demand_matrix t.placement
 
 (* The FIB a router is currently forwarding with: during a transition,
    routers whose installation time has not passed still use their old
@@ -431,231 +375,12 @@ let snapshot_fibs t =
         table)
     (active_prefixes t)
 
-(* ---- flow classes ---- *)
-
-let links_of_path path =
-  let rec go acc = function
-    | u :: (v :: _ as rest) -> go ((u, v) :: acc) rest
-    | _ -> acc
-  in
-  go [] path
-
-let join_class t st path =
-  let flow = st.flow in
-  let key =
-    {
-      ck_src = flow.src;
-      ck_prefix = flow.prefix;
-      ck_demand = flow.demand;
-      ck_path = path;
-      ck_solo = (if t.aggregate then -1 else flow.id);
-    }
-  in
-  let c =
-    match Hashtbl.find_opt t.classes key with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          key;
-          c_links = List.sort_uniq Link.compare (links_of_path path);
-          members = Hashtbl.create 4;
-          weight = 0;
-          first = flow.id;
-          first_stale = false;
-          rate = 0.;
-          rehash = false;
-        }
-      in
-      Hashtbl.replace t.classes key c;
-      c
-  in
-  if flow.id < c.first then c.first <- flow.id;
-  c.weight <- c.weight + 1;
-  Hashtbl.replace c.members flow.id ();
-  st.placement <- Classed c
-
-(* Take a flow out of its class, or out of the unroutable index. *)
-let unplace t st =
-  let id = st.flow.id in
-  match st.placement with
-  | Classed c ->
-    Hashtbl.remove c.members id;
-    c.weight <- c.weight - 1;
-    if id = c.first then c.first_stale <- true;
-    if c.weight = 0 then Hashtbl.remove t.classes c.key
-  | Unroutable -> Hashtbl.remove t.unroutable id
-  | Unplaced -> ()
-
-(* The rows of [prefix] the current pass reads, by router. A row is read
-   through [effective_fib] the first time the pass asks for it, so a
-   router the SPF engine must refill is refilled — with its
-   [spf.recompute] span — on the same read as it would be uncached. The
-   cache is only valid within one pass: the next may follow an LSDB
-   change, a transition's switch or a later instant. *)
-let row_reader t prefix =
-  let row =
-    match Hashtbl.find_opt t.rows prefix with
-    | Some row -> row
-    | None ->
-      let row = Array.make (Netgraph.Graph.node_count (Igp.Network.graph t.net)) None in
-      Hashtbl.replace t.rows prefix row;
-      row
-  in
-  fun router ->
-    match row.(router) with
-    | Some fib -> fib
-    | None ->
-      let fib = effective_fib t router prefix in
-      row.(router) <- Some fib;
-      fib
-
-(* (Re)derive one flow's hashed path and update its class membership;
-   a flow whose walk reproduces its class's path keeps its class
-   untouched, and that check builds no list. *)
-let place_flow t st =
-  let flow = st.flow in
-  let fib = row_reader t flow.prefix in
-  let max_hops = Netgraph.Graph.node_count (Igp.Network.graph t.net) in
-  let kept =
-    match st.placement with
-    | Classed c -> Hashing.follows ~fib ~max_hops ~flow_id:flow.id c.key.ck_path
-    | Unroutable | Unplaced -> false
-  in
-  if not kept then
-    match (Hashing.route_with ~fib ~max_hops ~flow_id:flow.id ~src:flow.src, st.placement) with
-    | None, Unroutable -> ()
-    | Some path, _ ->
-      unplace t st;
-      join_class t st path
-    | None, (Classed _ | Unplaced) ->
-      unplace t st;
-      st.placement <- Unroutable;
-      Hashtbl.replace t.unroutable flow.id st
-
-let remove_flow t id =
-  match Hashtbl.find_opt t.flows id with
-  | None -> ()
-  | Some st ->
-    (* An [Unplaced] flow stays in [pending_starts]; the placement loop
-       skips it once it is out of [flows]. *)
-    Hashtbl.remove t.flows id;
-    unplace t st
-
-(* ---- demand matrix ---- *)
-
-type demand = {
-  src : Netgraph.Graph.node;
-  prefix : Igp.Lsa.prefix;
-  path : Netgraph.Graph.node list option;
-  amount : float;
-}
-
-(* One entry per class and one per unroutable flow, in ascending order
-   of smallest member id: a consumer summing per key meets its keys in
-   the order an id-sorted walk over the streams would (see sim.mli).
-   Between steps every active flow is placed — in a class or
-   unroutable — since [recompute_routes] places each start. *)
-let demand_matrix t =
-  let unroutable id st acc =
-    let f = st.flow in
-    (id, { src = f.src; prefix = f.prefix; path = None; amount = f.demand }) :: acc
-  in
-  let classed =
-    Hashtbl.fold
-      (fun _ c acc ->
-        if c.first_stale then begin
-          c.first <- Hashtbl.fold (fun id () m -> Int.min id m) c.members max_int;
-          c.first_stale <- false
-        end;
-        let k = c.key in
-        ( c.first,
-          {
-            src = k.ck_src;
-            prefix = k.ck_prefix;
-            path = Some k.ck_path;
-            amount = float_of_int c.weight *. k.ck_demand;
-          } )
-        :: acc)
-      t.classes []
-  in
-  Hashtbl.fold unroutable t.unroutable classed
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
-
-let rewalk_all t =
-  Obs.Metrics.add m_rehashed (Hashtbl.length t.flows);
-  Hashtbl.iter (fun _ st -> place_flow t st) t.flows
-
-(* Re-walk only the flows whose cached answers may have changed: the
-   members of a class whose path crosses a router that reran stage 1, or
-   a router whose row for the class's prefix was flagged by a lie, plus
-   every currently-unroutable flow, which may have regained a path.
-   Every member of a class shares its prefix and path, so the class is
-   judged once for all of them. Every other flow's routers answer its
-   prefix exactly as before (see [Spf_engine.dirtied_since]), so its
-   hashed walk would reproduce the cached path verbatim. A lie flags one
-   prefix's rows, so the classes of other prefixes through the same
-   routers keep their paths. The flows are placed in reverse [flows]
-   order: [classes], and the float sums over it, depend on the order
-   members move between classes. *)
-let rewalk_dirty t dirt =
-  if dirt <> [] || Hashtbl.length t.unroutable > 0 then begin
-    (* By router: [Some []] when every row may change, [Some ps] when
-       the rows of [ps] may, [None] when none may. *)
-    let dirty = Array.make (Netgraph.Graph.node_count (Igp.Network.graph t.net)) None in
-    let every_row rs = List.iter (fun r -> dirty.(r) <- Some []) rs in
-    List.iter
-      (function
-        | Igp.Spf_engine.Full_dirt -> every_row (Igp.Network.routers t.net)
-        | Routers_dirt rs -> every_row rs
-        | Rows_dirt (p, rs) ->
-          List.iter
-            (fun r ->
-              match dirty.(r) with
-              | Some [] -> ()
-              | Some ps -> dirty.(r) <- Some (p :: ps)
-              | None -> dirty.(r) <- Some [ p ])
-            rs)
-      dirt;
-    let crosses prefix r =
-      match dirty.(r) with
-      | None -> false
-      | Some [] -> true
-      | Some ps -> List.exists (Igp.Prefix.equal prefix) ps
-    in
-    let judged =
-      Hashtbl.fold
-        (fun _ c acc ->
-          if List.exists (crosses c.key.ck_prefix) c.key.ck_path then begin
-            c.rehash <- true;
-            c :: acc
-          end
-          else acc)
-        t.classes []
-    in
-    if judged <> [] || Hashtbl.length t.unroutable > 0 then begin
-      let todo =
-        Hashtbl.fold
-          (fun _ st acc ->
-            match st.placement with
-            | Classed c when c.rehash -> st :: acc
-            | Unroutable -> st :: acc
-            | Classed _ | Unplaced -> acc)
-          t.flows []
-      in
-      List.iter (fun c -> c.rehash <- false) judged;
-      Obs.Metrics.add m_rehashed (List.length todo);
-      List.iter (place_flow t) todo
-    end
-  end
-
 (* Bring routing up to date: begin/advance/end convergence transitions,
    re-walk affected flows (all of them during a transition, where every
    router's view is time-dependent; only those whose rows may have
    changed otherwise), then route newly started flows. *)
 let recompute_routes t =
-  if Hashtbl.length t.rows > 0 then Hashtbl.reset t.rows;
+  Placement.new_pass t.placement ~read:(effective_fib t);
   let engine = Igp.Network.engine t.net in
   let lsdb_version = Igp.Lsdb.version (Igp.Network.lsdb t.net) in
   let lsdb_changed = lsdb_version <> t.routes_lsdb_version in
@@ -688,22 +413,15 @@ let recompute_routes t =
       !crossed
   in
   if lsdb_changed || transition_ended || boundary_crossed then begin
-    if t.transition <> None || transition_ended then rewalk_all t
+    if t.transition <> None || transition_ended then Placement.rewalk_all t.placement
     else begin
       match Igp.Spf_engine.dirtied_since engine ~cursor:t.spf_cursor with
-      | None -> rewalk_all t
-      | Some dirty -> rewalk_dirty t dirty
+      | None -> Placement.rewalk_all t.placement
+      | Some dirty -> Placement.rewalk_dirty t.placement dirty
     end;
     t.spf_cursor <- Igp.Spf_engine.dirty_cursor engine
   end;
-  (match t.pending_starts with
-  | [] -> ()
-  | starts ->
-    List.iter
-      (fun st -> if Hashtbl.mem t.flows st.flow.id then place_flow t st)
-      (List.rev starts);
-    t.pending_starts <- [];
-    t.spf_cursor <- Igp.Spf_engine.dirty_cursor engine);
+  if Placement.place_starts t.placement then t.spf_cursor <- Igp.Spf_engine.dirty_cursor engine;
   (* Only a convergence model reads the snapshot, at the next change.
      Without one, every router is still brought up to date while a flow
      is active, so a step's SPF refills, and their [spf.recompute]
@@ -711,64 +429,7 @@ let recompute_routes t =
      whatever reads routes next. *)
   match t.convergence with
   | Some _ -> if t.transition = None then snapshot_fibs t
-  | None -> if Hashtbl.length t.flows > 0 then Igp.Network.warm t.net
-
-(* ---- allocation ---- *)
-
-let allocate_max_min t =
-  let arr = Array.of_list (Hashtbl.fold (fun _ c acc -> c :: acc) t.classes []) in
-  let demands = Array.map (fun c -> c.key.ck_demand) arr in
-  let links = Array.map (fun c -> c.c_links) arr in
-  let weights = Array.map (fun c -> c.weight) arr in
-  let rates = Fairshare.water_fill t.caps ~demands ~links ~weights in
-  Array.iteri (fun i c -> c.rate <- rates.(i)) arr
-
-let allocate_aimd t aimd =
-  (* Classes are singletons here ([create] disables aggregation for
-     AIMD), so each class maps 1:1 to a flow and its route. *)
-  let routes =
-    Hashtbl.fold
-      (fun _ st acc ->
-        match st.placement with
-        | Classed c -> ({ Fairshare.flow = st.flow; links = c.c_links }, c) :: acc
-        | Unroutable | Unplaced -> acc)
-      t.flows []
-  in
-  let fair_routes = List.map fst routes in
-  let offered = Aimd.update aimd ~dt:t.dt ~capacities:t.caps fair_routes in
-  let offered_tbl : (int, float) Hashtbl.t =
-    Hashtbl.create (max 16 (2 * List.length offered))
-  in
-  List.iter (fun (id, rate) -> Hashtbl.replace offered_tbl id rate) offered;
-  (* Offered load per link at the AIMD rates; delivery is capped at the
-     bottleneck share of each flow (excess is queue drop). *)
-  let loads : (Link.t, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ((route : Fairshare.route), _) ->
-      let rate =
-        Option.value ~default:0. (Hashtbl.find_opt offered_tbl route.flow.Flow.id)
-      in
-      List.iter
-        (fun link ->
-          Hashtbl.replace loads link
-            (rate +. Option.value ~default:0. (Hashtbl.find_opt loads link)))
-        route.links)
-    routes;
-  List.iter
-    (fun ((route : Fairshare.route), c) ->
-      let rate =
-        Option.value ~default:0. (Hashtbl.find_opt offered_tbl route.flow.Flow.id)
-      in
-      let factor =
-        List.fold_left
-          (fun acc link ->
-            let load = Option.value ~default:0. (Hashtbl.find_opt loads link) in
-            if load > 0. then min acc (Link.capacity t.caps link /. load)
-            else acc)
-          1. route.links
-      in
-      c.rate <- rate *. min 1. factor)
-    routes
+  | None -> if Placement.live t.placement > 0 then Igp.Network.warm t.net
 
 let step_body t =
   let step_start = t.time in
@@ -806,25 +467,9 @@ let step_body t =
     end
   end;
   (* 1. Activate and retire flows due at the start of this step. *)
-  Events.drain t.queue ~time:step_start (fun event ->
-      match event with
-      | Start flow ->
-        (* Resolve the flow's destination against the announced prefixes
-           by longest-prefix match: a flow aimed inside an announced
-           block is governed by that block's announcement (exact matches
-           — every named prefix — resolve to themselves). The flow then
-           carries the governing prefix, so classes, FIB snapshots and
-           the controller all key on what the routers actually route. *)
-        let flow =
-          match Igp.Network.resolve t.net flow.Flow.prefix with
-          | Some governing
-            when not (Igp.Prefix.equal governing flow.Flow.prefix) ->
-            { flow with Flow.prefix = governing }
-          | Some _ | None -> flow
-        in
-        let st = { flow; placement = Unplaced } in
-        Hashtbl.replace t.flows flow.Flow.id st;
-        t.pending_starts <- st :: t.pending_starts;
+  Events.drain t.queue ~time:step_start (fun life ->
+      if not (Placement.started life) then begin
+        let flow = Placement.start t.placement life in
         if Obs.enabled () then
           Obs.Timeline.record ~time:step_start ~source:"sim" ~kind:"flow_start"
             [
@@ -832,40 +477,27 @@ let step_body t =
               ("prefix", String (Igp.Prefix.to_string flow.Flow.prefix));
               ("demand", Float flow.Flow.demand);
             ]
-      | Stop id ->
-        remove_flow t id;
+      end
+      else begin
+        let id = Placement.stop t.placement life in
         if Obs.enabled () then
           Obs.Timeline.record ~time:step_start ~source:"sim" ~kind:"flow_stop"
             [ ("flow", Int id) ];
-        (match t.rate_model with
-        | Aimd aimd -> Aimd.forget aimd id
-        | Max_min_fair -> ()));
+        match t.rate_model with Aimd aimd -> Aimd.forget aimd id | Max_min_fair -> ()
+      end);
   (* 2–3. Route and allocate. *)
   recompute_routes t;
   (match t.rate_model with
-  | Max_min_fair -> allocate_max_min t
-  | Aimd aimd -> allocate_aimd t aimd);
-  let link_tbl : (Link.t, float) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ c ->
-      let total = float_of_int c.weight *. c.rate in
-      List.iter
-        (fun link ->
-          Hashtbl.replace link_tbl link
-            (total +. Option.value ~default:0. (Hashtbl.find_opt link_tbl link)))
-        c.c_links)
-    t.classes;
+  | Max_min_fair -> Placement.allocate_max_min t.placement t.caps
+  | Aimd aimd -> Placement.allocate_aimd t.placement aimd ~dt:t.dt t.caps);
+  let link_tbl = Placement.link_loads t.placement in
   t.link_rates <-
     Hashtbl.fold (fun link rate acc -> (link, rate) :: acc) link_tbl []
     |> List.sort (fun (a, _) (b, _) -> Link.compare a b);
   (* 4. Record histories for this interval, stamped at its start. *)
-  if t.flow_history then begin
-    Hashtbl.iter
-      (fun id st ->
-        let rate = match st.placement with Classed c -> c.rate | Unroutable | Unplaced -> 0. in
-        Kit.Timeseries.add (flow_series t id) ~time:step_start rate)
-      t.flows
-  end;
+  if t.flow_history then
+    Placement.iter_rates t.placement (fun id rate ->
+        Kit.Timeseries.add (flow_series t id) ~time:step_start rate);
   (* Every link with an existing history gets this step's rate (0. when
      idle); links carrying traffic for the first time open a history.
      Appends target distinct series, so no ordering or union list is

@@ -8,7 +8,11 @@
     series, and (5) feeds the monitor, firing the poll hook (the Fibbing
     controller) when a polling cycle completes. Hooks may inject or
     retract fake LSAs; the new routing takes effect the following step,
-    which models the (fast) IGP reconvergence after a Fibbing update. *)
+    which models the (fast) IGP reconvergence after a Fibbing update.
+
+    The active flows, their paths and their classes live in
+    {!Placement}; this module keeps the clock, the event queues, faults,
+    hooks and histories. *)
 
 type t
 
@@ -68,9 +72,13 @@ val dt : t -> float
 
 val add_flow : t -> Flow.t -> unit
 (** Schedule a flow; its [start_time]/[duration] govern activation.
-    Raises [Invalid_argument] if the id is already known or the start
-    time is in the simulated past (or NaN); an add that raises records
-    nothing, so its id stays free. *)
+    Raises [Invalid_argument] if a field fails {!Flow.validate} (a
+    record update bypasses [Flow.make]), if the id was ever added
+    before — ids stay unique for the simulator's whole life, a stopped
+    flow's id included — or if the start time is in the simulated past;
+    an add that raises records nothing, so its id stays free. The add
+    makes one small record, scheduled for both the start and the stop;
+    the flow takes a slot only when it starts. *)
 
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Schedule an arbitrary action (e.g. a link failure, a manual fake
@@ -154,7 +162,9 @@ val demand_matrix : t -> demand list
     class (see [aggregation] in {!create}) and one entry, with path
     [None], per active flow that has no class — an unroutable flow
     ([unroutable_flows]; every other active flow has a class between
-    steps). Costs O(classes + unroutable flows), not O(flows).
+    steps). Costs O(classes + unroutable flows), plus one pass over
+    the active flows when a class's smallest member has left since the
+    last call.
 
     Ordering contract: entries come in ascending order of their smallest
     member flow id. A consumer that sums entries per key (prefix,
@@ -171,10 +181,12 @@ val demand_matrix : t -> demand list
     adopted on the next step). *)
 
 val flow_rate : t -> int -> float
-(** Current allocated rate of a flow; [0.] if inactive or unroutable. *)
+(** Current allocated rate of a flow; [0.] if inactive or unroutable.
+    The first by-id query after a flow started or stopped rebuilds an
+    id index over the active flows; the others are one lookup. *)
 
 val flow_path : t -> int -> Netgraph.Graph.node list option
-(** Current path of an active flow. *)
+(** Current path of an active flow (by id, as [flow_rate]). *)
 
 val flow_series : t -> int -> Kit.Timeseries.t
 (** Per-flow throughput history (created on first use). *)

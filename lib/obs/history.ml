@@ -77,6 +77,7 @@ let bands =
     counter "rows_written";
     counter "rehashed";
     { counter = "words_per_event"; rel = 0.02; abs = 0.1 };
+    { counter = "words_per_flow"; rel = 0.02; abs = 0.1 };
     { counter = "visited_per_update"; rel = 0.02; abs = 1. };
     { counter = "wall_ms"; rel = 0.5; abs = 1.0 };
     timing "build_ms";

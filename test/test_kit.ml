@@ -480,6 +480,31 @@ let test_timeseries_window_mean () =
   check_float "window [0,3)" 2. (Series.window_mean ts ~from:0. ~until:3.);
   check_float "empty window" 0. (Series.window_mean ts ~from:10. ~until:20.)
 
+(* ---------- Int_set ---------- *)
+
+(* Random insert/mem sequences over a mix of wide ints, a dense small
+   range (long probe runs) and the edge values, [min_int] (the set's
+   free-slot marker) among them; after every operation and at the end,
+   membership agrees with a [Hashtbl]. *)
+let prop_int_set_matches_hashtbl =
+  let edge = QCheck.oneofl [ min_int; max_int; 0; -1; 1; min_int + 1 ] in
+  QCheck.Test.make ~name:"Int_set = Hashtbl on insert/mem sequences" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 3000) (pair bool (oneof [ int; int_range (-64) 64; edge ])))
+    (fun ops ->
+      let set = Kit.Int_set.create () and tbl = Hashtbl.create 16 in
+      List.for_all
+        (fun (insert, x) ->
+          if insert then begin
+            Kit.Int_set.add set x;
+            Hashtbl.replace tbl x ()
+          end;
+          Kit.Int_set.mem set x = Hashtbl.mem tbl x)
+        ops
+      && Hashtbl.fold (fun x () ok -> ok && Kit.Int_set.mem set x) tbl true
+      && List.for_all
+           (fun x -> Kit.Int_set.mem set x = Hashtbl.mem tbl x)
+           [ min_int; max_int; 0; -1; 1; min_int + 1; 65; -65 ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -541,6 +566,7 @@ let () =
           Alcotest.test_case "ewma" `Quick test_stats_ewma;
         ] );
       qsuite "stats-props" [ prop_stats_mean_bounds ];
+      qsuite "int-set" [ prop_int_set_matches_hashtbl ];
       ( "ratio",
         [
           Alcotest.test_case "thirds" `Quick test_ratio_thirds;

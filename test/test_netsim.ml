@@ -25,9 +25,16 @@ let fake ~id ~at ~cost ~fwd : Igp.Lsa.fake =
 
 let checkf = Alcotest.(check (float 1e-6))
 
+(* [Hashing.walk]'s path as a list. *)
+let route_with ~fib ~max_hops ~flow_id ~src =
+  let path = Array.make (max_hops + 1) 0 in
+  match Netsim.Hashing.walk ~fib ~max_hops ~flow_id ~src path with
+  | -1 -> None
+  | n -> Some (Array.to_list (Array.sub path 0 n))
+
 (* A flow's path over the converged FIBs, as [Sim] resolves it. *)
 let route net ~flow_id ~src prefix =
-  Netsim.Hashing.route_with
+  route_with
     ~fib:(fun router -> Igp.Network.fib net ~router prefix)
     ~max_hops:(G.node_count (Igp.Network.graph net))
     ~flow_id ~src
@@ -312,7 +319,7 @@ let prop_follows_matches_route_with =
       let fib r = view.(r) and max_hops = 6 in
       List.for_all
         (fun src ->
-          match Netsim.Hashing.route_with ~fib ~max_hops ~flow_id ~src with
+          match route_with ~fib ~max_hops ~flow_id ~src with
           | None -> true
           | Some path ->
             let n = List.length path in
@@ -323,7 +330,7 @@ let prop_follows_matches_route_with =
                  (fun p ->
                    Netsim.Hashing.follows ~fib ~max_hops ~flow_id p
                    = (p <> []
-                     && Netsim.Hashing.route_with ~fib ~max_hops ~flow_id ~src:(List.hd p)
+                     && route_with ~fib ~max_hops ~flow_id ~src:(List.hd p)
                         = Some p))
                  [ truncated; altered; path @ [ List.hd path ] ])
         (List.init 6 Fun.id))
@@ -959,6 +966,64 @@ let test_sim_rejected_add_frees_id () =
   Netsim.Sim.run_until sim 1.;
   Alcotest.(check (list int)) "re-added flow active" [ 0 ]
     (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim))
+
+(* [Flow.t] is a public record, so a record update bypasses
+   [Flow.make]: [add_flow] re-checks every field before it schedules
+   anything, and a rejected flow leaves its id free. *)
+let test_sim_add_flow_rechecks_fields () =
+  let d, net = demo_net () in
+  let sim = Netsim.Sim.create net (Link.capacities ~default:10.) in
+  let flow = Flow.make ~id:0 ~src:d.a ~prefix:(pfx "blue") ~demand:1. ~duration:2. () in
+  List.iter
+    (fun (name, bad) ->
+      Alcotest.(check bool) name true (rejected (fun () -> Netsim.Sim.add_flow sim bad)))
+    [
+      ("NaN demand", { flow with Flow.demand = Float.nan });
+      ("zero demand", { flow with Flow.demand = 0. });
+      ("negative demand", { flow with Flow.demand = -1. });
+      ("NaN duration", { flow with Flow.duration = Float.nan });
+      ("NaN start time", { flow with Flow.start_time = Float.nan });
+    ];
+  Netsim.Sim.add_flow sim flow;
+  Netsim.Sim.run_until sim 1.;
+  Alcotest.(check (list int)) "id still free" [ 0 ]
+    (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim))
+
+(* Ids stay unique for the simulator's whole life: a stopped flow's id
+   is still taken. *)
+let test_sim_stopped_id_stays_taken () =
+  let d, net = demo_net () in
+  let sim = Netsim.Sim.create net (Link.capacities ~default:10.) in
+  let flow = Flow.make ~id:7 ~src:d.a ~prefix:(pfx "blue") ~demand:1. ~duration:1. () in
+  Netsim.Sim.add_flow sim flow;
+  Netsim.Sim.run_until sim 2.;
+  Alcotest.(check (list int)) "stopped" []
+    (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim));
+  Alcotest.(check bool) "re-add rejected" true
+    (rejected (fun () -> Netsim.Sim.add_flow sim { flow with Flow.start_time = 2. }))
+
+(* A stops and B starts in the same step. A was the only flow, so the
+   slot it frees is the one B takes; nothing of A may show through it. *)
+let test_sim_slot_reuse () =
+  let d, net = demo_net () in
+  let sim = Netsim.Sim.create ~dt:0.5 net (Link.capacities ~default:10.) in
+  let a = Flow.make ~id:1 ~src:d.a ~prefix:(pfx "blue") ~demand:3. ~duration:1. () in
+  let b = Flow.make ~id:2 ~src:d.r4 ~prefix:(pfx "blue") ~demand:2. ~start_time:1. () in
+  Netsim.Sim.add_flow sim a;
+  Netsim.Sim.add_flow sim b;
+  Netsim.Sim.run_until sim 1.;
+  let path_a = Netsim.Sim.flow_path sim 1 in
+  Alcotest.(check bool) "A placed" true (path_a <> None);
+  Netsim.Sim.run_until sim 1.5;
+  checkf "A's rate" 0. (Netsim.Sim.flow_rate sim 1);
+  Alcotest.(check bool) "A's path" true (Netsim.Sim.flow_path sim 1 = None);
+  checkf "B's rate" 2. (Netsim.Sim.flow_rate sim 2);
+  Alcotest.(check bool) "B's path" true
+    (Netsim.Sim.flow_path sim 2 = route net ~flow_id:2 ~src:d.r4 (pfx "blue")
+    && Netsim.Sim.flow_path sim 2 <> path_a);
+  Alcotest.(check (list int)) "B only" [ 2 ]
+    (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim));
+  Alcotest.(check int) "one class" 1 (Netsim.Sim.flow_classes sim)
 
 let test_sim_unroutable_flow_reported () =
   let g = G.create () in
@@ -1637,6 +1702,15 @@ let oracle_scenario ~on_created seed =
          ~duration:(1. +. float_of_int (Kit.Prng.int prng 12))
          ())
   done;
+  (* A later wave, starting after some of the first have stopped, so
+     freed slots are taken again. *)
+  for id = 100 to 102 + Kit.Prng.int prng 6 do
+    Netsim.Sim.add_flow sim
+      (Flow.make ~id ~src:(Kit.Prng.int prng n) ~prefix:(pick prefixes) ~demand:10.
+         ~start_time:(0.5 *. float_of_int (6 + Kit.Prng.int prng (oracle_steps - 6)))
+         ~duration:(0.5 +. float_of_int (Kit.Prng.int prng 6))
+         ())
+  done;
   for _ = 1 to 2 + Kit.Prng.int prng 4 do
     let time = 0.5 *. float_of_int (Kit.Prng.int prng oracle_steps) in
     match Kit.Prng.int prng 3 with
@@ -1864,6 +1938,10 @@ let () =
           Alcotest.test_case "duplicate flow" `Quick test_sim_rejects_duplicate_flow;
           Alcotest.test_case "rejected add frees id" `Quick
             test_sim_rejected_add_frees_id;
+          Alcotest.test_case "add_flow re-checks fields" `Quick
+            test_sim_add_flow_rechecks_fields;
+          Alcotest.test_case "stopped id stays taken" `Quick test_sim_stopped_id_stays_taken;
+          Alcotest.test_case "slot reuse" `Quick test_sim_slot_reuse;
           Alcotest.test_case "unroutable flow" `Quick test_sim_unroutable_flow_reported;
           Alcotest.test_case "equal-time schedule FIFO" `Quick
             test_sim_schedule_equal_times_fifo;
