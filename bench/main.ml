@@ -1561,6 +1561,10 @@ let prof_values track ~cycles ~context (d : Obs.Prof.snap) wall_ms =
        (* Every profiled path runs on the calling domain; the constant
           keeps the rows' workload keys equal to older history rows. *)
        ("domains", 1.);
+       (* Words read from the live GC counters ([Obs.Prof.snapshot]):
+          rows from before they were live counted direct major
+          allocation late, so they form no baseline for these. *)
+       ("live_gc", 1.);
      ]
     @ context)
 
@@ -1682,13 +1686,15 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
      withdraws its lies. The controller reads Sim's demand matrix, so
      these words do not grow with [flows]; a per-stream scan would.
      [rows_written] counts the prefix rows every SPF engine writes in
-     one cycle, the what-if clones' included. *)
+     one cycle, the what-if clones' included. [react_wide] runs the same
+     cycle with 512 idle prefixes instead of 64: a what-if costs what it
+     asks, so the track's gate fails unless both rows write the same
+     rows and allocate within 2 % of each other. *)
   let reacted = ref true in
-  let react =
+  let react_row track ~idle =
     let d = crowd ~fibbing:false in
     (* Prefixes no stream is aimed at: only a clone that refilled whole
        tables would write their rows. *)
-    let idle = 64 in
     for i = 0 to idle - 1 do
       Igp.Network.announce_prefix d.net
         (Igp.Prefix.v (Printf.sprintf "idle%d" i))
@@ -1703,11 +1709,19 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
       Fibbing.Controller.withdraw_all controller
     in
     let row =
-      prof_row "react" ~cycles:5
+      prof_row track ~cycles:5
         ~context:[ ("flows", num flows); ("prefixes", num (idle + 1)) ]
         cycle
     in
     { row with values = row.values @ [ ("rows_written", metric_delta "spf.rows_written" cycle) ] }
+  in
+  let react = react_row "react" ~idle:64 in
+  let react_wide = react_row "react_wide" ~idle:512 in
+  let asks_only =
+    let value (r : Obs.History.row) k = List.assoc k r.values in
+    value react_wide "rows_written" = value react "rows_written"
+    && Float.abs (value react_wide "alloc_words" -. value react "alloc_words")
+       <= 0.02 *. value react "alloc_words"
   in
   (* The step that adopts one lie over the crowd: A's fake ties its
      route via B with one via R1, so A's streams re-hash over two next
@@ -1817,8 +1831,8 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
     let words = List.assoc "alloc_words" row.values in
     { row with values = row.values @ [ ("words_per_flow", words /. num batch) ] }
   in
-  ( [ spf_churn; water_fill; sim_step; react; sim_adopt; sim_events; sim_churn ],
-    !reacted && adopted && in_order )
+  ( [ spf_churn; water_fill; sim_step; react; react_wide; sim_adopt; sim_events; sim_churn ],
+    !reacted && asks_only && adopted && in_order )
 
 (* ------------------------------------------------------------------ *)
 (* The track registry and the driver. *)

@@ -356,36 +356,42 @@ let resync t ~time ~reason =
     (Printf.sprintf "resync (%s): %d adopted lies kept, %d withdrawn" reason
        kept withdrawn)
 
-(* Capacity available to [v]'s traffic through candidate next hop [n]:
-   the residual max-flow from n to the prefix's egress(es) once all
-   foreign demand is subtracted, paths through v excluded, capped by the
-   v->n link's own residual. Anycast prefixes use a super-sink fed by
-   every announcer. *)
-let availability t sim ~v ~egresses ~other n =
+(* The capacity a link leaves [v]'s traffic once all foreign demand
+   ([other]) is subtracted. *)
+let residual_of sim ~other link =
+  let foreign = Option.value ~default:0. (Hashtbl.find_opt other link) in
+  max 0. (Link.capacity (Sim.capacities sim) link -. foreign)
+
+(* The residual network of one visit at [v]: every link's residual,
+   links at [v] excluded (paths through v do not count), drained by a
+   virtual super-sink that every announcer feeds (anycast). Built once
+   per visit; each candidate runs one max-flow over it. *)
+let visit_network t ~residual ~v ~egresses =
   let g = Igp.Network.graph t.net in
-  let caps = Sim.capacities sim in
-  let residual link =
-    let foreign = Option.value ~default:0. (Hashtbl.find_opt other link) in
-    max 0. (Link.capacity caps link -. foreign)
-  in
+  let table : Netgraph.Maxflow.capacities = Hashtbl.create 32 in
+  (* An augmented copy, so that node ids of g are preserved. *)
+  let g' = Graph.copy g in
+  let sink = Graph.add_node g' ~name:"super-sink" in
+  List.iter
+    (fun egress ->
+      Graph.add_edge g' egress sink ~weight:1;
+      Hashtbl.replace table (egress, sink) infinity)
+    egresses;
+  List.iter
+    (fun (a, b, _) ->
+      if a <> v && b <> v then Hashtbl.replace table (a, b) (residual (a, b)))
+    (Graph.edges g);
+  (Netgraph.Maxflow.network g' table, sink)
+
+(* Capacity available to [v]'s traffic through candidate next hop [n]:
+   the max-flow from n to the prefix's egress(es) over the visit's
+   residual network, capped by the v->n link's own residual. *)
+let availability ~residual ~v ~egresses visit n =
   let first_hop = residual (v, n) in
   if List.mem n egresses then first_hop
   else begin
-    let table : Netgraph.Maxflow.capacities = Hashtbl.create 32 in
-    (* The maxflow runs on an augmented copy so a virtual super-sink can
-       drain every announcer; node ids of g are preserved by copy. *)
-    let g' = Graph.copy g in
-    let sink = Graph.add_node g' ~name:"super-sink" in
-    List.iter
-      (fun egress ->
-        Graph.add_edge g' egress sink ~weight:1;
-        Hashtbl.replace table (egress, sink) infinity)
-      egresses;
-    List.iter
-      (fun (a, b, _) ->
-        if a <> v && b <> v then Hashtbl.replace table (a, b) (residual (a, b)))
-      (Graph.edges g);
-    min first_hop (Netgraph.Maxflow.max_flow g' table ~source:n ~sink)
+    let network, sink = Lazy.force visit in
+    min first_hop (Netgraph.Maxflow.max_flow network ~source:n ~sink)
   end
 
 (* Candidate next hops at [v]: current ones plus loop-free alternates
@@ -572,8 +578,10 @@ let rec handle_router t sim ~demands ~time ~prefix ~visited ~depth v =
       let other = Demand.foreign_loads demands ~prefix ~via:v in
       let own_demand = Demand.through demands ~prefix ~via:v in
       let cands = candidates t ~prefix ~v in
+      let residual = residual_of sim ~other in
+      let visit = lazy (visit_network t ~residual ~v ~egresses) in
       let avails =
-        List.map (fun n -> (n, availability t sim ~v ~egresses ~other n)) cands
+        List.map (fun n -> (n, availability ~residual ~v ~egresses visit n)) cands
       in
       let total_avail = List.fold_left (fun acc (_, a) -> acc +. a) 0. avails in
       let kept =
@@ -692,14 +700,23 @@ let react t sim _alarms =
       | None -> true
       | Some set -> Hashtbl.mem set u || Hashtbl.mem set v
     in
-    let utilizations = Monitor.utilizations monitor in
-    (* Withdrawal: sustained calm retracts all lies. *)
-    let calm =
-      List.for_all
-        (fun (_, u) -> u < Monitor.clear_threshold monitor)
-        utilizations
+    (* One fold over the smoothed utilizations: calm (every link below
+       the clear threshold) and the worst visible link above the alarm
+       threshold, ties to the smallest link. *)
+    let clear = Monitor.clear_threshold monitor
+    and threshold = Monitor.threshold monitor in
+    let calm = ref true in
+    let worst =
+      Monitor.fold_utilizations monitor ~init:None (fun link u worst ->
+          if not (u < clear) then calm := false;
+          if u > threshold && visible link then
+            match worst with
+            | Some (l, bu) when bu > u || (bu = u && Link.compare l link < 0) -> worst
+            | Some _ | None -> Some (link, u)
+          else worst)
     in
-    (match (calm, t.calm_since) with
+    (* Withdrawal: sustained calm retracts all lies. *)
+    (match (!calm, t.calm_since) with
     | false, _ -> t.calm_since <- None
     | true, None -> t.calm_since <- Some time
     | true, Some since ->
@@ -713,19 +730,6 @@ let react t sim _alarms =
     (* React to the currently hottest link above threshold (not only to
        edge-triggered alarms: a link stuck above threshold after an
        insufficient fix must be revisited). *)
-    let hot =
-      List.filter
-        (fun (l, u) -> u > Monitor.threshold monitor && visible l)
-        utilizations
-    in
-    let worst =
-      List.fold_left
-        (fun acc (link, u) ->
-          match acc with
-          | Some (_, bu) when bu >= u -> acc
-          | Some _ | None -> Some (link, u))
-        None hot
-    in
     (match worst with
     | Some (link, _) when time >= t.backoff_until ->
       let lsdb = Igp.Network.lsdb t.net in

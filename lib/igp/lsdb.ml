@@ -22,6 +22,8 @@ let log_cap = 1024
 type t = {
   base : Graph.t;
   mutable announcements : (Lsa.prefix * Graph.node * int) list; (* newest last *)
+  mutable announced : int; (* length of [announcements] *)
+  mutable newest_origin : Graph.node option; (* the last announcement's origin *)
   mutable fake_list : Lsa.fake list; (* newest last *)
   expiries : (string, float) Hashtbl.t;
       (* fake_id -> absolute expiry time; absent = never expires. *)
@@ -42,6 +44,8 @@ let create base =
   {
     base;
     announcements = [];
+    announced = 0;
+    newest_origin = None;
     fake_list = [];
     expiries = Hashtbl.create 16;
     version = 0;
@@ -56,19 +60,23 @@ let base_graph t = t.base
 
 (* What replaying [announce_prefix] over [src]'s announcements and then
    [install_fake] over its fakes would leave, built without the replay's
-   per-call list scans: the same lists, one version per LSA. *)
+   per-call list scans: the same (shared) lists, one version per LSA.
+   Constant in the announcements, linear in the fakes. *)
 let clone src base =
-  let last_of f l = match List.rev l with x :: _ -> Some (f x) | [] -> None in
-  let version = List.length src.announcements + List.length src.fake_list in
+  let rec last_attachment = function
+    | [] -> src.newest_origin
+    | [ (f : Lsa.fake) ] -> Some f.attachment
+    | _ :: rest -> last_attachment rest
+  in
+  let version = src.announced + List.length src.fake_list in
   {
     (create base) with
     announcements = src.announcements;
+    announced = src.announced;
+    newest_origin = src.newest_origin;
     fake_list = src.fake_list;
     version;
-    last_origin =
-      (match last_of (fun (f : Lsa.fake) -> f.attachment) src.fake_list with
-      | Some _ as o -> o
-      | None -> last_of (fun (_, o, _) -> o) src.announcements);
+    last_origin = last_attachment src.fake_list;
     log_floor = version;
   }
 
@@ -114,9 +122,18 @@ let announce_prefix t prefix ~origin ~cost =
   if cost < 0 then invalid_arg "Lsdb.announce_prefix: negative cost";
   ignore (Graph.name t.base origin);
   t.last_origin <- Some origin;
-  t.announcements <-
-    List.filter (fun (p, o, _) -> not (Prefix.equal p prefix && o = origin)) t.announcements
-    @ [ (prefix, origin, cost) ];
+  t.newest_origin <- Some origin;
+  let superseded = ref false in
+  let others =
+    List.filter
+      (fun (p, o, _) ->
+        let same = Prefix.equal p prefix && o = origin in
+        if same then superseded := true;
+        not same)
+      t.announcements
+  in
+  if not !superseded then t.announced <- t.announced + 1;
+  t.announcements <- others @ [ (prefix, origin, cost) ];
   t.resolver <- None;
   bump t;
   record t [ Generic_delta ]

@@ -48,8 +48,9 @@ val clone : t -> Netgraph.Graph.t -> t
     what replaying [t]'s announcements through {!announce_prefix} and
     then its fakes through {!install_fake} would leave: the same
     announcements and fakes in the same order, one version per LSA, no
-    fake expiries. Linear in their number. Its
-    delta log starts empty at that version. *)
+    fake expiries. Both share [t]'s (immutable) lists; the cost is
+    constant in the announcements and linear in the fakes. Its delta
+    log starts empty at that version. *)
 
 val announce_prefix : t -> Lsa.prefix -> origin:Netgraph.Graph.node -> cost:int -> unit
 (** Install (or supersede) the real announcement of a prefix. A prefix may

@@ -11,15 +11,17 @@ val create : Netgraph.Graph.t -> t
 val clone : t -> t
 (** A what-if copy, used to test a candidate augmentation before
     touching the live network. The clone owns a copy of the graph and of
-    the LSDB (announcements and fakes, in time linear in their number;
-    see {!Lsdb.clone}); fake expiries are not copied. Its routes start
-    warm ({!Spf_engine.clone}): the parent's engine is synced, then its
-    stage-1 trees are shared read-only, and routers dirty in the parent
-    stay dirty. The clone computes a prefix's row at a router only when
-    a lookup ([fib], [fib_table], [distance], ...) first asks for it, so
-    a query about one prefix costs one row per router and no Dijkstra.
-    Trees are immutable, so no later mutation of either network reaches
-    the other. Control-cost counters and engine stats start at zero. *)
+    the LSDB (see {!Lsdb.clone}); fake expiries are not copied. Its
+    routes start warm ({!Spf_engine.clone}): the parent's engine is
+    synced, then its stage-1 trees and its prefix -> announcers index
+    are shared read-only, and routers dirty in the parent stay dirty.
+    The clone computes a prefix's row at a router only when a lookup
+    ([fib], [fib_table], [distance], ...) first asks for it, so a query
+    about one prefix costs one row per router and no Dijkstra. Cloning
+    costs O(routers + fakes), nothing per announced prefix. Trees and
+    the shared index are never written, so no later mutation of either
+    network reaches the other. Control-cost counters and engine stats
+    start at zero. *)
 
 val graph : t -> Netgraph.Graph.t
 

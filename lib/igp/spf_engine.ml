@@ -45,10 +45,17 @@ type slot =
          cloned from: trees are immutable) and the rows asked for so
          far; a prefix absent from the table has not been asked for. *)
 
-type origins = { announcers : (Graph.node * int) list; fakes : Lsa.fake list }
-
-(* Stage 2's inputs per prefix, valid at LSDB version [at]. *)
-type index = { mutable at : int; routes : (Lsa.prefix, origins) Hashtbl.t }
+(* Stage 2's inputs per prefix, valid at LSDB version [at]. Only a
+   generic delta can change announcements, and it builds a fresh
+   [announced] table; nothing writes to one afterwards, so a clone reads
+   its parent's by reference. [faked] holds the fakes of every prefix
+   that has some (a fake's prefix is always announced); fake deltas
+   patch it in place, so each engine owns its own. *)
+type index = {
+  mutable at : int;
+  announced : (Lsa.prefix, (Graph.node * int) list) Hashtbl.t;
+  faked : (Lsa.prefix, Lsa.fake list) Hashtbl.t;
+}
 
 type t = {
   lsdb : Lsdb.t;
@@ -117,23 +124,16 @@ let stats t =
   }
 
 let build_index lsdb =
-  let routes = Hashtbl.create 64 in
-  let update p f =
-    Hashtbl.replace routes p
-      (f (Option.value ~default:{ announcers = []; fakes = [] } (Hashtbl.find_opt routes p)))
+  let announced = Hashtbl.create 64 and faked = Hashtbl.create 8 in
+  let push tbl p x =
+    Hashtbl.replace tbl p (x :: Option.value ~default:[] (Hashtbl.find_opt tbl p))
   in
-  List.iter
-    (fun (p, o, cost) -> update p (fun r -> { r with announcers = (o, cost) :: r.announcers }))
-    (Lsdb.prefixes lsdb);
-  List.iter
-    (fun (f : Lsa.fake) -> update f.prefix (fun r -> { r with fakes = f :: r.fakes }))
-    (Lsdb.fakes lsdb);
-  { at = Lsdb.version lsdb; routes }
+  List.iter (fun (p, o, cost) -> push announced p (o, cost)) (Lsdb.prefixes lsdb);
+  List.iter (fun (f : Lsa.fake) -> push faked f.prefix f) (Lsdb.fakes lsdb);
+  { at = Lsdb.version lsdb; announced; faked }
 
-(* The index at the current version. Only a generic delta can change
-   announcements, so across fake and weight deltas the index is patched:
-   each fake delta re-reads its (announced, hence indexed) prefix's
-   fakes. *)
+(* The index at the current version. Across fake and weight deltas it is
+   patched: each fake delta re-reads its prefix's fakes. *)
 let index t =
   let version = Lsdb.version t.lsdb in
   let idx =
@@ -144,14 +144,14 @@ let index t =
       | Some deltas when not (List.mem Lsdb.Generic_delta deltas) ->
         List.iter
           (function
-            | Lsdb.Fake_delta { prefix; _ } ->
-              let fakes =
+            | Lsdb.Fake_delta { prefix; _ } -> (
+              match
                 List.filter
                   (fun (f : Lsa.fake) -> Prefix.equal f.prefix prefix)
                   (Lsdb.fakes t.lsdb)
-              in
-              Hashtbl.replace idx.routes prefix
-                { (Hashtbl.find idx.routes prefix) with fakes }
+              with
+              | [] -> Hashtbl.remove idx.faked prefix
+              | fakes -> Hashtbl.replace idx.faked prefix fakes)
             | Lsdb.Weight_delta _ | Lsdb.Generic_delta -> ())
           deltas;
         idx.at <- version;
@@ -162,13 +162,19 @@ let index t =
   t.index <- Some idx;
   idx
 
-let prefix_row t tree prefix { announcers; fakes } =
+(* The row of an announced prefix, from its [announcers]. A lie-free
+   index skips hashing the prefix. *)
+let prefix_row t idx tree prefix announcers =
   t.rows_written <- t.rows_written + 1;
   Obs.Metrics.incr m_rows_written;
+  let fakes =
+    if Hashtbl.length idx.faked = 0 then []
+    else Option.value ~default:[] (Hashtbl.find_opt idx.faked prefix)
+  in
   Spf.prefix_fib tree prefix ~announcers ~fakes
 
-let write_row t tree tbl prefix origins =
-  match prefix_row t tree prefix origins with
+let write_row t idx tree tbl prefix announcers =
+  match prefix_row t idx tree prefix announcers with
   | Some fib -> Hashtbl.replace tbl prefix fib
   | None -> Hashtbl.remove tbl prefix
 
@@ -180,7 +186,7 @@ let refill t idx r =
   match t.slots.(r) with
   | Current _ | On_demand _ -> ()
   | Stale_rows (tree, tbl, prefixes) ->
-    List.iter (fun p -> write_row t tree tbl p (Hashtbl.find idx.routes p)) prefixes;
+    List.iter (fun p -> write_row t idx tree tbl p (Hashtbl.find idx.announced p)) prefixes;
     t.slots.(r) <- Current (tree, tbl)
   | Dirty ->
     t.spf_runs <- t.spf_runs + 1;
@@ -188,8 +194,8 @@ let refill t idx r =
     let tree = Spf.shortest_paths (Lsdb.base_graph t.lsdb) ~router:r in
     if t.on_demand then t.slots.(r) <- On_demand (tree, Hashtbl.create 8)
     else begin
-      let tbl = Hashtbl.create (max 8 (2 * Hashtbl.length idx.routes)) in
-      Hashtbl.iter (write_row t tree tbl) idx.routes;
+      let tbl = Hashtbl.create (max 8 (2 * Hashtbl.length idx.announced)) in
+      Hashtbl.iter (write_row t idx tree tbl) idx.announced;
       t.slots.(r) <- Current (tree, tbl)
     end
 
@@ -436,8 +442,9 @@ let row t router prefix =
     match Hashtbl.find_opt rows prefix with
     | Some row -> row
     | None ->
+      let idx = index t in
       let row =
-        Option.bind (Hashtbl.find_opt (index t).routes prefix) (prefix_row t tree prefix)
+        Option.bind (Hashtbl.find_opt idx.announced prefix) (prefix_row t idx tree prefix)
       in
       Hashtbl.replace rows prefix row;
       row)
@@ -472,10 +479,16 @@ let prefix_table t prefix =
 
 let clone parent lsdb =
   sync parent;
-  make lsdb ~on_demand:true
-    (Array.map
-       (function
-         | Current (tree, _) | Stale_rows (tree, _, _) | On_demand (tree, _) ->
-           On_demand (tree, Hashtbl.create 8)
-         | Dirty -> Dirty)
-       parent.slots)
+  let idx = index parent in
+  let t =
+    make lsdb ~on_demand:true
+      (Array.map
+         (function
+           | Current (tree, _) | Stale_rows (tree, _, _) | On_demand (tree, _) ->
+             On_demand (tree, Hashtbl.create 8)
+           | Dirty -> Dirty)
+         parent.slots)
+  in
+  t.index <-
+    Some { at = Lsdb.version lsdb; announced = idx.announced; faked = Hashtbl.copy idx.faked };
+  t

@@ -4,9 +4,11 @@
     over the physical graph (stage 1), then every prefix's row from its
     announcers and fakes (stage 2). The engine caches, per router, the
     stage-1 result beside one full per-prefix FIB table, and reads stage
-    2's inputs from one prefix -> (announcers, fakes) index per LSDB
-    version. Tables stay valid across LSDB version bumps whenever the
-    logged deltas provably cannot change them:
+    2's inputs from two indexes per LSDB version: prefix -> announcers,
+    rebuilt whole by an announcement and never written after, and
+    prefix -> fakes, patched by each fake delta. Tables stay valid
+    across LSDB version bumps whenever the logged deltas provably cannot
+    change them:
 
     - a fake install/retract at attachment [a] reaching prefix [p] at
       cost [c] flags router [r] only when [d(r, a) + c <= r]'s cached
@@ -28,8 +30,9 @@
     calling domain.
 
     A what-if engine ({!clone}) starts warm and stays row-lazy. It
-    shares the parent's stage-1 trees read-only (trees are immutable,
-    and lies never change stage 1), keeps no whole tables, and computes
+    shares the parent's stage-1 trees and announcer index read-only
+    (neither is ever written, and lies change neither), keeps no whole
+    tables, and computes
     a prefix's row at a router only when a lookup first asks for it. A
     fake delta drops that prefix's rows at every router; a single weight
     change dirties routers by the rule above; anything else drops every
@@ -63,11 +66,15 @@ val clone : t -> Lsdb.t -> t
 (** [clone parent lsdb] is a row-lazy engine over [lsdb], which must
     hold what the parent's LSDB holds, over a copy of its graph
     ({!Lsdb.clone}). It syncs [parent] first, then shares every tree the
-    parent holds; routers dirty in the parent stay dirty. Nothing the
-    clone does writes to [parent], and later changes to [parent] do not
-    reach it. Its counters start at zero; it counts no kept, dirtied or
-    dropped tables, emits no [spf sync] timeline event, and
-    {!dirtied_since} answers [None] across any of its syncs. *)
+    parent holds and its prefix -> announcers index, and copies its
+    prefix -> fakes index; routers dirty in the parent stay dirty. So a
+    clone costs O(routers + fakes), nothing per announced prefix (the
+    parent builds its index once per announcement, not once per
+    clone). Nothing the clone does writes to [parent], and later
+    changes to [parent] do not reach it. Its counters start at zero; it
+    counts no kept, dirtied or dropped tables, emits no [spf sync]
+    timeline event, and {!dirtied_since} answers [None] across any of
+    its syncs. *)
 
 val sync : t -> unit
 (** Absorb any pending LSDB changes now, dirtying affected routers.

@@ -148,9 +148,7 @@ let poll t ~time =
   List.sort (fun a b -> Link.compare a.link b.link) !alarms
   end
 
-let utilizations t =
-  Hashtbl.fold (fun link u acc -> (link, u) :: acc) t.smoothed []
-  |> List.sort (fun (a, _) (b, _) -> Link.compare a b)
+let fold_utilizations t ~init f = Hashtbl.fold f t.smoothed init
 
 let threshold t = t.threshold
 

@@ -76,8 +76,9 @@ val set_corruption : t -> corruption option -> unit
     sample loss (a dropped sample is dropped, not corrupted). [None]
     disables. *)
 
-val utilizations : t -> (Link.t * float) list
-(** All links ever observed with their smoothed utilization, by link. *)
+val fold_utilizations : t -> init:'a -> (Link.t -> float -> 'a -> 'a) -> 'a
+(** Fold over every link ever observed (and not forgotten) with its
+    smoothed utilization, in no particular order. *)
 
 val threshold : t -> float
 

@@ -109,7 +109,7 @@ let median xs =
    right notion); every other key is a measurement. *)
 let workload_keys =
   [ "prefixes"; "routers"; "links"; "flows"; "groups"; "cycles"; "domains";
-    "seeds"; "chaos_seeds" ]
+    "seeds"; "chaos_seeds"; "live_gc" ]
 
 let workload r =
   List.filter (fun (k, _) -> List.mem k workload_keys) r.values

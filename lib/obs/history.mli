@@ -16,9 +16,10 @@ type row = {
   values : (string * float) list;
       (** Counters and context, flat. The workload-size keys
           ([prefixes], [routers], [links], [flows], [groups], [cycles],
-          [domains], [seeds], [chaos_seeds]) must match exactly for a
-          row to join the baseline, so a workload-size change starts a
-          fresh baseline instead of comparing apples to oranges. Every
+          [domains], [seeds], [chaos_seeds], and [live_gc], the basis
+          of the allocation counts) must match exactly for a row to
+          join the baseline, so a workload-size change starts a fresh
+          baseline instead of comparing apples to oranges. Every
           other key is a measurement: gated when {!gate} has a band
           for it, otherwise only recorded. *)
 }

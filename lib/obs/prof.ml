@@ -16,18 +16,22 @@ let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
-(* [Gc.quick_stat] counters only catch up at collection boundaries on
-   OCaml 5 — between two minor collections its [minor_words] does not
-   move at all. [Gc.minor_words] reads the live allocation pointer, so
-   minor words (the signal fine-grained spans care about) come from
-   there; the collection-boundary counters are exactly what quick_stat
-   reports. *)
+(* [Gc.quick_stat]'s word counters only catch up at collection
+   boundaries on OCaml 5: between two minor collections its
+   [minor_words] does not move at all, and its [major_words] misses
+   every direct major allocation since the last one. [Gc.minor_words]
+   reads the live allocation pointer and [Gc.counters] the calling
+   domain's live promoted and major words (its minor words lag like
+   quick_stat's), so the words come from there; the collection counts
+   are exactly what quick_stat reports. *)
 let snapshot () =
   let s = Gc.quick_stat () in
+  let minor_words = Gc.minor_words () in
+  let _, promoted_words, major_words = Gc.counters () in
   {
-    minor_words = Gc.minor_words ();
-    promoted_words = s.Gc.promoted_words;
-    major_words = s.Gc.major_words;
+    minor_words;
+    promoted_words;
+    major_words;
     minor_collections = s.Gc.minor_collections;
     major_collections = s.Gc.major_collections;
     compactions = s.Gc.compactions;

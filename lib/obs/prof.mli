@@ -1,7 +1,7 @@
 (** Allocation/GC profiling attached to trace spans.
 
     [with_span] behaves like {!Trace.with_span}, but when profiling is
-    switched on it additionally snapshots [Gc.quick_stat] around the
+    switched on it additionally snapshots the GC counters around the
     function and appends the delta (words allocated in the minor and
     major heaps, promotions, collection counts, compactions) as span
     attributes — so [fibbingctl trace --prof] shows words-allocated per
@@ -15,12 +15,13 @@
     (chaos replays, parallel-vs-sequential equality) therefore hold
     with profiling off; turn it on only when reading the numbers.
 
-    Domain safety: [Gc.quick_stat] reads the calling domain's own
-    counters and spans never migrate domains mid-flight (the span stack
-    is domain-local), so before/after snapshots always come from the
-    same domain. A span's delta covers only allocation done by its own
-    domain — work fanned out to a pool is attributed to the workers'
-    spans, not the caller's.
+    Domain safety: the word counters ([Gc.minor_words], [Gc.counters])
+    are the calling domain's own, read live; the collection counts come
+    from [Gc.quick_stat]. Spans never migrate domains mid-flight (the
+    span stack is domain-local), so before/after snapshots always come
+    from the same domain. A span's delta covers only allocation done by
+    its own domain — work fanned out to a pool is attributed to the
+    workers' spans, not the caller's.
 
     Cost: with profiling (or [Obs]) off, one extra atomic load on top
     of [Trace.with_span]'s flag check — the <5% disabled-overhead gate
@@ -34,13 +35,16 @@ type snap = {
   major_collections : int;
   compactions : int;
 }
-(** Either an absolute [Gc.quick_stat] reading or a delta of two. *)
+(** Either an absolute reading or a delta of two. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
 
 val snapshot : unit -> snap
-(** The calling domain's GC counters, via [Gc.quick_stat]. *)
+(** The calling domain's GC counters. Words (minor, promoted, major) are
+    read live, so a direct major allocation counts as soon as it is
+    made, not at the next collection; collection counts come from
+    [Gc.quick_stat]. *)
 
 val delta : before:snap -> after:snap -> snap
 

@@ -169,7 +169,8 @@ let test_monitor_corruption () =
     Netsim.Monitor.observe m ~time:1. ~dt:1.
       (List.init 50 (fun i -> ((i, i + 1), 50.)));
     ignore (Netsim.Monitor.poll m ~time:1.);
-    Netsim.Monitor.utilizations m
+    Netsim.Monitor.fold_utilizations m ~init:[] (fun link u acc -> (link, u) :: acc)
+    |> List.sort (fun (a, _) (b, _) -> Netsim.Link.compare a b)
   in
   let corrupt seed =
     Some (Netsim.Monitor.corruption ~probability:0.8 ~gain:3. ~seed ())

@@ -770,6 +770,81 @@ let prop_clone_matches_replay =
       in
       go steps [ parent ])
 
+(* A clone reads its parent's announcer index by reference and owns a
+   copy of its fake index. After cloning, mutations interleave on both
+   sides: the parent announces (a fresh announcer index), installs and
+   retracts fakes of prefixes the clone also reads, and changes weights;
+   the clone installs and retracts fakes. After every step, each side
+   answers, for every prefix, what a cold replay of its own LSDB
+   answers. *)
+let prop_clone_isolated =
+  QCheck.Test.make ~name:"clone isolated from parent" ~count:200
+    QCheck.(pair (int_range 0 1000000) (int_range 1 16))
+    (fun (seed, steps) ->
+      let prng = Kit.Prng.create ~seed in
+      let zoo = Netgraph.Zoo.all () in
+      let entry = List.nth zoo (Kit.Prng.int prng (List.length zoo)) in
+      let parent = Igp.Network.create (G.copy entry.Netgraph.Zoo.graph) in
+      let n = G.node_count (Igp.Network.graph parent) in
+      let pick l = List.nth l (Kit.Prng.int prng (List.length l)) in
+      let announce p =
+        Igp.Network.announce_prefix parent p ~origin:(Kit.Prng.int prng n)
+          ~cost:(Kit.Prng.int prng 3)
+      in
+      List.iter announce [ pfx "p0"; pfx "p1"; pfx "p1" ];
+      let install net =
+        let attachment = Kit.Prng.int prng n in
+        match G.succ (Igp.Network.graph net) attachment with
+        | [] -> ()
+        | succ ->
+          Igp.Network.inject_fake net
+            {
+              fake_id = Printf.sprintf "f%d" (Kit.Prng.int prng 4);
+              attachment;
+              attachment_cost = 1 + Kit.Prng.int prng 3;
+              prefix = pick [ pfx "p0"; pfx "p1" ];
+              announced_cost = Kit.Prng.int prng 6;
+              forwarding = fst (pick succ);
+            }
+      in
+      let retract net =
+        match Igp.Network.fakes net with
+        | [] -> install net
+        | fakes -> Igp.Network.retract_fake net ~fake_id:(pick fakes).Igp.Lsa.fake_id
+      in
+      if Kit.Prng.bool prng then install parent;
+      let prefixes () = pfx "p9" :: Igp.Lsdb.prefix_list (Igp.Network.lsdb parent) in
+      let answers net = List.map (Igp.Network.fib_table net) (prefixes ()) in
+      ignore (answers parent);
+      let clone = Igp.Network.clone parent in
+      ignore (answers clone);
+      let fresh = ref 2 in
+      let step () =
+        match Kit.Prng.int prng 8 with
+        | 0 ->
+          incr fresh;
+          announce (if Kit.Prng.bool prng then pfx (Printf.sprintf "p%d" !fresh) else pfx "p1")
+        | 1 -> install parent
+        | 2 -> retract parent
+        | 3 -> (
+          match G.edges (Igp.Network.graph parent) with
+          | [] -> ()
+          | edges ->
+            let u, v, _ = pick edges in
+            Igp.Network.set_weight parent u v ~weight:(1 + Kit.Prng.int prng 8))
+        | 4 | 5 -> install clone
+        | _ -> retract clone
+      in
+      let rec go k =
+        k = 0
+        ||
+        (step ();
+         answers parent = answers (replay parent)
+         && answers clone = answers (replay clone)
+         && go (k - 1))
+      in
+      go steps)
+
 (* The dirty log is sound at row granularity. Random sequences of fake
    installs, retracts and supersessions, single weight changes, link
    failures and announcements run on one network; after each, the
@@ -1693,6 +1768,7 @@ let () =
           prop_fakes_never_increase_distance;
           prop_engine_matches_scratch;
           prop_clone_matches_replay;
+          prop_clone_isolated;
           prop_dirty_log_sound;
           prop_trie_matches_flat;
         ];

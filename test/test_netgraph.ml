@@ -222,6 +222,73 @@ let test_paths_to_string () =
 
 (* ---------- Maxflow ---------- *)
 
+let max_flow g caps ~source ~sink =
+  Netgraph.Maxflow.max_flow (Netgraph.Maxflow.network g caps) ~source ~sink
+
+(* The table-based Edmonds–Karp the dense one replaced, kept as its
+   oracle: the same BFS order, arithmetic and push order over hash
+   tables, so the two must agree bit for bit. *)
+let reference_max_flow g (capacities : Netgraph.Maxflow.capacities) ~source ~sink =
+  let residual flow u v =
+    let cap = Option.value ~default:0. (Hashtbl.find_opt capacities (u, v)) in
+    let fwd = Option.value ~default:0. (Hashtbl.find_opt flow (u, v)) in
+    let back = Option.value ~default:0. (Hashtbl.find_opt flow (v, u)) in
+    cap -. fwd +. back
+  in
+  let find_augmenting flow =
+    let parent = Array.make (G.node_count g) (-1) in
+    let visited = Array.make (G.node_count g) false in
+    visited.(source) <- true;
+    let queue = Queue.create () in
+    Queue.push source queue;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      let consider v =
+        if (not visited.(v)) && residual flow u v > 1e-9 then begin
+          visited.(v) <- true;
+          parent.(v) <- u;
+          if v = sink then found := true else Queue.push v queue
+        end
+      in
+      G.iter_succ g u (fun v _ -> consider v);
+      List.iter (fun (v, _) -> consider v) (G.pred g u)
+    done;
+    if not !found then None
+    else
+      let rec rebuild v acc = if v = source then v :: acc else rebuild parent.(v) (v :: acc) in
+      Some (rebuild sink [])
+  in
+  let flow = Hashtbl.create 64 in
+  let value = ref 0. in
+  if source <> sink then begin
+    let rec augment () =
+      match find_augmenting flow with
+      | None -> ()
+      | Some path ->
+        let rec bottleneck acc = function
+          | u :: (v :: _ as rest) -> bottleneck (min acc (residual flow u v)) rest
+          | _ -> acc
+        in
+        let delta = bottleneck infinity path in
+        let rec push = function
+          | u :: (v :: _ as rest) ->
+            let back = Option.value ~default:0. (Hashtbl.find_opt flow (v, u)) in
+            let cancel = min back delta in
+            Hashtbl.replace flow (v, u) (back -. cancel);
+            let fwd = Option.value ~default:0. (Hashtbl.find_opt flow (u, v)) in
+            Hashtbl.replace flow (u, v) (fwd +. delta -. cancel);
+            push rest
+          | _ -> ()
+        in
+        push path;
+        value := !value +. delta;
+        augment ()
+    in
+    augment ()
+  end;
+  !value
+
 let caps_of_list list =
   let t = Hashtbl.create 16 in
   List.iter (fun (e, c) -> Hashtbl.replace t e c) list;
@@ -234,7 +301,7 @@ let test_maxflow_diamond () =
       [ ((a, b), 1.); ((a, c), 2.); ((b, d), 1.5); ((c, d), 1.) ]
   in
   Alcotest.(check (float 1e-6)) "min cuts" 2.
-    (Netgraph.Maxflow.max_flow g caps ~source:a ~sink:d)
+    (max_flow g caps ~source:a ~sink:d)
 
 let test_maxflow_disconnected () =
   let g = G.create () in
@@ -242,7 +309,7 @@ let test_maxflow_disconnected () =
   let b = G.add_node g ~name:"b" in
   let caps = caps_of_list [] in
   Alcotest.(check (float 1e-6)) "zero" 0.
-    (Netgraph.Maxflow.max_flow g caps ~source:a ~sink:b)
+    (max_flow g caps ~source:a ~sink:b)
 
 let test_maxflow_conservation () =
   let g, a, b, c, d = diamond () in
@@ -252,10 +319,10 @@ let test_maxflow_conservation () =
   (* Flow is conserved at b and c, so the value is capped by the min cut
      {b->d, a->c} = 2 + 1, not by the source's out-capacity 3 + 1. *)
   Alcotest.(check (float 1e-6)) "value" 3.
-    (Netgraph.Maxflow.max_flow g caps ~source:a ~sink:d);
+    (max_flow g caps ~source:a ~sink:d);
   Hashtbl.replace caps (b, d) 1.;
   Alcotest.(check (float 1e-6)) "a tighter cut" 2.
-    (Netgraph.Maxflow.max_flow g caps ~source:a ~sink:d)
+    (max_flow g caps ~source:a ~sink:d)
 
 let prop_maxflow_bounded_by_out_capacity =
   QCheck.Test.make ~name:"maxflow bounded by source out-capacity" ~count:40
@@ -273,8 +340,87 @@ let prop_maxflow_bounded_by_out_capacity =
           (fun acc (v, _) -> acc +. Hashtbl.find caps (0, v))
           0. (G.succ g 0)
       in
-      let f = Netgraph.Maxflow.max_flow g caps ~source:0 ~sink:(n - 1) in
+      let f = max_flow g caps ~source:0 ~sink:(n - 1) in
       f <= out_cap +. 1e-6)
+
+(* The controller's shape of network: a random graph, some edges left
+   out (the visited router's), a super-sink fed at [infinity] by a few
+   egresses. Capacities are random floats, some zero, and a few keys are
+   bound twice. From every source, the dense max-flow returns the
+   reference's float bit for bit. *)
+let prop_maxflow_matches_reference =
+  QCheck.Test.make ~name:"dense = table-based, bit for bit" ~count:200
+    QCheck.(pair (int_range 0 100000) (int_range 3 14))
+    (fun (seed, n) ->
+      let prng = Kit.Prng.create ~seed in
+      let g = Netgraph.Topologies.random prng ~n ~extra_edges:n ~max_weight:3 in
+      let sink = G.add_node g ~name:"super-sink" in
+      let caps = Hashtbl.create 32 in
+      let egresses = List.init (1 + Kit.Prng.int prng 3) (fun _ -> Kit.Prng.int prng n) in
+      List.iter
+        (fun e ->
+          if not (G.has_edge g e sink) then begin
+            G.add_edge g e sink ~weight:1;
+            Hashtbl.replace caps (e, sink) infinity
+          end)
+        egresses;
+      (* Magnitudes 1e-3 to 1e3, so that sums round differently when
+         paths are found or pushed in another order. *)
+      let capacity () =
+        if Kit.Prng.int prng 5 = 0 then 0.
+        else Kit.Prng.float prng 10. *. (10. ** float_of_int (Kit.Prng.int prng 7 - 3))
+      in
+      let excluded = Kit.Prng.int prng n in
+      List.iter
+        (fun (u, v, _) ->
+          if v <> sink && u <> excluded && v <> excluded then begin
+            Hashtbl.replace caps (u, v) (capacity ());
+            if Kit.Prng.int prng 8 = 0 then Hashtbl.add caps (u, v) (capacity ())
+          end)
+        (G.edges g);
+      let net = Netgraph.Maxflow.network g caps in
+      List.for_all
+        (fun source ->
+          Int64.equal
+            (Int64.bits_of_float (Netgraph.Maxflow.max_flow net ~source ~sink))
+            (Int64.bits_of_float (reference_max_flow g caps ~source ~sink)))
+        (List.init n Fun.id))
+
+(* Max-flow = min cut: on graphs of at most 8 nodes, the value equals
+   the cheapest cut over every node set holding the source but not the
+   sink. *)
+let prop_maxflow_is_min_cut =
+  QCheck.Test.make ~name:"max-flow = brute-force min cut" ~count:200
+    QCheck.(pair (int_range 0 100000) (int_range 2 8))
+    (fun (seed, n) ->
+      let prng = Kit.Prng.create ~seed in
+      let g = G.create () in
+      for i = 0 to n - 1 do
+        ignore (G.add_node g ~name:(string_of_int i))
+      done;
+      let caps = Hashtbl.create 32 in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if u <> v && Kit.Prng.int prng 3 = 0 then begin
+            G.add_edge g u v ~weight:1;
+            Hashtbl.replace caps (u, v) (Kit.Prng.float prng 10.)
+          end
+        done
+      done;
+      let source = 0 and sink = n - 1 in
+      let min_cut = ref infinity in
+      for set = 0 to (1 lsl n) - 1 do
+        let inside v = set land (1 lsl v) <> 0 in
+        if inside source && not (inside sink) then
+          min_cut :=
+            Float.min !min_cut
+              (List.fold_left
+                 (fun acc (u, v, _) ->
+                   if inside u && not (inside v) then acc +. Hashtbl.find caps (u, v) else acc)
+                 0. (G.edges g))
+      done;
+      let f = max_flow g caps ~source ~sink in
+      Float.abs (f -. !min_cut) <= 1e-9 *. (1. +. !min_cut))
 
 (* ---------- Topologies ---------- *)
 
@@ -477,7 +623,12 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected;
           Alcotest.test_case "conservation" `Quick test_maxflow_conservation;
         ] );
-      qsuite "maxflow-props" [ prop_maxflow_bounded_by_out_capacity ];
+      qsuite "maxflow-props"
+        [
+          prop_maxflow_bounded_by_out_capacity;
+          prop_maxflow_matches_reference;
+          prop_maxflow_is_min_cut;
+        ];
       ( "dot",
         [
           Alcotest.test_case "structure" `Quick test_dot_structure;

@@ -49,9 +49,13 @@ let allocate caps (routes : Netsim.Fairshare.route list) =
   in
   List.mapi (fun i (r : Netsim.Fairshare.route) -> (r.flow.id, rates.(i))) routes
 
+(* Every link's smoothed utilization as the monitor reports it, by link. *)
+let utilizations m =
+  Netsim.Monitor.fold_utilizations m ~init:[] (fun link u acc -> (link, u) :: acc)
+  |> List.sort (fun (a, _) (b, _) -> Netsim.Link.compare a b)
+
 (* A link's smoothed utilization as the monitor reports it. *)
-let utilization m link =
-  Option.value ~default:0. (List.assoc_opt link (Netsim.Monitor.utilizations m))
+let utilization m link = Option.value ~default:0. (List.assoc_opt link (utilizations m))
 
 (* A directed link's fluid load; [0.] when it carries nothing. *)
 let load loads link =
@@ -829,7 +833,7 @@ let prop_monitor_utilization_bounded =
       done;
       List.for_all
         (fun (_, u) -> u >= -1e-9 && u <= 1. +. 1e-9)
-        (Netsim.Monitor.utilizations m))
+        (utilizations m))
 
 (* ---------- Sim ---------- *)
 
@@ -1412,7 +1416,7 @@ let test_monitor_forget_clears_alarm () =
      so saturating it again raises afresh while the other stays quiet. *)
   Netsim.Monitor.forget m (0, 1);
   Alcotest.(check bool) "smoothed state purged" false
-    (List.mem_assoc (0, 1) (Netsim.Monitor.utilizations m));
+    (List.mem_assoc (0, 1) (utilizations m));
   Alcotest.(check (list (pair int int))) "forgotten link released" [ (0, 1) ] (raised 4.);
   Netsim.Monitor.prune m ~alive:(fun _ -> false);
   Alcotest.(check (list (pair int int))) "prune drops the rest" [ (0, 1); (2, 3) ]

@@ -385,9 +385,8 @@ let prof_attr name (s : Obs.Trace.span) =
   | Some (Obs.Attr.Int v) -> Some (float_of_int v)
   | Some _ | None -> None
 
-(* Small blocks only: they stay in the minor heap, whose allocation
-   pointer is read live (large arrays go straight to the major heap,
-   where the counters only catch up at collection boundaries). *)
+(* Small blocks: they stay in the minor heap (large arrays go straight
+   to the major heap; see [test_prof_counts_major_live]). *)
 let churn_minor n =
   for i = 1 to n do
     ignore (Sys.opaque_identity (ref i))
@@ -421,6 +420,24 @@ let test_prof_alloc_counter () =
       Obs.Prof.with_span "alloc" ~alloc_counter:c (fun () -> churn_minor 500);
       Alcotest.(check bool) "counter accumulates the words" true
         (counter_value "test.prof.alloc" >= 1000))
+
+(* A large array goes straight to the major heap. Between two snapshots
+   with no collection in between, the words are counted at once, not at
+   the next collection boundary. A collection that falls in between
+   (the snapshots' own allocation can trigger one) is retried. *)
+let test_prof_counts_major_live () =
+  let rec bracket attempts =
+    let before = Obs.Prof.snapshot () in
+    ignore (Sys.opaque_identity (Array.make 1000 0));
+    let after = Obs.Prof.snapshot () in
+    let d = Obs.Prof.delta ~before ~after in
+    if d.minor_collections = 0 && d.major_collections = 0 then d
+    else if attempts > 1 then bracket (attempts - 1)
+    else Alcotest.fail "a collection fell inside every bracket"
+  in
+  let d = bracket 10 in
+  Alcotest.(check bool) "major words counted" true (d.major_words >= 1000.);
+  Alcotest.(check bool) "allocated words counted" true (Obs.Prof.allocated_words d >= 1000.)
 
 (* The disabled-overhead gate, in allocation terms: with everything
    off, a prof span is the wrapped call plus flag checks — no words. *)
@@ -827,6 +844,8 @@ let () =
             test_prof_alloc_counter;
           Alcotest.test_case "disabled allocates nothing" `Quick
             test_prof_disabled_allocates_nothing;
+          Alcotest.test_case "major words counted live" `Quick
+            test_prof_counts_major_live;
         ] );
       qsuite "prof-props" [ prop_prof_nested_sums ];
       ( "export",
