@@ -600,7 +600,7 @@ let tctrl () =
         Netsim.Monitor.create ~poll_interval ~threshold:0.85 ~clear_threshold:0.6
           ~alpha:0.8 caps
       in
-      let sim = Netsim.Sim.create ~dt:0.5 ~monitor net caps in
+      let sim = Netsim.Sim.create ~dt:0.5 ~monitor ~flow_history:true net caps in
       let controller =
         Fibbing.Controller.create
           ~config:
@@ -659,7 +659,7 @@ let tstrat () =
         Netsim.Monitor.create ~poll_interval:2.0 ~threshold:0.85
           ~clear_threshold:0.6 ~alpha:0.8 caps
       in
-      let sim = Netsim.Sim.create ~dt:0.5 ~monitor net caps in
+      let sim = Netsim.Sim.create ~dt:0.5 ~monitor ~flow_history:true net caps in
       let controller =
         Fibbing.Controller.create
           ~config:{ Fibbing.Controller.default_config with strategy; max_entries }
@@ -1119,13 +1119,9 @@ let tflow counts =
                 ~at:0.
             in
             (* New engine: full simulation steps (routing, allocation,
-               link rates, series bookkeeping) over the aggregated
-               classes; per-flow history off, as a crowd run would have
-               it. *)
-            let sim =
-              Netsim.Sim.create ~dt:0.5 ~aggregation:true ~flow_history:false
-                net caps
-            in
+               link rates) over the aggregated classes; no histories,
+               as a crowd run would have it. *)
+            let sim = Netsim.Sim.create ~dt:0.5 ~aggregation:true net caps in
             List.iter (Netsim.Sim.add_flow sim) flows;
             Netsim.Sim.run_until sim 0.5;
             let engine =
@@ -1821,7 +1817,7 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
     in
     let sim = ref d.sim in
     let setup () =
-      sim := Netsim.Sim.create ~dt:0.5 ~flow_history:false d.net d.caps;
+      sim := Netsim.Sim.create ~dt:0.5 d.net d.caps;
       List.iter (Netsim.Sim.add_flow !sim) crowd
     in
     let row =
@@ -1829,10 +1825,24 @@ let tprof (churn_cycles, groups, fill_cycles, flows) =
         ~teardown:ignore (fun () -> Netsim.Sim.run_until !sim 12.)
     in
     let words = List.assoc "alloc_words" row.values in
-    { row with values = row.values @ [ ("words_per_flow", words /. num batch) ] }
+    (* What a simulator keeps once all its flows have stopped: the words
+       reachable from it beyond those of a fresh simulator over the same
+       network, after a full collection. *)
+    setup ();
+    Netsim.Sim.run_until !sim 12.;
+    Gc.full_major ();
+    let held sim = num (Obj.reachable_words (Obj.repr sim)) in
+    let retained = held !sim -. held (Netsim.Sim.create ~dt:0.5 d.net d.caps) in
+    {
+      row with
+      values =
+        row.values
+        @ [ ("words_per_flow", words /. num batch); ("retained_words_per_flow", retained /. num batch) ];
+    }
   in
+  let retains_little = List.assoc "retained_words_per_flow" sim_churn.values <= 1. in
   ( [ spf_churn; water_fill; sim_step; react; react_wide; sim_adopt; sim_events; sim_churn ],
-    !reacted && asks_only && adopted && in_order )
+    !reacted && asks_only && adopted && in_order && retains_little )
 
 (* ------------------------------------------------------------------ *)
 (* The track registry and the driver. *)

@@ -151,10 +151,7 @@ let withdraw_all t =
       t.steering
   end
 
-let announcers_of net prefix =
-  List.filter_map
-    (fun (p, origin, _) -> if Igp.Prefix.equal p prefix then Some origin else None)
-    (Igp.Lsdb.prefixes (Igp.Network.lsdb net))
+let announcers_of net prefix = Igp.Lsdb.announcers (Igp.Network.lsdb net) prefix
 
 let announcer_of net prefix =
   match announcers_of net prefix with [] -> None | origin :: _ -> Some origin

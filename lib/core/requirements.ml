@@ -26,11 +26,7 @@ let validate net t =
   let g = Igp.Network.graph net in
   let errors = ref [] in
   let error fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let announcers =
-    List.filter_map
-      (fun (p, origin, _) -> if Igp.Prefix.equal p t.prefix then Some origin else None)
-      (Igp.Lsdb.prefixes (Igp.Network.lsdb net))
-  in
+  let announcers = Igp.Lsdb.announcers (Igp.Network.lsdb net) t.prefix in
   if announcers = [] then error "prefix %s is not announced" (Igp.Prefix.to_string t.prefix);
   let seen_routers = Hashtbl.create 8 in
   List.iter

@@ -19,10 +19,23 @@ type delta =
 
 let log_cap = 1024
 
+(* The real announcements: each prefix's as (origin, cost, stamp),
+   oldest first. Stamps order announcements across prefixes; announcing
+   a (prefix, origin) pair again gives it a fresh stamp. *)
+type book = {
+  by_prefix : (Lsa.prefix, (Graph.node * int * int) list) Hashtbl.t;
+  mutable stamp : int; (* the next announcement's *)
+  mutable live : int; (* announcements *)
+  mutable listed : (Lsa.prefix * Graph.node * int) list option;
+      (* Every announcement by stamp, built on demand. *)
+}
+
 type t = {
   base : Graph.t;
-  mutable announcements : (Lsa.prefix * Graph.node * int) list; (* newest last *)
-  mutable announced : int; (* length of [announcements] *)
+  mutable book : book;
+  (* Set once a clone shares [book]: whichever side announces next
+     copies it first. *)
+  mutable book_shared : bool;
   mutable newest_origin : Graph.node option; (* the last announcement's origin *)
   mutable fake_list : Lsa.fake list; (* newest last *)
   expiries : (string, float) Hashtbl.t;
@@ -31,7 +44,7 @@ type t = {
   mutable last_origin : Graph.node option;
   mutable resolver : Lsa.prefix Fib_trie.t option;
       (* LPM index over announced prefixes, built lazily and dropped by
-         [announce_prefix] — the only writer of [announcements]; maps
+         [announce_prefix] — the only writer of [book]; maps
          any destination prefix to the announced prefix governing it
          (longest covering announcement). *)
   mutable delta_log : (int * delta) list; (* newest first *)
@@ -40,11 +53,11 @@ type t = {
       (* The log holds every delta with version > log_floor. *)
 }
 
-let create base =
+let make base book =
   {
     base;
-    announcements = [];
-    announced = 0;
+    book;
+    book_shared = false;
     newest_origin = None;
     fake_list = [];
     expiries = Hashtbl.create 16;
@@ -56,23 +69,26 @@ let create base =
     log_floor = 0;
   }
 
+let create base =
+  make base { by_prefix = Hashtbl.create 16; stamp = 0; live = 0; listed = None }
+
 let base_graph t = t.base
 
 (* What replaying [announce_prefix] over [src]'s announcements and then
-   [install_fake] over its fakes would leave, built without the replay's
-   per-call list scans: the same (shared) lists, one version per LSA.
-   Constant in the announcements, linear in the fakes. *)
+   [install_fake] over its fakes would leave, built without the replay:
+   the same (shared) book and fake list, one version per LSA. Constant
+   in the announcements, linear in the fakes. *)
 let clone src base =
   let rec last_attachment = function
     | [] -> src.newest_origin
     | [ (f : Lsa.fake) ] -> Some f.attachment
     | _ :: rest -> last_attachment rest
   in
-  let version = src.announced + List.length src.fake_list in
+  let version = src.book.live + List.length src.fake_list in
+  src.book_shared <- true;
   {
-    (create base) with
-    announcements = src.announcements;
-    announced = src.announced;
+    (make base src.book) with
+    book_shared = true;
     newest_origin = src.newest_origin;
     fake_list = src.fake_list;
     version;
@@ -118,28 +134,46 @@ let fake_delta (f : Lsa.fake) =
   Fake_delta
     { attachment = f.attachment; cost = Lsa.total_cost f; prefix = f.prefix }
 
+let listed b =
+  match b.listed with
+  | Some l -> l
+  | None ->
+    let stamped =
+      Hashtbl.fold
+        (fun p l acc -> List.fold_left (fun acc (o, cost, s) -> (s, (p, o, cost)) :: acc) acc l)
+        b.by_prefix []
+    in
+    let l = List.map snd (List.sort (fun (s, _) (s', _) -> Int.compare s s') stamped) in
+    b.listed <- Some l;
+    l
+
 let announce_prefix t prefix ~origin ~cost =
   if cost < 0 then invalid_arg "Lsdb.announce_prefix: negative cost";
   ignore (Graph.name t.base origin);
+  if t.book_shared then begin
+    let b = t.book in
+    t.book <- { b with by_prefix = Hashtbl.copy b.by_prefix };
+    t.book_shared <- false
+  end;
+  let b = t.book in
   t.last_origin <- Some origin;
   t.newest_origin <- Some origin;
-  let superseded = ref false in
-  let others =
-    List.filter
-      (fun (p, o, _) ->
-        let same = Prefix.equal p prefix && o = origin in
-        if same then superseded := true;
-        not same)
-      t.announcements
-  in
-  if not !superseded then t.announced <- t.announced + 1;
-  t.announcements <- others @ [ (prefix, origin, cost) ];
+  let announcers = Option.value ~default:[] (Hashtbl.find_opt b.by_prefix prefix) in
+  let others = List.filter (fun (o, _, _) -> o <> origin) announcers in
+  if List.compare_lengths others announcers = 0 then b.live <- b.live + 1;
+  Hashtbl.replace b.by_prefix prefix (others @ [ (origin, cost, b.stamp) ]);
+  b.stamp <- b.stamp + 1;
+  b.listed <- None;
   t.resolver <- None;
   bump t;
   record t [ Generic_delta ]
 
-let prefix_known t prefix =
-  List.exists (fun (p, _, _) -> Prefix.equal p prefix) t.announcements
+let prefix_known t prefix = Hashtbl.mem t.book.by_prefix prefix
+
+let announcers t prefix =
+  match Hashtbl.find_opt t.book.by_prefix prefix with
+  | None -> []
+  | Some l -> List.map (fun (o, _, _) -> o) l
 
 let install_fake t (fake : Lsa.fake) =
   if fake.attachment_cost <= 0 then
@@ -214,16 +248,14 @@ let expire_fakes t ~now =
   List.iter (fun (f : Lsa.fake) -> retract_fake t ~fake_id:f.fake_id) expired;
   expired
 
-let prefixes t = t.announcements
+let prefixes t = listed t.book
 
 let resolver t =
   match t.resolver with
   | Some trie -> trie
   | None ->
     let trie = Fib_trie.create ~eq:Prefix.equal in
-    List.iter
-      (fun (p, _, _) -> Fib_trie.update trie p p)
-      t.announcements;
+    List.iter (fun (p, _, _) -> Fib_trie.update trie p p) (prefixes t);
     t.resolver <- Some trie;
     trie
 
@@ -231,7 +263,9 @@ let resolve t prefix =
   Option.map fst (Fib_trie.lookup_within (resolver t) prefix)
 
 let prefix_list t =
-  List.sort_uniq compare (List.map (fun (p, _, _) -> p) t.announcements)
+  List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.book.by_prefix [])
+
+let announced_among t ps = List.sort_uniq compare (List.filter (prefix_known t) ps)
 
 let version t = t.version
 

@@ -48,14 +48,18 @@ val clone : t -> Netgraph.Graph.t -> t
     what replaying [t]'s announcements through {!announce_prefix} and
     then its fakes through {!install_fake} would leave: the same
     announcements and fakes in the same order, one version per LSA, no
-    fake expiries. Both share [t]'s (immutable) lists; the cost is
-    constant in the announcements and linear in the fakes. Its delta
+    fake expiries. The clone shares [t]'s announcements by reference
+    until either side announces again (that side copies them first,
+    once, in O(announcements)) and [t]'s immutable fake list; the cost
+    is constant in the announcements and linear in the fakes. Its delta
     log starts empty at that version. *)
 
 val announce_prefix : t -> Lsa.prefix -> origin:Netgraph.Graph.node -> cost:int -> unit
 (** Install (or supersede) the real announcement of a prefix. A prefix may
     be announced by several origins (anycast); each (origin, prefix) pair
-    is one LSA. *)
+    is one LSA, and re-announcing a pair moves it to the end of
+    {!prefixes}. O(k) in the prefix's k announcers, whatever the number
+    of announcements. *)
 
 val install_fake : t -> Lsa.fake -> unit
 (** Inject a fake LSA; supersedes any previous fake with the same
@@ -100,10 +104,23 @@ val expire_fakes : t -> now:float -> Lsa.fake list
     explicit [retract_fake]. *)
 
 val prefixes : t -> (Lsa.prefix * Netgraph.Graph.node * int) list
-(** Real prefix announcements [(prefix, origin, cost)]. *)
+(** Real prefix announcements [(prefix, origin, cost)], oldest first.
+    The first call after an announcement sorts them, in O(P log P) for
+    P announcements; the others return that list. *)
+
+val announcers : t -> Lsa.prefix -> Netgraph.Graph.node list
+(** The origins announcing the prefix, in {!prefixes} order; [[]] for
+    an unknown prefix. O(k) for k announcers, whatever the number of
+    announcements. *)
 
 val prefix_list : t -> Lsa.prefix list
-(** Distinct announced prefixes. *)
+(** Distinct announced prefixes, ascending by [compare]. *)
+
+val announced_among : t -> Lsa.prefix list -> Lsa.prefix list
+(** The distinct announced prefixes among the given ones, in
+    {!prefix_list} order: [List.filter (fun p -> List.mem p ps)
+    (prefix_list t)], in O(k log k) for k given prefixes rather than
+    O(P log P) for P announcements. *)
 
 val resolve : t -> Lsa.prefix -> Lsa.prefix option
 (** Longest announced prefix covering the given destination (the

@@ -147,6 +147,8 @@ let rec earliest best = function
   | r :: rest ->
     earliest (if r.times.(r.head) <= best.times.(best.head) then r else best) rest
 
+let is_empty t = t.fresh_len = 0 && t.runs = []
+
 let drain t ~time f =
   if t.fresh_len > 0 then absorb t;
   let due = ref true in

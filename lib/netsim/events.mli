@@ -24,6 +24,9 @@ val schedule : 'a t -> time:float -> 'a -> unit
 (** O(1) amortized, with no sift. Times may be scheduled in any order;
     negative and NaN times are rejected with [Invalid_argument]. *)
 
+val is_empty : 'a t -> bool
+(** Whether no event is pending. O(1). *)
+
 val drain : 'a t -> time:float -> ('a -> unit) -> unit
 (** Remove every event with timestamp [<= time], in the order above,
     calling the function on each after it left the queue. Allocates

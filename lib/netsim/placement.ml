@@ -267,6 +267,18 @@ let release t s =
   t.free.(t.n_free) <- s;
   t.n_free <- t.n_free + 1
 
+let release_slots t =
+  if t.live = 0 && t.n_starts = 0 then begin
+    t.flows <- [||];
+    t.placed <- [||];
+    t.routes_of <- [||];
+    t.free <- [||];
+    t.starts <- [||];
+    t.used <- 0;
+    t.n_free <- 0;
+    Hashtbl.reset t.by_id
+  end
+
 let stop t life =
   let s = life.slot in
   life.slot <- -2;

@@ -8,6 +8,8 @@
       together, sized to peak concurrency rather than to the flows ever
       added. A flow takes a slot when its start drains and gives it back
       to a free list (a stack, so the next start reuses it) at its stop.
+      {!Sim} drops the arrays ({!release_slots}) once no flow is active
+      or scheduled.
       Its {!life}, the one record made when the flow is added, is
       scheduled for both events and carries the slot from one to the
       other, so the stop finds its slot without a lookup.
@@ -61,6 +63,11 @@ val rewalk_all : t -> unit
 val rewalk_dirty : t -> Igp.Spf_engine.dirt list -> unit
 (** Re-derive the paths of the flows whose classes cross a row in the
     dirt, and of every unroutable flow, in slot order. *)
+
+val release_slots : t -> unit
+(** Drop the slot arrays, and the id index, when no flow holds a slot
+    or awaits placement; otherwise do nothing. The next start grows
+    them again from nothing. *)
 
 val place_starts : t -> bool
 (** Place the flows started since the last pass, in arrival order;

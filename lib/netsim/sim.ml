@@ -46,6 +46,9 @@ type t = {
   fib_snapshot : (Netgraph.Graph.node * Igp.Lsa.prefix, Igp.Fib.t option) Hashtbl.t;
   (* Last step's per-link throughput, sorted by link. *)
   mutable link_rates : (Link.t * float) list;
+  (* Histories, only for what a reader asked for: every flow when
+     [flow_history] is set, and the links named by [track_link] or a
+     [link_series] call. *)
   flow_histories : (int, Kit.Timeseries.t) Hashtbl.t;
   link_histories : (Link.t, Kit.Timeseries.t) Hashtbl.t;
   (* Failure state: weights of removed directed edges, keyed per failed
@@ -56,7 +59,7 @@ type t = {
 }
 
 let create ?(dt = 0.5) ?monitor ?(rate_model = Max_min_fair) ?convergence
-    ?(aggregation = true) ?(flow_history = true) net caps =
+    ?(aggregation = true) ?(flow_history = false) net caps =
   if dt <= 0. then invalid_arg "Sim.create: dt must be positive";
   let aggregate =
     (* AIMD evolves per-flow state, so its classes stay singletons. *)
@@ -278,8 +281,8 @@ let series table key ~make =
     s
 
 let flow_series t id =
-  series t.flow_histories id ~make:(fun () ->
-      Kit.Timeseries.create ~name:(Printf.sprintf "flow%d" id))
+  let make () = Kit.Timeseries.create ~name:(Printf.sprintf "flow%d" id) in
+  if t.flow_history then series t.flow_histories id ~make else make ()
 
 let link_series t link =
   series t.link_histories link ~make:(fun () ->
@@ -485,8 +488,11 @@ let step_body t =
             [ ("flow", Int id) ];
         match t.rate_model with Aimd aimd -> Aimd.forget aimd id | Max_min_fair -> ()
       end);
-  (* 2–3. Route and allocate. *)
+  (* 2–3. Route and allocate. Once no flow is active or scheduled, the
+     slots go: a finished workload's peak is not kept, while a gap
+     between two scheduled crowds does not regrow them. *)
   recompute_routes t;
+  if Events.is_empty t.queue then Placement.release_slots t.placement;
   (match t.rate_model with
   | Max_min_fair -> Placement.allocate_max_min t.placement t.caps
   | Aimd aimd -> Placement.allocate_aimd t.placement aimd ~dt:t.dt t.caps);
@@ -498,21 +504,12 @@ let step_body t =
   if t.flow_history then
     Placement.iter_rates t.placement (fun id rate ->
         Kit.Timeseries.add (flow_series t id) ~time:step_start rate);
-  (* Every link with an existing history gets this step's rate (0. when
-     idle); links carrying traffic for the first time open a history.
-     Appends target distinct series, so no ordering or union list is
-     needed — the two passes replace a per-step [touched @ tracked]
-     [sort_uniq], which allocated on every step of every run. *)
+  (* Every tracked link gets this step's rate (0. when idle). *)
   Hashtbl.iter
     (fun link series ->
       let rate = Option.value ~default:0. (Hashtbl.find_opt link_tbl link) in
       Kit.Timeseries.add series ~time:step_start rate)
     t.link_histories;
-  List.iter
-    (fun (link, rate) ->
-      if not (Hashtbl.mem t.link_histories link) then
-        Kit.Timeseries.add (link_series t link) ~time:step_start rate)
-    t.link_rates;
   (* 5. Advance time, then feed the monitor and fire hooks. *)
   t.time <- step_start +. t.dt;
   Obs.Metrics.incr m_steps;

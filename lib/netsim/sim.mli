@@ -4,11 +4,12 @@
     (1) activates/retires flows, (2) re-derives every active flow's path
     from the current FIBs (per-flow ECMP hashing; paths change only when
     the LSDB or the flow set changed), (3) computes the max-min fair
-    rate allocation, (4) records per-link and per-flow throughput time
-    series, and (5) feeds the monitor, firing the poll hook (the Fibbing
-    controller) when a polling cycle completes. Hooks may inject or
-    retract fake LSAs; the new routing takes effect the following step,
-    which models the (fast) IGP reconvergence after a Fibbing update.
+    rate allocation, (4) records the throughput series someone asked
+    for (tracked links; every flow with [flow_history]), and (5) feeds
+    the monitor, firing the poll hook (the Fibbing controller) when a
+    polling cycle completes. Hooks may inject or retract fake LSAs; the
+    new routing takes effect the following step, which models the
+    (fast) IGP reconvergence after a Fibbing update.
 
     The active flows, their paths and their classes live in
     {!Placement}; this module keeps the clock, the event queues, faults,
@@ -54,10 +55,10 @@ val create :
     (the pre-aggregation behavior, kept for A/B testing); AIMD always
     runs per-flow regardless.
 
-    [flow_history] (default [true]) records the per-flow throughput
-    series behind [flow_series]. Disable it for very large populations
-    where per-step O(flows) recording would dominate; link series and
-    the monitor are unaffected ([Video.Client.trace] needs it on). *)
+    [flow_history] (default [false]) records the per-flow throughput
+    series behind [flow_series], one sample per active flow per step.
+    Turn it on only to read them ([Video.Client.trace] needs it); link
+    series and the monitor are unaffected. *)
 
 val network : t -> Igp.Network.t
 
@@ -78,7 +79,9 @@ val add_flow : t -> Flow.t -> unit
     flow's id included — or if the start time is in the simulated past;
     an add that raises records nothing, so its id stays free. The add
     makes one small record, scheduled for both the start and the stop;
-    the flow takes a slot only when it starts. *)
+    the flow takes a slot only when it starts. Once no flow is active or
+    scheduled, a step drops the slot arrays, so what the simulator keeps
+    of a finished workload is its ids (see {!Kit.Int_set}). *)
 
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Schedule an arbitrary action (e.g. a link failure, a manual fake
@@ -189,14 +192,20 @@ val flow_path : t -> int -> Netgraph.Graph.node list option
 (** Current path of an active flow (by id, as [flow_rate]). *)
 
 val flow_series : t -> int -> Kit.Timeseries.t
-(** Per-flow throughput history (created on first use). *)
+(** Per-flow throughput history: one sample per step the flow was
+    active, stamped at the step's start. Without [flow_history] (see
+    {!create}) nothing is recorded, and this is a fresh empty series. *)
 
 val link_series : t -> Link.t -> Kit.Timeseries.t
-(** Per-link throughput history. Links are recorded lazily from the first
-    step they carry traffic; use [track_link] beforehand to record
-    leading zeros. *)
+(** Per-link throughput history: one sample per step since the link was
+    first asked for, through {!track_link} or an earlier call of this
+    function, stamped at the step's start ([0.] when idle). A link
+    nobody asked for has recorded nothing: the first call returns an
+    empty series, which records from the next step on. *)
 
 val track_link : t -> Link.t -> unit
+(** Record the link's history from the next step on (idempotent). The
+    simulator keeps no other link history. *)
 
 val current_link_rates : t -> (Link.t * float) list
 (** Per-link throughput during the last completed step. *)

@@ -213,17 +213,18 @@ let routing_change t net =
     scope
   end
 
-(* Check the prefixes in [scope], in [Lsdb.prefix_list] order.
-   [on_unsafe] handles an unsafe verdict and says whether the prefix is
-   still unsafe afterwards. *)
+(* Check the prefixes in [scope], in [Lsdb.prefix_list] order; a partial
+   sweep sorts only the prefixes it checks. [on_unsafe] handles an
+   unsafe verdict and says whether the prefix is still unsafe
+   afterwards. *)
 let sweep_safety t sim ~time ~scope ~on_unsafe =
   let net = Sim.network sim in
-  let covered =
+  let lsdb = Igp.Network.lsdb net in
+  let prefixes =
     match scope with
-    | Prefixes rows -> fun prefix -> List.mem prefix rows || List.mem prefix t.failing
-    | Every_prefix | Unchanged -> fun _ -> true
+    | Prefixes rows -> Igp.Lsdb.announced_among lsdb (List.rev_append rows t.failing)
+    | Every_prefix | Unchanged -> Igp.Lsdb.prefix_list lsdb
   in
-  let prefixes = List.filter covered (Igp.Lsdb.prefix_list (Igp.Network.lsdb net)) in
   t.swept <- true;
   t.n_sweeps <- t.n_sweeps + 1;
   Obs.Metrics.incr m_safety_sweeps;

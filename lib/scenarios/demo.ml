@@ -20,6 +20,13 @@ let backbone_capacity = 11. *. 1024. *. 1024. (* 88 Mbps: never the bottleneck *
 
 let video_duration = 300.
 
+let fig2_links t =
+  [
+    ("A-R1", (t.topology.a, t.topology.r1));
+    ("B-R2", (t.topology.b, t.topology.r2));
+    ("B-R3", (t.topology.b, t.topology.r3));
+  ]
+
 let make ?(fibbing = true) ?(dt = 0.5) ?(rate_model = Sim.Max_min_fair)
     ?(aggregation = true) ?controller_config () =
   let topology = Netgraph.Topologies.demo () in
@@ -43,7 +50,7 @@ let make ?(fibbing = true) ?(dt = 0.5) ?(rate_model = Sim.Max_min_fair)
     Netsim.Monitor.create ~poll_interval:2.0 ~threshold:0.85
       ~clear_threshold:0.6 ~alpha:0.8 caps
   in
-  let sim = Sim.create ~dt ~monitor ~rate_model ~aggregation net caps in
+  let sim = Sim.create ~dt ~monitor ~rate_model ~aggregation ~flow_history:true net caps in
   let controller =
     if fibbing then begin
       let c = Fibbing.Controller.create ?config:controller_config net in
@@ -53,13 +60,7 @@ let make ?(fibbing = true) ?(dt = 0.5) ?(rate_model = Sim.Max_min_fair)
     else None
   in
   let t = { topology; net; caps; sim; controller; dt } in
-  List.iter
-    (fun (_, link) -> Sim.track_link sim link)
-    [
-      ("A-R1", (topology.a, topology.r1));
-      ("B-R2", (topology.b, topology.r2));
-      ("B-R3", (topology.b, topology.r3));
-    ];
+  List.iter (fun (_, link) -> Sim.track_link sim link) (fig2_links t);
   t
 
 let load_fig2_workload t =
@@ -71,13 +72,6 @@ let load_fig2_workload t =
   flows
 
 let run t ~until = Sim.run_until t.sim until
-
-let fig2_links t =
-  [
-    ("A-R1", (t.topology.a, t.topology.r1));
-    ("B-R2", (t.topology.b, t.topology.r2));
-    ("B-R3", (t.topology.b, t.topology.r3));
-  ]
 
 let fig2_series t =
   List.map (fun (_, link) -> Sim.link_series t.sim link) (fig2_links t)

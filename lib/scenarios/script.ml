@@ -311,9 +311,11 @@ type state = {
   mutable next_flow_id : int;
   mutable runtime_errors : string list; (* newest first *)
   mutable dt : float;
+  (* Only a [report qoe] reads the per-flow series. *)
+  flow_history : bool;
 }
 
-let fresh_state () =
+let fresh_state ~flow_history =
   {
     graph = None;
     net = None;
@@ -329,6 +331,7 @@ let fresh_state () =
     next_flow_id = 0;
     runtime_errors = [];
     dt = 0.5;
+    flow_history;
   }
 
 let require what = function
@@ -371,7 +374,10 @@ let ensure_sim state =
       | Fairshare -> Netsim.Sim.Max_min_fair
       | Aimd_model -> Netsim.Sim.Aimd (Netsim.Aimd.create ())
     in
-    let sim = Netsim.Sim.create ~dt:state.dt ~monitor ~rate_model net caps in
+    let sim =
+      Netsim.Sim.create ~dt:state.dt ~monitor ~rate_model
+        ~flow_history:state.flow_history net caps
+    in
     (match state.controller_mode with
     | Off -> ()
     | On ->
@@ -651,7 +657,10 @@ let execute_command state out command =
     Ok ()
 
 let execute ?(out = Format.std_formatter) commands =
-  let state = fresh_state () in
+  let state =
+    fresh_state
+      ~flow_history:(List.exists (function Report Qoe -> true | _ -> false) commands)
+  in
   List.fold_left
     (fun acc command ->
       let* () = acc in

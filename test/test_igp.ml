@@ -855,6 +855,91 @@ let prop_clone_isolated =
    each with the answers of random (router, prefix) pairs looked up then.
    At the end, every recorded pair the cursor's dirt does not cover must
    answer what it answered at cursor time. *)
+(* The announcement book against the list it replaces: a reference
+   keeps [(prefix, origin, cost)] newest last, superseding a pair by
+   filtering it out and appending. Random announcements, most of them
+   superseding one, on an LSDB and on clones taken along the way, each
+   announcing on its own afterwards: [prefixes],
+   [announcers], [prefix_known] (through [install_fake], which raises
+   on an unknown prefix) and [prefix_list] agree with each side's own
+   reference. *)
+let prop_announcements_match_list =
+  QCheck.Test.make ~name:"announcement book = reference list, clones included" ~count:100
+    QCheck.(pair small_nat (list_of_size Gen.(int_range 0 300) (pair (int_range 0 15) (int_range 0 9))))
+    (fun (seed, ops) ->
+      let d = T.demo () in
+      let prng = Kit.Prng.create ~seed in
+      let origins = [| d.a; d.b; d.c; d.r1 |] in
+      let names = [| "p0"; "p1"; "p2"; "p3"; "p4" |] in
+      let announce (lsdb, reference) p origin cost =
+        Igp.Lsdb.announce_prefix lsdb p ~origin ~cost;
+        reference :=
+          List.filter (fun (p', o, _) -> not (Igp.Prefix.equal p p' && o = origin)) !reference
+          @ [ (p, origin, cost) ]
+      in
+      let agrees (lsdb, reference) =
+        let known p =
+          match
+            Igp.Lsdb.install_fake lsdb
+              {
+                fake_id = "k";
+                attachment = d.a;
+                attachment_cost = 1;
+                prefix = p;
+                announced_cost = 0;
+                forwarding = d.b;
+              }
+          with
+          | () -> true
+          | exception Invalid_argument _ -> false
+        in
+        Igp.Lsdb.prefixes lsdb = !reference
+        && Igp.Lsdb.prefix_list lsdb
+           = List.sort_uniq compare (List.map (fun (p, _, _) -> p) !reference)
+        && Array.for_all
+             (fun name ->
+               let p = pfx name in
+               Igp.Lsdb.announcers lsdb p
+               = List.filter_map (fun (p', o, _) -> if p' = p then Some o else None) !reference
+               && known p = List.exists (fun (p', _, _) -> p' = p) !reference)
+             names
+      in
+      let parent = (Igp.Lsdb.create d.graph, ref []) in
+      let sides = ref [ parent ] in
+      List.for_all
+        (fun (side, cost) ->
+          let lsdb, reference = List.nth !sides (side mod List.length !sides) in
+          if side = 15 then sides := (Igp.Lsdb.clone lsdb d.graph, ref !reference) :: !sides
+          else
+            announce (lsdb, reference)
+              (pfx names.(Kit.Prng.int prng (Array.length names)))
+              origins.(Kit.Prng.int prng (Array.length origins))
+              cost;
+          List.for_all agrees !sides)
+        ops)
+
+(* The watchdog's partial sweep checks [Lsdb.announced_among] of its
+   rows and failing prefixes: the same prefixes, in the same order, as
+   filtering the full sorted [prefix_list] by membership, duplicates and
+   unannounced prefixes in the input included. *)
+let prop_partial_sweep_order =
+  QCheck.Test.make ~name:"partial sweep = filtered full sweep" ~count:300
+    QCheck.(pair (list (pair (int_range 0 40) (int_range 0 3))) (list (int_range 0 50)))
+    (fun (announced, asked) ->
+      let d = T.demo () in
+      let lsdb = Igp.Lsdb.create d.graph in
+      (* Host routes and wider CIDR blocks, interleaved. *)
+      let prefix i =
+        if i mod 2 = 0 then pfx (Printf.sprintf "p%d" i)
+        else Igp.Prefix.make ~addr:(i lsl 24) ~len:(8 + (i mod 17))
+      in
+      List.iter
+        (fun (i, origin) -> Igp.Lsdb.announce_prefix lsdb (prefix i) ~origin ~cost:i)
+        announced;
+      let asked = List.map prefix asked in
+      Igp.Lsdb.announced_among lsdb asked
+      = List.filter (fun p -> List.mem p asked) (Igp.Lsdb.prefix_list lsdb))
+
 let prop_dirty_log_sound =
   QCheck.Test.make ~name:"dirtied_since covers every changed row" ~count:400
     QCheck.(pair (int_range 0 1000000) (int_range 1 16))
@@ -1769,6 +1854,8 @@ let () =
           prop_engine_matches_scratch;
           prop_clone_matches_replay;
           prop_clone_isolated;
+          prop_announcements_match_list;
+          prop_partial_sweep_order;
           prop_dirty_log_sound;
           prop_trie_matches_flat;
         ];

@@ -482,28 +482,44 @@ let test_timeseries_window_mean () =
 
 (* ---------- Int_set ---------- *)
 
-(* Random insert/mem sequences over a mix of wide ints, a dense small
-   range (long probe runs) and the edge values, [min_int] (the set's
-   free-slot marker) among them; after every operation and at the end,
-   membership agrees with a [Hashtbl]. *)
+(* Random insert/mem sequences over a mix of wide ints, dense runs of
+   consecutive ints from a random base (one 32-int block filling up,
+   then the next), multiples of 32 (each a block's bit 0), negative ids
+   and the edge values [min_int] and [max_int], which sit in the first
+   and last block; after every operation and at the end, membership
+   agrees with a [Hashtbl]. *)
 let prop_int_set_matches_hashtbl =
-  let edge = QCheck.oneofl [ min_int; max_int; 0; -1; 1; min_int + 1 ] in
+  let edge = QCheck.oneofl [ min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1; -32; 31; 32 ] in
+  let run =
+    QCheck.map
+      (fun (base, len) -> List.init len (fun i -> base + i))
+      QCheck.(pair (oneof [ int; int_range (-200) 200; edge ]) (int_range 0 100))
+  in
+  let single =
+    QCheck.map (fun x -> [ x ])
+      QCheck.(
+        oneof
+          [ int; int_range (-64) 64; map (fun k -> 32 * k) (int_range (-50) 50); map (fun k -> -k) (int_range 0 5000); edge ])
+  in
   QCheck.Test.make ~name:"Int_set = Hashtbl on insert/mem sequences" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 3000) (pair bool (oneof [ int; int_range (-64) 64; edge ])))
+    QCheck.(list_of_size Gen.(int_range 0 200) (pair bool (oneof [ single; run ])))
     (fun ops ->
       let set = Kit.Int_set.create () and tbl = Hashtbl.create 16 in
       List.for_all
-        (fun (insert, x) ->
-          if insert then begin
-            Kit.Int_set.add set x;
-            Hashtbl.replace tbl x ()
-          end;
-          Kit.Int_set.mem set x = Hashtbl.mem tbl x)
+        (fun (insert, xs) ->
+          List.for_all
+            (fun x ->
+              if insert then begin
+                Kit.Int_set.add set x;
+                Hashtbl.replace tbl x ()
+              end;
+              Kit.Int_set.mem set x = Hashtbl.mem tbl x)
+            xs)
         ops
       && Hashtbl.fold (fun x () ok -> ok && Kit.Int_set.mem set x) tbl true
       && List.for_all
            (fun x -> Kit.Int_set.mem set x = Hashtbl.mem tbl x)
-           [ min_int; max_int; 0; -1; 1; min_int + 1; 65; -65 ])
+           [ min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1; 31; 32; -32; -33; 65; -65 ])
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

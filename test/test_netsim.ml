@@ -841,6 +841,7 @@ let test_sim_single_flow_full_rate () =
   let d, net = demo_net () in
   let caps = Link.capacities ~default:100. in
   let sim = Netsim.Sim.create ~dt:0.5 net caps in
+  Netsim.Sim.track_link sim (d.b, d.r2);
   Netsim.Sim.add_flow sim (Flow.make ~id:0 ~src:d.a ~prefix:(pfx "blue") ~demand:10. ());
   Netsim.Sim.run_until sim 5.;
   checkf "full demand" 10. (Netsim.Sim.flow_rate sim 0);
@@ -849,6 +850,64 @@ let test_sim_single_flow_full_rate () =
   | None -> Alcotest.fail "no path");
   let series = Netsim.Sim.link_series sim (d.b, d.r2) in
   checkf "series records rate" 10. (Series.value_at series 4.)
+
+(* Histories are kept only for what was asked for. A tracked link gets
+   one sample per step from the step after it was first asked for (the
+   last completed step's rate, 0. when idle), and with [flow_history]
+   every flow gets one per step it was active: the samples an on-step
+   oracle reads from [current_link_rates] and [flow_rate]. A link nobody
+   asked for, and every flow without [flow_history], records nothing. *)
+let test_sim_histories_only_when_asked () =
+  let run ~flow_history =
+    let d, net = demo_net () in
+    let sim = Netsim.Sim.create ~dt:0.5 ~flow_history net (Link.capacities ~default:15.) in
+    Netsim.Sim.track_link sim (d.b, d.r2);
+    for i = 0 to 5 do
+      Netsim.Sim.add_flow sim
+        (Flow.make ~id:i ~src:(if i mod 2 = 0 then d.a else d.b) ~prefix:(pfx "blue")
+           ~demand:(float_of_int (4 + i)) ~start_time:(float_of_int i)
+           ~duration:(3. +. float_of_int i) ())
+    done;
+    Netsim.Sim.fail_link sim ~time:4. (d.b, d.r2);
+    Netsim.Sim.restore_link sim ~time:7. (d.b, d.r2);
+    let links = Hashtbl.create 8 and flows = Hashtbl.create 8 in
+    let push tbl key sample =
+      Hashtbl.replace tbl key (sample :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+    in
+    let late = ref false in
+    Netsim.Sim.on_step sim (fun sim ->
+        let at = Netsim.Sim.time sim -. Netsim.Sim.dt sim in
+        let rate link =
+          Option.value ~default:0. (List.assoc_opt link (Netsim.Sim.current_link_rates sim))
+        in
+        push links (d.b, d.r2) (at, rate (d.b, d.r2));
+        if !late then push links (d.b, d.r3) (at, rate (d.b, d.r3));
+        List.iter
+          (fun (f : Flow.t) -> push flows f.id (at, Netsim.Sim.flow_rate sim f.id))
+          (Netsim.Sim.active_flows sim));
+    Netsim.Sim.run_until sim 3.;
+    Alcotest.(check int) "not yet asked for" 0
+      (List.length (Kit.Timeseries.samples (Netsim.Sim.link_series sim (d.b, d.r3))));
+    late := true;
+    Netsim.Sim.run_until sim 12.;
+    let samples = Alcotest.(list (pair (float 0.) (float 0.))) in
+    let expected tbl key = List.rev (Option.value ~default:[] (Hashtbl.find_opt tbl key)) in
+    List.iter
+      (fun link ->
+        Alcotest.check samples "tracked link" (expected links link)
+          (Kit.Timeseries.samples (Netsim.Sim.link_series sim link)))
+      [ (d.b, d.r2); (d.b, d.r3) ];
+    Alcotest.(check bool) "B-R3 carried traffic" true
+      (List.exists (fun (_, r) -> r > 0.) (expected links (d.b, d.r3)));
+    Alcotest.(check int) "untracked link" 0
+      (List.length (Kit.Timeseries.samples (Netsim.Sim.link_series sim (d.a, d.b))));
+    for id = 0 to 5 do
+      Alcotest.check samples "flow" (if flow_history then expected flows id else [])
+        (Kit.Timeseries.samples (Netsim.Sim.flow_series sim id))
+    done
+  in
+  run ~flow_history:true;
+  run ~flow_history:false
 
 let test_sim_congestion_throttles () =
   let d, net = demo_net () in
@@ -923,6 +982,7 @@ let test_sim_reroutes_on_fake_injection () =
   let d, net = demo_net () in
   let caps = Link.capacities ~default:100. in
   let sim = Netsim.Sim.create ~dt:1. net caps in
+  Netsim.Sim.track_link sim (d.b, d.r3);
   (* Many flows so that some hash onto the new path. *)
   for i = 0 to 19 do
     Netsim.Sim.add_flow sim (Flow.make ~id:i ~src:d.b ~prefix:(pfx "blue") ~demand:1. ())
@@ -1029,6 +1089,32 @@ let test_sim_slot_reuse () =
     (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim));
   Alcotest.(check int) "one class" 1 (Netsim.Sim.flow_classes sim)
 
+(* Once no flow is active or scheduled, the simulator drops its slots;
+   a flow added afterwards grows them again and runs as any other, and
+   the ids of the finished flows stay taken. *)
+let test_sim_slots_released_when_idle () =
+  let d, net = demo_net () in
+  let sim = Netsim.Sim.create ~dt:0.5 net (Link.capacities ~default:10.) in
+  let flow id start =
+    Flow.make ~id ~src:d.a ~prefix:(pfx "blue") ~demand:3. ~start_time:start ~duration:1. ()
+  in
+  List.iter (fun id -> Netsim.Sim.add_flow sim (flow id 0.)) [ 1; 2 ];
+  Netsim.Sim.run_until sim 2.;
+  Alcotest.(check (list int)) "none active" []
+    (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim));
+  Alcotest.(check bool) "stopped flow has no path" true (Netsim.Sim.flow_path sim 1 = None);
+  Alcotest.check_raises "finished id stays taken"
+    (Invalid_argument "Sim.add_flow: duplicate flow id") (fun () ->
+      Netsim.Sim.add_flow sim (flow 1 2.));
+  Netsim.Sim.add_flow sim (flow 3 2.);
+  Netsim.Sim.run_until sim 2.5;
+  checkf "new flow's rate" 3. (Netsim.Sim.flow_rate sim 3);
+  Alcotest.(check bool) "new flow's path" true
+    (Netsim.Sim.flow_path sim 3 = route net ~flow_id:3 ~src:d.a (pfx "blue"));
+  Alcotest.(check (list int)) "new flow only" [ 3 ]
+    (List.map (fun (f : Flow.t) -> f.id) (Netsim.Sim.active_flows sim));
+  Alcotest.(check int) "one class" 1 (Netsim.Sim.flow_classes sim)
+
 let test_sim_unroutable_flow_reported () =
   let g = G.create () in
   let a = G.add_node g ~name:"a" in
@@ -1122,6 +1208,7 @@ let test_sim_with_aimd_model () =
   let caps = Link.capacities ~default:15. in
   let aimd = Netsim.Aimd.create () in
   let sim = Netsim.Sim.create ~dt:0.5 ~rate_model:(Aimd aimd) net caps in
+  Netsim.Sim.track_link sim (d.a, d.b);
   for i = 0 to 2 do
     Netsim.Sim.add_flow sim (Flow.make ~id:i ~src:d.a ~prefix:(pfx "blue") ~demand:10. ())
   done;
@@ -1251,6 +1338,7 @@ let test_sim_failure_then_fake_restores_split () =
   let d, net = demo_net () in
   let caps = Link.capacities ~default:15. in
   let sim = Netsim.Sim.create ~dt:1. net caps in
+  List.iter (Netsim.Sim.track_link sim) [ (d.b, d.r3); (d.b, d.a) ];
   for i = 0 to 3 do
     Netsim.Sim.add_flow sim (Flow.make ~id:i ~src:d.b ~prefix:(pfx "blue") ~demand:10. ())
   done;
@@ -1933,6 +2021,8 @@ let () =
       ( "sim",
         [
           Alcotest.test_case "single flow" `Quick test_sim_single_flow_full_rate;
+          Alcotest.test_case "histories only when asked" `Quick
+            test_sim_histories_only_when_asked;
           Alcotest.test_case "congestion throttles" `Quick test_sim_congestion_throttles;
           Alcotest.test_case "arrival/departure" `Quick test_sim_flow_arrival_departure;
           Alcotest.test_case "sub-dt flows never placed" `Quick
@@ -1946,6 +2036,8 @@ let () =
             test_sim_add_flow_rechecks_fields;
           Alcotest.test_case "stopped id stays taken" `Quick test_sim_stopped_id_stays_taken;
           Alcotest.test_case "slot reuse" `Quick test_sim_slot_reuse;
+          Alcotest.test_case "slots released when idle" `Quick
+            test_sim_slots_released_when_idle;
           Alcotest.test_case "unroutable flow" `Quick test_sim_unroutable_flow_reported;
           Alcotest.test_case "equal-time schedule FIFO" `Quick
             test_sim_schedule_equal_times_fifo;
